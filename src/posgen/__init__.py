@@ -41,6 +41,7 @@ from .errors import (
     DecayFailureError,
     DimensionMismatch,
     HypothesisViolation,
+    PropagatorOverflow,
     ResolventPoleError,
     SchemaError,
 )
@@ -109,6 +110,7 @@ from .superop import (
     is_symmetric_map,
     is_unital,
     positivity_check,
+    positivity_checks,
     sandwich,
     transpose_map,
     vec,

@@ -26,6 +26,7 @@ from .errors import (
     ConsistencyError,
     DimensionMismatch,
     HypothesisViolation,
+    PropagatorOverflow,
     SchemaError,
 )
 from .instances import FAMILIES, InstanceRecipe, build, random_density
@@ -379,7 +380,7 @@ def main(argv=None) -> int:
     except _CliError as exc:
         print(f"posgen: error: {exc}", file=sys.stderr)
         return 1
-    except (SchemaError, DimensionMismatch) as exc:
+    except (SchemaError, DimensionMismatch, PropagatorOverflow) as exc:
         print(f"posgen: error: {exc}", file=sys.stderr)
         return 1
     except ConsistencyError as exc:

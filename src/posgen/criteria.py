@@ -50,7 +50,7 @@ from .superop import (
     contraction_check,
     is_symmetric_map,
     is_unital,
-    positivity_check,
+    positivity_checks,
     vec,
 )
 
@@ -291,11 +291,14 @@ def _verdict(min_margin: float, tol: float, evaluated: bool) -> str:
 
 
 def _cone_scan(maps, grid, budget, tol):
-    """positivity_check over a family of maps; returns (margin, worst grid point)."""
+    """One stacked positivity search over a family of maps.
+
+    ``grid`` holds the grid value reported for each map; returns (margin,
+    worst grid value).
+    """
     best = np.inf
     worst = None
-    for g, s in zip(grid, maps):
-        verdict = positivity_check(s, budget=budget, tol=tol)
+    for g, verdict in zip(grid, positivity_checks(maps, budget, tol)):
         if verdict.margin < best:
             best = float(verdict.margin)
             worst = float(g)
@@ -336,18 +339,11 @@ def check_condition(h, condition_id: str, probes: ProbeSet, config: RunConfig) -
         margin, g = _cone_scan((resolvent(h, l) for l in grid), grid, budget, tol)
         worst = ProbeRef(None, None, g)
     elif condition_id == "resolvent_exp":
-        grid = tuple((s, l) for s in config.s_grid for l in lams)
-        maps = (
-            Superoperator(h.n, mat_exp(s * resolvent(h, l).rep)) for s, l in grid
-        )
-        best, worst_sl = np.inf, None
-        for (s, l), m in zip(grid, maps):
-            verdict = positivity_check(m, budget=budget, tol=tol)
-            if verdict.margin < best:
-                best, worst_sl = float(verdict.margin), (s, l)
-        margin = best
-        worst = ProbeRef(None, None, None if worst_sl is None else worst_sl[1])
-        grid = tuple(float(l) for l in lams)
+        grid = lams
+        pairs = [(s, l) for s in config.s_grid for l in lams]
+        maps = [Superoperator(h.n, mat_exp(s * resolvent(h, l).rep)) for s, l in pairs]
+        margin, g = _cone_scan(maps, [l for _, l in pairs], budget, tol)
+        worst = ProbeRef(None, None, g)
     elif condition_id in ("resolvent_sa", "resolvent_u"):
         grid = lams
         kernel = sa_dissipation_batch if condition_id.endswith("sa") else u_dissipation_batch
@@ -376,7 +372,7 @@ def check_condition(h, condition_id: str, probes: ProbeSet, config: RunConfig) -
     evaluated = np.isfinite(margin)
     return ConditionResult(
         condition_id=condition_id,
-        grid=tuple(float(g) if not isinstance(g, tuple) else float(g[1]) for g in grid),
+        grid=tuple(float(g) for g in grid),
         min_margin=float(margin) if evaluated else float("nan"),
         worst_probe=worst,
         verdict=_verdict(margin, tol, evaluated),
@@ -515,7 +511,7 @@ def theorem2_check(h, config: RunConfig = RunConfig()) -> Theorem2Report:
 
     pbudget = PositivityBudget(seed=subseed(config.seed, 29))
     cone = _aggregate_cone(
-        positivity_check(evolve(h, t), budget=pbudget, tol=tol) for t in config.t_grid
+        positivity_checks([evolve(h, t) for t in config.t_grid], pbudget, tol)
     )
     unital_margin = max(float(is_unital(evolve(h, t)).margin) for t in config.t_grid)
 
@@ -557,15 +553,13 @@ def corollary1_check(h, config: RunConfig = RunConfig()) -> ConeVerdict:
             )
 
     pbudget = PositivityBudget(seed=subseed(config.seed, 41))
-    verdicts = []
-    for t in config.t_grid:
-        cone = positivity_check(evolve(h, t), budget=pbudget, tol=tol)
+    verdicts = positivity_checks([evolve(h, t) for t in config.t_grid], pbudget, tol)
+    for t, cone in zip(config.t_grid, verdicts):
         if cone.status == VIOLATED:
             raise ConsistencyError(
                 f"unital contraction semigroup shows a positivity violation of "
                 f"{cone.margin:.3e} at t={t:g}"
             )
-        verdicts.append(cone)
 
     # replay the spectral argument: normalized PSD probes stay in [0, 2]
     rng = np.random.default_rng(np.random.SeedSequence((config.seed, 43)))

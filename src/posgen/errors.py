@@ -17,6 +17,13 @@ class DecayFailureError(ValueError):
     """Laplace-transform quadrature requested where the integrand does not decay."""
 
 
+class PropagatorOverflow(ValueError):
+    """A semigroup or resolvent map has entries beyond double precision.
+
+    The message names the time t (or the resolvent point) where it happened.
+    """
+
+
 class HypothesisViolation(RuntimeError):
     """A theorem's standing hypothesis fails for the given generator.
 

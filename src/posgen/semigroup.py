@@ -16,6 +16,7 @@ from .errors import (
     ConsistencyError,
     DecayFailureError,
     DimensionMismatch,
+    PropagatorOverflow,
     ResolventPoleError,
     SchemaError,
 )
@@ -156,6 +157,9 @@ class SemigroupHandle:
     Diagonalizable generators (eigenvector condition number below 1e4) use the
     cached eigendecomposition for every time point; anything worse falls back
     to a scaling-and-squaring exponential per call, trading speed for accuracy.
+    Each T_t and R_lam is built once per handle: :func:`evolve` and
+    :func:`resolvent` memoize them by t and lam, which is safe because a
+    Superoperator is immutable.
     """
 
     def __init__(self, gen):
@@ -174,6 +178,8 @@ class SemigroupHandle:
         self.eigenvalues = tuple(complex(v) for v in w[order])
         self.spectral_abscissa = float(max(v.real for v in self.eigenvalues))
         self._eig = None
+        self._evolved = {}
+        self._resolvents = {}
         try:
             pinv = np.linalg.inv(p)
             cond = np.linalg.norm(p, 2) * np.linalg.norm(pinv, 2)
@@ -203,14 +209,30 @@ def spectral_abscissa(gen) -> float:
     return _as_handle(gen).spectral_abscissa
 
 
+def _finite_map(n: int, rep: np.ndarray, what: str) -> Superoperator:
+    if not np.isfinite(rep).all():
+        raise PropagatorOverflow(f"{what} overflows double precision")
+    return Superoperator(n, rep)
+
+
 def evolve(h, t: float) -> Superoperator:
-    """The semigroup element T_t = e^{tL}; t must be nonnegative."""
+    """The semigroup element T_t = e^{tL}; t must be nonnegative.
+
+    Raises PropagatorOverflow when T_t does not fit in double precision.
+    """
     h = _as_handle(h)
     if t < 0:
         raise ValueError("semigroup is defined for t >= 0 only")
     if t == 0:
         return identity_superop(h.n)
-    return Superoperator(h.n, h.evolve_rep(np.array([t]))[0])
+    s = h._evolved.get(t)
+    if s is None:
+        # an overflow is reported as PropagatorOverflow, not as a warning
+        with np.errstate(over="ignore", invalid="ignore"):
+            rep = h.evolve_rep(np.array([t]))[0]
+        s = _finite_map(h.n, rep, f"T_t at t={t:g}")
+        h._evolved[t] = s
+    return s
 
 
 def resolvent(h, lam: float) -> Superoperator:
@@ -221,9 +243,13 @@ def resolvent(h, lam: float) -> Superoperator:
             f"resolvent point {lam:g} does not clear the spectral abscissa "
             f"{h.spectral_abscissa:g}"
         )
-    n2 = h.n * h.n
-    rep = np.linalg.solve(lam * np.eye(n2) - h.generator.rep, np.eye(n2))
-    return Superoperator(h.n, rep)
+    s = h._resolvents.get(lam)
+    if s is None:
+        n2 = h.n * h.n
+        rep = np.linalg.solve(lam * np.eye(n2) - h.generator.rep, np.eye(n2))
+        s = _finite_map(h.n, rep, f"R_lam at lam={lam:g}")
+        h._resolvents[lam] = s
+    return s
 
 
 @dataclass(frozen=True)

@@ -266,26 +266,31 @@ def _structured_unit_vectors(n: int) -> np.ndarray:
     return np.array(vs)
 
 
-def _rank_one_images(rep: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """S(v_i v_i^*) for a batch of vectors, as a (b, n, n) stack."""
-    n = int(np.sqrt(rep.shape[0]))
-    p = v[:, :, None] * v.conj()[:, None, :]
-    vecs = p.transpose(0, 2, 1).reshape(v.shape[0], n * n)
-    return (vecs @ rep.T).reshape(v.shape[0], n, n).swapaxes(1, 2)
+def _rank_one_images(rep_t: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """S(v_i v_i^*) for a (..., b, n) stack of vectors, as a (..., b, n, n) stack.
+
+    ``rep_t`` is the transposed rep of S, or a stack of them matching the
+    leading axes of ``v``.
+    """
+    n = v.shape[-1]
+    p = v[..., :, None] * v.conj()[..., None, :]
+    vecs = p.swapaxes(-1, -2).reshape(*v.shape[:-1], n * n)
+    return (vecs @ rep_t).reshape(*v.shape, n).swapaxes(-1, -2)
 
 
-def _f_batch(rep: np.ndarray, v: np.ndarray):
-    """f(v) = min_eig(herm(S(vv*))) - max|skew(S(vv*))| for a batch of vectors.
+def _f_batch(rep_t: np.ndarray, v: np.ndarray):
+    """f(v) = min_eig(herm(S(vv*))) - max|skew(S(vv*))| for a stack of vectors.
 
     The skew penalty makes f faithful for maps that do not preserve
     hermiticity: a PSD image requires both a nonnegative hermitian part and a
-    vanishing skew part.
+    vanishing skew part.  Returns f and the least eigenvectors, one per vector.
     """
-    m = _rank_one_images(rep, v)
-    skew = np.abs(m - m.conj().transpose(0, 2, 1)).max(axis=(1, 2))
-    h = (m + m.conj().transpose(0, 2, 1)) / 2
-    w, u = np.linalg.eigh(h)
-    return w[:, 0] - skew, u[:, :, 0]
+    m = _rank_one_images(rep_t, v)
+    mh = m.conj().swapaxes(-1, -2)
+    skew = np.abs(m - mh).max(axis=(-2, -1))
+    w, u = np.linalg.eigh((m + mh) / 2)
+    return w[..., 0] - skew, u[..., :, 0]
+
 
 def _f_single(s: Superoperator, v: np.ndarray) -> float:
     m = apply(s, np.outer(v, v.conj()))
@@ -293,20 +298,8 @@ def _f_single(s: Superoperator, v: np.ndarray) -> float:
     return float(np.linalg.eigvalsh(hermitian_part(m))[0]) - skew
 
 
-def positivity_check(
-    s: Superoperator,
-    budget: PositivityBudget = PositivityBudget(),
-    tol: float = DEFAULT_TOL,
-) -> ConeVerdict:
-    """Search for a rank-one input whose image leaves the PSD cone.
-
-    Seeded unit vectors (plus the standard basis and two structured vectors)
-    are scored by f; the worst starters seed a fixed-schedule projected
-    gradient descent on the unit sphere.  A CP certificate short-circuits the
-    descent phase: the certificate already implies positivity, so only the
-    cheap sampling pass runs to report an honest margin.
-    """
-    n = s.n
+def _seeded_starters(n: int, budget: PositivityBudget) -> np.ndarray:
+    """The standard basis, two structured vectors, then seeded random ones."""
     rng = np.random.default_rng(np.random.SeedSequence((budget.seed, 0x705)))
     starters = _structured_unit_vectors(n)
     if budget.n_random > 0:
@@ -315,56 +308,122 @@ def positivity_check(
         )
         g /= np.linalg.norm(g, axis=1, keepdims=True)
         starters = np.concatenate([starters, g])
-    fvals, _ = _f_batch(s.rep, starters)
-    evals = len(starters)
-    best_idx = int(np.argmin(fvals))
-    best_val = float(fvals[best_idx])
-    best_vec = starters[best_idx]
+    return starters
 
-    certificate = cp_check(s, tol)
-    if not certificate.verdict and budget.n_descent > 0 and budget.descent_iters > 0:
-        order = np.argsort(fvals)
-        v = starters[order[: budget.n_descent]].copy()
-        step = budget.descent_step
-        for _ in range(budget.descent_iters):
-            f, wmin = _f_batch(s.rep, v)
-            evals += len(v)
-            k = int(np.argmin(f))
-            if f[k] < best_val:
-                best_val = float(f[k])
-                best_vec = v[k].copy()
-            # Danskin direction: grad of v* herm(S^*(w w^*)) v on the sphere
-            ww = wmin[:, :, None] * wmin.conj()[:, None, :]
-            gvec = ww.transpose(0, 2, 1).reshape(len(v), n * n) @ s.rep.conj()
-            gm = gvec.reshape(len(v), n, n).swapaxes(1, 2)
-            gm = (gm + gm.conj().transpose(0, 2, 1)) / 2
-            grad = 2.0 * np.einsum("bij,bj->bi", gm, v)
-            inner = np.einsum("bi,bi->b", v.conj(), grad)
-            grad -= inner[:, None] * v
-            v = v - step * grad
-            v /= np.linalg.norm(v, axis=1, keepdims=True)
-            step *= budget.descent_decay
-        f, _ = _f_batch(s.rep, v)
-        evals += len(v)
-        k = int(np.argmin(f))
-        if f[k] < best_val:
-            best_val = float(f[k])
-            best_vec = v[k].copy()
 
-    margin = _f_single(s, best_vec)
-    margin = min(margin, best_val)
-    if certificate.verdict:
-        return ConeVerdict(
-            status=CERTIFIED_POSITIVE, margin=margin, samples_used=evals
+def _descend(reps, v, best_val, best_vec, budget: PositivityBudget):
+    """Projected gradient descent over a (maps, b, n) stack of unit vectors.
+
+    ``best_val``/``best_vec`` hold one entry per map and are lowered in place
+    wherever that map's batch finds a smaller f; they are also returned.
+    Every map follows the same step schedule and no arithmetic mixes two maps,
+    so each map's numbers are the ones a stack of that map alone would give.
+    """
+    rows = np.arange(len(v))
+    reps_t = reps.swapaxes(-1, -2)
+
+    def track(f):
+        k = np.argmin(f, axis=1)
+        fk = f[rows, k]
+        better = fk < best_val
+        best_val[better] = fk[better]
+        best_vec[better] = v[rows[better], k[better]]
+
+    n = v.shape[-1]
+    step = budget.descent_step
+    for _ in range(budget.descent_iters):
+        f, wmin = _f_batch(reps_t, v)
+        track(f)
+        # Danskin direction: grad of v* herm(S^*(w w^*)) v on the sphere.
+        # x @ conj(rep) is computed as conj(conj(x) @ rep): it rounds the
+        # same and needs no conjugated copy of the reps.
+        ww_c = wmin.conj()[..., :, None] * wmin[..., None, :]
+        gvec = (ww_c.swapaxes(-1, -2).reshape(*v.shape[:-1], n * n) @ reps).conj()
+        gm = gvec.reshape(*v.shape, n).swapaxes(-1, -2)
+        gm = (gm + gm.conj().swapaxes(-1, -2)) / 2
+        grad = 2.0 * np.einsum("...ij,...j->...i", gm, v)
+        inner = np.einsum("...i,...i->...", v.conj(), grad)
+        grad -= inner[..., None] * v
+        v = v - step * grad
+        v /= np.linalg.norm(v, axis=-1, keepdims=True)
+        step *= budget.descent_decay
+    track(_f_batch(reps_t, v)[0])
+    return best_val, best_vec
+
+
+def positivity_checks(
+    maps,
+    budget: PositivityBudget = PositivityBudget(),
+    tol: float = DEFAULT_TOL,
+) -> list:
+    """Search each map for a rank-one input whose image leaves the PSD cone.
+
+    The maps must act on the same M(n); one ConeVerdict is returned per map.
+    Seeded unit vectors (plus the standard basis and two structured vectors),
+    drawn once for all maps, are scored by f map by map; each map's worst
+    starters seed a fixed-schedule projected gradient descent on the unit
+    sphere, and the descents of all maps run as one stacked descent.  A CP
+    certificate takes its map out of the stack: the certificate already
+    implies positivity, so only the cheap sampling pass runs to report an
+    honest margin.  The verdicts equal, bit for bit, those of separate
+    searches under the same budget.
+    """
+    maps = list(maps)
+    if not maps:
+        raise ValueError("positivity_checks needs at least one map")
+    n = maps[0].n
+    if any(s.n != n for s in maps):
+        raise DimensionMismatch("positivity_checks needs maps on one algebra")
+    starters = _seeded_starters(n, budget)
+    best_val = np.empty(len(maps))
+    best_vec = np.empty((len(maps), n), dtype=complex)
+    certified = []
+    live, first = [], []  # the maps that descend, and their worst starters
+    for i, s in enumerate(maps):
+        fvals, _ = _f_batch(s.rep.T, starters)
+        k = int(np.argmin(fvals))
+        best_val[i], best_vec[i] = fvals[k], starters[k]
+        certified.append(cp_check(s, tol).verdict)
+        if not certified[i] and budget.n_descent > 0 and budget.descent_iters > 0:
+            live.append(i)
+            first.append(starters[np.argsort(fvals)[: budget.n_descent]])
+
+    evals = np.full(len(maps), len(starters))
+    if live:
+        best_val[live], best_vec[live] = _descend(
+            np.stack([maps[i].rep for i in live]),
+            np.stack(first),
+            best_val[live],
+            best_vec[live],
+            budget,
         )
-    if margin < -tol:
-        return ConeVerdict(
-            status=VIOLATED,
-            margin=_f_single(s, best_vec),
-            samples_used=evals,
-            witness=frozen(best_vec),
-        )
-    return ConeVerdict(status=NO_VIOLATION_FOUND, margin=margin, samples_used=evals)
+        evals[live] += (budget.descent_iters + 1) * len(first[0])
+
+    verdicts = []
+    for s, val, v, cert, used in zip(maps, best_val, best_vec, certified, evals):
+        margin = min(_f_single(s, v), float(val))
+        if cert:
+            verdicts.append(ConeVerdict(CERTIFIED_POSITIVE, margin, int(used)))
+        elif margin < -tol:
+            verdicts.append(
+                ConeVerdict(VIOLATED, _f_single(s, v), int(used), witness=frozen(v))
+            )
+        else:
+            verdicts.append(ConeVerdict(NO_VIOLATION_FOUND, margin, int(used)))
+    return verdicts
+
+
+def positivity_check(
+    s: Superoperator,
+    budget: PositivityBudget = PositivityBudget(),
+    tol: float = DEFAULT_TOL,
+) -> ConeVerdict:
+    """Search one map for a rank-one input whose image leaves the PSD cone.
+
+    The single-map case of :func:`positivity_checks`, which runs the searches
+    of many maps as one stacked descent with the same verdicts.
+    """
+    return positivity_checks([s], budget, tol)[0]
 
 
 # ---------------------------------------------------------------------------

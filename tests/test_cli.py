@@ -117,6 +117,16 @@ class TestReport:
         assert main(["report", str(path)]) == 1
         assert "not valid JSON" in capsys.readouterr().err
 
+    def test_overflowing_semigroup_exits_1(self, tmp_path, capsys):
+        path = tmp_path / "stiff.json"
+        path.write_text(json.dumps(flip_nonpositive(2, scale=100.0).to_json()))
+        assert main(["report", str(path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("posgen: error: ")
+        assert "t=10" in captured.err
+        assert captured.err.count("\n") == 1
+
     def test_text_format(self, deph_file, capsys):
         assert main(["report", deph_file, "--samples", "6",
                      "--format", "text"]) == 0

@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from posgen import criteria
 from posgen.config import RunConfig
 from posgen.criteria import (
     CONDITION_IDS,
@@ -32,13 +33,14 @@ from posgen.instances import (
     transpose_mixing,
 )
 from posgen.matrixcore import mat_exp
-from posgen.semigroup import SemigroupHandle, build_superoperator, evolve
+from posgen.semigroup import GeneratorSpec, SemigroupHandle, build_superoperator, evolve
 from posgen.superop import (
     CERTIFIED_POSITIVE,
     NO_VIOLATION_FOUND,
     VIOLATED,
     Superoperator,
     apply,
+    positivity_check,
 )
 
 from conftest import rand_complex
@@ -328,6 +330,43 @@ class TestTheorem2:
             "unital_margin",
             "direction_consistency",
         }
+
+
+def flip_plus_lindblad(n, seed):
+    rep = (build_superoperator(random_lindblad(n, 2, seed)).rep
+           + build_superoperator(flip_nonpositive(n)).rep)
+    return GeneratorSpec(kind="explicit", n=n, superop=Superoperator(n, rep))
+
+
+class TestStackedConeSearches:
+    """Reports are byte-identical whether cone searches run stacked or per map."""
+
+    def payloads(self, gen, config):
+        out = [json.dumps(theorem1_report(handle(gen), config).to_json())]
+        try:
+            out.append(json.dumps(theorem2_check(handle(gen), config).to_json()))
+        except HypothesisViolation as exc:
+            out.append(str(exc))
+        try:
+            cone = corollary1_check(handle(gen), config)
+            out.append((cone.status, cone.margin, cone.samples_used))
+        except (HypothesisViolation, ConsistencyError) as exc:
+            out.append(str(exc))
+        return out
+
+    @pytest.mark.parametrize("gen", [
+        transpose_mixing(random_lindblad(3, 2, 5)),
+        flip_plus_lindblad(3, 6),
+    ], ids=["transpose_mixing", "flip_plus_lindblad"])
+    def test_byte_identical_to_per_map_searches(self, gen, monkeypatch):
+        config = small_config(seed=3)
+        stacked = self.payloads(gen, config)
+
+        def per_map(maps, budget, tol):
+            return [positivity_check(m, budget, tol) for m in maps]
+
+        monkeypatch.setattr(criteria, "positivity_checks", per_map)
+        assert self.payloads(gen, config) == stacked
 
 
 class TestCorollary1:

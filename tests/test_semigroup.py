@@ -4,6 +4,7 @@ from hypothesis import given, settings, strategies as st
 
 from posgen.errors import (
     DecayFailureError,
+    PropagatorOverflow,
     ResolventPoleError,
     SchemaError,
 )
@@ -136,6 +137,21 @@ class TestEvolve:
         assert np.abs(evolve(h, t).rep - (np.eye(4) + t * rep)).max() <= 1e-12
 
 
+    def test_memoized_per_handle(self):
+        h = small_lindblad(seed=2)
+        first = evolve(h, 0.5)
+        assert evolve(h, 0.5) is first
+        fresh = evolve(small_lindblad(seed=2), 0.5)
+        assert fresh is not first
+        assert np.array_equal(fresh.rep, first.rep)
+
+    def test_overflow_names_time(self):
+        h = SemigroupHandle(Superoperator(2, 100.0 * (np.eye(4) - np.kron(SX, SX))))
+        assert np.isfinite(evolve(h, 1.0).rep).all()
+        with pytest.raises(PropagatorOverflow, match="t=10"):
+            evolve(h, 10.0)
+
+
 class TestResolvent:
     def test_zero_generator(self):
         r = resolvent(zero_gen(), 2.0)
@@ -168,6 +184,13 @@ class TestResolvent:
         lhs = r1 - r2
         rhs = (l2 - l1) * (r1 @ r2)
         assert np.abs(lhs - rhs).max() <= 1e-10
+
+    def test_memoized_per_handle(self):
+        h = small_lindblad(seed=3)
+        first = resolvent(h, 4.0)
+        assert resolvent(h, 4.0) is first
+        assert resolvent(h, 5.0) is not first
+        assert np.array_equal(resolvent(small_lindblad(seed=3), 4.0).rep, first.rep)
 
     def test_defect_residual(self):
         h = small_lindblad(seed=4, n=3, k=2)

@@ -21,6 +21,7 @@ from posgen.superop import (
     is_symmetric_map,
     is_unital,
     positivity_check,
+    positivity_checks,
     sandwich,
     scale,
     subtract,
@@ -217,6 +218,119 @@ class TestPositivityCheck:
         a = positivity_check(s, PositivityBudget(seed=9))
         b = positivity_check(s, PositivityBudget(seed=9))
         assert a.margin == b.margin and a.samples_used == b.samples_used
+
+
+def hidden_direction_map(n, seed):
+    """x - 3 q x q for a random rank-one projector q."""
+    rng = np.random.default_rng(seed)
+    w = rand_complex(rng, n)
+    w /= np.linalg.norm(w)
+    q = np.outer(w, w.conj())
+    return from_function(n, lambda x: x - 3.0 * (q @ x @ q))
+
+
+def looped_positivity_check(s, budget, tol=1e-9):
+    """Reference: the search of one map as a plain loop, one descent per map."""
+    n = s.n
+
+    def f_batch(v):
+        p = v[:, :, None] * v.conj()[:, None, :]
+        vecs = p.transpose(0, 2, 1).reshape(len(v), n * n)
+        m = (vecs @ s.rep.T).reshape(len(v), n, n).swapaxes(1, 2)
+        skew = np.abs(m - m.conj().transpose(0, 2, 1)).max(axis=(1, 2))
+        w, u = np.linalg.eigh((m + m.conj().transpose(0, 2, 1)) / 2)
+        return w[:, 0] - skew, u[:, :, 0]
+
+    rng = np.random.default_rng(np.random.SeedSequence((budget.seed, 0x705)))
+    starters = superop._structured_unit_vectors(n)
+    if budget.n_random > 0:
+        g = rng.standard_normal((budget.n_random, n)) + 1j * rng.standard_normal(
+            (budget.n_random, n)
+        )
+        g /= np.linalg.norm(g, axis=1, keepdims=True)
+        starters = np.concatenate([starters, g])
+    fvals, _ = f_batch(starters)
+    evals = len(starters)
+    best_val = float(fvals.min())
+    best_vec = starters[int(np.argmin(fvals))]
+    certified = cp_check(s, tol).verdict
+    if not certified and budget.n_descent > 0 and budget.descent_iters > 0:
+        v = starters[np.argsort(fvals)[: budget.n_descent]].copy()
+        step = budget.descent_step
+        for it in range(budget.descent_iters + 1):
+            f, wmin = f_batch(v)
+            evals += len(v)
+            k = int(np.argmin(f))
+            if f[k] < best_val:
+                best_val, best_vec = float(f[k]), v[k].copy()
+            if it == budget.descent_iters:
+                break
+            ww = wmin[:, :, None] * wmin.conj()[:, None, :]
+            gvec = ww.transpose(0, 2, 1).reshape(len(v), n * n) @ s.rep.conj()
+            gm = gvec.reshape(len(v), n, n).swapaxes(1, 2)
+            gm = (gm + gm.conj().transpose(0, 2, 1)) / 2
+            grad = 2.0 * np.einsum("bij,bj->bi", gm, v)
+            grad -= np.einsum("bi,bi->b", v.conj(), grad)[:, None] * v
+            v = v - step * grad
+            v /= np.linalg.norm(v, axis=1, keepdims=True)
+            step *= budget.descent_decay
+    margin = min(superop._f_single(s, best_vec), best_val)
+    if certified:
+        return superop.ConeVerdict("certified_positive", margin, evals)
+    if margin < -tol:
+        return superop.ConeVerdict(
+            "violated", superop._f_single(s, best_vec), evals, best_vec
+        )
+    return superop.ConeVerdict("no_violation_found", margin, evals)
+
+
+class TestStackedPositivityChecks:
+    def mixed_stack(self, n):
+        return [
+            identity_superop(n),
+            transpose_map(n),
+            scale(identity_superop(n), -1.0),
+            hidden_direction_map(n, 11),
+            scale(identity_superop(n), 1j),
+        ]
+
+    @pytest.mark.parametrize("n", [2, 4])
+    @pytest.mark.parametrize("budget", [
+        PositivityBudget(seed=5),
+        PositivityBudget(n_random=0, n_descent=3, descent_iters=7, seed=2),
+        PositivityBudget(n_descent=0, seed=3),
+    ])
+    def test_equals_per_map_searches(self, n, budget):
+        maps = self.mixed_stack(n)
+        stacked = positivity_checks(maps, budget)
+        single = [positivity_check(m, budget) for m in maps]
+        looped = [looped_positivity_check(m, budget) for m in maps]
+        assert len(stacked) == len(maps)
+        for a, b, c in zip(stacked, single, looped):
+            assert a.status == b.status == c.status
+            assert a.margin == b.margin == c.margin
+            assert a.samples_used == b.samples_used == c.samples_used
+            if c.witness is None:
+                assert a.witness is None and b.witness is None
+            else:
+                assert a.witness.tobytes() == b.witness.tobytes() == c.witness.tobytes()
+        statuses = [v.status for v in stacked]
+        if budget.n_descent:
+            assert statuses == [
+                "certified_positive",
+                "no_violation_found",
+                "violated",
+                "violated",
+                "violated",
+            ]
+
+    def test_empty_list_rejected(self):
+        with pytest.raises(ValueError):
+            positivity_checks([])
+
+    def test_mixed_dimensions_rejected(self):
+        with pytest.raises(DimensionMismatch):
+            positivity_checks([identity_superop(2), identity_superop(3)])
 
 
 class TestContractionCheck:

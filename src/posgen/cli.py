@@ -20,6 +20,7 @@ import json
 import sys
 from concurrent.futures import ThreadPoolExecutor
 
+from ._blas import single_blas_thread
 from .config import FORMATS, RunConfig, subseed
 from .duality import DensityMatrix, trace_preservation_check, trajectory_records
 from .errors import (
@@ -366,26 +367,27 @@ _COMMANDS = {
 
 def main(argv=None) -> int:
     parser = _build_parser()
-    try:
-        args = parser.parse_args(argv)
-        cfg = _resolve_config(args)
-        handler = _COMMANDS[args.command]
-        if args.output is not None:
-            try:
-                with open(args.output, "w") as out:
-                    return handler(args, cfg, out)
-            except OSError as exc:
-                raise _CliError(f"cannot write {args.output}: {exc}")
-        return handler(args, cfg, sys.stdout)
-    except _CliError as exc:
-        print(f"posgen: error: {exc}", file=sys.stderr)
-        return 1
-    except (SchemaError, DimensionMismatch, PropagatorOverflow) as exc:
-        print(f"posgen: error: {exc}", file=sys.stderr)
-        return 1
-    except ConsistencyError as exc:
-        print(f"posgen: internal consistency failure: {exc}", file=sys.stderr)
-        return 2
+    with single_blas_thread():
+        try:
+            args = parser.parse_args(argv)
+            cfg = _resolve_config(args)
+            handler = _COMMANDS[args.command]
+            if args.output is not None:
+                try:
+                    with open(args.output, "w") as out:
+                        return handler(args, cfg, out)
+                except OSError as exc:
+                    raise _CliError(f"cannot write {args.output}: {exc}")
+            return handler(args, cfg, sys.stdout)
+        except _CliError as exc:
+            print(f"posgen: error: {exc}", file=sys.stderr)
+            return 1
+        except (SchemaError, DimensionMismatch, PropagatorOverflow) as exc:
+            print(f"posgen: error: {exc}", file=sys.stderr)
+            return 1
+        except ConsistencyError as exc:
+            print(f"posgen: internal consistency failure: {exc}", file=sys.stderr)
+            return 2
 
 
 if __name__ == "__main__":

@@ -28,7 +28,7 @@ import numpy as np
 from .config import RunConfig, subseed
 from .errors import ConsistencyError, HypothesisViolation
 from .instances import hermitian_from, unitary_from
-from .matrixcore import classify_element, frozen, mat_exp, spectral_norm
+from .matrixcore import as_matrix_stack, frozen, mat_exp, max_entry, spectral_norm
 from .semigroup import (
     QuadratureSpec,
     _as_handle,
@@ -114,11 +114,13 @@ class ProbeSet:
     seed: int
 
     def __post_init__(self):
-        for a in self.selfadjoint:
-            if not classify_element(a, tol=1e-9).hermitian:
+        if self.selfadjoint:
+            a = as_matrix_stack(self.selfadjoint)
+            if max_entry(a - a.conj().swapaxes(1, 2)) > 1e-9:
                 raise ValueError("self-adjoint probe fails its class check")
-        for u in self.unitaries:
-            if not classify_element(u, tol=1e-9).unitary:
+        if self.unitaries:
+            u = as_matrix_stack(self.unitaries)
+            if max_entry(u.conj().swapaxes(1, 2) @ u - np.eye(u.shape[-1])) > 1e-9:
                 raise ValueError("unitary probe fails its class check")
 
     @classmethod

@@ -31,6 +31,16 @@ def as_matrix(x) -> np.ndarray:
     return a
 
 
+def as_matrix_stack(members) -> np.ndarray:
+    """Stack matrices of one size into an ``(m, n, n)`` array, with ``as_matrix``'s checks."""
+    a = np.asarray(members, dtype=complex)
+    if a.ndim != 3 or a.shape[1] != a.shape[2] or a.shape[1] < 1:
+        raise DimensionMismatch(f"expected a stack of square matrices, got shape {a.shape}")
+    if not np.isfinite(a).all():
+        raise ValueError("matrix entries must be finite")
+    return a
+
+
 def max_entry(a) -> float:
     """Entrywise max-norm ``max_ij |a_ij|``."""
     return float(np.abs(a).max())

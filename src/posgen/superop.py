@@ -311,6 +311,22 @@ def _seeded_starters(n: int, budget: PositivityBudget) -> np.ndarray:
     return starters
 
 
+# The descent's step is absolute, so on a map with entries near 2**512 its
+# vectors' squared norms overflow and the search turns to NaN.  Positivity is
+# scale-invariant: a map whose entries exceed this bound descends on a copy
+# scaled by a power of two (exact in floating point) to a largest entry in
+# [1/2, 1).  The bound lies far above the maps of any report at ordinary
+# scale, which therefore descend unscaled.
+_DESCENT_MAX_ENTRY = 2.0 ** 256
+
+
+def _descent_scale(reps: np.ndarray) -> np.ndarray:
+    """Per-map power-of-two factor for the descent: 1 unless entries are huge."""
+    peak = np.abs(reps).max(axis=(-2, -1))
+    _, exponent = np.frexp(peak)
+    return np.ldexp(1.0, np.where(peak > _DESCENT_MAX_ENTRY, -exponent, 0))
+
+
 def _descend(reps, v, best_val, best_vec, budget: PositivityBudget):
     """Projected gradient descent over a (maps, b, n) stack of unit vectors.
 
@@ -390,13 +406,16 @@ def positivity_checks(
 
     evals = np.full(len(maps), len(starters))
     if live:
-        best_val[live], best_vec[live] = _descend(
-            np.stack([maps[i].rep for i in live]),
+        reps = np.stack([maps[i].rep for i in live])
+        scale = _descent_scale(reps)
+        vals, best_vec[live] = _descend(
+            reps * scale[:, None, None],
             np.stack(first),
-            best_val[live],
+            best_val[live] * scale,
             best_vec[live],
             budget,
         )
+        best_val[live] = vals / scale
         evals[live] += (budget.descent_iters + 1) * len(first[0])
 
     verdicts = []

@@ -1,8 +1,13 @@
+import contextlib
+import io
 import json
 import math
+import os
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from posgen.cli import main
 from posgen.instances import dephasing, flip_nonpositive, random_lindblad
@@ -126,6 +131,20 @@ class TestReport:
         assert captured.err.startswith("posgen: error: ")
         assert "t=10" in captured.err
         assert captured.err.count("\n") == 1
+
+    def test_huge_finite_semigroup_reports(self, tmp_path, capsys):
+        # T_10 has entries near e^360: finite, but the positivity descent on
+        # it overflowed to NaN and eigh raised LinAlgError
+        rep = np.zeros((9, 9), dtype=complex)
+        rep[0, 0] = 36.0
+        rep[0, 5] = rep[0, 7] = rep[1, 0] = rep[3, 0] = 0.5
+        spec = GeneratorSpec(kind="explicit", n=3, superop=Superoperator(3, rep))
+        path = tmp_path / "huge.json"
+        path.write_text(json.dumps(spec.to_json()))
+        assert main(["report", str(path), "--samples", "5"]) == 0
+        t1 = json.loads(capsys.readouterr().out)["sections"]["theorem1"]
+        assert t1["conditions"][0]["id"] == "semigroup_positive"
+        assert t1["conditions"][0]["verdict"] == "violated"
 
     def test_text_format(self, deph_file, capsys):
         assert main(["report", deph_file, "--samples", "6",
@@ -265,3 +284,45 @@ class TestOutputFile:
         assert main(["report", deph_file, "--samples", "6",
                      "-o", "/nonexistent/dir/x.json"]) == 1
         assert "cannot write" in capsys.readouterr().err
+
+
+def _commutation(n):
+    """Permutation K with K vec(x) = vec(x^T) under column stacking."""
+    k = np.zeros((n * n, n * n))
+    for i in range(n):
+        for j in range(n):
+            k[i + j * n, j + i * n] = 1.0
+    return k
+
+
+@st.composite
+def explicit_generators(draw):
+    """Bounded finite superoperators on M(n), n <= 3, as generator JSON."""
+    n = draw(st.integers(1, 3))
+    entries = st.floats(-50.0, 50.0, allow_nan=False, allow_infinity=False)
+    size = n ** 4
+    re = np.array(draw(st.lists(entries, min_size=size, max_size=size)))
+    im = np.array(draw(st.lists(entries, min_size=size, max_size=size)))
+    rep = (re + 1j * im).reshape(n * n, n * n)
+    shape = draw(st.sampled_from(["arbitrary", "hermiticity_preserving", "diagonal"]))
+    if shape == "hermiticity_preserving":  # (L + #L#) / 2 with #L#(x) = L(x*)*
+        k = _commutation(n)
+        rep = (rep + k @ rep.conj() @ k) / 2
+    elif shape == "diagonal":  # a Schur multiplier
+        rep = np.diag(np.diag(rep))
+    spec = GeneratorSpec(kind="explicit", n=n, superop=Superoperator(n, rep))
+    return spec.to_json()
+
+
+class TestReportNeverRaises:
+    @given(explicit_generators())
+    @settings(max_examples=25, deadline=None)
+    def test_exit_code_contract(self, payload):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "gen.json")
+            with open(path, "w") as fh:
+                json.dump(payload, fh)
+            with contextlib.redirect_stdout(io.StringIO()), \
+                    contextlib.redirect_stderr(io.StringIO()):
+                code = main(["report", path, "--samples", "5"])
+        assert code in (0, 1, 2)

@@ -324,6 +324,19 @@ class TestStackedPositivityChecks:
                 "violated",
             ]
 
+    @pytest.mark.parametrize("n", [2, 4])
+    def test_huge_maps_search_like_unit_scale_ones(self, n):
+        # the descent on a map with entries near 2**600 overflowed to NaN and
+        # eigh raised.  Positivity is scale-invariant, so the violated maps
+        # keep their verdicts; the others' margins are rounding noise, which
+        # absolute tolerances judge differently at this scale
+        maps = self.mixed_stack(n)
+        huge = positivity_checks([scale(m, 2.0 ** 600) for m in maps])
+        assert all(np.isfinite(v.margin) for v in huge)
+        for a, b in zip(huge[2:], positivity_checks(maps[2:])):
+            assert a.status == b.status == "violated"
+            assert a.margin == pytest.approx(2.0 ** 600 * b.margin, rel=1e-9)
+
     def test_empty_list_rejected(self):
         with pytest.raises(ValueError):
             positivity_checks([])

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import sys
 from concurrent.futures import ThreadPoolExecutor
@@ -46,6 +47,9 @@ class _Parser(argparse.ArgumentParser):
         raise _CliError(message)
 
 
+# Built once per process: parse_args only reads the parser, so every call of
+# main can share it.
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     common = _Parser(add_help=False)
     common.add_argument("--tol", action="append", default=[], metavar="NAME=VALUE",

@@ -129,15 +129,14 @@ class ProbeSet:
     ) -> "ProbeSet":
         sa_rng = np.random.default_rng(np.random.SeedSequence((int(seed), 31)))
         u_rng = np.random.default_rng(np.random.SeedSequence((int(seed), 32)))
-        sa = _structured_selfadjoint(n)
-        sa += [hermitian_from(sa_rng, n) for _ in range(n_selfadjoint)]
-        us = _structured_unitaries(n)
-        us += [unitary_from(u_rng, n) for _ in range(n_unitary)]
-        return cls(
-            selfadjoint=tuple(frozen(a) for a in sa),
-            unitaries=tuple(frozen(u) for u in us),
-            seed=int(seed),
-        )
+        # one read-only stack per class; the members are views into it
+        sa = frozen(np.concatenate(
+            [_structured_selfadjoint(n), hermitian_from(sa_rng, n, k=n_selfadjoint)]
+        ))
+        us = frozen(np.concatenate(
+            [_structured_unitaries(n), unitary_from(u_rng, n, k=n_unitary)]
+        ))
+        return cls(selfadjoint=tuple(sa), unitaries=tuple(us), seed=int(seed))
 
 
 # ---------------------------------------------------------------------------
@@ -292,19 +291,54 @@ def _verdict(min_margin: float, tol: float, evaluated: bool) -> str:
     return SATISFIED if min_margin >= -tol else VIOLATED_VERDICT
 
 
-def _cone_scan(maps, grid, budget, tol):
-    """One stacked positivity search over a family of maps.
+# The cone conditions ask for positive maps.  Each factory returns the grid a
+# condition reports and its maps, each paired with the grid value that a
+# violation at that map reports.
+_CONE_MAPS = {
+    "semigroup_positive": lambda h, lams, config: (
+        config.t_grid, [(t, evolve(h, t)) for t in config.t_grid]
+    ),
+    "resolvent_positive": lambda h, lams, config: (
+        lams, [(l, resolvent(h, l)) for l in lams]
+    ),
+    "resolvent_exp": lambda h, lams, config: (
+        lams,
+        [
+            (l, Superoperator(h.n, mat_exp(s * resolvent(h, l).rep)))
+            for s in config.s_grid
+            for l in lams
+        ],
+    ),
+}
 
-    ``grid`` holds the grid value reported for each map; returns (margin,
-    worst grid value).
+
+def _cone_conditions(h, condition_ids, config: RunConfig) -> dict:
+    """Search the maps of the given cone conditions in one stacked descent.
+
+    Each condition keeps its own budget seed, so its margin is the one a
+    search of that condition alone finds.  Returns a ConditionResult per id.
     """
-    best = np.inf
-    worst = None
-    for g, verdict in zip(grid, positivity_checks(maps, budget, tol)):
-        if verdict.margin < best:
-            best = float(verdict.margin)
-            worst = float(g)
-    return best, worst
+    tol = config.tol("predicate")
+    lams = lambda_grid(h, config.lambda_multipliers)
+    plan, maps, budgets = [], [], []
+    for cid in condition_ids:
+        grid, pairs = _CONE_MAPS[cid](h, lams, config)
+        plan.append((cid, grid, [g for g, _ in pairs]))
+        maps += [m for _, m in pairs]
+        budget = PositivityBudget(seed=subseed(config.seed, 17, CONDITION_IDS.index(cid)))
+        budgets += [budget] * len(pairs)
+    verdicts = iter(positivity_checks(maps, budgets, tol))
+
+    results = {}
+    for cid, grid, grid_values in plan:
+        best = np.inf
+        worst = None
+        for g, verdict in zip(grid_values, verdicts):
+            if verdict.margin < best:
+                best = float(verdict.margin)
+                worst = float(g)
+        results[cid] = _condition_result(cid, grid, best, ProbeRef(None, None, worst), tol)
+    return results
 
 
 def _probe_scan(rep_for, grid, probes, kernel):
@@ -321,56 +355,7 @@ def _probe_scan(rep_for, grid, probes, kernel):
     return best, worst
 
 
-def check_condition(h, condition_id: str, probes: ProbeSet, config: RunConfig) -> ConditionResult:
-    """Evaluate one condition over its grid, aggregating margins as minima."""
-    if condition_id not in CONDITION_IDS:
-        raise ValueError(f"unknown condition id {condition_id!r}")
-    h = _as_handle(h)
-    tol = config.tol("predicate")
-    lams = lambda_grid(h, config.lambda_multipliers)
-    budget = PositivityBudget(
-        seed=subseed(config.seed, 17, CONDITION_IDS.index(condition_id))
-    )
-
-    if condition_id == "semigroup_positive":
-        grid = config.t_grid
-        margin, g = _cone_scan((evolve(h, t) for t in grid), grid, budget, tol)
-        worst = ProbeRef(None, None, g)
-    elif condition_id == "resolvent_positive":
-        grid = lams
-        margin, g = _cone_scan((resolvent(h, l) for l in grid), grid, budget, tol)
-        worst = ProbeRef(None, None, g)
-    elif condition_id == "resolvent_exp":
-        grid = lams
-        pairs = [(s, l) for s in config.s_grid for l in lams]
-        maps = [Superoperator(h.n, mat_exp(s * resolvent(h, l).rep)) for s, l in pairs]
-        margin, g = _cone_scan(maps, [l for _, l in pairs], budget, tol)
-        worst = ProbeRef(None, None, g)
-    elif condition_id in ("resolvent_sa", "resolvent_u"):
-        grid = lams
-        kernel = sa_dissipation_batch if condition_id.endswith("sa") else u_dissipation_batch
-        pool = probes.selfadjoint if condition_id.endswith("sa") else probes.unitaries
-        margin, hit = _probe_scan(lambda l: resolvent(h, l).rep, grid, pool, kernel)
-        kind = "selfadjoint" if condition_id.endswith("sa") else "unitary"
-        worst = None if hit is None else ProbeRef(kind, hit[0], hit[1])
-    elif condition_id in ("semigroup_sa", "semigroup_u"):
-        grid = config.t_grid
-        kernel = sa_dissipation_batch if condition_id.endswith("sa") else u_dissipation_batch
-        pool = probes.selfadjoint if condition_id.endswith("sa") else probes.unitaries
-        margin, hit = _probe_scan(lambda t: evolve(h, t).rep, grid, pool, kernel)
-        kind = "selfadjoint" if condition_id.endswith("sa") else "unitary"
-        worst = None if hit is None else ProbeRef(kind, hit[0], hit[1])
-    else:  # generator_sa / generator_u
-        grid = ()
-        kernel = sa_dissipation_batch if condition_id.endswith("sa") else u_dissipation_batch
-        pool = probes.selfadjoint if condition_id.endswith("sa") else probes.unitaries
-        stack = np.stack(pool)
-        margins = dissipation_margins(kernel(h.generator.rep, stack))
-        k = int(np.argmin(margins))
-        margin = float(margins[k])
-        kind = "selfadjoint" if condition_id.endswith("sa") else "unitary"
-        worst = ProbeRef(kind, k, None)
-
+def _condition_result(condition_id, grid, margin, worst, tol) -> ConditionResult:
     evaluated = np.isfinite(margin)
     return ConditionResult(
         condition_id=condition_id,
@@ -379,6 +364,35 @@ def check_condition(h, condition_id: str, probes: ProbeSet, config: RunConfig) -
         worst_probe=worst,
         verdict=_verdict(margin, tol, evaluated),
     )
+
+
+def check_condition(h, condition_id: str, probes: ProbeSet, config: RunConfig) -> ConditionResult:
+    """Evaluate one condition over its grid, aggregating margins as minima."""
+    if condition_id not in CONDITION_IDS:
+        raise ValueError(f"unknown condition id {condition_id!r}")
+    h = _as_handle(h)
+    if condition_id in _CONE_MAPS:
+        return _cone_conditions(h, (condition_id,), config)[condition_id]
+    tol = config.tol("predicate")
+    kernel = sa_dissipation_batch if condition_id.endswith("sa") else u_dissipation_batch
+    pool = probes.selfadjoint if condition_id.endswith("sa") else probes.unitaries
+    kind = "selfadjoint" if condition_id.endswith("sa") else "unitary"
+
+    if condition_id in ("resolvent_sa", "resolvent_u"):
+        grid = lambda_grid(h, config.lambda_multipliers)
+        margin, hit = _probe_scan(lambda l: resolvent(h, l).rep, grid, pool, kernel)
+        worst = None if hit is None else ProbeRef(kind, hit[0], hit[1])
+    elif condition_id in ("semigroup_sa", "semigroup_u"):
+        grid = config.t_grid
+        margin, hit = _probe_scan(lambda t: evolve(h, t).rep, grid, pool, kernel)
+        worst = None if hit is None else ProbeRef(kind, hit[0], hit[1])
+    else:  # generator_sa / generator_u
+        grid = ()
+        margins = dissipation_margins(kernel(h.generator.rep, np.stack(pool)))
+        k = int(np.argmin(margins))
+        margin = float(margins[k])
+        worst = ProbeRef(kind, k, None)
+    return _condition_result(condition_id, grid, margin, worst, tol)
 
 
 # ---------------------------------------------------------------------------
@@ -424,8 +438,10 @@ def theorem1_report(h, config: RunConfig = RunConfig()) -> Theorem1Report:
     probes = ProbeSet.build(
         h.n, config.n_selfadjoint, config.n_unitary, subseed(config.seed, 11)
     )
+    cones = _cone_conditions(h, _CONE_MAPS, config)
     conditions = tuple(
-        check_condition(h, cid, probes, config) for cid in CONDITION_IDS
+        cones[cid] if cid in cones else check_condition(h, cid, probes, config)
+        for cid in CONDITION_IDS
     )
     margins = [c.min_margin for c in conditions if np.isfinite(c.min_margin)]
     ctol = config.tol("consistency")

@@ -14,7 +14,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import SchemaError
-from .matrixcore import CMatrix, as_matrix, hermitian_part, frozen, spectral_norm
+from .matrixcore import (
+    CMatrix,
+    as_matrix,
+    as_matrix_stack,
+    frozen,
+    hermitian_part,
+    spectral_norm,
+)
 from .semigroup import _as_handle, evolve
 from .superop import (
     NO_VIOLATION_FOUND,
@@ -30,19 +37,30 @@ STATE_TOL = 1e-9
 _TRACE_TOL = 1e-10
 
 
+def _validated_states(a: np.ndarray, tol: float) -> np.ndarray:
+    """Validate a (m, n, n) stack of density matrices as one stack.
+
+    The first state that fails raises, naming its first failing check and
+    that check's deviation.
+    """
+    ah = a.conj().swapaxes(-1, -2)
+    herm_dev = np.abs(a - ah).max(axis=(-2, -1))
+    min_eig = np.linalg.eigvalsh(0.5 * (a + ah))[:, 0]
+    tr_dev = np.abs(np.trace(a, axis1=-2, axis2=-1) - 1.0)
+    bad = (herm_dev > tol) | (min_eig < -tol) | (tr_dev > _TRACE_TOL)
+    if bad.any():
+        i = int(np.argmax(bad))
+        if herm_dev[i] > tol:
+            raise ValueError(f"state is not hermitian (deviation {herm_dev[i]:.3e})")
+        if min_eig[i] < -tol:
+            raise ValueError(f"state is not positive (min eigenvalue {min_eig[i]:.3e})")
+        raise ValueError(f"state trace differs from 1 by {tr_dev[i]:.3e}")
+    return frozen(a)
+
+
 def as_density(rho, tol: float = STATE_TOL) -> np.ndarray:
     """Validate a density matrix: Hermitian, PSD at `tol`, unit trace."""
-    a = as_matrix(rho)
-    herm_dev = np.abs(a - a.conj().T).max()
-    if herm_dev > tol:
-        raise ValueError(f"state is not hermitian (deviation {herm_dev:.3e})")
-    min_eig = float(np.linalg.eigvalsh(hermitian_part(a)).min())
-    if min_eig < -tol:
-        raise ValueError(f"state is not positive (min eigenvalue {min_eig:.3e})")
-    tr_dev = abs(np.trace(a) - 1.0)
-    if tr_dev > _TRACE_TOL:
-        raise ValueError(f"state trace differs from 1 by {tr_dev:.3e}")
-    return frozen(a)
+    return _validated_states(as_matrix(rho)[None], tol)[0]
 
 
 @dataclass(frozen=True)
@@ -141,9 +159,9 @@ def trace_preservation_check(
     h = _as_handle(gen)
     if not len(states):
         raise ValueError("need at least one probe state")
-    probes = [as_density(s) for s in states]
-    stack = np.stack([vec(p) for p in probes])
-    traces_in = np.array([np.trace(p) for p in probes])
+    probes = _validated_states(as_matrix_stack(states), STATE_TOL)
+    stack = probes.swapaxes(1, 2).reshape(len(probes), -1)  # rows are vec(p)
+    traces_in = np.trace(probes, axis1=1, axis2=2)
 
     trace_margin = 0.0
     state_min = np.inf

@@ -38,8 +38,14 @@ def _rng(seed: int, tag: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence((int(seed), tag)))
 
 
-def _ginibre(rng: np.random.Generator, n: int) -> np.ndarray:
-    return (rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))) / np.sqrt(2)
+def _ginibre(rng: np.random.Generator, n: int, k: int | None = None) -> np.ndarray:
+    """One complex Ginibre matrix, or a (k, n, n) stack of them.
+
+    Each matrix draws its real block, then its imaginary block, so a stack
+    holds the matrices that k single draws would give, in order.
+    """
+    x = rng.standard_normal((2, n, n) if k is None else (k, 2, n, n))
+    return (x[..., 0, :, :] + 1j * x[..., 1, :, :]) / np.sqrt(2)
 
 
 def lindblad(h, vs) -> GeneratorSpec:
@@ -124,17 +130,24 @@ def flip_nonpositive(n: int = 2, scale: float = 1.0) -> GeneratorSpec:
     return GeneratorSpec(kind="explicit", n=n, superop=Superoperator(n, rep))
 
 
-def hermitian_from(rng: np.random.Generator, n: int, scale: float = 1.0) -> np.ndarray:
-    g = _ginibre(rng, n)
-    return frozen(scale * (g + g.conj().T) / 2)
+def hermitian_from(
+    rng: np.random.Generator, n: int, scale: float = 1.0, k: int | None = None
+) -> np.ndarray:
+    """A Gaussian Hermitian matrix, or a (k, n, n) stack of them."""
+    g = _ginibre(rng, n, k)
+    return frozen(scale * (g + g.conj().swapaxes(-1, -2)) / 2)
 
 
-def unitary_from(rng: np.random.Generator, n: int) -> np.ndarray:
-    """Haar-distributed unitary: QR of a Ginibre matrix, R-diagonal phase fix."""
-    g = _ginibre(rng, n)
+def unitary_from(rng: np.random.Generator, n: int, k: int | None = None) -> np.ndarray:
+    """Haar-distributed unitary: QR of a Ginibre matrix, R-diagonal phase fix.
+
+    With ``k`` the result is a (k, n, n) stack; LAPACK factors each matrix
+    alone, so a stack equals k single draws.
+    """
+    g = _ginibre(rng, n, k)
     q, r = np.linalg.qr(g)
-    d = np.diag(r)
-    return frozen(q * (d / np.abs(d)))
+    d = np.diagonal(r, axis1=-2, axis2=-1)
+    return frozen(q * (d / np.abs(d))[..., None, :])
 
 
 def density_from(rng: np.random.Generator, n: int) -> np.ndarray:

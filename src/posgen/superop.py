@@ -11,7 +11,8 @@ Conventions fixed project-wide:
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections.abc import Sequence
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -367,22 +368,39 @@ def _descend(reps, v, best_val, best_vec, budget: PositivityBudget):
     return best_val, best_vec
 
 
+def _budgets_per_map(budget, count: int) -> list:
+    """One budget per map; a sequence must differ in nothing but seeds."""
+    if isinstance(budget, PositivityBudget):
+        return [budget] * count
+    budgets = list(budget)
+    if len(budgets) != count:
+        raise ValueError(
+            f"positivity_checks got {len(budgets)} budgets for {count} maps"
+        )
+    schedule = replace(budgets[0], seed=0)
+    if any(replace(b, seed=0) != schedule for b in budgets):
+        raise ValueError("positivity_checks budgets may differ only in their seeds")
+    return budgets
+
+
 def positivity_checks(
     maps,
-    budget: PositivityBudget = PositivityBudget(),
+    budget: PositivityBudget | Sequence[PositivityBudget] = PositivityBudget(),
     tol: float = DEFAULT_TOL,
 ) -> list:
     """Search each map for a rank-one input whose image leaves the PSD cone.
 
     The maps must act on the same M(n); one ConeVerdict is returned per map.
-    Seeded unit vectors (plus the standard basis and two structured vectors),
-    drawn once for all maps, are scored by f map by map; each map's worst
-    starters seed a fixed-schedule projected gradient descent on the unit
-    sphere, and the descents of all maps run as one stacked descent.  A CP
-    certificate takes its map out of the stack: the certificate already
-    implies positivity, so only the cheap sampling pass runs to report an
-    honest margin.  The verdicts equal, bit for bit, those of separate
-    searches under the same budget.
+    ``budget`` is one PositivityBudget for all maps, or a sequence of them,
+    one per map, that differ only in their seeds.  Seeded unit vectors (plus
+    the standard basis and two structured vectors), drawn once per distinct
+    seed, are scored by f map by map; each map's worst starters seed a
+    fixed-schedule projected gradient descent on the unit sphere, and the
+    descents of all maps run as one stacked descent.  A CP certificate takes
+    its map out of the stack: the certificate already implies positivity, so
+    only the cheap sampling pass runs to report an honest margin.  The
+    verdicts equal, bit for bit, those of separate searches under each map's
+    budget.
     """
     maps = list(maps)
     if not maps:
@@ -390,12 +408,18 @@ def positivity_checks(
     n = maps[0].n
     if any(s.n != n for s in maps):
         raise DimensionMismatch("positivity_checks needs maps on one algebra")
-    starters = _seeded_starters(n, budget)
+    budgets = _budgets_per_map(budget, len(maps))
+    budget = budgets[0]  # the shared schedule
+    starters_by_seed = {}
+    for b in budgets:
+        if b.seed not in starters_by_seed:
+            starters_by_seed[b.seed] = _seeded_starters(n, b)
     best_val = np.empty(len(maps))
     best_vec = np.empty((len(maps), n), dtype=complex)
     certified = []
     live, first = [], []  # the maps that descend, and their worst starters
-    for i, s in enumerate(maps):
+    for i, (s, b) in enumerate(zip(maps, budgets)):
+        starters = starters_by_seed[b.seed]
         fvals, _ = _f_batch(s.rep.T, starters)
         k = int(np.argmin(fvals))
         best_val[i], best_vec[i] = fvals[k], starters[k]
@@ -404,7 +428,7 @@ def positivity_checks(
             live.append(i)
             first.append(starters[np.argsort(fvals)[: budget.n_descent]])
 
-    evals = np.full(len(maps), len(starters))
+    evals = np.full(len(maps), len(starters))  # equal for every seed
     if live:
         reps = np.stack([maps[i].rep for i in live])
         scale = _descent_scale(reps)

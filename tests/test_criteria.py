@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from posgen import criteria
-from posgen.config import RunConfig
+from posgen.config import RunConfig, subseed
 from posgen.criteria import (
     CONDITION_IDS,
     ProbeSet,
@@ -33,11 +33,19 @@ from posgen.instances import (
     transpose_mixing,
 )
 from posgen.matrixcore import mat_exp
-from posgen.semigroup import GeneratorSpec, SemigroupHandle, build_superoperator, evolve
+from posgen.semigroup import (
+    GeneratorSpec,
+    SemigroupHandle,
+    build_superoperator,
+    evolve,
+    lambda_grid,
+    resolvent,
+)
 from posgen.superop import (
     CERTIFIED_POSITIVE,
     NO_VIOLATION_FOUND,
     VIOLATED,
+    PositivityBudget,
     Superoperator,
     apply,
     positivity_check,
@@ -168,7 +176,34 @@ class TestLaplaceBridge:
         assert np.abs(via_quad - direct).max() <= 1e-6
 
 
+def looped_probe_set(n, n_selfadjoint, n_unitary, seed):
+    """Reference: the probes of ProbeSet.build, random ones drawn one at a time."""
+    sa_rng = np.random.default_rng(np.random.SeedSequence((seed, 31)))
+    u_rng = np.random.default_rng(np.random.SeedSequence((seed, 32)))
+    sa = criteria._structured_selfadjoint(n)
+    for _ in range(n_selfadjoint):
+        g = (sa_rng.standard_normal((n, n)) + 1j * sa_rng.standard_normal((n, n))) / np.sqrt(2)
+        sa.append(1.0 * (g + g.conj().T) / 2)
+    us = criteria._structured_unitaries(n)
+    for _ in range(n_unitary):
+        g = (u_rng.standard_normal((n, n)) + 1j * u_rng.standard_normal((n, n))) / np.sqrt(2)
+        q, r = np.linalg.qr(g)
+        d = np.diag(r)
+        us.append(q * (d / np.abs(d)))
+    return sa, us
+
+
 class TestProbeSet:
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 8])
+    @pytest.mark.parametrize("seed", [0, 9])
+    @pytest.mark.parametrize("count", [0, 12])
+    def test_stacked_draws_equal_looped_draws(self, n, seed, count):
+        p = ProbeSet.build(n, n_selfadjoint=count, n_unitary=count, seed=seed)
+        sa, us = looped_probe_set(n, count, count, seed)
+        assert len(p.selfadjoint) == len(sa) and len(p.unitaries) == len(us)
+        for got, want in zip(p.selfadjoint + p.unitaries, sa + us):
+            assert np.asarray(got).tobytes() == np.asarray(want, dtype=complex).tobytes()
+
     def test_counts_and_structure(self):
         p = ProbeSet.build(2, n_selfadjoint=10, n_unitary=10, seed=0)
         # structured: unit + 2 diagonal units + 2 superposition projectors
@@ -363,10 +398,60 @@ class TestStackedConeSearches:
         stacked = self.payloads(gen, config)
 
         def per_map(maps, budget, tol):
-            return [positivity_check(m, budget, tol) for m in maps]
+            maps = list(maps)
+            if isinstance(budget, PositivityBudget):
+                budget = [budget] * len(maps)
+            return [positivity_check(m, b, tol) for m, b in zip(maps, budget)]
 
         monkeypatch.setattr(criteria, "positivity_checks", per_map)
         assert self.payloads(gen, config) == stacked
+
+
+class TestTheorem1StackedCones:
+    """One stacked descent for all cone conditions gives each condition's own result."""
+
+    @pytest.mark.parametrize("gen", [
+        transpose_mixing(random_lindblad(3, 2, 5)),
+        flip_plus_lindblad(3, 6),
+        random_lindblad(3, 2, 7),
+    ], ids=["transpose_mixing", "flip_plus_lindblad", "cp_lindblad"])
+    def test_report_equals_nine_check_condition_calls(self, gen):
+        config = small_config(seed=3)
+        report = theorem1_report(handle(gen), config).to_json()
+        probes = ProbeSet.build(
+            3, config.n_selfadjoint, config.n_unitary, subseed(config.seed, 11)
+        )
+        h = handle(gen)
+        conditions = [
+            check_condition(h, cid, probes, config).to_json() for cid in CONDITION_IDS
+        ]
+        assert json.dumps(report["conditions"]) == json.dumps(conditions)
+
+    @pytest.mark.parametrize("gen", [
+        transpose_mixing(random_lindblad(3, 2, 5)),
+        flip_plus_lindblad(3, 6),
+    ], ids=["transpose_mixing", "flip_plus_lindblad"])
+    def test_each_condition_searches_under_its_own_seed(self, gen):
+        # reference: one search per condition, its maps listed by hand
+        config = small_config(seed=3)
+        h = handle(gen)
+        lams = lambda_grid(h, config.lambda_multipliers)
+        maps = {
+            "semigroup_positive": [(t, evolve(h, t)) for t in config.t_grid],
+            "resolvent_positive": [(l, resolvent(h, l)) for l in lams],
+            "resolvent_exp": [
+                (l, Superoperator(3, mat_exp(s * resolvent(h, l).rep)))
+                for s in config.s_grid for l in lams
+            ],
+        }
+        report = theorem1_report(handle(gen), config)
+        for cid, pairs in maps.items():
+            budget = PositivityBudget(seed=subseed(config.seed, 17, CONDITION_IDS.index(cid)))
+            verdicts = [positivity_check(m, budget) for _, m in pairs]
+            k = int(np.argmin([v.margin for v in verdicts]))
+            got = report.by_id(cid)
+            assert got.min_margin == verdicts[k].margin
+            assert got.worst_probe.grid_value == pairs[k][0]
 
 
 class TestCorollary1:

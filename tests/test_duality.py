@@ -210,6 +210,27 @@ class TestTracePreservation:
         assert payload["state_status"] == NO_VIOLATION_FOUND
 
 
+class TestStackedStateValidation:
+    """The states of a trace-preservation check are validated as one stack."""
+
+    @pytest.mark.parametrize("bad, message", [
+        (np.array([[0.5, 0.25], [0.0, 0.5]]), "state is not hermitian (deviation 2.500e-01)"),
+        (np.diag([1.5, -0.5]), "state is not positive (min eigenvalue -5.000e-01)"),
+        (np.eye(2) * 0.75, "state trace differs from 1 by 5.000e-01"),
+    ], ids=["hermitian", "psd", "trace"])
+    def test_first_bad_state_names_its_deviation(self, bad, message):
+        rng = np.random.default_rng(8)
+        good = [rand_density(rng, 2) for _ in range(4)]
+        # a later state fails another check; the first failing state is named
+        states = good[:2] + [bad] + good[2:] + [np.eye(2)]
+        with pytest.raises(ValueError) as stacked:
+            trace_preservation_check(handle_of(np.zeros((4, 4))), states)
+        assert str(stacked.value) == message
+        with pytest.raises(ValueError) as single:
+            as_density(bad)
+        assert str(single.value) == message
+
+
 class TestTrajectory:
     def test_dephasing_snapshots(self):
         h = handle_of(lindblad_rep(np.zeros((2, 2)), [SZ]))

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -336,6 +338,45 @@ class TestStackedPositivityChecks:
         for a, b in zip(huge[2:], positivity_checks(maps[2:])):
             assert a.status == b.status == "violated"
             assert a.margin == pytest.approx(2.0 ** 600 * b.margin, rel=1e-9)
+
+    @pytest.mark.parametrize("n", [2, 4])
+    def test_per_map_budgets_equal_per_map_searches(self, n, monkeypatch):
+        maps = self.mixed_stack(n)
+        budgets = [PositivityBudget(seed=s) for s in (5, 6, 5, 7, 6)]
+        draws = []
+        seeded_starters = superop._seeded_starters
+
+        def counted(n, budget):
+            draws.append(budget.seed)
+            return seeded_starters(n, budget)
+
+        monkeypatch.setattr(superop, "_seeded_starters", counted)
+        stacked = positivity_checks(maps, budgets)
+        assert sorted(draws) == [5, 6, 7]  # each distinct seed draws once
+        for a, m, b in zip(stacked, maps, budgets):
+            c = looped_positivity_check(m, b)
+            assert (a.status, a.margin, a.samples_used) == (c.status, c.margin, c.samples_used)
+            if c.witness is None:
+                assert a.witness is None
+            else:
+                assert a.witness.tobytes() == c.witness.tobytes()
+
+    def test_budget_sequence_of_wrong_length_rejected(self):
+        maps = self.mixed_stack(2)
+        with pytest.raises(ValueError, match="budgets"):
+            positivity_checks(maps, [PositivityBudget()] * (len(maps) - 1))
+
+    @pytest.mark.parametrize("field", [
+        "n_random", "n_descent", "descent_iters", "descent_step", "descent_decay",
+    ])
+    def test_budgets_differing_beyond_seed_rejected(self, field):
+        other = dataclasses.replace(
+            PositivityBudget(seed=1), **{field: getattr(PositivityBudget(), field) * 2}
+        )
+        with pytest.raises(ValueError, match="seeds"):
+            positivity_checks(
+                [identity_superop(2), transpose_map(2)], [PositivityBudget(), other]
+            )
 
     def test_empty_list_rejected(self):
         with pytest.raises(ValueError):

@@ -15,12 +15,7 @@ from .criteria import (
     Theorem2Report,
     check_condition,
     corollary1_check,
-    dissipation_resolvent,
-    dissipation_resolvent_unitary,
-    dissipation_semigroup,
-    dissipation_semigroup_unitary,
-    generator_dissipation,
-    generator_dissipation_unitary,
+    dissipation,
     laplace_dissipation,
     theorem1_report,
     theorem2_check,
@@ -62,12 +57,10 @@ from .instances import (
 from .matrixcore import (
     CMatrix,
     ElementFlags,
-    SpectralData,
     classify_element,
     hermitian_part,
     mat_exp,
     spectral_norm,
-    spectrum,
 )
 from .semigroup import (
     GENERATOR_KINDS,

@@ -15,11 +15,9 @@ seed gives byte-identical JSON output.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import functools
 import json
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 from ._blas import single_blas_thread
 from .config import FORMATS, RunConfig, subseed
@@ -63,7 +61,6 @@ def _build_parser() -> argparse.ArgumentParser:
     common.add_argument("--format", choices=FORMATS, default=None)
     common.add_argument("--config", default=None, metavar="FILE",
                         help="JSON config file; overrides flags")
-    common.add_argument("--jobs", type=int, default=None)
     common.add_argument("-o", "--output", default=None, metavar="FILE")
 
     parser = _Parser(prog="posgen",
@@ -134,8 +131,6 @@ def _resolve_config(args) -> RunConfig:
         updates["lambda_multipliers"] = _parse_grid(args.lambda_grid, "--lambda-grid")
     if args.format is not None:
         updates["format"] = args.format
-    if args.jobs is not None:
-        updates["jobs"] = args.jobs
     overrides = {}
     for item in args.tol:
         name, sep, value = item.partition("=")
@@ -267,8 +262,8 @@ def cmd_fuzz(args, cfg: RunConfig, out) -> int:
     except SchemaError as exc:
         raise _CliError(str(exc))
 
-    def run_one(item):
-        idx, recipe = item
+    results = []
+    for idx, recipe in enumerate(recipes):
         local = cfg.replace(seed=subseed(cfg.seed, 59, idx))
         h = SemigroupHandle(build_superoperator(build(recipe)))
         sections, flags = _report_sections(h, local)
@@ -276,21 +271,13 @@ def cmd_fuzz(args, cfg: RunConfig, out) -> int:
         for c in sections["theorem1"].get("conditions", ()):
             verdicts[c["id"]] = c["verdict"]
             margins[c["id"]] = c["min_margin"]
-        return {
+        results.append({
             "index": idx,
             "recipe": recipe.to_json(),
             "consistent": all(flags),
             "verdicts": verdicts,
             "min_margins": margins,
-        }
-
-    items = list(enumerate(recipes))
-    if cfg.jobs == 1:
-        results = [run_one(item) for item in items]
-    else:
-        with ThreadPoolExecutor(max_workers=cfg.jobs) as pool:
-            results = list(pool.map(run_one, items))
-    results.sort(key=lambda r: r["index"])  # canonical order regardless of jobs
+        })
 
     worst = {}
     for r in results:

@@ -35,7 +35,6 @@ class RunConfig:
     lambda_multipliers: tuple = (1.0, 10.0, 100.0)
     seed: int = 0
     format: str = "json"
-    jobs: int = 1
 
     def __post_init__(self):
         merged = dict(DEFAULT_TOLERANCES)
@@ -60,8 +59,6 @@ class RunConfig:
                 raise SchemaError(f"{name} must be >= 0")
         if self.format not in FORMATS:
             raise SchemaError(f"format must be one of {FORMATS}")
-        if self.jobs < 1:
-            raise SchemaError("jobs must be >= 1")
 
     def tol(self, name: str) -> float:
         if name not in self.tolerances:
@@ -83,7 +80,6 @@ class RunConfig:
             "lambda_multipliers": list(self.lambda_multipliers),
             "seed": self.seed,
             "format": self.format,
-            "jobs": self.jobs,
         }
 
     @classmethod

@@ -29,6 +29,7 @@ from .config import RunConfig, subseed
 from .errors import ConsistencyError, HypothesisViolation
 from .instances import hermitian_from, unitary_from
 from .matrixcore import as_matrix_stack, frozen, mat_exp, max_entry, spectral_norm
+from .matrixcore import psd_margins as dissipation_margins
 from .semigroup import (
     QuadratureSpec,
     _as_handle,
@@ -54,17 +55,21 @@ from .superop import (
     vec,
 )
 
-CONDITION_IDS = (
-    "semigroup_positive",
-    "resolvent_positive",
-    "resolvent_sa",
-    "resolvent_u",
-    "semigroup_sa",
-    "semigroup_u",
-    "resolvent_exp",
-    "generator_sa",
-    "generator_u",
-)
+# Theorem 1 asks one thing, positivity, of four families of maps.  Each
+# condition pairs a family with an evaluator: a cone search, or the
+# dissipation inequality over self-adjoint or unitary probes.
+_CONDITIONS = {
+    "semigroup_positive": ("semigroup", "cone"),
+    "resolvent_positive": ("resolvent", "cone"),
+    "resolvent_sa": ("resolvent", "selfadjoint"),
+    "resolvent_u": ("resolvent", "unitary"),
+    "semigroup_sa": ("semigroup", "selfadjoint"),
+    "semigroup_u": ("semigroup", "unitary"),
+    "resolvent_exp": ("resolvent_exp", "cone"),
+    "generator_sa": ("generator", "selfadjoint"),
+    "generator_u": ("generator", "unitary"),
+}
+CONDITION_IDS = tuple(_CONDITIONS)
 
 SATISFIED = "satisfied"
 VIOLATED_VERDICT = "violated"
@@ -180,44 +185,16 @@ def u_dissipation_batch(rep: np.ndarray, probes: np.ndarray) -> np.ndarray:
     return phi1[None, :, :] + uh @ phi1 @ probes - phi_uh @ probes - uh @ phi_u
 
 
-def dissipation_margins(d_batch: np.ndarray) -> np.ndarray:
-    """Skew-penalized least eigenvalues: the condition holds iff these are >= 0."""
-    herm = (d_batch + d_batch.conj().swapaxes(1, 2)) / 2
-    skew = np.abs(d_batch - d_batch.conj().swapaxes(1, 2)).max(axis=(1, 2)) / 2
-    return np.linalg.eigvalsh(herm)[:, 0] - skew
+_KERNELS = {"selfadjoint": sa_dissipation_batch, "unitary": u_dissipation_batch}
 
 
-def dissipation_resolvent(h, lam: float, a) -> np.ndarray:
-    """R(a^2) + a R(1) a - R(a) a - a R(a) with R = (lam - L)^{-1}."""
-    rep = resolvent(_as_handle(h), lam).rep
-    return frozen(sa_dissipation_batch(rep, np.asarray(a, dtype=complex)[None])[0])
+def dissipation(phi: Superoperator, a, kind: str) -> np.ndarray:
+    """The dissipation operator of one map at one probe.
 
-
-def dissipation_resolvent_unitary(h, lam: float, u) -> np.ndarray:
-    rep = resolvent(_as_handle(h), lam).rep
-    return frozen(u_dissipation_batch(rep, np.asarray(u, dtype=complex)[None])[0])
-
-
-def dissipation_semigroup(h, t: float, a) -> np.ndarray:
-    """T_t(a^2) + a T_t(1) a - T_t(a) a - a T_t(a)."""
-    rep = evolve(_as_handle(h), t).rep
-    return frozen(sa_dissipation_batch(rep, np.asarray(a, dtype=complex)[None])[0])
-
-
-def dissipation_semigroup_unitary(h, t: float, u) -> np.ndarray:
-    rep = evolve(_as_handle(h), t).rep
-    return frozen(u_dissipation_batch(rep, np.asarray(u, dtype=complex)[None])[0])
-
-
-def generator_dissipation(gen, a) -> np.ndarray:
-    """L(a^2) + a L(1) a - L(a) a - a L(a): the bounded-generator inequality."""
-    rep = _as_handle(gen).generator.rep
-    return frozen(sa_dissipation_batch(rep, np.asarray(a, dtype=complex)[None])[0])
-
-
-def generator_dissipation_unitary(gen, u) -> np.ndarray:
-    rep = _as_handle(gen).generator.rep
-    return frozen(u_dissipation_batch(rep, np.asarray(u, dtype=complex)[None])[0])
+    ``kind`` "selfadjoint": Phi(a^2) + a Phi(1) a - Phi(a) a - a Phi(a);
+    ``kind`` "unitary": Phi(1) + u* Phi(1) u - Phi(u*) u - u* Phi(u).
+    """
+    return frozen(_KERNELS[kind](phi.rep, np.asarray(a, dtype=complex)[None])[0])
 
 
 def laplace_dissipation(
@@ -291,68 +268,31 @@ def _verdict(min_margin: float, tol: float, evaluated: bool) -> str:
     return SATISFIED if min_margin >= -tol else VIOLATED_VERDICT
 
 
-# The cone conditions ask for positive maps.  Each factory returns the grid a
-# condition reports and its maps, each paired with the grid value that a
-# violation at that map reports.
-_CONE_MAPS = {
-    "semigroup_positive": lambda h, lams, config: (
+def _resolvent_maps(h, config):
+    lams = lambda_grid(h, config.lambda_multipliers)
+    return lams, [(l, resolvent(h, l)) for l in lams]
+
+
+def _resolvent_exp_maps(h, config):
+    # s-major, lambda-minor: a margin tie goes to the first pair in this order
+    lams = lambda_grid(h, config.lambda_multipliers)
+    return lams, [
+        (l, Superoperator(h.n, mat_exp(s * resolvent(h, l).rep)))
+        for s in config.s_grid
+        for l in lams
+    ]
+
+
+# Each family returns the grid a condition reports and its maps, each paired
+# with the grid value that a violation at that map reports.
+_FAMILIES = {
+    "semigroup": lambda h, config: (
         config.t_grid, [(t, evolve(h, t)) for t in config.t_grid]
     ),
-    "resolvent_positive": lambda h, lams, config: (
-        lams, [(l, resolvent(h, l)) for l in lams]
-    ),
-    "resolvent_exp": lambda h, lams, config: (
-        lams,
-        [
-            (l, Superoperator(h.n, mat_exp(s * resolvent(h, l).rep)))
-            for s in config.s_grid
-            for l in lams
-        ],
-    ),
+    "resolvent": _resolvent_maps,
+    "resolvent_exp": _resolvent_exp_maps,
+    "generator": lambda h, config: ((), [(None, h.generator)]),
 }
-
-
-def _cone_conditions(h, condition_ids, config: RunConfig) -> dict:
-    """Search the maps of the given cone conditions in one stacked descent.
-
-    Each condition keeps its own budget seed, so its margin is the one a
-    search of that condition alone finds.  Returns a ConditionResult per id.
-    """
-    tol = config.tol("predicate")
-    lams = lambda_grid(h, config.lambda_multipliers)
-    plan, maps, budgets = [], [], []
-    for cid in condition_ids:
-        grid, pairs = _CONE_MAPS[cid](h, lams, config)
-        plan.append((cid, grid, [g for g, _ in pairs]))
-        maps += [m for _, m in pairs]
-        budget = PositivityBudget(seed=subseed(config.seed, 17, CONDITION_IDS.index(cid)))
-        budgets += [budget] * len(pairs)
-    verdicts = iter(positivity_checks(maps, budgets, tol))
-
-    results = {}
-    for cid, grid, grid_values in plan:
-        best = np.inf
-        worst = None
-        for g, verdict in zip(grid_values, verdicts):
-            if verdict.margin < best:
-                best = float(verdict.margin)
-                worst = float(g)
-        results[cid] = _condition_result(cid, grid, best, ProbeRef(None, None, worst), tol)
-    return results
-
-
-def _probe_scan(rep_for, grid, probes, kernel):
-    """Dissipation margins over probes x grid; returns (margin, worst ref)."""
-    best = np.inf
-    worst = None
-    stack = np.stack(probes)
-    for g in grid:
-        margins = dissipation_margins(kernel(rep_for(g), stack))
-        k = int(np.argmin(margins))
-        if margins[k] < best:
-            best = float(margins[k])
-            worst = (k, float(g))
-    return best, worst
 
 
 def _condition_result(condition_id, grid, margin, worst, tol) -> ConditionResult:
@@ -366,33 +306,48 @@ def _condition_result(condition_id, grid, margin, worst, tol) -> ConditionResult
     )
 
 
+def _evaluate(h, condition_ids, probes: ProbeSet, config: RunConfig) -> dict:
+    """Evaluate the given conditions; returns a ConditionResult per id.
+
+    The maps of all cone conditions are searched in one stacked descent, each
+    condition under its own budget seed, so its margin is the one a search of
+    that condition alone finds.  A probe condition scans every probe of its
+    class at every map.  Margins aggregate as minima; the first minimum wins.
+    """
+    tol = config.tol("predicate")
+    plans = {cid: _FAMILIES[_CONDITIONS[cid][0]](h, config) for cid in condition_ids}
+    maps, budgets = [], []
+    for cid, (_, pairs) in plans.items():
+        if _CONDITIONS[cid][1] == "cone":
+            budget = PositivityBudget(seed=subseed(config.seed, 17, CONDITION_IDS.index(cid)))
+            maps += [phi for _, phi in pairs]
+            budgets += [budget] * len(pairs)
+    verdicts = iter(positivity_checks(maps, budgets, tol) if maps else ())
+
+    results = {}
+    for cid, (grid, pairs) in plans.items():
+        kind = _CONDITIONS[cid][1]
+        if kind != "cone":
+            stack = np.stack(probes.selfadjoint if kind == "selfadjoint" else probes.unitaries)
+        best, worst = np.inf, None
+        for g, phi in pairs:
+            if kind == "cone":
+                margin, ref = next(verdicts).margin, ProbeRef(None, None, g)
+            else:
+                margins = dissipation_margins(_KERNELS[kind](phi.rep, stack))
+                k = int(np.argmin(margins))
+                margin, ref = margins[k], ProbeRef(kind, k, g)
+            if margin < best:
+                best, worst = float(margin), ref
+        results[cid] = _condition_result(cid, grid, best, worst, tol)
+    return results
+
+
 def check_condition(h, condition_id: str, probes: ProbeSet, config: RunConfig) -> ConditionResult:
     """Evaluate one condition over its grid, aggregating margins as minima."""
-    if condition_id not in CONDITION_IDS:
+    if condition_id not in _CONDITIONS:
         raise ValueError(f"unknown condition id {condition_id!r}")
-    h = _as_handle(h)
-    if condition_id in _CONE_MAPS:
-        return _cone_conditions(h, (condition_id,), config)[condition_id]
-    tol = config.tol("predicate")
-    kernel = sa_dissipation_batch if condition_id.endswith("sa") else u_dissipation_batch
-    pool = probes.selfadjoint if condition_id.endswith("sa") else probes.unitaries
-    kind = "selfadjoint" if condition_id.endswith("sa") else "unitary"
-
-    if condition_id in ("resolvent_sa", "resolvent_u"):
-        grid = lambda_grid(h, config.lambda_multipliers)
-        margin, hit = _probe_scan(lambda l: resolvent(h, l).rep, grid, pool, kernel)
-        worst = None if hit is None else ProbeRef(kind, hit[0], hit[1])
-    elif condition_id in ("semigroup_sa", "semigroup_u"):
-        grid = config.t_grid
-        margin, hit = _probe_scan(lambda t: evolve(h, t).rep, grid, pool, kernel)
-        worst = None if hit is None else ProbeRef(kind, hit[0], hit[1])
-    else:  # generator_sa / generator_u
-        grid = ()
-        margins = dissipation_margins(kernel(h.generator.rep, np.stack(pool)))
-        k = int(np.argmin(margins))
-        margin = float(margins[k])
-        worst = ProbeRef(kind, k, None)
-    return _condition_result(condition_id, grid, margin, worst, tol)
+    return _evaluate(_as_handle(h), (condition_id,), probes, config)[condition_id]
 
 
 # ---------------------------------------------------------------------------
@@ -438,7 +393,11 @@ def theorem1_report(h, config: RunConfig = RunConfig()) -> Theorem1Report:
     probes = ProbeSet.build(
         h.n, config.n_selfadjoint, config.n_unitary, subseed(config.seed, 11)
     )
-    cones = _cone_conditions(h, _CONE_MAPS, config)
+    # the cone conditions share one stacked descent; each probe condition goes
+    # through check_condition, so a profile shows each under its own call
+    cones = _evaluate(
+        h, [cid for cid in CONDITION_IDS if _CONDITIONS[cid][1] == "cone"], probes, config
+    )
     conditions = tuple(
         cones[cid] if cid in cones else check_condition(h, cid, probes, config)
         for cid in CONDITION_IDS

@@ -20,6 +20,7 @@ from .matrixcore import (
     as_matrix_stack,
     frozen,
     hermitian_part,
+    psd_margins,
     spectral_norm,
 )
 from .semigroup import _as_handle, evolve
@@ -171,10 +172,7 @@ def trace_preservation_check(
         evolved = out.reshape(len(probes), h.n, h.n).swapaxes(1, 2)
         traces = np.einsum("mii->m", evolved)
         trace_margin = max(trace_margin, float(np.abs(traces - traces_in).max()))
-        herm = (evolved + evolved.conj().swapaxes(1, 2)) / 2
-        skew = np.abs(evolved - evolved.conj().swapaxes(1, 2)).max(axis=(1, 2)) / 2
-        mins = np.linalg.eigvalsh(herm)[:, 0] - skew
-        state_min = min(state_min, float(mins.min()))
+        state_min = min(state_min, float(psd_margins(evolved).min()))
 
     unit_margin = float(spectral_norm(apply(h.generator, np.eye(h.n))))
     state_status = NO_VIOLATION_FOUND if state_min >= -state_tol else VIOLATED

@@ -154,29 +154,16 @@ def mat_exp(m) -> np.ndarray:
     return scipy.linalg.expm(a)
 
 
-@dataclass(frozen=True)
-class SpectralData:
-    """Eigenvalues of a matrix, plus the least eigenvalue when hermitian."""
+def psd_margins(stack: np.ndarray) -> np.ndarray:
+    """Skew-penalized least eigenvalues of an ``(m, n, n)`` stack.
 
-    eigenvalues: tuple
-    min_hermitian_eigenvalue: float | None
-
-
-def spectrum(m, tol: float = DEFAULT_TOL) -> SpectralData:
-    """Eigenvalues of ``m``; hermitian inputs get a real ascending spectrum."""
-    a = as_matrix(m)
-    if max_entry(a - a.conj().T) <= tol:
-        w = np.linalg.eigvalsh(hermitian_part(a))
-        return SpectralData(
-            eigenvalues=tuple(complex(v) for v in w),
-            min_hermitian_eigenvalue=float(w[0]),
-        )
-    w = np.linalg.eigvals(a)
-    order = np.lexsort((w.imag, w.real))
-    return SpectralData(
-        eigenvalues=tuple(complex(v) for v in w[order]),
-        min_hermitian_eigenvalue=None,
-    )
+    Each entry is the least eigenvalue of a matrix's hermitian part, less the
+    largest entry modulus of its skew part ``(a - a*) / 2``.  For a hermitian
+    matrix it is >= 0 exactly when the matrix is PSD.
+    """
+    herm = (stack + stack.conj().swapaxes(1, 2)) / 2
+    skew = np.abs(stack - stack.conj().swapaxes(1, 2)).max(axis=(1, 2)) / 2
+    return np.linalg.eigvalsh(herm)[:, 0] - skew
 
 
 def spectral_norm(m) -> float:

@@ -18,9 +18,7 @@ from posgen.config import RunConfig
 from posgen.criteria import (
     CONDITION_IDS,
     check_condition,
-    dissipation_resolvent,
-    dissipation_semigroup,
-    generator_dissipation,
+    dissipation,
     laplace_dissipation,
     ProbeSet,
     theorem1_report,
@@ -121,11 +119,11 @@ def test_02_negative_control_flip():
     assert report.by_id("semigroup_positive").verdict == "violated"
 
     # regression probes for the dissipation-level conditions
-    d5 = dissipation_semigroup(h, 1.0, E00)
+    d5 = dissipation(evolve(h, 1.0), E00, "selfadjoint")
     assert np.abs(d5 - (-math.e * math.sinh(1.0)) * np.eye(2)).max() <= 1e-10
     assert report.by_id("semigroup_sa").verdict == "violated"
     lam = lambda_grid(h)[0]
-    d3 = dissipation_resolvent(h, lam, E00)
+    d3 = dissipation(resolvent(h, lam), E00, "selfadjoint")
     assert np.abs(d3 - (-1.0 / (lam * (lam - 2.0))) * np.eye(2)).max() <= 1e-12
     assert report.by_id("resolvent_sa").verdict == "violated"
 
@@ -159,7 +157,7 @@ def test_03_laplace_bridge():
         a = random_hermitian(n, seed=200 + i)
         lam = lambda_grid(h)[1]
         via_quad = laplace_dissipation(h, lam, a)
-        direct = dissipation_resolvent(h, lam, a)
+        direct = dissipation(resolvent(h, lam), a, "selfadjoint")
         scale = max(1.0, float(np.abs(direct).max()))
         assert np.abs(via_quad - direct).max() <= 1e-6 * scale, i
     print("\n[criterion 03] PASS laplace bridge: all families at mid-grid, "
@@ -301,13 +299,13 @@ def test_08_structural_oracles():
         a = (a + a.conj().T) / 2
 
         # dissipation of a Hamiltonian generator vanishes
-        d = generator_dissipation(handle(lindblad(hmat, [])), a)
+        d = dissipation(handle(lindblad(hmat, [])).generator, a, "selfadjoint")
         worst_h = max(worst_h, spectral_norm(d))
         assert worst_h <= 1e-10
 
         # Lindblad dissipation identity D(a) = sum_k [V_k,a]* [V_k,a]
         vs = [rand_complex(rng, n, n) for _ in range(2)]
-        d = generator_dissipation(handle(lindblad(hmat, vs)), a)
+        d = dissipation(handle(lindblad(hmat, vs)).generator, a, "selfadjoint")
         oracle = sum((v @ a - a @ v).conj().T @ (v @ a - a @ v) for v in vs)
         worst_l = max(worst_l, float(np.abs(d - oracle).max()))
         assert worst_l <= 1e-10
@@ -315,7 +313,7 @@ def test_08_structural_oracles():
         # conjugation semigroups: D_t(a) = (T_t(a) - a)^2
         h = handle(lindblad(hmat, []))
         t = 0.7
-        d = dissipation_semigroup(h, t, a)
+        d = dissipation(evolve(h, t), a, "selfadjoint")
         u = mat_exp(1j * t * hmat)
         ta = u @ a @ u.conj().T
         worst_c = max(worst_c, float(np.abs(d - (ta - a) @ (ta - a)).max()))
@@ -326,16 +324,14 @@ def test_08_structural_oracles():
 
 
 def test_09_fuzz_determinism(tmp_path):
-    """Seeded fuzz output is byte-identical across runs and thread counts."""
+    """Seeded fuzz output is byte-identical across runs."""
     args = ["fuzz", "lindblad", "6", "-n", "3", "--samples", "10", "--seed", "11"]
-    paths = [str(tmp_path / f"run{i}.json") for i in range(3)]
-    assert main(args + ["--jobs", "1", "-o", paths[0]]) == 0
-    assert main(args + ["--jobs", "1", "-o", paths[1]]) == 0
-    assert main(args + ["--jobs", "4", "-o", paths[2]]) == 0
+    paths = [str(tmp_path / f"run{i}.json") for i in range(2)]
+    assert main(args + ["-o", paths[0]]) == 0
+    assert main(args + ["-o", paths[1]]) == 0
     blobs = [open(p, "rb").read() for p in paths]
     assert blobs[0] == blobs[1]
-    assert blobs[0] == blobs[2]
     payload = json.loads(blobs[0])
     assert payload["inconsistencies"] == 0
     print(f"\n[criterion 09] PASS determinism: {len(blobs[0])} bytes identical "
-          "across two runs and jobs 1 vs 4")
+          "across two runs")

@@ -215,15 +215,23 @@ class TestFuzz:
         for r in payload["results"]:
             assert set(r["verdicts"].values()) == {"violated"}
 
-    def test_byte_identical_across_runs_and_jobs(self, tmp_path):
+    def test_byte_identical_across_runs(self, tmp_path):
         args = ["fuzz", "lindblad", "4", "-n", "2", "--samples", "5", "--seed", "3"]
-        f1, f2, f3 = (str(tmp_path / f"out{i}.json") for i in range(3))
+        f1, f2 = (str(tmp_path / f"out{i}.json") for i in range(2))
         assert main(args + ["-o", f1]) == 0
         assert main(args + ["-o", f2]) == 0
-        assert main(args + ["--jobs", "3", "-o", f3]) == 0
-        b1 = open(f1, "rb").read()
-        assert b1 == open(f2, "rb").read()
-        assert b1 == open(f3, "rb").read()
+        assert open(f1, "rb").read() == open(f2, "rb").read()
+
+    def test_jobs_flag_rejected(self, capsys):
+        assert main(["fuzz", "lindblad", "1", "--samples", "2", "--jobs", "2"]) == 1
+        assert "--jobs" in capsys.readouterr().err
+
+    def test_jobs_config_field_rejected(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"jobs": 2}))
+        assert main(["fuzz", "lindblad", "1", "--samples", "2",
+                     "--config", str(cfg)]) == 1
+        assert "unknown field" in capsys.readouterr().err
 
     def test_bad_count(self, capsys):
         assert main(["fuzz", "lindblad", "0"]) == 1

@@ -41,10 +41,6 @@ class TestRunConfig:
         with pytest.raises(SchemaError, match="format"):
             RunConfig(format="yaml")
 
-    def test_bad_jobs_rejected(self):
-        with pytest.raises(SchemaError, match="jobs"):
-            RunConfig(jobs=0)
-
     def test_negative_count_rejected(self):
         with pytest.raises(SchemaError, match="n_states"):
             RunConfig(n_states=-1)
@@ -64,7 +60,7 @@ class TestRunConfig:
         assert RunConfig().seed == 0
 
     def test_json_round_trip(self):
-        cfg = RunConfig(seed=3, jobs=2, tolerances={"trace": 1e-7},
+        cfg = RunConfig(seed=3, tolerances={"trace": 1e-7},
                         t_grid=(0.5, 5.0))
         again = RunConfig.from_json(cfg.to_json())
         assert again == cfg

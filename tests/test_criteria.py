@@ -11,13 +11,8 @@ from posgen.criteria import (
     ProbeSet,
     check_condition,
     corollary1_check,
+    dissipation,
     dissipation_margins,
-    dissipation_resolvent,
-    dissipation_resolvent_unitary,
-    dissipation_semigroup,
-    dissipation_semigroup_unitary,
-    generator_dissipation,
-    generator_dissipation_unitary,
     laplace_dissipation,
     theorem1_report,
     theorem2_check,
@@ -71,21 +66,21 @@ class TestDissipationKernels:
         h = SemigroupHandle(Superoperator(2, np.zeros((4, 4), dtype=complex)))
         a = random_hermitian(2, seed=1)
         u = random_unitary(2, seed=1)
-        assert np.abs(dissipation_resolvent(h, 1.0, a)).max() <= 1e-12
-        assert np.abs(dissipation_resolvent_unitary(h, 1.0, u)).max() <= 1e-12
-        assert np.abs(dissipation_semigroup(h, 1.0, a)).max() <= 1e-12
-        assert np.abs(generator_dissipation(h, a)).max() <= 1e-12
+        assert np.abs(dissipation(resolvent(h, 1.0), a, "selfadjoint")).max() <= 1e-12
+        assert np.abs(dissipation(resolvent(h, 1.0), u, "unitary")).max() <= 1e-12
+        assert np.abs(dissipation(evolve(h, 1.0), a, "selfadjoint")).max() <= 1e-12
+        assert np.abs(dissipation(h.generator, a, "selfadjoint")).max() <= 1e-12
 
     def test_unit_probe_degeneracy(self):
         h = handle(random_lindblad(3, 2, seed=2))
         eye = np.eye(3, dtype=complex)
         for d in (
-            dissipation_resolvent(h, 5.0, eye),
-            dissipation_resolvent_unitary(h, 5.0, eye),
-            dissipation_semigroup(h, 1.0, eye),
-            dissipation_semigroup_unitary(h, 1.0, eye),
-            generator_dissipation(h, eye),
-            generator_dissipation_unitary(h, eye),
+            dissipation(resolvent(h, 5.0), eye, "selfadjoint"),
+            dissipation(resolvent(h, 5.0), eye, "unitary"),
+            dissipation(evolve(h, 1.0), eye, "selfadjoint"),
+            dissipation(evolve(h, 1.0), eye, "unitary"),
+            dissipation(h.generator, eye, "selfadjoint"),
+            dissipation(h.generator, eye, "unitary"),
         ):
             assert np.abs(d).max() <= 1e-12
 
@@ -100,7 +95,7 @@ class TestDissipationKernels:
             vs = [rand_complex(rng, n, n) for _ in range(int(rng.integers(1, 3)))]
             a = rand_complex(rng, n, n)
             a = (a + a.conj().T) / 2
-            d = generator_dissipation(handle(lindblad(hmat, vs)), a)
+            d = dissipation(handle(lindblad(hmat, vs)).generator, a, "selfadjoint")
             oracle = sum(
                 (v @ a - a @ v).conj().T @ (v @ a - a @ v) for v in vs
             )
@@ -113,7 +108,7 @@ class TestDissipationKernels:
             hmat = (hmat + hmat.conj().T) / 2
             a = rand_complex(rng, 3, 3)
             a = (a + a.conj().T) / 2
-            d = generator_dissipation(handle(lindblad(hmat, [])), a)
+            d = dissipation(handle(lindblad(hmat, [])).generator, a, "selfadjoint")
             assert np.abs(d).max() <= 1e-12
 
     def test_conjugation_dissipation_is_square(self):
@@ -124,29 +119,29 @@ class TestDissipationKernels:
         a = rand_complex(rng, 3, 3)
         a = (a + a.conj().T) / 2
         t = 0.8
-        d = dissipation_semigroup(h, t, a)
+        d = dissipation(evolve(h, t), a, "selfadjoint")
         u = mat_exp(1j * t * hmat)
         ta = u @ a @ u.conj().T
         assert np.abs(d - (ta - a) @ (ta - a)).max() <= 1e-12
         assert dissipation_margins(d[None])[0] >= -1e-12
 
     def test_flip_generator_regression(self):
-        d = generator_dissipation(handle(flip_nonpositive(2)), E00)
+        d = dissipation(handle(flip_nonpositive(2)).generator, E00, "selfadjoint")
         assert np.abs(d - (-np.eye(2))).max() <= 1e-12
 
     def test_flip_semigroup_closed_form(self):
         # at t = 1 and probe diag(1,0) the dissipation is exactly -e sinh(1) I
-        d = dissipation_semigroup(handle(flip_nonpositive(2)), 1.0, E00)
+        d = dissipation(evolve(handle(flip_nonpositive(2)), 1.0), E00, "selfadjoint")
         expected = -math.e * math.sinh(1.0) * np.eye(2)
         assert np.abs(d - expected).max() <= 1e-10
 
     def test_flip_resolvent_closed_form(self):
         h = handle(flip_nonpositive(2))
         for lam in (3.0, 5.0, 9.0):
-            d = dissipation_resolvent(h, lam, E00)
+            d = dissipation(resolvent(h, lam), E00, "selfadjoint")
             expected = -1.0 / (lam * (lam - 2.0)) * np.eye(2)
             assert np.abs(d - expected).max() <= 1e-12
-        assert dissipation_resolvent(h, 5.0, E00)[0, 0].real == pytest.approx(
+        assert dissipation(resolvent(h, 5.0), E00, "selfadjoint")[0, 0].real == pytest.approx(
             -1 / 15, abs=1e-13
         )
 
@@ -154,7 +149,7 @@ class TestDissipationKernels:
         for c in (0.25, 0.5, 1.5):
             h = handle(flip_nonpositive(2, scale=c))
             lam = 2 * c + 3.0
-            d = dissipation_resolvent(h, lam, E00)
+            d = dissipation(resolvent(h, lam), E00, "selfadjoint")
             expected = -c / (lam * (lam - 2 * c)) * np.eye(2)
             assert np.abs(d - expected).max() <= 1e-12
 
@@ -166,13 +161,13 @@ class TestLaplaceBridge:
             a = random_hermitian(h.n, seed=7)
             for lam in (2.0, 10.0):
                 via_quad = laplace_dissipation(h, lam, a)
-                direct = dissipation_resolvent(h, lam, a)
+                direct = dissipation(resolvent(h, lam), a, "selfadjoint")
                 assert np.abs(via_quad - direct).max() <= 1e-6
 
     def test_flip_bridge_above_abscissa(self):
         h = handle(flip_nonpositive(2))
         via_quad = laplace_dissipation(h, 5.0, E00)
-        direct = dissipation_resolvent(h, 5.0, E00)
+        direct = dissipation(resolvent(h, 5.0), E00, "selfadjoint")
         assert np.abs(via_quad - direct).max() <= 1e-6
 
 
@@ -260,7 +255,7 @@ class TestCheckCondition:
         assert res5.verdict == "violated"
         ref = res5.worst_probe
         probe = probes.selfadjoint[ref.index]
-        d = dissipation_semigroup(h, ref.grid_value, probe)
+        d = dissipation(evolve(h, ref.grid_value), probe, "selfadjoint")
         assert dissipation_margins(d[None])[0] == pytest.approx(
             res5.min_margin, rel=1e-12, abs=1e-12
         )
@@ -452,6 +447,80 @@ class TestTheorem1StackedCones:
             got = report.by_id(cid)
             assert got.min_margin == verdicts[k].margin
             assert got.worst_probe.grid_value == pairs[k][0]
+
+
+class TestConditionTable:
+    """The nine conditions are one table of map family x evaluator."""
+
+    def test_condition_ids_are_the_table_in_report_order(self):
+        assert CONDITION_IDS == (
+            "semigroup_positive",
+            "resolvent_positive",
+            "resolvent_sa",
+            "resolvent_u",
+            "semigroup_sa",
+            "semigroup_u",
+            "resolvent_exp",
+            "generator_sa",
+            "generator_u",
+        )
+        assert CONDITION_IDS == tuple(criteria._CONDITIONS)
+
+    @pytest.mark.parametrize("gen", [
+        transpose_mixing(random_lindblad(3, 2, 5)),
+        flip_plus_lindblad(3, 6),
+    ], ids=["transpose_mixing", "flip_plus_lindblad"])
+    def test_probe_conditions_equal_looped_reference(self, gen):
+        # reference: one probe at a time over each family's maps, listed by
+        # hand; the first least margin wins.  A one-probe product rounds
+        # apart from a stacked one, so margins agree to rounding only.
+        config = small_config(seed=3)
+        h = handle(gen)
+        probes = ProbeSet.build(
+            3, config.n_selfadjoint, config.n_unitary, subseed(config.seed, 11)
+        )
+        lams = lambda_grid(h, config.lambda_multipliers)
+        families = {
+            "resolvent": (lams, [(l, resolvent(h, l)) for l in lams]),
+            "semigroup": (config.t_grid, [(t, evolve(h, t)) for t in config.t_grid]),
+            "generator": ((), [(None, h.generator)]),
+        }
+        pools = {"selfadjoint": probes.selfadjoint, "unitary": probes.unitaries}
+        for cid in ("resolvent_sa", "resolvent_u", "semigroup_sa", "semigroup_u",
+                    "generator_sa", "generator_u"):
+            family, suffix = cid.rsplit("_", 1)
+            kind = "selfadjoint" if suffix == "sa" else "unitary"
+            grid, maps = families[family]
+            best, worst = math.inf, None
+            for g, phi in maps:
+                for k, a in enumerate(pools[kind]):
+                    margin = float(dissipation_margins(dissipation(phi, a, kind)[None])[0])
+                    if margin < best:
+                        best, worst = margin, {"kind": kind, "index": k, "grid_value": g}
+            want = {
+                "id": cid,
+                "grid": list(grid),
+                "verdict": "satisfied" if best >= -config.tol("predicate") else "violated",
+                "worst_probe": worst,
+            }
+            got = check_condition(h, cid, probes, config).to_json()
+            assert got.pop("min_margin") == pytest.approx(best, rel=1e-12, abs=1e-15), cid
+            assert got == want, cid
+
+    @pytest.mark.parametrize("kind,batch", [
+        ("selfadjoint", criteria.sa_dissipation_batch),
+        ("unitary", criteria.u_dissipation_batch),
+    ])
+    def test_single_probe_equals_batch_row(self, kind, batch):
+        h = handle(flip_plus_lindblad(3, 6))
+        probes = ProbeSet.build(3, 4, 4, seed=1)
+        pool = probes.selfadjoint if kind == "selfadjoint" else probes.unitaries
+        stack = np.stack(pool[-4:])  # random members, so row 0 is no structured probe
+        for phi in (h.generator, evolve(h, 1.0), resolvent(h, 5.0)):
+            got = dissipation(phi, stack[0], kind)
+            row = batch(phi.rep, stack)[0]
+            assert np.abs(got - row).max() <= 1e-13 * np.abs(row).max()
+            assert not got.flags.writeable
 
 
 class TestCorollary1:

@@ -8,10 +8,9 @@ from posgen.matrixcore import (
     classify_element,
     mat_exp,
     spectral_norm,
-    spectrum,
 )
 
-from conftest import SX, SZ, rand_complex
+from conftest import SZ, rand_complex
 
 EXP_TOL = 1e-12
 
@@ -59,8 +58,6 @@ class TestClassify:
         a = (g + g.conj().T) / 2
         flags = classify_element(a)
         assert flags.hermitian
-        data = spectrum(a)
-        assert all(abs(v.imag) < 1e-10 for v in data.eigenvalues)
 
 
 class TestMatExp:
@@ -96,37 +93,6 @@ class TestMatExp:
         left = mat_exp((s + t) * m)
         right = mat_exp(s * m) @ mat_exp(t * m)
         assert np.abs(left - right).max() <= 1e-10 * max(1.0, np.abs(left).max())
-
-
-class TestSpectrum:
-    def test_identity(self):
-        data = spectrum(np.eye(3))
-        assert np.allclose(data.eigenvalues, [1.0, 1.0, 1.0])
-        assert data.min_hermitian_eigenvalue == pytest.approx(1.0)
-
-    def test_sigma_x(self):
-        data = spectrum(SX)
-        assert np.allclose(data.eigenvalues, [-1.0, 1.0])
-
-    def test_projector_complement(self):
-        p = np.array([[1.0, 0.0], [0.0, 0.0]])
-        data = spectrum(np.eye(2) - p)
-        assert np.allclose(data.eigenvalues, [0.0, 1.0])
-
-    @given(st.integers(0, 2**32 - 1), st.integers(2, 5))
-    @settings(max_examples=25, deadline=None)
-    def test_shift_reflects_spectrum(self, seed, n):
-        # spectrum(1 - a) is the mirror image 1 - spectrum(a)
-        rng = np.random.default_rng(seed)
-        g = rand_complex(rng, n, n)
-        a = (g + g.conj().T) / 2
-        w = np.array(spectrum(a).eigenvalues).real
-        shifted = np.array(spectrum(np.eye(n) - a).eigenvalues).real
-        assert np.allclose(np.sort(1.0 - w), shifted, atol=1e-10)
-
-    def test_non_hermitian_has_no_min_eig(self):
-        data = spectrum(np.array([[0.0, 1.0], [0.0, 0.0]]))
-        assert data.min_hermitian_eigenvalue is None
 
 
 class TestSpectralNorm:

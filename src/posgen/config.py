@@ -42,13 +42,15 @@ class RunConfig:
         unknown = merged.keys() - DEFAULT_TOLERANCES.keys()
         if unknown:
             raise SchemaError(f"unknown tolerance name(s): {sorted(unknown)}")
-        if any(v <= 0 for v in merged.values()):
-            raise SchemaError("all tolerances must be positive")
+        if not all(0 < v < np.inf for v in merged.values()):
+            raise SchemaError("all tolerances must be positive and finite")
         object.__setattr__(self, "tolerances", merged)
         for name in ("t_grid", "s_grid", "trace_t_grid", "lambda_multipliers"):
             grid = tuple(float(v) for v in getattr(self, name))
             if not grid:
                 raise SchemaError(f"{name} must be non-empty")
+            if not np.isfinite(grid).all():
+                raise SchemaError(f"{name} values must be finite")
             object.__setattr__(self, name, grid)
         if min(self.t_grid) < 0 or min(self.s_grid) < 0 or min(self.trace_t_grid) < 0:
             raise SchemaError("time grids must be nonnegative")

@@ -270,28 +270,28 @@ def _verdict(min_margin: float, tol: float, evaluated: bool) -> str:
 
 def _resolvent_maps(h, config):
     lams = lambda_grid(h, config.lambda_multipliers)
-    return lams, [(l, resolvent(h, l)) for l in lams]
+    return lams, [(l, l, resolvent(h, l)) for l in lams]
 
 
 def _resolvent_exp_maps(h, config):
     # s-major, lambda-minor: a margin tie goes to the first pair in this order
     lams = lambda_grid(h, config.lambda_multipliers)
     return lams, [
-        (l, Superoperator(h.n, mat_exp(s * resolvent(h, l).rep)))
+        ((s, l), l, Superoperator(h.n, mat_exp(s * resolvent(h, l).rep)))
         for s in config.s_grid
         for l in lams
     ]
 
 
-# Each family returns the grid a condition reports and its maps, each paired
-# with the grid value that a violation at that map reports.
+# Each family returns the grid a condition reports and its maps, each with its
+# grid point (t, lam or (s, lam)) and the grid value a violation there reports.
 _FAMILIES = {
     "semigroup": lambda h, config: (
-        config.t_grid, [(t, evolve(h, t)) for t in config.t_grid]
+        config.t_grid, [(t, t, evolve(h, t)) for t in config.t_grid]
     ),
     "resolvent": _resolvent_maps,
     "resolvent_exp": _resolvent_exp_maps,
-    "generator": lambda h, config: ((), [(None, h.generator)]),
+    "generator": lambda h, config: ((), [(None, None, h.generator)]),
 }
 
 
@@ -306,31 +306,44 @@ def _condition_result(condition_id, grid, margin, worst, tol) -> ConditionResult
     )
 
 
+def _cone_verdicts(h, plans: dict, config: RunConfig) -> list:
+    """The per-map verdicts of the cone conditions among ``plans``, in plan order.
+
+    Verdicts are memoized on the handle by family, grid point, budget seed and
+    tolerance; the maps not yet searched go through one stacked search.
+    """
+    tol = config.tol("predicate")
+    keyed = []
+    for cid, (_, maps) in plans.items():
+        if _CONDITIONS[cid][1] == "cone":
+            seed = subseed(config.seed, 17, CONDITION_IDS.index(cid))
+            keyed += [((_CONDITIONS[cid][0], point, seed, tol), phi) for point, _, phi in maps]
+    missing = {k: phi for k, phi in keyed if k not in h._cone_verdicts}
+    if missing:
+        budgets = [PositivityBudget(seed=k[2]) for k in missing]
+        h._cone_verdicts.update(zip(missing, positivity_checks(missing.values(), budgets, tol)))
+    return [h._cone_verdicts[k] for k, _ in keyed]
+
+
 def _evaluate(h, condition_ids, probes: ProbeSet, config: RunConfig) -> dict:
     """Evaluate the given conditions; returns a ConditionResult per id.
 
-    The maps of all cone conditions are searched in one stacked descent, each
+    The maps of all cone conditions are searched at most once per handle, each
     condition under its own budget seed, so its margin is the one a search of
     that condition alone finds.  A probe condition scans every probe of its
     class at every map.  Margins aggregate as minima; the first minimum wins.
     """
     tol = config.tol("predicate")
     plans = {cid: _FAMILIES[_CONDITIONS[cid][0]](h, config) for cid in condition_ids}
-    maps, budgets = [], []
-    for cid, (_, pairs) in plans.items():
-        if _CONDITIONS[cid][1] == "cone":
-            budget = PositivityBudget(seed=subseed(config.seed, 17, CONDITION_IDS.index(cid)))
-            maps += [phi for _, phi in pairs]
-            budgets += [budget] * len(pairs)
-    verdicts = iter(positivity_checks(maps, budgets, tol) if maps else ())
+    verdicts = iter(_cone_verdicts(h, plans, config))
 
     results = {}
-    for cid, (grid, pairs) in plans.items():
+    for cid, (grid, maps) in plans.items():
         kind = _CONDITIONS[cid][1]
         if kind != "cone":
             stack = np.stack(probes.selfadjoint if kind == "selfadjoint" else probes.unitaries)
         best, worst = np.inf, None
-        for g, phi in pairs:
+        for _, g, phi in maps:
             if kind == "cone":
                 margin, ref = next(verdicts).margin, ProbeRef(None, None, g)
             else:
@@ -486,10 +499,8 @@ def theorem2_check(h, config: RunConfig = RunConfig()) -> Theorem2Report:
     unit_margin = float(spectral_norm(apply(h.generator, np.eye(h.n))))
     symmetry_margin = float(is_symmetric_map(h.generator).margin)
 
-    pbudget = PositivityBudget(seed=subseed(config.seed, 29))
-    cone = _aggregate_cone(
-        positivity_checks([evolve(h, t) for t in config.t_grid], pbudget, tol)
-    )
+    plan = {"semigroup_positive": _FAMILIES["semigroup"](h, config)}
+    cone = _aggregate_cone(_cone_verdicts(h, plan, config))
     unital_margin = max(float(is_unital(evolve(h, t)).margin) for t in config.t_grid)
 
     left_holds = unit_margin <= tol and symmetry_margin <= tol
@@ -508,35 +519,22 @@ def theorem2_check(h, config: RunConfig = RunConfig()) -> Theorem2Report:
 def corollary1_check(h, config: RunConfig = RunConfig()) -> ConeVerdict:
     """Unital contraction semigroups are positive; verified, then replayed.
 
-    Preconditions (unitality, contractivity) failing raise HypothesisViolation.
-    A genuine positivity violation after the preconditions pass -- or an
-    evolved spectrum escaping [0 - tol, 2 + tol] on normalized PSD probes --
+    Reads theorem2_check's report of the same handle.  Preconditions
+    (contractivity, unitality) failing raise HypothesisViolation.  A genuine
+    positivity violation after the preconditions pass -- or an evolved
+    spectrum escaping [0 - tol, 2 + tol] on normalized PSD probes --
     contradicts the characterization and raises ConsistencyError.
     """
     h = _as_handle(h)
     tol = config.tol("predicate")
-    cbudget = ContractionBudget(seed=subseed(config.seed, 37))
-    for t in config.t_grid:
-        unital = is_unital(evolve(h, t), tol=tol)
-        if not unital.verdict:
-            raise HypothesisViolation(
-                f"semigroup is not unital: deviation {unital.margin:.3e} at t={t:g}"
-            )
-        verdict = contraction_check(evolve(h, t), budget=cbudget, tol=tol)
-        if verdict.status == VIOLATED:
-            raise HypothesisViolation(
-                f"semigroup is not contractive: sampled norm "
-                f"{verdict.norm_lower_bound:.6g} at t={t:g}"
-            )
-
-    pbudget = PositivityBudget(seed=subseed(config.seed, 41))
-    verdicts = positivity_checks([evolve(h, t) for t in config.t_grid], pbudget, tol)
-    for t, cone in zip(config.t_grid, verdicts):
-        if cone.status == VIOLATED:
-            raise ConsistencyError(
-                f"unital contraction semigroup shows a positivity violation of "
-                f"{cone.margin:.3e} at t={t:g}"
-            )
+    t2 = theorem2_check(h, config)
+    if t2.unital_margin > tol:
+        raise HypothesisViolation(f"semigroup is not unital: deviation {t2.unital_margin:.3e}")
+    if t2.positive.status == VIOLATED:
+        raise ConsistencyError(
+            f"unital contraction semigroup shows a positivity violation of "
+            f"{t2.positive.margin:.3e}"
+        )
 
     # replay the spectral argument: normalized PSD probes stay in [0, 2]
     rng = np.random.default_rng(np.random.SeedSequence((config.seed, 43)))
@@ -552,4 +550,4 @@ def corollary1_check(h, config: RunConfig = RunConfig()) -> ConeVerdict:
                     f"evolved spectrum [{w.min():.3e}, {w.max():.3e}] escapes "
                     f"[0, 2] at t={t:g}"
                 )
-    return _aggregate_cone(verdicts)
+    return t2.positive

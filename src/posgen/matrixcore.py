@@ -16,10 +16,6 @@ from .errors import DimensionMismatch, SchemaError
 
 DEFAULT_TOL = 1e-9
 
-# Relative threshold deciding when a matrix counts as normal (and the
-# exponential may go through a unitary Schur diagonalization).
-_NORMALITY_RTOL = 1e-12
-
 
 def as_matrix(x) -> np.ndarray:
     """Coerce ``x`` to a square complex ndarray, validating shape and finiteness."""
@@ -138,20 +134,12 @@ def classify_element(x, tol: float = DEFAULT_TOL) -> ElementFlags:
 
 
 def mat_exp(m) -> np.ndarray:
-    """Matrix exponential ``e^M``.
+    """Matrix exponential ``e^M`` by scaling and squaring with a Pade approximant.
 
-    Normal inputs go through a complex Schur (unitary) diagonalization, which
-    is exact for the families that dominate this toolkit (hermitian, diagonal,
-    anti-hermitian generators).  Everything else falls back to scaling-and-
-    squaring with a Pade approximant.
+    The one general exponential of the toolkit; a :class:`SemigroupHandle`
+    adds only its cached eigendecomposition for diagonalizable generators.
     """
-    a = as_matrix(m)
-    scale = max_entry(a)
-    comm = a @ a.conj().T - a.conj().T @ a
-    if max_entry(comm) <= _NORMALITY_RTOL * (1.0 + scale) ** 2:
-        t, q = scipy.linalg.schur(a, output="complex")
-        return (q * np.exp(np.diag(t))) @ q.conj().T
-    return scipy.linalg.expm(a)
+    return scipy.linalg.expm(as_matrix(m))
 
 
 def psd_margins(stack: np.ndarray) -> np.ndarray:

@@ -155,11 +155,13 @@ class SemigroupHandle:
     """A generator plus cached spectral data for fast e^{tL} evaluation.
 
     Diagonalizable generators (eigenvector condition number below 1e4) use the
-    cached eigendecomposition for every time point; anything worse falls back
-    to a scaling-and-squaring exponential per call, trading speed for accuracy.
+    cached eigendecomposition for every time point, which also serves the
+    quadrature routes' batches of T_t; anything worse falls back to
+    :func:`mat_exp` per time point, trading speed for accuracy.
     Each T_t and R_lam is built once per handle: :func:`evolve` and
     :func:`resolvent` memoize them by t and lam, which is safe because a
-    Superoperator is immutable.
+    Superoperator is immutable.  Next to them the criteria module memoizes
+    each map's cone-search verdict, so every map is searched once per handle.
     """
 
     def __init__(self, gen):
@@ -180,6 +182,7 @@ class SemigroupHandle:
         self._eig = None
         self._evolved = {}
         self._resolvents = {}
+        self._cone_verdicts = {}
         try:
             pinv = np.linalg.inv(p)
             cond = np.linalg.norm(p, 2) * np.linalg.norm(pinv, 2)

@@ -3,6 +3,7 @@ import io
 import json
 import math
 import os
+import re
 import tempfile
 
 import numpy as np
@@ -242,6 +243,16 @@ class TestFuzz:
         assert "unknown family" in capsys.readouterr().err
 
 
+class TestReportSearches:
+    def test_each_map_searched_once(self, tmp_path, cone_searches, capsys):
+        # 3 T_t, 3 R_lam and 9 e^{s R_lam} at the default grids; Theorem 2
+        # reads the T_t verdicts that Theorem 1 found
+        path = tmp_path / "g.json"
+        assert main(["instance", "transpose_mixing", "-n", "3", "-o", str(path)]) == 0
+        assert main(["report", str(path)]) == 0
+        assert cone_searches == [15]
+
+
 class TestConfigResolution:
     def test_flag_overrides_default(self, deph_file, capsys):
         main(["report", deph_file, "--samples", "6", "--seed", "5"])
@@ -273,6 +284,32 @@ class TestConfigResolution:
     def test_bad_grid_flag(self, deph_file, capsys):
         assert main(["report", deph_file, "--t-grid", "a,b"]) == 1
         assert "comma-separated" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flags", [
+        ["--tol", "predicate=nan"],
+        ["--tol", "consistency=nan"],
+        ["--tol", "trace=inf"],
+        ["--t-grid", "nan"],
+        ["--t-grid", "0.1,inf"],
+        ["--lambda-grid", "inf"],
+    ], ids=lambda f: " ".join(f))
+    def test_nonfinite_flag_exits_1(self, deph_file, flags, capsys):
+        assert main(["report", deph_file, *flags]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert re.search("must be (positive and )?finite", captured.err)
+
+    @pytest.mark.parametrize("text", [
+        '{"tolerances": {"consistency": NaN}}',
+        '{"t_grid": [0.1, Infinity]}',
+        '{"s_grid": [NaN]}',
+        '{"trace_t_grid": [-Infinity]}',
+    ], ids=["consistency-nan", "t_grid-inf", "s_grid-nan", "trace_t_grid-minus-inf"])
+    def test_nonfinite_config_file_exits_1(self, deph_file, tmp_path, text, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(text)
+        assert main(["report", deph_file, "--config", str(cfg)]) == 1
+        assert re.search("must be (positive and )?finite", capsys.readouterr().err)
 
     def test_usage_error_exits_1(self, capsys):
         assert main([]) == 1

@@ -1,3 +1,5 @@
+import json
+
 import pytest
 
 from posgen.config import DEFAULT_TOLERANCES, RunConfig, subseed
@@ -36,6 +38,24 @@ class TestRunConfig:
     def test_nonpositive_multiplier_rejected(self):
         with pytest.raises(SchemaError, match="positive"):
             RunConfig(lambda_multipliers=(0.0, 1.0))
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    @pytest.mark.parametrize("name", sorted(DEFAULT_TOLERANCES))
+    def test_nonfinite_tolerance_rejected(self, name, value):
+        with pytest.raises(SchemaError, match="finite"):
+            RunConfig(tolerances={name: value})
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+    @pytest.mark.parametrize("name", ["t_grid", "s_grid", "trace_t_grid", "lambda_multipliers"])
+    def test_nonfinite_grid_value_rejected(self, name, value):
+        with pytest.raises(SchemaError, match="finite"):
+            RunConfig(**{name: (1.0, value)})
+
+    def test_nonfinite_values_in_json_rejected(self):
+        # Python's json module reads bare NaN and Infinity
+        payload = json.loads('{"t_grid": [NaN], "tolerances": {"trace": Infinity}}')
+        with pytest.raises(SchemaError, match="finite"):
+            RunConfig.from_json(payload)
 
     def test_bad_format_rejected(self):
         with pytest.raises(SchemaError, match="format"):

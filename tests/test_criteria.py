@@ -40,6 +40,7 @@ from posgen.superop import (
     CERTIFIED_POSITIVE,
     NO_VIOLATION_FOUND,
     VIOLATED,
+    ConeVerdict,
     PositivityBudget,
     Superoperator,
     apply,
@@ -447,6 +448,59 @@ class TestTheorem1StackedCones:
             got = report.by_id(cid)
             assert got.min_margin == verdicts[k].margin
             assert got.worst_probe.grid_value == pairs[k][0]
+
+
+class TestConeVerdictMemo:
+    """Each map is cone-searched once per handle; reports read the verdicts."""
+
+    def payloads(self, h, config):
+        t2 = json.dumps(theorem2_check(h, config).to_json())
+        return t2, json.dumps(theorem1_report(h, config).to_json())
+
+    def test_shared_handle_equals_fresh_handles(self):
+        gen = transpose_mixing(random_lindblad(3, 2, 5))
+        first = small_config(seed=3)
+        second = small_config(seed=4, t_grid=(0.2, 1.0, 5.0))
+        h = handle(gen)
+        shared = [self.payloads(h, first), self.payloads(h, second)]
+        fresh = [self.payloads(handle(gen), first), self.payloads(handle(gen), second)]
+        assert shared == fresh
+
+    def test_theorem2_after_theorem1_searches_nothing(self, cone_searches):
+        h = handle(transpose_mixing(random_lindblad(3, 2, 5)))
+        config = small_config(seed=3)
+        theorem1_report(h, config)
+        assert cone_searches == [15]
+        rep = theorem2_check(h, config)
+        assert cone_searches == [15]
+        # Theorem 2's positive side is semigroup_positive's search
+        assert rep.positive.margin == theorem1_report(h, config).by_id(
+            "semigroup_positive").min_margin
+
+    def test_theorem2_alone_searches_the_semigroup_maps(self, cone_searches):
+        h = handle(transpose_mixing(random_lindblad(3, 2, 5)))
+        config = small_config(seed=3)
+        theorem2_check(h, config)
+        assert cone_searches == [len(config.t_grid)]
+        theorem1_report(h, config)
+        assert cone_searches == [len(config.t_grid), 12]  # R_lam and e^{sR_lam} only
+
+    def test_resolvent_exp_tie_goes_to_first_s_major_pair(self, monkeypatch):
+        # L = 0 gives e^{s R_lam} = e^{s/lam} 1, so the pairs (s, lam) = (1, 0.5)
+        # and (2, 1) build the same map.  Scored so that exactly those two tie
+        # for the least margin, the s-major, lam-minor order reports lam = 0.5
+        # and a lam-major order would report lam = 1.
+        def score(maps, budget, tol):
+            return [ConeVerdict(NO_VIOLATION_FOUND,
+                                -float(np.isclose(m.rep[0, 0].real, np.exp(2.0))), 1)
+                    for m in maps]
+
+        monkeypatch.setattr(criteria, "positivity_checks", score)
+        h = SemigroupHandle(Superoperator(2, np.zeros((4, 4), dtype=complex)))
+        config = small_config(s_grid=(1.0, 2.0), lambda_multipliers=(1.0, 0.5))
+        got = check_condition(h, "resolvent_exp", ProbeSet.build(2, 1, 1), config)
+        assert got.min_margin == -1.0
+        assert got.worst_probe.grid_value == 0.5
 
 
 class TestConditionTable:

@@ -65,7 +65,6 @@ from .matrixcore import (
 from .semigroup import (
     GENERATOR_KINDS,
     GeneratorSpec,
-    QuadratureSpec,
     SemigroupHandle,
     build_superoperator,
     decay_horizon,
@@ -85,10 +84,8 @@ from .superop import (
     VIOLATED,
     CPCheck,
     ConeVerdict,
-    ContractionBudget,
     ContractionVerdict,
     MapCheck,
-    PositivityBudget,
     Superoperator,
     apply,
     choi_matrix,

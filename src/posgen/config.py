@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import dataclasses
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -16,6 +17,10 @@ DEFAULT_TOLERANCES = {
 }
 
 FORMATS = ("json", "text")
+
+
+def _is_real(v) -> bool:
+    return isinstance(v, numbers.Real) and not isinstance(v, bool)
 
 
 def subseed(*parts) -> int:
@@ -37,16 +42,23 @@ class RunConfig:
     format: str = "json"
 
     def __post_init__(self):
+        if not isinstance(self.tolerances, dict):
+            raise SchemaError("tolerances must be an object of named numbers")
         merged = dict(DEFAULT_TOLERANCES)
         merged.update(self.tolerances)
         unknown = merged.keys() - DEFAULT_TOLERANCES.keys()
         if unknown:
             raise SchemaError(f"unknown tolerance name(s): {sorted(unknown)}")
+        if not all(map(_is_real, merged.values())):
+            raise SchemaError("tolerances must be numbers")
         if not all(0 < v < np.inf for v in merged.values()):
             raise SchemaError("all tolerances must be positive and finite")
         object.__setattr__(self, "tolerances", merged)
         for name in ("t_grid", "s_grid", "trace_t_grid", "lambda_multipliers"):
-            grid = tuple(float(v) for v in getattr(self, name))
+            values = getattr(self, name)
+            if not isinstance(values, (list, tuple)) or not all(map(_is_real, values)):
+                raise SchemaError(f"{name} must be a list of numbers")
+            grid = tuple(float(v) for v in values)
             if not grid:
                 raise SchemaError(f"{name} must be non-empty")
             if not np.isfinite(grid).all():
@@ -56,9 +68,11 @@ class RunConfig:
             raise SchemaError("time grids must be nonnegative")
         if min(self.lambda_multipliers) <= 0:
             raise SchemaError("lambda multipliers must be positive")
-        for name in ("n_selfadjoint", "n_unitary", "n_states"):
-            if getattr(self, name) < 0:
-                raise SchemaError(f"{name} must be >= 0")
+        for name in ("n_selfadjoint", "n_unitary", "n_states", "seed"):
+            value = getattr(self, name)
+            if not isinstance(value, numbers.Integral) or isinstance(value, bool) or value < 0:
+                raise SchemaError(f"{name} must be an integer >= 0")
+            object.__setattr__(self, name, int(value))
         if self.format not in FORMATS:
             raise SchemaError(f"format must be one of {FORMATS}")
 
@@ -92,8 +106,4 @@ class RunConfig:
         unknown = payload.keys() - fields
         if unknown:
             raise SchemaError(f"config has unknown field(s): {sorted(unknown)}")
-        kwargs = dict(payload)
-        for name in ("t_grid", "s_grid", "trace_t_grid", "lambda_multipliers"):
-            if name in kwargs:
-                kwargs[name] = tuple(kwargs[name])
-        return cls(**kwargs)
+        return cls(**payload)

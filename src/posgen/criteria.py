@@ -30,25 +30,17 @@ from .errors import ConsistencyError, HypothesisViolation
 from .instances import hermitian_from, unitary_from
 from .matrixcore import as_matrix_stack, frozen, mat_exp, max_entry, spectral_norm
 from .matrixcore import psd_margins as dissipation_margins
-from .semigroup import (
-    QuadratureSpec,
-    _as_handle,
-    _quad_nodes,
-    decay_horizon,
-    evolve,
-    lambda_grid,
-    resolvent,
-)
+from .semigroup import _as_handle, _quad_nodes, decay_horizon, evolve, lambda_grid, resolvent
 from .superop import (
     CERTIFIED_POSITIVE,
     NO_VIOLATION_FOUND,
     VIOLATED,
     ConeVerdict,
-    ContractionBudget,
-    PositivityBudget,
     Superoperator,
     apply,
+    apply_stack,
     contraction_check,
+    devec,
     is_symmetric_map,
     is_unital,
     positivity_checks,
@@ -149,29 +141,16 @@ class ProbeSet:
 # ---------------------------------------------------------------------------
 
 
-def _vec_rows(batch: np.ndarray) -> np.ndarray:
-    m = batch.shape[0]
-    return batch.transpose(0, 2, 1).reshape(m, -1)
-
-
-def _unvec_rows(rows: np.ndarray, n: int) -> np.ndarray:
-    return rows.reshape(-1, n, n).swapaxes(1, 2)
-
-
-def _apply_batch(rep: np.ndarray, batch: np.ndarray) -> np.ndarray:
-    return _unvec_rows(_vec_rows(batch) @ rep.T, batch.shape[-1])
-
-
 def _unit_image(rep: np.ndarray, n: int) -> np.ndarray:
-    return _unvec_rows((rep @ vec(np.eye(n, dtype=complex)))[None, :], n)[0]
+    return devec(rep @ vec(np.eye(n, dtype=complex)), n)
 
 
 def sa_dissipation_batch(rep: np.ndarray, probes: np.ndarray) -> np.ndarray:
     """Phi(a^2) + a Phi(1) a - Phi(a) a - a Phi(a) for a stack of Hermitian a."""
     n = probes.shape[-1]
     phi1 = _unit_image(rep, n)
-    phi_a = _apply_batch(rep, probes)
-    phi_a2 = _apply_batch(rep, probes @ probes)
+    phi_a = apply_stack(rep.T, probes)
+    phi_a2 = apply_stack(rep.T, probes @ probes)
     return phi_a2 + probes @ phi1 @ probes - phi_a @ probes - probes @ phi_a
 
 
@@ -180,8 +159,8 @@ def u_dissipation_batch(rep: np.ndarray, probes: np.ndarray) -> np.ndarray:
     n = probes.shape[-1]
     phi1 = _unit_image(rep, n)
     uh = probes.conj().swapaxes(1, 2)
-    phi_u = _apply_batch(rep, probes)
-    phi_uh = _apply_batch(rep, uh)
+    phi_u = apply_stack(rep.T, probes)
+    phi_uh = apply_stack(rep.T, uh)
     return phi1[None, :, :] + uh @ phi1 @ probes - phi_uh @ probes - uh @ phi_u
 
 
@@ -197,26 +176,20 @@ def dissipation(phi: Superoperator, a, kind: str) -> np.ndarray:
     return frozen(_KERNELS[kind](phi.rep, np.asarray(a, dtype=complex)[None])[0])
 
 
-def laplace_dissipation(
-    h, lam: float, a, quad: QuadratureSpec = QuadratureSpec()
-) -> np.ndarray:
+def laplace_dissipation(h, lam: float, a) -> np.ndarray:
     """Quadrature of e^{-lam t} [T_t(a^2) + a T_t(1) a - T_t(a) a - a T_t(a)].
 
     By linearity of the Laplace transform this equals the resolvent-level
     dissipation operator; the toolkit computes both routes independently so
-    the identity stays checkable.
+    the identity stays checkable.  The quadrature is laplace_resolvent's.
     """
     h = _as_handle(h)
     a = np.asarray(a, dtype=complex)
-    t_star = decay_horizon(h, lam, quad)
-    nodes, weights = _quad_nodes(t_star, quad)
-    reps = h.evolve_rep(nodes)
-    n = h.n
-    eye = np.eye(n, dtype=complex)
+    nodes, weights = _quad_nodes(decay_horizon(h, lam))
     # batched over quadrature nodes: each rep acts on the fixed probes
-    imgs = _unvec_rows(
-        np.stack([vec(a), vec(a @ a), vec(eye)]) @ reps.transpose(0, 2, 1), n
-    ).reshape(len(nodes), 3, n, n)
+    imgs = apply_stack(
+        h.evolve_rep(nodes).transpose(0, 2, 1), np.stack([a, a @ a, np.eye(h.n, dtype=complex)])
+    )
     phi_a, phi_a2, phi1 = imgs[:, 0], imgs[:, 1], imgs[:, 2]
     d_t = phi_a2 + a @ phi1 @ a - phi_a @ a - a @ phi_a
     coeff = weights * np.exp(-lam * nodes)
@@ -309,7 +282,7 @@ def _condition_result(condition_id, grid, margin, worst, tol) -> ConditionResult
 def _cone_verdicts(h, plans: dict, config: RunConfig) -> list:
     """The per-map verdicts of the cone conditions among ``plans``, in plan order.
 
-    Verdicts are memoized on the handle by family, grid point, budget seed and
+    Verdicts are memoized on the handle by family, grid point, seed and
     tolerance; the maps not yet searched go through one stacked search.
     """
     tol = config.tol("predicate")
@@ -320,8 +293,8 @@ def _cone_verdicts(h, plans: dict, config: RunConfig) -> list:
             keyed += [((_CONDITIONS[cid][0], point, seed, tol), phi) for point, _, phi in maps]
     missing = {k: phi for k, phi in keyed if k not in h._cone_verdicts}
     if missing:
-        budgets = [PositivityBudget(seed=k[2]) for k in missing]
-        h._cone_verdicts.update(zip(missing, positivity_checks(missing.values(), budgets, tol)))
+        seeds = [k[2] for k in missing]
+        h._cone_verdicts.update(zip(missing, positivity_checks(missing.values(), seeds, tol)))
     return [h._cone_verdicts[k] for k, _ in keyed]
 
 
@@ -329,7 +302,7 @@ def _evaluate(h, condition_ids, probes: ProbeSet, config: RunConfig) -> dict:
     """Evaluate the given conditions; returns a ConditionResult per id.
 
     The maps of all cone conditions are searched at most once per handle, each
-    condition under its own budget seed, so its margin is the one a search of
+    condition under its own seed, so its margin is the one a search of
     that condition alone finds.  A probe condition scans every probe of its
     class at every map.  Margins aggregate as minima; the first minimum wins.
     """
@@ -480,11 +453,11 @@ def theorem2_check(h, config: RunConfig = RunConfig()) -> Theorem2Report:
     """Generator-side margins versus semigroup-side positivity and unitality."""
     h = _as_handle(h)
     tol = config.tol("predicate")
-    cbudget = ContractionBudget(seed=subseed(config.seed, 23))
+    cseed = subseed(config.seed, 23)
     bound = 0.0
     statuses = []
     for t in config.t_grid:
-        verdict = contraction_check(evolve(h, t), budget=cbudget, tol=tol)
+        verdict = contraction_check(evolve(h, t), cseed, tol)
         bound = max(bound, verdict.norm_lower_bound)
         if verdict.status == VIOLATED:
             raise HypothesisViolation(

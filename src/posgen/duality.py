@@ -29,6 +29,7 @@ from .superop import (
     VIOLATED,
     Superoperator,
     apply,
+    apply_stack,
     devec,
     hs_adjoint,
     vec,
@@ -161,15 +162,13 @@ def trace_preservation_check(
     if not len(states):
         raise ValueError("need at least one probe state")
     probes = _validated_states(as_matrix_stack(states), STATE_TOL)
-    stack = probes.swapaxes(1, 2).reshape(len(probes), -1)  # rows are vec(p)
     traces_in = np.trace(probes, axis1=1, axis2=2)
 
     trace_margin = 0.0
     state_min = np.inf
     for t in t_grid:
-        prop = evolve(h, t).rep
-        out = stack @ prop.conj()  # row-vecs through the predual propagator
-        evolved = out.reshape(len(probes), h.n, h.n).swapaxes(1, 2)
+        # conj(rep) is the transposed rep of the predual T_t^*
+        evolved = apply_stack(evolve(h, t).rep.conj(), probes)
         traces = np.einsum("mii->m", evolved)
         trace_margin = max(trace_margin, float(np.abs(traces - traces_in).max()))
         state_min = min(state_min, float(psd_margins(evolved).min()))

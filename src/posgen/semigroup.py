@@ -255,22 +255,16 @@ def resolvent(h, lam: float) -> Superoperator:
     return s
 
 
-@dataclass(frozen=True)
-class QuadratureSpec:
-    """Composite Gauss-Legendre scheme for the Laplace-transform integral."""
-
-    panels: int = 64
-    order: int = 8
-    truncation_eps: float = 1e-10
-
-    def __post_init__(self):
-        if self.panels < 1 or self.order < 1 or self.truncation_eps <= 0:
-            raise ValueError("quadrature parameters must be positive")
+# The Laplace-transform integrals use a fixed composite Gauss-Legendre rule,
+# truncated where the tail bound drops below _TRUNCATION_EPS.
+_QUAD_PANELS = 64
+_QUAD_ORDER = 8
+_TRUNCATION_EPS = 1e-10
 
 
-def _quad_nodes(t_star: float, quad: QuadratureSpec):
-    x, w = np.polynomial.legendre.leggauss(quad.order)
-    edges = np.linspace(0.0, t_star, quad.panels + 1)
+def _quad_nodes(t_star: float):
+    x, w = np.polynomial.legendre.leggauss(_QUAD_ORDER)
+    edges = np.linspace(0.0, t_star, _QUAD_PANELS + 1)
     half = np.diff(edges) / 2.0
     mid = (edges[:-1] + edges[1:]) / 2.0
     nodes = (mid[:, None] + half[:, None] * x[None, :]).reshape(-1)
@@ -278,12 +272,12 @@ def _quad_nodes(t_star: float, quad: QuadratureSpec):
     return nodes, weights
 
 
-def decay_horizon(h, lam: float, quad: QuadratureSpec = QuadratureSpec()) -> float:
+def decay_horizon(h, lam: float) -> float:
     """Truncation horizon for Laplace-transform integrals against e^{tL}.
 
     Chosen so the tail bound e^{(abscissa - lam) T} / (lam - abscissa) drops
-    below the quadrature's truncation_eps; raises DecayFailureError when the
-    integrand does not decay at all.
+    below 1e-10 (at least 1e-2); raises DecayFailureError when the integrand
+    does not decay at all.
     """
     h = _as_handle(h)
     gap = lam - h.spectral_abscissa
@@ -292,19 +286,18 @@ def decay_horizon(h, lam: float, quad: QuadratureSpec = QuadratureSpec()) -> flo
             f"Laplace integrand does not decay at lam={lam:g} "
             f"(spectral abscissa {h.spectral_abscissa:g})"
         )
-    return max(-math.log(quad.truncation_eps * gap) / gap, 1e-2)
+    return max(-math.log(_TRUNCATION_EPS * gap) / gap, 1e-2)
 
 
-def laplace_resolvent(h, lam: float, quad: QuadratureSpec = QuadratureSpec()) -> Superoperator:
+def laplace_resolvent(h, lam: float) -> Superoperator:
     """Resolvent via the Laplace transform: integral of e^{-lam t} T_t dt.
 
-    The integral is truncated at the horizon where the tail bound
-    e^{(abscissa - lam) T} / (lam - abscissa) drops below truncation_eps,
-    then evaluated by composite Gauss-Legendre quadrature.
+    The integral is truncated at :func:`decay_horizon`, then evaluated by a
+    fixed composite Gauss-Legendre rule: 64 panels of order 8.
     """
     h = _as_handle(h)
-    t_star = decay_horizon(h, lam, quad)
-    nodes, weights = _quad_nodes(t_star, quad)
+    t_star = decay_horizon(h, lam)
+    nodes, weights = _quad_nodes(t_star)
     mats = h.evolve_rep(nodes)
     coeff = weights * np.exp(-lam * nodes)
     rep = np.einsum("t,tij->ij", coeff, mats)

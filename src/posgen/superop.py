@@ -11,8 +11,7 @@ Conventions fixed project-wide:
 """
 from __future__ import annotations
 
-from collections.abc import Sequence
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -143,6 +142,20 @@ def apply(s: Superoperator, x) -> np.ndarray:
     return devec(s.rep @ vec(x), s.n)
 
 
+def apply_stack(rep_t: np.ndarray, xs: np.ndarray) -> np.ndarray:
+    """S(x) for every x of a (..., n, n) stack, given S's transposed rep.
+
+    The one place that knows how a stack of matrices lies as rows of
+    column-stacked vectors.  ``rep_t`` is ``s.rep.T`` (a view, no copy), or a
+    (..., n^2, n^2) stack of transposed reps that matmul broadcasts against
+    the (..., b, n, n) sub-stacks of ``xs``.  ``s.rep.conj()`` is the
+    transposed rep of the Hilbert-Schmidt adjoint of S.
+    """
+    n = xs.shape[-1]
+    out = xs.swapaxes(-1, -2).reshape(*xs.shape[:-2], n * n) @ rep_t
+    return out.reshape(*out.shape[:-1], n, n).swapaxes(-1, -2)
+
+
 def compose(s1: Superoperator, s2: Superoperator) -> Superoperator:
     """Function composition ``s1 after s2``."""
     if s1.n != s2.n:
@@ -231,16 +244,13 @@ def cp_check(s: Superoperator, tol: float = DEFAULT_TOL) -> CPCheck:
 # sampled positivity
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class PositivityBudget:
-    """Sampling/descent effort for positivity_check; seed makes runs replayable."""
-
-    n_random: int = 64
-    n_descent: int = 8
-    seed: int = 0
-    descent_iters: int = 100
-    descent_step: float = 0.25
-    descent_decay: float = 0.9
+# The search's fixed effort: seeded random unit vectors join the structured
+# starters, and the worst few descend for a fixed, decaying step schedule.
+_N_RANDOM = 64
+_N_DESCENT = 8
+_DESCENT_ITERS = 100
+_DESCENT_STEP = 0.25
+_DESCENT_DECAY = 0.9
 
 
 @dataclass(frozen=True)
@@ -267,26 +277,16 @@ def _structured_unit_vectors(n: int) -> np.ndarray:
     return np.array(vs)
 
 
-def _rank_one_images(rep_t: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """S(v_i v_i^*) for a (..., b, n) stack of vectors, as a (..., b, n, n) stack.
-
-    ``rep_t`` is the transposed rep of S, or a stack of them matching the
-    leading axes of ``v``.
-    """
-    n = v.shape[-1]
-    p = v[..., :, None] * v.conj()[..., None, :]
-    vecs = p.swapaxes(-1, -2).reshape(*v.shape[:-1], n * n)
-    return (vecs @ rep_t).reshape(*v.shape, n).swapaxes(-1, -2)
-
-
 def _f_batch(rep_t: np.ndarray, v: np.ndarray):
     """f(v) = min_eig(herm(S(vv*))) - max|skew(S(vv*))| for a stack of vectors.
 
-    The skew penalty makes f faithful for maps that do not preserve
-    hermiticity: a PSD image requires both a nonnegative hermitian part and a
-    vanishing skew part.  Returns f and the least eigenvectors, one per vector.
+    ``rep_t`` is the transposed rep of S, or a stack of them matching the
+    leading axes of ``v``.  The skew penalty makes f faithful for maps that
+    do not preserve hermiticity: a PSD image requires both a nonnegative
+    hermitian part and a vanishing skew part.  Returns f and the least
+    eigenvectors, one per vector.
     """
-    m = _rank_one_images(rep_t, v)
+    m = apply_stack(rep_t, v[..., :, None] * v.conj()[..., None, :])
     mh = m.conj().swapaxes(-1, -2)
     skew = np.abs(m - mh).max(axis=(-2, -1))
     w, u = np.linalg.eigh((m + mh) / 2)
@@ -299,17 +299,12 @@ def _f_single(s: Superoperator, v: np.ndarray) -> float:
     return float(np.linalg.eigvalsh(hermitian_part(m))[0]) - skew
 
 
-def _seeded_starters(n: int, budget: PositivityBudget) -> np.ndarray:
+def _seeded_starters(n: int, seed: int) -> np.ndarray:
     """The standard basis, two structured vectors, then seeded random ones."""
-    rng = np.random.default_rng(np.random.SeedSequence((budget.seed, 0x705)))
-    starters = _structured_unit_vectors(n)
-    if budget.n_random > 0:
-        g = rng.standard_normal((budget.n_random, n)) + 1j * rng.standard_normal(
-            (budget.n_random, n)
-        )
-        g /= np.linalg.norm(g, axis=1, keepdims=True)
-        starters = np.concatenate([starters, g])
-    return starters
+    rng = np.random.default_rng(np.random.SeedSequence((seed, 0x705)))
+    g = rng.standard_normal((_N_RANDOM, n)) + 1j * rng.standard_normal((_N_RANDOM, n))
+    g /= np.linalg.norm(g, axis=1, keepdims=True)
+    return np.concatenate([_structured_unit_vectors(n), g])
 
 
 # The descent's step is absolute, so on a map with entries near 2**512 its
@@ -328,7 +323,7 @@ def _descent_scale(reps: np.ndarray) -> np.ndarray:
     return np.ldexp(1.0, np.where(peak > _DESCENT_MAX_ENTRY, -exponent, 0))
 
 
-def _descend(reps, v, best_val, best_vec, budget: PositivityBudget):
+def _descend(reps, v, best_val, best_vec):
     """Projected gradient descent over a (maps, b, n) stack of unit vectors.
 
     ``best_val``/``best_vec`` hold one entry per map and are lowered in place
@@ -346,61 +341,39 @@ def _descend(reps, v, best_val, best_vec, budget: PositivityBudget):
         best_val[better] = fk[better]
         best_vec[better] = v[rows[better], k[better]]
 
-    n = v.shape[-1]
-    step = budget.descent_step
-    for _ in range(budget.descent_iters):
+    step = _DESCENT_STEP
+    for _ in range(_DESCENT_ITERS):
         f, wmin = _f_batch(reps_t, v)
         track(f)
         # Danskin direction: grad of v* herm(S^*(w w^*)) v on the sphere.
-        # x @ conj(rep) is computed as conj(conj(x) @ rep): it rounds the
-        # same and needs no conjugated copy of the reps.
+        # S^* has transposed rep conj(rep); conj(apply_stack(rep, conj(x)))
+        # rounds the same and needs no conjugated copy of the reps.
         ww_c = wmin.conj()[..., :, None] * wmin[..., None, :]
-        gvec = (ww_c.swapaxes(-1, -2).reshape(*v.shape[:-1], n * n) @ reps).conj()
-        gm = gvec.reshape(*v.shape, n).swapaxes(-1, -2)
+        gm = apply_stack(reps, ww_c).conj()
         gm = (gm + gm.conj().swapaxes(-1, -2)) / 2
         grad = 2.0 * np.einsum("...ij,...j->...i", gm, v)
         inner = np.einsum("...i,...i->...", v.conj(), grad)
         grad -= inner[..., None] * v
         v = v - step * grad
         v /= np.linalg.norm(v, axis=-1, keepdims=True)
-        step *= budget.descent_decay
+        step *= _DESCENT_DECAY
     track(_f_batch(reps_t, v)[0])
     return best_val, best_vec
 
 
-def _budgets_per_map(budget, count: int) -> list:
-    """One budget per map; a sequence must differ in nothing but seeds."""
-    if isinstance(budget, PositivityBudget):
-        return [budget] * count
-    budgets = list(budget)
-    if len(budgets) != count:
-        raise ValueError(
-            f"positivity_checks got {len(budgets)} budgets for {count} maps"
-        )
-    schedule = replace(budgets[0], seed=0)
-    if any(replace(b, seed=0) != schedule for b in budgets):
-        raise ValueError("positivity_checks budgets may differ only in their seeds")
-    return budgets
-
-
-def positivity_checks(
-    maps,
-    budget: PositivityBudget | Sequence[PositivityBudget] = PositivityBudget(),
-    tol: float = DEFAULT_TOL,
-) -> list:
+def positivity_checks(maps, seeds, tol: float = DEFAULT_TOL) -> list:
     """Search each map for a rank-one input whose image leaves the PSD cone.
 
     The maps must act on the same M(n); one ConeVerdict is returned per map.
-    ``budget`` is one PositivityBudget for all maps, or a sequence of them,
-    one per map, that differ only in their seeds.  Seeded unit vectors (plus
-    the standard basis and two structured vectors), drawn once per distinct
-    seed, are scored by f map by map; each map's worst starters seed a
-    fixed-schedule projected gradient descent on the unit sphere, and the
-    descents of all maps run as one stacked descent.  A CP certificate takes
-    its map out of the stack: the certificate already implies positivity, so
-    only the cheap sampling pass runs to report an honest margin.  The
-    verdicts equal, bit for bit, those of separate searches under each map's
-    budget.
+    ``seeds`` holds one int seed per map; the effort is fixed.  Seeded unit
+    vectors (plus the standard basis and two structured vectors), drawn once
+    per distinct seed, are scored by f map by map; each map's worst starters
+    seed a fixed-schedule projected gradient descent on the unit sphere, and
+    the descents of all maps run as one stacked descent.  A CP certificate
+    takes its map out of the stack: the certificate already implies
+    positivity, so only the cheap sampling pass runs to report an honest
+    margin.  The verdicts equal, bit for bit, those of separate searches
+    under each map's seed.
     """
     maps = list(maps)
     if not maps:
@@ -408,39 +381,33 @@ def positivity_checks(
     n = maps[0].n
     if any(s.n != n for s in maps):
         raise DimensionMismatch("positivity_checks needs maps on one algebra")
-    budgets = _budgets_per_map(budget, len(maps))
-    budget = budgets[0]  # the shared schedule
-    starters_by_seed = {}
-    for b in budgets:
-        if b.seed not in starters_by_seed:
-            starters_by_seed[b.seed] = _seeded_starters(n, b)
+    seeds = list(seeds)
+    if len(seeds) != len(maps):
+        raise ValueError(f"positivity_checks got {len(seeds)} seeds for {len(maps)} maps")
+    starters_by_seed = {seed: _seeded_starters(n, seed) for seed in dict.fromkeys(seeds)}
     best_val = np.empty(len(maps))
     best_vec = np.empty((len(maps), n), dtype=complex)
     certified = []
     live, first = [], []  # the maps that descend, and their worst starters
-    for i, (s, b) in enumerate(zip(maps, budgets)):
-        starters = starters_by_seed[b.seed]
+    for i, (s, seed) in enumerate(zip(maps, seeds)):
+        starters = starters_by_seed[seed]
         fvals, _ = _f_batch(s.rep.T, starters)
         k = int(np.argmin(fvals))
         best_val[i], best_vec[i] = fvals[k], starters[k]
         certified.append(cp_check(s, tol).verdict)
-        if not certified[i] and budget.n_descent > 0 and budget.descent_iters > 0:
+        if not certified[i]:
             live.append(i)
-            first.append(starters[np.argsort(fvals)[: budget.n_descent]])
+            first.append(starters[np.argsort(fvals)[:_N_DESCENT]])
 
     evals = np.full(len(maps), len(starters))  # equal for every seed
     if live:
         reps = np.stack([maps[i].rep for i in live])
         scale = _descent_scale(reps)
         vals, best_vec[live] = _descend(
-            reps * scale[:, None, None],
-            np.stack(first),
-            best_val[live] * scale,
-            best_vec[live],
-            budget,
+            reps * scale[:, None, None], np.stack(first), best_val[live] * scale, best_vec[live]
         )
         best_val[live] = vals / scale
-        evals[live] += (budget.descent_iters + 1) * len(first[0])
+        evals[live] += (_DESCENT_ITERS + 1) * _N_DESCENT
 
     verdicts = []
     for s, val, v, cert, used in zip(maps, best_val, best_vec, certified, evals):
@@ -456,28 +423,23 @@ def positivity_checks(
     return verdicts
 
 
-def positivity_check(
-    s: Superoperator,
-    budget: PositivityBudget = PositivityBudget(),
-    tol: float = DEFAULT_TOL,
-) -> ConeVerdict:
+def positivity_check(s: Superoperator, seed: int = 0, tol: float = DEFAULT_TOL) -> ConeVerdict:
     """Search one map for a rank-one input whose image leaves the PSD cone.
 
     The single-map case of :func:`positivity_checks`, which runs the searches
     of many maps as one stacked descent with the same verdicts.
     """
-    return positivity_checks([s], budget, tol)[0]
+    return positivity_checks([s], [seed], tol)[0]
 
 
 # ---------------------------------------------------------------------------
 # contraction bounds
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class ContractionBudget:
-    n_random: int = 64
-    ascent_iters: int = 30
-    seed: int = 0
+# The contraction search's fixed effort: seeded random inputs, then a power
+# ascent from the best four.
+_CONTRACTION_SAMPLES = 64
+_ASCENT_ITERS = 30
 
 
 @dataclass(frozen=True)
@@ -494,36 +456,32 @@ class ContractionVerdict:
 
 
 def _ratio_batch(rep: np.ndarray, xs: np.ndarray) -> np.ndarray:
-    n = xs.shape[-1]
-    vecs = xs.transpose(0, 2, 1).reshape(len(xs), n * n)
-    out = (vecs @ rep.T).reshape(len(xs), n, n).swapaxes(1, 2)
-    s_out = np.linalg.svd(out, compute_uv=False)[:, 0]
+    s_out = np.linalg.svd(apply_stack(rep.T, xs), compute_uv=False)[:, 0]
     s_in = np.linalg.svd(xs, compute_uv=False)[:, 0]
     ok = s_in > 1e-12 * max(1.0, float(s_in.max(initial=0.0)))
     return np.where(ok, s_out / np.where(ok, s_in, 1.0), 0.0)
 
 
 def contraction_check(
-    s: Superoperator,
-    budget: ContractionBudget = ContractionBudget(),
-    tol: float = DEFAULT_TOL,
+    s: Superoperator, seed: int = 0, tol: float = DEFAULT_TOL
 ) -> ContractionVerdict:
-    """Lower-bound ``sup ||S(x)|| / ||x||`` by sampling plus local ascent."""
+    """Lower-bound ``sup ||S(x)|| / ||x||`` by sampling plus local ascent.
+
+    The effort is fixed: the unit, 64 seeded Gaussian inputs and inputs built
+    from the rep's top singular vectors are scored, then the best four climb
+    30 steps of a power ascent.  ``seed`` is the only per-call setting.
+    """
     n = s.n
-    rng = np.random.default_rng(np.random.SeedSequence((budget.seed, 0xC0)))
-    cands = [np.eye(n, dtype=complex)[None]]
-    if budget.n_random > 0:
-        cands.append(
-            rng.standard_normal((budget.n_random, n, n))
-            + 1j * rng.standard_normal((budget.n_random, n, n))
-        )
+    rng = np.random.default_rng(np.random.SeedSequence((seed, 0xC0)))
+    shape = (_CONTRACTION_SAMPLES, n, n)
+    gauss = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
     # top right-singular vectors of the rep seed the search near the maximizer
     # of the Hilbert-Schmidt-induced norm, a guaranteed lower-bound direction
     _, _, vh = np.linalg.svd(s.rep)
     tops = vh[: min(3, len(vh))].conj().reshape(-1, n, n).swapaxes(1, 2)
-    cands.append(tops)
-    cands.append((tops + tops.conj().transpose(0, 2, 1)) / 2)
-    xs = np.concatenate(cands)
+    xs = np.concatenate(
+        [np.eye(n, dtype=complex)[None], gauss, tops, (tops + tops.conj().transpose(0, 2, 1)) / 2]
+    )
     ratios = _ratio_batch(s.rep, xs)
     bound = float(np.max(ratios))
 
@@ -532,21 +490,16 @@ def contraction_check(
     if symmetric and unital and cp_check(s, tol).verdict and bound <= 1.0 + tol:
         return ContractionVerdict(CERTIFIED_CONTRACTION, bound)
 
-    if budget.ascent_iters > 0:
-        order = np.argsort(ratios)[::-1]
-        v = xs[order[:4]].copy()
-        v /= np.linalg.norm(v, axis=(1, 2), keepdims=True)
-        for _ in range(budget.ascent_iters):
-            vecs = v.transpose(0, 2, 1).reshape(len(v), n * n)
-            out = (vecs @ s.rep.T).reshape(len(v), n, n).swapaxes(1, 2)
-            u, _, wh = np.linalg.svd(out)
-            uw = u[:, :, :1] @ wh[:, :1, :]  # u_1 w_1^*
-            gvec = uw.transpose(0, 2, 1).reshape(len(v), n * n) @ s.rep.conj()
-            v = gvec.reshape(len(v), n, n).swapaxes(1, 2)
-            norms = np.linalg.norm(v, axis=(1, 2), keepdims=True)
-            norms[norms == 0] = 1.0
-            v /= norms
-            bound = max(bound, float(np.max(_ratio_batch(s.rep, v))))
+    v = xs[np.argsort(ratios)[::-1][:4]].copy()
+    v /= np.linalg.norm(v, axis=(1, 2), keepdims=True)
+    for _ in range(_ASCENT_ITERS):
+        u, _, wh = np.linalg.svd(apply_stack(s.rep.T, v))
+        # the gradient u_1 w_1^* goes back through the adjoint map
+        v = apply_stack(s.rep.conj(), u[:, :, :1] @ wh[:, :1, :])
+        norms = np.linalg.norm(v, axis=(1, 2), keepdims=True)
+        norms[norms == 0] = 1.0
+        v /= norms
+        bound = max(bound, float(np.max(_ratio_batch(s.rep, v))))
 
     if bound > 1.0 + tol:
         return ContractionVerdict(VIOLATED, bound)

@@ -24,10 +24,10 @@ def cone_searches(monkeypatch):
     searched = []
     search = criteria.positivity_checks
 
-    def count(maps, budget, tol):
+    def count(maps, seeds, tol):
         maps = list(maps)
         searched.append(len(maps))
-        return search(maps, budget, tol)
+        return search(maps, seeds, tol)
 
     monkeypatch.setattr(criteria, "positivity_checks", count)
     return searched

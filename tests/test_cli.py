@@ -253,6 +253,36 @@ class TestReportSearches:
         assert cone_searches == [15]
 
 
+FINITE = "must be (positive and )?finite"
+
+# flags that must exit 1 with a clean error, and the error they must name
+BAD_FLAGS = [
+    (["--tol", "predicate=nan"], FINITE),
+    (["--tol", "consistency=nan"], FINITE),
+    (["--tol", "trace=inf"], FINITE),
+    (["--t-grid", "nan"], FINITE),
+    (["--t-grid", "0.1,inf"], FINITE),
+    (["--lambda-grid", "inf"], FINITE),
+    (["--seed", "-1"], "seed must be an integer >= 0"),
+]
+
+# config files that must exit 1 with a clean error: id -> (text, error)
+BAD_CONFIGS = {
+    "consistency-nan": ('{"tolerances": {"consistency": NaN}}', FINITE),
+    "t_grid-inf": ('{"t_grid": [0.1, Infinity]}', FINITE),
+    "s_grid-nan": ('{"s_grid": [NaN]}', FINITE),
+    "trace_t_grid-minus-inf": ('{"trace_t_grid": [-Infinity]}', FINITE),
+    "predicate-string": ('{"tolerances": {"predicate": "x"}}', "tolerances must be numbers"),
+    "predicate-bool": ('{"tolerances": {"predicate": true}}', "tolerances must be numbers"),
+    "t_grid-string-value": ('{"t_grid": ["a"]}', "t_grid must be a list of numbers"),
+    "t_grid-number": ('{"t_grid": 5}', "t_grid must be a list of numbers"),
+    "seed-nan": ('{"seed": NaN}', "seed must be an integer >= 0"),
+    "seed-string": ('{"seed": "3"}', "seed must be an integer >= 0"),
+    "n_states-float": ('{"n_states": 1.5}', "n_states must be an integer >= 0"),
+    "n_selfadjoint-bool": ('{"n_selfadjoint": true}', "n_selfadjoint must be an integer >= 0"),
+}
+
+
 class TestConfigResolution:
     def test_flag_overrides_default(self, deph_file, capsys):
         main(["report", deph_file, "--samples", "6", "--seed", "5"])
@@ -285,31 +315,25 @@ class TestConfigResolution:
         assert main(["report", deph_file, "--t-grid", "a,b"]) == 1
         assert "comma-separated" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("flags", [
-        ["--tol", "predicate=nan"],
-        ["--tol", "consistency=nan"],
-        ["--tol", "trace=inf"],
-        ["--t-grid", "nan"],
-        ["--t-grid", "0.1,inf"],
-        ["--lambda-grid", "inf"],
-    ], ids=lambda f: " ".join(f))
-    def test_nonfinite_flag_exits_1(self, deph_file, flags, capsys):
+    @pytest.mark.parametrize("flags,message", BAD_FLAGS, ids=[" ".join(f) for f, _ in BAD_FLAGS])
+    def test_nonfinite_flag_exits_1(self, deph_file, flags, message, capsys):
         assert main(["report", deph_file, *flags]) == 1
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert re.search("must be (positive and )?finite", captured.err)
+        assert captured.err.startswith("posgen: error:")
+        assert "Traceback" not in captured.err
+        assert re.search(message, captured.err)
 
-    @pytest.mark.parametrize("text", [
-        '{"tolerances": {"consistency": NaN}}',
-        '{"t_grid": [0.1, Infinity]}',
-        '{"s_grid": [NaN]}',
-        '{"trace_t_grid": [-Infinity]}',
-    ], ids=["consistency-nan", "t_grid-inf", "s_grid-nan", "trace_t_grid-minus-inf"])
-    def test_nonfinite_config_file_exits_1(self, deph_file, tmp_path, text, capsys):
+    @pytest.mark.parametrize("text,message", BAD_CONFIGS.values(), ids=list(BAD_CONFIGS))
+    def test_nonfinite_config_file_exits_1(self, deph_file, tmp_path, text, message, capsys):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(text)
         assert main(["report", deph_file, "--config", str(cfg)]) == 1
-        assert re.search("must be (positive and )?finite", capsys.readouterr().err)
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("posgen: error:")
+        assert "Traceback" not in captured.err
+        assert re.search(message, captured.err)
 
     def test_usage_error_exits_1(self, capsys):
         assert main([]) == 1

@@ -1,5 +1,6 @@
 import json
 
+import numpy as np
 import pytest
 
 from posgen.config import DEFAULT_TOLERANCES, RunConfig, subseed
@@ -64,6 +65,33 @@ class TestRunConfig:
     def test_negative_count_rejected(self):
         with pytest.raises(SchemaError, match="n_states"):
             RunConfig(n_states=-1)
+
+    @pytest.mark.parametrize("field,value", [
+        ("seed", -1), ("seed", "3"), ("seed", float("nan")), ("seed", 3.0), ("seed", True),
+        ("n_states", 1.5), ("n_selfadjoint", True), ("n_unitary", "2"),
+    ])
+    def test_ill_typed_count_or_seed_rejected(self, field, value):
+        with pytest.raises(SchemaError, match=f"{field} must be an integer >= 0"):
+            RunConfig(**{field: value})
+
+    @pytest.mark.parametrize("value", ["x", True, None, [1e-9]])
+    def test_ill_typed_tolerance_rejected(self, value):
+        with pytest.raises(SchemaError, match="tolerances must be numbers"):
+            RunConfig(tolerances={"predicate": value})
+
+    def test_tolerances_must_be_an_object(self):
+        with pytest.raises(SchemaError, match="tolerances must be an object"):
+            RunConfig.from_json({"tolerances": 5})
+
+    @pytest.mark.parametrize("value", [5, "ab", ["a"], [True], [None], {"t": 1.0}])
+    def test_ill_typed_grid_rejected(self, value):
+        with pytest.raises(SchemaError, match="t_grid must be a list of numbers"):
+            RunConfig.from_json({"t_grid": value})
+
+    def test_integral_settings_stored_as_int(self):
+        cfg = RunConfig(seed=np.int64(3), n_states=np.int32(4))
+        assert type(cfg.seed) is int and type(cfg.n_states) is int
+        assert json.dumps(cfg.to_json())
 
     def test_grids_coerced_to_floats(self):
         cfg = RunConfig(t_grid=[1, 2])

@@ -41,7 +41,6 @@ from posgen.superop import (
     NO_VIOLATION_FOUND,
     VIOLATED,
     ConeVerdict,
-    PositivityBudget,
     Superoperator,
     apply,
     positivity_check,
@@ -393,11 +392,8 @@ class TestStackedConeSearches:
         config = small_config(seed=3)
         stacked = self.payloads(gen, config)
 
-        def per_map(maps, budget, tol):
-            maps = list(maps)
-            if isinstance(budget, PositivityBudget):
-                budget = [budget] * len(maps)
-            return [positivity_check(m, b, tol) for m, b in zip(maps, budget)]
+        def per_map(maps, seeds, tol):
+            return [positivity_check(m, seed, tol) for m, seed in zip(maps, seeds)]
 
         monkeypatch.setattr(criteria, "positivity_checks", per_map)
         assert self.payloads(gen, config) == stacked
@@ -442,8 +438,8 @@ class TestTheorem1StackedCones:
         }
         report = theorem1_report(handle(gen), config)
         for cid, pairs in maps.items():
-            budget = PositivityBudget(seed=subseed(config.seed, 17, CONDITION_IDS.index(cid)))
-            verdicts = [positivity_check(m, budget) for _, m in pairs]
+            seed = subseed(config.seed, 17, CONDITION_IDS.index(cid))
+            verdicts = [positivity_check(m, seed) for _, m in pairs]
             k = int(np.argmin([v.margin for v in verdicts]))
             got = report.by_id(cid)
             assert got.min_margin == verdicts[k].margin
@@ -490,7 +486,7 @@ class TestConeVerdictMemo:
         # and (2, 1) build the same map.  Scored so that exactly those two tie
         # for the least margin, the s-major, lam-minor order reports lam = 0.5
         # and a lam-major order would report lam = 1.
-        def score(maps, budget, tol):
+        def score(maps, seeds, tol):
             return [ConeVerdict(NO_VIOLATION_FOUND,
                                 -float(np.isclose(m.rep[0, 0].real, np.exp(2.0))), 1)
                     for m in maps]

@@ -11,7 +11,6 @@ from posgen.errors import (
 from posgen.matrixcore import mat_exp, spectral_norm
 from posgen.semigroup import (
     GeneratorSpec,
-    QuadratureSpec,
     SemigroupHandle,
     build_superoperator,
     euler_product,

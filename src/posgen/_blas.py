@@ -1,14 +1,15 @@
 """Run BLAS on one thread for the length of a ``with`` block.
 
-posgen's matrices are at most about 100x100.  numpy and scipy each load
-their own OpenBLAS, and at these sizes a pool's worker threads cost more
-than they save: they wake for every product or factorization and spin
-against the calling thread.  ``single_blas_thread`` pins every OpenBLAS
-loaded in the process to one thread and restores the saved counts on exit.
-A thread count is process-wide state, so entries are reference-counted: the
-first entry saves and pins, the last exit restores, and nested or
-concurrent blocks restore exactly once.  Where no OpenBLAS can be found
-(no ``/proc``, or another BLAS) the block changes nothing.
+posgen's matrices are at most about 100x100.  numpy loads its own OpenBLAS
+(and scipy another, in a process that imports it), and at these sizes a
+pool's worker threads cost more than they save: they wake for every product
+or factorization and spin against the calling thread.
+``single_blas_thread`` pins every OpenBLAS loaded in the process to one
+thread and restores the saved counts on exit.  A thread count is
+process-wide state, so entries are reference-counted: the first entry saves
+and pins, the last exit restores, and nested or concurrent blocks restore
+exactly once.  Where no OpenBLAS can be found (no ``/proc``, or another
+BLAS) the block changes nothing.
 """
 
 from __future__ import annotations
@@ -18,8 +19,8 @@ import os
 import threading
 from contextlib import contextmanager
 
-# thread-count entry points of scipy's 64-bit and 32-bit OpenBLAS builds and
-# of a plain OpenBLAS, in that order
+# thread-count entry points of the 64-bit and 32-bit scipy-openblas builds
+# that numpy and scipy wheels bundle, and of a plain OpenBLAS, in that order
 _SYMBOLS = (
     "scipy_openblas_{}_num_threads64_",
     "scipy_openblas_{}_num_threads",

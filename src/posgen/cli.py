@@ -17,6 +17,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import os
 import sys
 
 from ._blas import single_blas_thread
@@ -363,13 +364,22 @@ def main(argv=None) -> int:
             args = parser.parse_args(argv)
             cfg = _resolve_config(args)
             handler = _COMMANDS[args.command]
-            if args.output is not None:
-                try:
+            try:
+                if args.output is not None:
                     with open(args.output, "w") as out:
                         return handler(args, cfg, out)
-                except OSError as exc:
+                code = handler(args, cfg, sys.stdout)
+                sys.stdout.flush()
+                return code
+            except OSError as exc:
+                if args.output is not None:
                     raise _CliError(f"cannot write {args.output}: {exc}")
-            return handler(args, cfg, sys.stdout)
+                # what is left in stdout's buffer would fail again, with a
+                # second message, when the interpreter flushes it at exit
+                devnull = os.open(os.devnull, os.O_WRONLY)
+                os.dup2(devnull, sys.stdout.fileno())
+                os.close(devnull)
+                raise _CliError(f"cannot write output: {exc}")
         except _CliError as exc:
             print(f"posgen: error: {exc}", file=sys.stderr)
             return 1

@@ -30,7 +30,8 @@ from .errors import ConsistencyError, HypothesisViolation
 from .instances import hermitian_from, unitary_from
 from .matrixcore import as_matrix_stack, frozen, mat_exp, max_entry, spectral_norm
 from .matrixcore import psd_margins as dissipation_margins
-from .semigroup import _as_handle, _quad_nodes, decay_horizon, evolve, lambda_grid, resolvent
+from .semigroup import _as_handle, _finite_map, _quad_nodes, decay_horizon
+from .semigroup import evolve, lambda_grid, resolvent
 from .superop import (
     CERTIFIED_POSITIVE,
     NO_VIOLATION_FOUND,
@@ -249,11 +250,16 @@ def _resolvent_maps(h, config):
 def _resolvent_exp_maps(h, config):
     # s-major, lambda-minor: a margin tie goes to the first pair in this order
     lams = lambda_grid(h, config.lambda_multipliers)
-    return lams, [
-        ((s, l), l, Superoperator(h.n, mat_exp(s * resolvent(h, l).rep)))
-        for s in config.s_grid
-        for l in lams
-    ]
+    points = [(s, l) for s in config.s_grid for l in lams]
+    # the maps not yet on the handle are exponentiated in one stacked call
+    missing = [p for p in dict.fromkeys(points) if p not in h._resolvent_exps]
+    if missing:
+        reps = mat_exp(np.stack([s * resolvent(h, l).rep for s, l in missing]))
+        for (s, l), rep in zip(missing, reps):
+            h._resolvent_exps[s, l] = _finite_map(
+                h.n, rep, f"e^(s R_lam) at s={s:g}, lam={l:g}"
+            )
+    return lams, [(p, p[1], h._resolvent_exps[p]) for p in points]
 
 
 # Each family returns the grid a condition reports and its maps, each with its

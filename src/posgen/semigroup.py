@@ -161,7 +161,8 @@ class SemigroupHandle:
     Each T_t and R_lam is built once per handle: :func:`evolve` and
     :func:`resolvent` memoize them by t and lam, which is safe because a
     Superoperator is immutable.  Next to them the criteria module memoizes
-    each map's cone-search verdict, so every map is searched once per handle.
+    each e^{s R_lam} by (s, lam) and each map's cone-search verdict, so every
+    map is built and searched once per handle.
     """
 
     def __init__(self, gen):
@@ -182,6 +183,7 @@ class SemigroupHandle:
         self._eig = None
         self._evolved = {}
         self._resolvents = {}
+        self._resolvent_exps = {}
         self._cone_verdicts = {}
         try:
             pinv = np.linalg.inv(p)
@@ -200,6 +202,8 @@ class SemigroupHandle:
             p, w, pinv = self._eig
             phases = np.exp(np.multiply.outer(ts, w))
             return np.einsum("ij,tj,jk->tik", p, phases, pinv)
+        # one time point at a time: a stacked call on a quadrature's 512 nodes
+        # would hold several temporaries of 512 n^2 x n^2 matrices each
         return np.array([mat_exp(t * self.generator.rep) for t in ts])
 
 

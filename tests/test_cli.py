@@ -4,6 +4,8 @@ import json
 import math
 import os
 import re
+import subprocess
+import sys
 import tempfile
 
 import numpy as np
@@ -14,6 +16,8 @@ from posgen.cli import main
 from posgen.instances import dephasing, flip_nonpositive, random_lindblad
 from posgen.semigroup import GeneratorSpec
 from posgen.superop import Superoperator
+
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
 
 @pytest.fixture
@@ -132,6 +136,18 @@ class TestReport:
         assert captured.err.startswith("posgen: error: ")
         assert "t=10" in captured.err
         assert captured.err.count("\n") == 1
+
+    def test_overflowing_resolvent_exponential_exits_1(self, flip_file, tmp_path, capsys):
+        # e^{1000 R_lam} of the flip generator overflows; it raised ValueError
+        # from Superoperator's finiteness check
+        config = tmp_path / "c.json"
+        config.write_text(json.dumps({"s_grid": [1000]}))
+        assert main(["report", flip_file, "--samples", "6", "--config", str(config)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("posgen: error: ")
+        assert "s=1000" in captured.err and "overflows double precision" in captured.err
+        assert "Traceback" not in captured.err
 
     def test_huge_finite_semigroup_reports(self, tmp_path, capsys):
         # T_10 has entries near e^360: finite, but the positivity descent on
@@ -353,6 +369,44 @@ class TestOutputFile:
         assert main(["report", deph_file, "--samples", "6",
                      "-o", "/nonexistent/dir/x.json"]) == 1
         assert "cannot write" in capsys.readouterr().err
+
+
+def _posgen_shell(command, tmp_path):
+    """Run a shell command line that calls ``python -m posgen`` as ``posgen``."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (SRC, os.environ.get("PYTHONPATH")) if p))
+    script = f'posgen() {{ "{sys.executable}" -m posgen "$@"; }}\nset -o pipefail\n{command}'
+    return subprocess.run(["bash", "-c", script], cwd=tmp_path, env=env,
+                          capture_output=True, text=True, timeout=120)
+
+
+def test_cli_imports_no_scipy():
+    # scipy.linalg alone costs about 0.3 s of every start; posgen runs on numpy
+    code = "import sys, posgen.cli; print(sorted(m for m in sys.modules if m.startswith('scipy')))"
+    env = dict(os.environ, PYTHONPATH=SRC)
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=120, check=True)
+    assert proc.stdout.strip() == "[]"
+
+
+class TestUnwritableStdout:
+    """A stdout that cannot take the report exits 1 with one line on stderr."""
+
+    def test_closed_pipe(self, deph_file, tmp_path):
+        proc = _posgen_shell(f"posgen report {deph_file} | head -c 0", tmp_path)
+        assert proc.returncode == 1
+        assert proc.stderr.startswith("posgen: error: cannot write output: ")
+        assert "Broken pipe" in proc.stderr
+        assert "Traceback" not in proc.stderr and "Exception ignored" not in proc.stderr
+        assert proc.stderr.count("\n") == 1
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full device")
+    def test_full_device(self, deph_file, tmp_path):
+        proc = _posgen_shell(f"posgen report {deph_file} > /dev/full", tmp_path)
+        assert proc.returncode == 1
+        assert proc.stderr.startswith("posgen: error: cannot write output: ")
+        assert "Traceback" not in proc.stderr and "Exception ignored" not in proc.stderr
+        assert proc.stderr.count("\n") == 1
 
 
 def _commutation(n):

@@ -274,13 +274,12 @@ def looped_positivity_check(s, seed, tol=1e-9):
             v = v - step * grad
             v /= np.linalg.norm(v, axis=1, keepdims=True)
             step *= 0.9
-    margin = min(superop._f_single(s, best_vec), best_val)
+    rescored = float(f_batch(best_vec[None])[0][0])
+    margin = min(rescored, best_val)
     if certified:
         return superop.ConeVerdict("certified_positive", margin, evals)
     if margin < -tol:
-        return superop.ConeVerdict(
-            "violated", superop._f_single(s, best_vec), evals, best_vec
-        )
+        return superop.ConeVerdict("violated", rescored, evals, best_vec)
     return superop.ConeVerdict("no_violation_found", margin, evals)
 
 

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import io
 import json
 import os
 import sys
@@ -357,6 +358,24 @@ _COMMANDS = {
 }
 
 
+def _discard_stdout() -> None:
+    """Point the interpreter's own stdout at the null device after a failed write.
+
+    What is left in its buffer would fail again, with a second message, when
+    the interpreter flushes it at exit.  A stream put in its place by an
+    in-process caller is left alone, and so is one without a file descriptor.
+    """
+    if sys.stdout is not sys.__stdout__:
+        return
+    try:
+        fd = sys.stdout.fileno()
+    except io.UnsupportedOperation:
+        return
+    devnull = os.open(os.devnull, os.O_WRONLY)
+    os.dup2(devnull, fd)
+    os.close(devnull)
+
+
 def main(argv=None) -> int:
     parser = _build_parser()
     with single_blas_thread():
@@ -374,11 +393,7 @@ def main(argv=None) -> int:
             except OSError as exc:
                 if args.output is not None:
                     raise _CliError(f"cannot write {args.output}: {exc}")
-                # what is left in stdout's buffer would fail again, with a
-                # second message, when the interpreter flushes it at exit
-                devnull = os.open(os.devnull, os.O_WRONLY)
-                os.dup2(devnull, sys.stdout.fileno())
-                os.close(devnull)
+                _discard_stdout()
                 raise _CliError(f"cannot write output: {exc}")
         except _CliError as exc:
             print(f"posgen: error: {exc}", file=sys.stderr)

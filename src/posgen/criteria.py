@@ -251,15 +251,11 @@ def _resolvent_exp_maps(h, config):
     # s-major, lambda-minor: a margin tie goes to the first pair in this order
     lams = lambda_grid(h, config.lambda_multipliers)
     points = [(s, l) for s in config.s_grid for l in lams]
-    # the maps not yet on the handle are exponentiated in one stacked call
-    missing = [p for p in dict.fromkeys(points) if p not in h._resolvent_exps]
-    if missing:
-        reps = mat_exp(np.stack([s * resolvent(h, l).rep for s, l in missing]))
-        for (s, l), rep in zip(missing, reps):
-            h._resolvent_exps[s, l] = _finite_map(
-                h.n, rep, f"e^(s R_lam) at s={s:g}, lam={l:g}"
-            )
-    return lams, [(p, p[1], h._resolvent_exps[p]) for p in points]
+    reps = mat_exp(np.stack([s * resolvent(h, l).rep for s, l in points]))
+    return lams, [
+        ((s, l), l, _finite_map(h.n, rep, f"e^(s R_lam) at s={s:g}, lam={l:g}"))
+        for (s, l), rep in zip(points, reps)
+    ]
 
 
 # Each family returns the grid a condition reports and its maps, each with its

@@ -29,8 +29,12 @@ GENERATOR_KINDS = ("explicit", "hamiltonian", "lindblad")
 _BUILD_TOL = 1e-12
 
 # Eigenvector condition number above which the cached-diagonalization fast
-# path is abandoned in favor of a Pade exponential per time point.
+# path is abandoned in favor of the Pade exponential.
 _EIG_COND_LIMIT = 1e4
+
+# Matrix entries per stacked mat_exp call on that fallback path (1 MiB of
+# complex entries per temporary).
+_EXP_CHUNK = 1 << 16
 
 _POLE_GAP = 1e-9
 
@@ -156,13 +160,12 @@ class SemigroupHandle:
 
     Diagonalizable generators (eigenvector condition number below 1e4) use the
     cached eigendecomposition for every time point, which also serves the
-    quadrature routes' batches of T_t; anything worse falls back to
-    :func:`mat_exp` per time point, trading speed for accuracy.
+    quadrature routes' batches of T_t; anything worse falls back to stacked
+    :func:`mat_exp` calls of bounded size, trading speed for accuracy.
     Each T_t and R_lam is built once per handle: :func:`evolve` and
     :func:`resolvent` memoize them by t and lam, which is safe because a
     Superoperator is immutable.  Next to them the criteria module memoizes
-    each e^{s R_lam} by (s, lam) and each map's cone-search verdict, so every
-    map is built and searched once per handle.
+    each map's cone-search verdict, so every map is searched once per handle.
     """
 
     def __init__(self, gen):
@@ -183,7 +186,6 @@ class SemigroupHandle:
         self._eig = None
         self._evolved = {}
         self._resolvents = {}
-        self._resolvent_exps = {}
         self._cone_verdicts = {}
         try:
             pinv = np.linalg.inv(p)
@@ -202,9 +204,12 @@ class SemigroupHandle:
             p, w, pinv = self._eig
             phases = np.exp(np.multiply.outer(ts, w))
             return np.einsum("ij,tj,jk->tik", p, phases, pinv)
-        # one time point at a time: a stacked call on a quadrature's 512 nodes
-        # would hold several temporaries of 512 n^2 x n^2 matrices each
-        return np.array([mat_exp(t * self.generator.rep) for t in ts])
+        # stacked calls of at most _EXP_CHUNK entries (or one matrix) each:
+        # one call on a quadrature's 512 nodes would hold several temporaries
+        # of 512 n^2 x n^2 matrices each, and one call per node is slow
+        rep = self.generator.rep
+        k = min(ts.size, -(-ts.size * rep.size // _EXP_CHUNK))
+        return np.concatenate([mat_exp(np.multiply.outer(c, rep)) for c in np.array_split(ts, k)])
 
 
 def _as_handle(h) -> SemigroupHandle:

@@ -408,6 +408,25 @@ class TestUnwritableStdout:
         assert "Traceback" not in proc.stderr and "Exception ignored" not in proc.stderr
         assert proc.stderr.count("\n") == 1
 
+    @pytest.mark.parametrize("also_interpreter_stdout", [False, True])
+    def test_in_process_stream_leaves_fd_1_alone(self, deph_file, capsys, monkeypatch,
+                                                 also_interpreter_stdout):
+        # an in-process caller's stream, and a stdout without a file descriptor
+        class FullStream(io.StringIO):
+            def write(self, text):
+                raise OSError(28, "No space left on device")
+
+        dup2_calls = []
+        monkeypatch.setattr(os, "dup2", lambda *fds: dup2_calls.append(fds))
+        stream = FullStream()
+        monkeypatch.setattr(sys, "stdout", stream)
+        if also_interpreter_stdout:
+            monkeypatch.setattr(sys, "__stdout__", stream)
+        assert main(["report", deph_file, "--samples", "6"]) == 1
+        err = capsys.readouterr().err
+        assert err == "posgen: error: cannot write output: [Errno 28] No space left on device\n"
+        assert dup2_calls == []
+
 
 def _commutation(n):
     """Permutation K with K vec(x) = vec(x^T) under column stacking."""

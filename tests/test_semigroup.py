@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from posgen import semigroup
 from posgen.errors import (
     DecayFailureError,
     PropagatorOverflow,
@@ -226,6 +227,31 @@ class TestLaplace:
     def test_no_decay_rejected(self):
         with pytest.raises(DecayFailureError):
             laplace_resolvent(flip_handle(), 1.0)
+
+    @pytest.mark.parametrize("n, shapes", [
+        (3, [(512, 9, 9)]),  # 512 * 81 entries fit in one stacked call
+        (6, [(47, 36, 36)] * 6 + [(46, 36, 36)] * 5),  # 11 calls of <= 2^16 entries
+    ])
+    def test_defective_generator_exponentiates_in_bounded_stacks(self, monkeypatch, n, shapes):
+        # a Jordan block under a unitary similarity: no usable eigendecomposition
+        rng = np.random.default_rng(4)
+        q, _ = np.linalg.qr(rand_complex(rng, n * n, n * n))
+        jordan = -np.eye(n * n) + np.diag(np.ones(n * n - 1), 1)
+        h = SemigroupHandle(Superoperator(n, q @ jordan @ q.conj().T))
+        assert h._eig is None
+        calls = []
+
+        def counted(m):
+            calls.append(np.shape(m))
+            return mat_exp(m)
+
+        monkeypatch.setattr(semigroup, "mat_exp", counted)
+        quad = laplace_resolvent(h, 2.0).rep
+        assert calls == shapes
+        ts = np.linspace(0.0, 3.0, 5)
+        assert np.array_equal(h.evolve_rep(ts), np.array([mat_exp(t * h.generator.rep) for t in ts]))
+        alg = resolvent(h, 2.0).rep
+        assert spectral_norm(quad - alg) / spectral_norm(alg) <= 1e-6
 
 
 class TestEulerProduct:

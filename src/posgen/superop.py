@@ -245,12 +245,10 @@ def cp_check(s: Superoperator, tol: float = DEFAULT_TOL) -> CPCheck:
 # ---------------------------------------------------------------------------
 
 # The search's fixed effort: seeded random unit vectors join the structured
-# starters, and the worst few descend for a fixed, decaying step schedule.
+# starters, and the worst few descend for a fixed number of seesaw steps.
 _N_RANDOM = 64
 _N_DESCENT = 8
-_DESCENT_ITERS = 100
-_DESCENT_STEP = 0.25
-_DESCENT_DECAY = 0.9
+_DESCENT_ITERS = 30
 
 
 @dataclass(frozen=True)
@@ -301,29 +299,28 @@ def _seeded_starters(n: int, seed: int) -> np.ndarray:
     return np.concatenate([_structured_unit_vectors(n), g])
 
 
-# The descent's step is absolute, so on a map with entries near 2**512 its
-# vectors' squared norms overflow and the search turns to NaN.  Positivity is
-# scale-invariant: a map whose entries exceed this bound descends on a copy
-# scaled by a power of two (exact in floating point) to a largest entry in
-# [1/2, 1).  The bound lies far above the maps of any report at ordinary
-# scale, which therefore descend unscaled.
-_DESCENT_MAX_ENTRY = 2.0 ** 256
+def _unit_scale(reps: np.ndarray) -> np.ndarray:
+    """Per-map power of two bringing the largest entry into [1/2, 1); exact.
 
-
-def _descent_scale(reps: np.ndarray) -> np.ndarray:
-    """Per-map power-of-two factor for the descent: 1 unless entries are huge."""
-    peak = np.abs(reps).max(axis=(-2, -1))
-    _, exponent = np.frexp(peak)
-    return np.ldexp(1.0, np.where(peak > _DESCENT_MAX_ENTRY, -exponent, 0))
+    A largest entry below 2**-1024 gets the largest finite power, 2**1023.
+    """
+    _, exponent = np.frexp(np.abs(reps).max(axis=(-2, -1)))
+    return np.ldexp(1.0, np.minimum(-exponent, 1023))
 
 
 def _descend(reps, v, best_val, best_vec):
-    """Projected gradient descent over a (maps, b, n) stack of unit vectors.
+    """Seesaw over a (maps, b, n) stack of unit vectors v and their partners w.
+
+    By the trace pairing ``w* S(vv*) w = v* S^*(ww*) v`` (S^* the
+    Hilbert-Schmidt adjoint), each half-step minimizes the hermitian part of
+    one value exactly: w becomes the least eigenvector of herm S(vv*), then v
+    the least eigenvector of herm S^*(ww*).  So ``min_eig herm S(vv*)`` never
+    rises, and no step size is needed.
 
     ``best_val``/``best_vec`` hold one entry per map and are lowered in place
     wherever that map's batch finds a smaller f; they are also returned.
-    Every map follows the same step schedule and no arithmetic mixes two maps,
-    so each map's numbers are the ones a stack of that map alone would give.
+    No arithmetic mixes two maps, so each map's numbers are the ones a stack
+    of that map alone would give.
     """
     rows = np.arange(len(v))
     reps_t = reps.swapaxes(-1, -2)
@@ -335,22 +332,14 @@ def _descend(reps, v, best_val, best_vec):
         best_val[better] = fk[better]
         best_vec[better] = v[rows[better], k[better]]
 
-    step = _DESCENT_STEP
     for _ in range(_DESCENT_ITERS):
         f, wmin = _f_batch(reps_t, v)
         track(f)
-        # Danskin direction: grad of v* herm(S^*(w w^*)) v on the sphere.
         # S^* has transposed rep conj(rep); conj(apply_stack(rep, conj(x)))
         # rounds the same and needs no conjugated copy of the reps.
         ww_c = wmin.conj()[..., :, None] * wmin[..., None, :]
         gm = apply_stack(reps, ww_c).conj()
-        gm = (gm + gm.conj().swapaxes(-1, -2)) / 2
-        grad = 2.0 * np.einsum("...ij,...j->...i", gm, v)
-        inner = np.einsum("...i,...i->...", v.conj(), grad)
-        grad -= inner[..., None] * v
-        v = v - step * grad
-        v /= np.linalg.norm(v, axis=-1, keepdims=True)
-        step *= _DESCENT_DECAY
+        v = np.linalg.eigh((gm + gm.conj().swapaxes(-1, -2)) / 2)[1][..., :, 0]
     track(_f_batch(reps_t, v)[0])
     return best_val, best_vec
 
@@ -362,11 +351,12 @@ def positivity_checks(maps, seeds, tol: float = DEFAULT_TOL) -> list:
     ``seeds`` holds one int seed per map; the effort is fixed.  Seeded unit
     vectors (plus the standard basis and two structured vectors), drawn once
     per distinct seed, are scored by f map by map; each map's worst starters
-    seed a fixed-schedule projected gradient descent on the unit sphere, and
-    the descents of all maps run as one stacked descent.  A CP certificate
-    takes its map out of the stack: the certificate already implies
-    positivity, so only the cheap sampling pass runs to report an honest
-    margin.  The verdicts equal, bit for bit, those of separate searches
+    seed 30 steps of a seesaw over the trace pairing (see ``_descend``), run
+    on the map scaled by the power of two of its largest entry, so the
+    search does not depend on the map's scale.  The seesaws of all maps run
+    as one stacked descent.  A CP certificate takes its map out of the
+    stack: the certificate already implies positivity, so only the cheap
+    sampling pass runs to report an honest margin.  The verdicts equal, bit for bit, those of separate searches
     under each map's seed.
     """
     maps = list(maps)
@@ -396,11 +386,11 @@ def positivity_checks(maps, seeds, tol: float = DEFAULT_TOL) -> list:
     evals = np.full(len(maps), len(starters))  # equal for every seed
     if live:
         reps = np.stack([maps[i].rep for i in live])
-        scale = _descent_scale(reps)
+        unit = _unit_scale(reps)
         vals, best_vec[live] = _descend(
-            reps * scale[:, None, None], np.stack(first), best_val[live] * scale, best_vec[live]
+            reps * unit[:, None, None], np.stack(first), best_val[live] * unit, best_vec[live]
         )
-        best_val[live] = vals / scale
+        best_val[live] = vals / unit
         evals[live] += (_DESCENT_ITERS + 1) * _N_DESCENT
 
     # each map's final vector re-scored as its own row, so that a witness

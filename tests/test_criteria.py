@@ -46,7 +46,7 @@ from posgen.superop import (
     positivity_check,
 )
 
-from conftest import rand_complex
+from conftest import rand_complex, signed_rate_rep
 
 E00 = np.diag([1.0, 0.0]).astype(complex)
 
@@ -286,6 +286,15 @@ class TestTheorem1Report:
         for c in rep.conditions:
             if c.verdict == "satisfied":
                 assert c.min_margin <= 1e-4
+
+    def test_signed_rate_seed_10_resolvent_violation_found(self):
+        # R_lam has entries near 1/lam; a descent whose step ignored the map's
+        # scale reported resolvent_positive satisfied at +3.6e-6 here, while
+        # scoring 2e5 random unit vectors at lam = 10 finds -2.25e-4
+        rep = theorem1_report(SemigroupHandle(Superoperator(2, signed_rate_rep(10))), RunConfig())
+        c = rep.by_id("resolvent_positive")
+        assert c.verdict == "violated"
+        assert c.min_margin <= -2e-4
 
     def test_non_symmetric_rejected(self):
         s = Superoperator(2, 1j * np.eye(4, dtype=complex))

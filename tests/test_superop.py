@@ -1,8 +1,12 @@
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from posgen.errors import DimensionMismatch, SchemaError
+from posgen.matrixcore import DEFAULT_TOL
+from posgen.semigroup import SemigroupHandle, resolvent
 from posgen import superop
 from posgen.superop import (
     Superoperator,
@@ -29,7 +33,7 @@ from posgen.superop import (
     vec,
 )
 
-from conftest import SX, SZ, rand_complex
+from conftest import SX, SZ, rand_complex, signed_rate_rep
 
 
 def choi_by_blocks(s):
@@ -213,6 +217,29 @@ class TestPositivityCheck:
         assert out.margin <= -2.0 + 1e-4
         assert out.margin >= -2.0 - 1e-9
 
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(2, 4), st.integers(0, 2**32 - 1))
+    def test_seesaw_never_raises_a_vectors_value(self, n, seed):
+        # x -> sum_k c_k a_k x a_k^* with signed c_k preserves hermiticity;
+        # each half-step of the seesaw minimizes exactly, so along every
+        # vector's path min_eig(herm S(vv*)) never rises beyond rounding
+        rng = np.random.default_rng(seed)
+        s = Superoperator(n, sum(c * sandwich(a, a.conj().T).rep
+                                 for c, a in zip(rng.uniform(-1, 1, 3), rand_complex(rng, 3, n, n))))
+        v = superop._seeded_starters(n, seed)[None, -superop._N_DESCENT:]
+        with mock.patch.object(superop, "_f_batch", wraps=superop._f_batch) as f_batch:
+            superop._descend(s.rep[None], v, np.array([np.inf]), np.empty((1, n), complex))
+        path = [call.args[1][0] for call in f_batch.call_args_list]
+        assert len(path) == superop._DESCENT_ITERS + 1
+
+        def herm_min(x):
+            m = apply(s, np.outer(x, x.conj()))
+            return np.linalg.eigvalsh((m + m.conj().T) / 2)[0]
+
+        values = np.array([[herm_min(x) for x in vs] for vs in path])
+        slack = 1e-12 * np.abs(s.rep).max()
+        assert np.all(np.diff(values, axis=0) <= slack)
+
     def test_deterministic(self):
         s = transpose_map(3)
         a = positivity_check(s, seed=9)
@@ -230,17 +257,19 @@ def hidden_direction_map(n, seed):
 
 
 def looped_positivity_check(s, seed, tol=1e-9):
-    """Reference: the search of one map as a plain loop, one descent per map.
+    """Reference: the search of one map as a plain loop, one seesaw per map.
 
-    Its schedule is written out: 64 random starters, the worst 8 descended
-    for 100 steps from step 0.25, decaying by 0.9 a step.
+    Its effort is written out: 64 random starters, the worst 8 alternating
+    30 times between w = least eigenvector of herm S(vv*) and v = least
+    eigenvector of herm S^*(ww*), on a copy of S scaled by the power of two
+    that brings its largest entry into [1/2, 1).
     """
     n = s.n
 
-    def f_batch(v):
+    def f_batch(rep, v):
         p = v[:, :, None] * v.conj()[:, None, :]
         vecs = p.transpose(0, 2, 1).reshape(len(v), n * n)
-        m = (vecs @ s.rep.T).reshape(len(v), n, n).swapaxes(1, 2)
+        m = (vecs @ rep.T).reshape(len(v), n, n).swapaxes(1, 2)
         skew = np.abs(m - m.conj().transpose(0, 2, 1)).max(axis=(1, 2))
         w, u = np.linalg.eigh((m + m.conj().transpose(0, 2, 1)) / 2)
         return w[:, 0] - skew, u[:, :, 0]
@@ -249,32 +278,30 @@ def looped_positivity_check(s, seed, tol=1e-9):
     g = rng.standard_normal((64, n)) + 1j * rng.standard_normal((64, n))
     g /= np.linalg.norm(g, axis=1, keepdims=True)
     starters = np.concatenate([superop._structured_unit_vectors(n), g])
-    fvals, _ = f_batch(starters)
+    fvals, _ = f_batch(s.rep, starters)
     evals = len(starters)
     best_val = float(fvals.min())
     best_vec = starters[int(np.argmin(fvals))]
     certified = cp_check(s, tol).verdict
     if not certified:
+        unit = 2.0 ** min(-np.frexp(np.abs(s.rep).max())[1], 1023)
+        rep = s.rep * unit
+        best_val *= unit
         v = starters[np.argsort(fvals)[:8]].copy()
-        step = 0.25
-        for it in range(100 + 1):
-            f, wmin = f_batch(v)
+        for it in range(30 + 1):
+            f, wmin = f_batch(rep, v)
             evals += len(v)
             k = int(np.argmin(f))
             if f[k] < best_val:
                 best_val, best_vec = float(f[k]), v[k].copy()
-            if it == 100:
+            if it == 30:
                 break
             ww = wmin[:, :, None] * wmin.conj()[:, None, :]
-            gvec = ww.transpose(0, 2, 1).reshape(len(v), n * n) @ s.rep.conj()
+            gvec = ww.transpose(0, 2, 1).reshape(len(v), n * n) @ rep.conj()
             gm = gvec.reshape(len(v), n, n).swapaxes(1, 2)
-            gm = (gm + gm.conj().transpose(0, 2, 1)) / 2
-            grad = 2.0 * np.einsum("bij,bj->bi", gm, v)
-            grad -= np.einsum("bi,bi->b", v.conj(), grad)[:, None] * v
-            v = v - step * grad
-            v /= np.linalg.norm(v, axis=1, keepdims=True)
-            step *= 0.9
-    rescored = float(f_batch(best_vec[None])[0][0])
+            v = np.linalg.eigh((gm + gm.conj().transpose(0, 2, 1)) / 2)[1][:, :, 0]
+        best_val /= unit
+    rescored = float(f_batch(s.rep, best_vec[None])[0][0])
     margin = min(rescored, best_val)
     if certified:
         return superop.ConeVerdict("certified_positive", margin, evals)
@@ -328,6 +355,32 @@ class TestStackedPositivityChecks:
         for a, b in zip(huge[2:], positivity_checks(maps[2:], [0] * 3)):
             assert a.status == b.status == "violated"
             assert a.margin == pytest.approx(2.0 ** 600 * b.margin, rel=1e-9)
+
+    @pytest.mark.parametrize("which", [2, 3, 4, "resolvent"])
+    def test_margins_scale_exactly_with_the_map(self, which):
+        # every map descends at the power-of-two scale of its largest entry,
+        # so a map scaled by 2**k, searched at a tolerance scaled alike, gets
+        # the same search: same status and witness, margin times 2**k.  The
+        # resolvent is signed-rate seed 10's R_lam at lam = 10, entries ~0.1
+        if which == "resolvent":
+            phi = resolvent(SemigroupHandle(Superoperator(2, signed_rate_rep(10))), 10.0)
+        else:
+            phi = self.mixed_stack(4)[which]
+        base = positivity_checks([phi], [0])[0]
+        assert base.status == "violated"
+        for k in range(-20, 21):
+            out = positivity_checks([scale(phi, 2.0 ** k)], [0], 2.0 ** k * DEFAULT_TOL)[0]
+            assert out.status == base.status
+            assert out.margin == 2.0 ** k * base.margin
+            assert out.witness.tobytes() == base.witness.tobytes()
+
+    def test_subnormal_maps_descend_at_a_finite_scale(self):
+        # no finite power of two brings a largest entry of 2**-1060 to unit
+        # scale; an infinite one turned the descent into NaN
+        tiny = scale(identity_superop(2), -(2.0 ** -1060))
+        with np.errstate(invalid="raise", over="raise"):
+            out = positivity_checks([tiny], [0], 0.0)[0]
+        assert out.status == "violated"
 
     @pytest.mark.parametrize("n", [2, 4])
     def test_per_map_budgets_equal_per_map_searches(self, n, monkeypatch):

@@ -21,6 +21,8 @@ import json
 import os
 import sys
 
+import numpy as np
+
 from ._blas import single_blas_thread
 from .config import FORMATS, RunConfig, subseed
 from .duality import DensityMatrix, trace_preservation_check, trajectory_records
@@ -31,7 +33,7 @@ from .errors import (
     PropagatorOverflow,
     SchemaError,
 )
-from .instances import FAMILIES, InstanceRecipe, build, random_density
+from .instances import FAMILIES, InstanceRecipe, build, density_from
 from .criteria import theorem1_report, theorem2_check
 from .semigroup import GeneratorSpec, SemigroupHandle, build_superoperator
 
@@ -193,8 +195,8 @@ def _report_sections(h: SemigroupHandle, cfg: RunConfig):
         flags.append(bool(t2.direction_consistency))
     except HypothesisViolation as exc:
         sections["theorem2"] = {"hypothesis_violation": str(exc)}
-    states = [random_density(h.n, subseed(cfg.seed, 47, i))
-              for i in range(max(1, cfg.n_states))]
+    states = density_from(np.random.default_rng(np.random.SeedSequence((cfg.seed, 47))),
+                          h.n, k=max(1, cfg.n_states))
     tp = trace_preservation_check(h, states, t_grid=cfg.trace_t_grid,
                                   tol=cfg.tol("trace"))
     sections["trace_preservation"] = tp.to_json()

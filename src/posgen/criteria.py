@@ -30,8 +30,7 @@ from .errors import ConsistencyError, HypothesisViolation
 from .instances import hermitian_from, unitary_from
 from .matrixcore import as_matrix_stack, frozen, mat_exp, max_entry, spectral_norm
 from .matrixcore import psd_margins as dissipation_margins
-from .semigroup import _as_handle, _finite_map, _quad_nodes, decay_horizon
-from .semigroup import evolve, lambda_grid, resolvent
+from .semigroup import _as_handle, _finite_map, evolve, lambda_grid, laplace_resolvent, resolvent
 from .superop import (
     CERTIFIED_POSITIVE,
     NO_VIOLATION_FOUND,
@@ -41,11 +40,9 @@ from .superop import (
     apply,
     apply_stack,
     contraction_check,
-    devec,
     is_symmetric_map,
     is_unital,
     positivity_checks,
-    vec,
 )
 
 # Theorem 1 asks one thing, positivity, of four families of maps.  Each
@@ -138,63 +135,41 @@ class ProbeSet:
 
 
 # ---------------------------------------------------------------------------
-# dissipation kernels
+# the dissipation kernel
 # ---------------------------------------------------------------------------
 
 
-def _unit_image(rep: np.ndarray, n: int) -> np.ndarray:
-    return devec(rep @ vec(np.eye(n, dtype=complex)), n)
+def dissipation_batch(rep_t: np.ndarray, xs: np.ndarray) -> np.ndarray:
+    """Phi(x*x) + x* Phi(1) x - Phi(x*) x - x* Phi(x) for a stack of x.
 
-
-def sa_dissipation_batch(rep: np.ndarray, probes: np.ndarray) -> np.ndarray:
-    """Phi(a^2) + a Phi(1) a - Phi(a) a - a Phi(a) for a stack of Hermitian a."""
-    n = probes.shape[-1]
-    phi1 = _unit_image(rep, n)
-    phi_a = apply_stack(rep.T, probes)
-    phi_a2 = apply_stack(rep.T, probes @ probes)
-    return phi_a2 + probes @ phi1 @ probes - phi_a @ probes - probes @ phi_a
-
-
-def u_dissipation_batch(rep: np.ndarray, probes: np.ndarray) -> np.ndarray:
-    """Phi(1) + u* Phi(1) u - Phi(u*) u - u* Phi(u) for a stack of unitary u."""
-    n = probes.shape[-1]
-    phi1 = _unit_image(rep, n)
-    uh = probes.conj().swapaxes(1, 2)
-    phi_u = apply_stack(rep.T, probes)
-    phi_uh = apply_stack(rep.T, uh)
-    return phi1[None, :, :] + uh @ phi1 @ probes - phi_uh @ probes - uh @ phi_u
-
-
-_KERNELS = {"selfadjoint": sa_dissipation_batch, "unitary": u_dissipation_batch}
-
-
-def dissipation(phi: Superoperator, a, kind: str) -> np.ndarray:
-    """The dissipation operator of one map at one probe.
-
-    ``kind`` "selfadjoint": Phi(a^2) + a Phi(1) a - Phi(a) a - a Phi(a);
-    ``kind`` "unitary": Phi(1) + u* Phi(1) u - Phi(u*) u - u* Phi(u).
+    ``rep_t`` is Phi's transposed rep, or an (m, n^2, n^2) stack of them; the
+    result is (b, n, n) for one map and (m, b, n, n) for a stack.  At a
+    self-adjoint a this is the self-adjoint condition's Phi(a^2) + a Phi(1) a
+    - Phi(a) a - a Phi(a); at a unitary u, where u*u = 1, the unitary one's.
     """
-    return frozen(_KERNELS[kind](phi.rep, np.asarray(a, dtype=complex)[None])[0])
+    xh = xs.conj().swapaxes(-1, -2)
+    # Phi(1) by its own matrix-vector product; as a row of the larger product
+    # below it would round differently
+    phi1 = apply_stack(rep_t, np.eye(xs.shape[-1], dtype=complex))[..., None, :, :]
+    imgs = apply_stack(rep_t, np.concatenate([xh @ xs, xh, xs]))
+    phi_xx, phi_xh, phi_x = np.split(imgs, 3, axis=-3)
+    return phi_xx + xh @ phi1 @ xs - phi_xh @ xs - xh @ phi_x
+
+
+def dissipation(phi: Superoperator, x) -> np.ndarray:
+    """The dissipation operator Phi(x*x) + x* Phi(1) x - Phi(x*) x - x* Phi(x)."""
+    return frozen(dissipation_batch(phi.rep.T, np.asarray(x, dtype=complex)[None])[0])
 
 
 def laplace_dissipation(h, lam: float, a) -> np.ndarray:
-    """Quadrature of e^{-lam t} [T_t(a^2) + a T_t(1) a - T_t(a) a - a T_t(a)].
+    """The dissipation operator of the quadrature resolvent at ``a``.
 
-    By linearity of the Laplace transform this equals the resolvent-level
-    dissipation operator; the toolkit computes both routes independently so
-    the identity stays checkable.  The quadrature is laplace_resolvent's.
+    D is linear in the map, so this is the Laplace transform of the
+    semigroup-level operators; it shares nothing with the algebraic
+    resolvent, so the identity with ``dissipation(resolvent(h, lam), a)``
+    stays checkable.
     """
-    h = _as_handle(h)
-    a = np.asarray(a, dtype=complex)
-    nodes, weights = _quad_nodes(decay_horizon(h, lam))
-    # batched over quadrature nodes: each rep acts on the fixed probes
-    imgs = apply_stack(
-        h.evolve_rep(nodes).transpose(0, 2, 1), np.stack([a, a @ a, np.eye(h.n, dtype=complex)])
-    )
-    phi_a, phi_a2, phi1 = imgs[:, 0], imgs[:, 1], imgs[:, 2]
-    d_t = phi_a2 + a @ phi1 @ a - phi_a @ a - a @ phi_a
-    coeff = weights * np.exp(-lam * nodes)
-    return frozen(np.einsum("t,tij->ij", coeff, d_t))
+    return dissipation(laplace_resolvent(h, lam), a)
 
 
 # ---------------------------------------------------------------------------
@@ -306,7 +281,8 @@ def _evaluate(h, condition_ids, probes: ProbeSet, config: RunConfig) -> dict:
     The maps of all cone conditions are searched at most once per handle, each
     condition under its own seed, so its margin is the one a search of
     that condition alone finds.  A probe condition scans every probe of its
-    class at every map.  Margins aggregate as minima; the first minimum wins.
+    class at every map in one kernel call.  Margins aggregate as minima; the
+    first minimum in map-major order wins.
     """
     tol = config.tol("predicate")
     plans = {cid: _FAMILIES[_CONDITIONS[cid][0]](h, config) for cid in condition_ids}
@@ -315,19 +291,15 @@ def _evaluate(h, condition_ids, probes: ProbeSet, config: RunConfig) -> dict:
     results = {}
     for cid, (grid, maps) in plans.items():
         kind = _CONDITIONS[cid][1]
-        if kind != "cone":
-            stack = np.stack(probes.selfadjoint if kind == "selfadjoint" else probes.unitaries)
-        best, worst = np.inf, None
-        for _, g, phi in maps:
-            if kind == "cone":
-                margin, ref = next(verdicts).margin, ProbeRef(None, None, g)
-            else:
-                margins = dissipation_margins(_KERNELS[kind](phi.rep, stack))
-                k = int(np.argmin(margins))
-                margin, ref = margins[k], ProbeRef(kind, k, g)
-            if margin < best:
-                best, worst = float(margin), ref
-        results[cid] = _condition_result(cid, grid, best, worst, tol)
+        if kind == "cone":
+            margins = np.array([next(verdicts).margin for _ in maps])[:, None]
+        else:
+            pool = np.stack(probes.selfadjoint if kind == "selfadjoint" else probes.unitaries)
+            d = dissipation_batch(np.stack([phi.rep for _, _, phi in maps]).swapaxes(1, 2), pool)
+            margins = dissipation_margins(d.reshape(-1, *pool.shape[1:])).reshape(len(maps), -1)
+        i, k = np.unravel_index(np.argmin(margins), margins.shape)
+        ref = ProbeRef(*((None, None) if kind == "cone" else (kind, int(k))), maps[i][1])
+        results[cid] = _condition_result(cid, grid, margins[i, k], ref, tol)
     return results
 
 

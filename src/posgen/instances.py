@@ -150,10 +150,11 @@ def unitary_from(rng: np.random.Generator, n: int, k: int | None = None) -> np.n
     return frozen(q * (d / np.abs(d))[..., None, :])
 
 
-def density_from(rng: np.random.Generator, n: int) -> np.ndarray:
-    g = _ginibre(rng, n)
-    rho = g @ g.conj().T
-    return frozen(rho / np.trace(rho).real)
+def density_from(rng: np.random.Generator, n: int, k: int | None = None) -> np.ndarray:
+    """A random density matrix g g* / tr(g g*), or a (k, n, n) stack of them."""
+    g = _ginibre(rng, n, k)
+    rho = g @ g.conj().swapaxes(-1, -2)
+    return frozen(rho / np.trace(rho, axis1=-2, axis2=-1).real[..., None, None])
 
 
 def random_hermitian(n: int, seed: int, scale: float = 1.0) -> np.ndarray:

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionMismatch, SchemaError
-from .matrixcore import DEFAULT_TOL, as_matrix, frozen, hermitian_part, max_entry
+from .matrixcore import DEFAULT_TOL, as_matrix, frozen, max_entry
 
 CERTIFIED_POSITIVE = "certified_positive"
 NO_VIOLATION_FOUND = "no_violation_found"
@@ -216,10 +216,13 @@ def is_unital(s: Superoperator, tol: float = DEFAULT_TOL) -> MapCheck:
 
 def choi_matrix(s: Superoperator) -> np.ndarray:
     """Unnormalized Choi matrix ``sum_ij E_ij kron S(E_ij)``."""
-    n = s.n
+    return _choi_stack(s.rep[None], s.n)[0]
+
+
+def _choi_stack(reps: np.ndarray, n: int) -> np.ndarray:
     return np.ascontiguousarray(
-        s.rep.reshape(n, n, n, n).transpose(3, 1, 2, 0)
-    ).reshape(n * n, n * n)
+        reps.reshape(-1, n, n, n, n).transpose(0, 4, 2, 3, 1)
+    ).reshape(-1, n * n, n * n)
 
 
 @dataclass(frozen=True)
@@ -228,16 +231,23 @@ class CPCheck:
     min_choi_eig: float
 
 
+def _cp_checks(reps: np.ndarray, n: int, tol: float):
+    """CP verdicts and least Choi eigenvalues of an (m, n^2, n^2) stack of reps."""
+    c = _choi_stack(reps, n)
+    ch = c.conj().swapaxes(-1, -2)
+    herm_dev = np.abs(c - ch).max(axis=(-2, -1))
+    min_eig = np.linalg.eigvalsh(0.5 * (c + ch))[:, 0]
+    return (herm_dev <= tol) & (min_eig >= -tol), min_eig
+
+
 def cp_check(s: Superoperator, tol: float = DEFAULT_TOL) -> CPCheck:
     """Complete positivity via the Choi matrix.
 
     ``verdict`` holds iff the Choi matrix is hermitian at ``tol`` and its least
     eigenvalue clears ``-tol``.  A true verdict certifies positivity of the map.
     """
-    c = choi_matrix(s)
-    herm_dev = max_entry(c - c.conj().T)
-    min_eig = float(np.linalg.eigvalsh(hermitian_part(c))[0])
-    return CPCheck(verdict=(herm_dev <= tol and min_eig >= -tol), min_choi_eig=min_eig)
+    verdict, min_eig = _cp_checks(s.rep[None], s.n, tol)
+    return CPCheck(verdict=bool(verdict[0]), min_choi_eig=float(min_eig[0]))
 
 
 # ---------------------------------------------------------------------------
@@ -350,14 +360,15 @@ def positivity_checks(maps, seeds, tol: float = DEFAULT_TOL) -> list:
     The maps must act on the same M(n); one ConeVerdict is returned per map.
     ``seeds`` holds one int seed per map; the effort is fixed.  Seeded unit
     vectors (plus the standard basis and two structured vectors), drawn once
-    per distinct seed, are scored by f map by map; each map's worst starters
-    seed 30 steps of a seesaw over the trace pairing (see ``_descend``), run
-    on the map scaled by the power of two of its largest entry, so the
-    search does not depend on the map's scale.  The seesaws of all maps run
-    as one stacked descent.  A CP certificate takes its map out of the
-    stack: the certificate already implies positivity, so only the cheap
-    sampling pass runs to report an honest margin.  The verdicts equal, bit for bit, those of separate searches
-    under each map's seed.
+    per distinct seed, are scored by f for every map in one stacked call; each
+    map's worst starters seed 30 steps of a seesaw over the trace pairing (see
+    ``_descend``), run on the map scaled by the power of two of its largest
+    entry, so the search does not depend on the map's scale.  The seesaws of
+    all maps run as one stacked descent.  A CP certificate (one stacked Choi
+    eigendecomposition for all maps) takes its map out of the stack: the
+    certificate already implies positivity, so only the cheap sampling pass
+    runs to report an honest margin.  The verdicts equal, bit for bit, those
+    of separate searches under each map's seed.
     """
     maps = list(maps)
     if not maps:
@@ -369,45 +380,37 @@ def positivity_checks(maps, seeds, tol: float = DEFAULT_TOL) -> list:
     if len(seeds) != len(maps):
         raise ValueError(f"positivity_checks got {len(seeds)} seeds for {len(maps)} maps")
     starters_by_seed = {seed: _seeded_starters(n, seed) for seed in dict.fromkeys(seeds)}
-    best_val = np.empty(len(maps))
-    best_vec = np.empty((len(maps), n), dtype=complex)
-    certified = []
-    live, first = [], []  # the maps that descend, and their worst starters
-    for i, (s, seed) in enumerate(zip(maps, seeds)):
-        starters = starters_by_seed[seed]
-        fvals, _ = _f_batch(s.rep.T, starters)
-        k = int(np.argmin(fvals))
-        best_val[i], best_vec[i] = fvals[k], starters[k]
-        certified.append(cp_check(s, tol).verdict)
-        if not certified[i]:
-            live.append(i)
-            first.append(starters[np.argsort(fvals)[:_N_DESCENT]])
+    starters = np.stack([starters_by_seed[seed] for seed in seeds])
+    reps = np.stack([s.rep for s in maps])
+    reps_t = reps.swapaxes(-1, -2)
+    rows = np.arange(len(maps))
+    fvals, _ = _f_batch(reps_t, starters)
+    k = np.argmin(fvals, axis=1)
+    best_val, best_vec = fvals[rows, k], starters[rows, k]
+    certified, _ = _cp_checks(reps, n, tol)
+    live = np.flatnonzero(~certified)  # the maps that descend from their worst starters
 
-    evals = np.full(len(maps), len(starters))  # equal for every seed
-    if live:
-        reps = np.stack([maps[i].rep for i in live])
-        unit = _unit_scale(reps)
+    evals = np.full(len(maps), starters.shape[1])
+    if len(live):
+        first = starters[live[:, None], np.argsort(fvals[live], axis=1)[:, :_N_DESCENT]]
+        unit = _unit_scale(reps[live])
         vals, best_vec[live] = _descend(
-            reps * unit[:, None, None], np.stack(first), best_val[live] * unit, best_vec[live]
+            reps[live] * unit[:, None, None], first, best_val[live] * unit, best_vec[live]
         )
         best_val[live] = vals / unit
         evals[live] += (_DESCENT_ITERS + 1) * _N_DESCENT
 
     # each map's final vector re-scored as its own row, so that a witness
     # reproduces its margin
-    rescored = _f_batch(np.stack([s.rep.T for s in maps]), best_vec[:, None])[0][:, 0]
-    verdicts = []
-    for val, v, cert, used, score in zip(
-        best_val.tolist(), best_vec, certified, evals, rescored.tolist()
-    ):
-        margin = min(score, val)
-        if cert:
-            verdicts.append(ConeVerdict(CERTIFIED_POSITIVE, margin, int(used)))
-        elif margin < -tol:
-            verdicts.append(ConeVerdict(VIOLATED, score, int(used), witness=frozen(v)))
-        else:
-            verdicts.append(ConeVerdict(NO_VIOLATION_FOUND, margin, int(used)))
-    return verdicts
+    score = _f_batch(reps_t, best_vec[:, None])[0][:, 0]
+    margin = np.where(best_val < score, best_val, score)  # min(), ties to score
+    violated = ~certified & (margin < -tol)
+    margin[violated] = score[violated]
+    status = np.select([certified, violated], [CERTIFIED_POSITIVE, VIOLATED], NO_VIOLATION_FOUND)
+    return [
+        ConeVerdict(st, m, int(used), frozen(v) if st == VIOLATED else None)
+        for st, m, used, v in zip(status.tolist(), margin.tolist(), evals, best_vec)
+    ]
 
 
 def positivity_check(s: Superoperator, seed: int = 0, tol: float = DEFAULT_TOL) -> ConeVerdict:

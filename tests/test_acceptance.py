@@ -119,11 +119,11 @@ def test_02_negative_control_flip():
     assert report.by_id("semigroup_positive").verdict == "violated"
 
     # regression probes for the dissipation-level conditions
-    d5 = dissipation(evolve(h, 1.0), E00, "selfadjoint")
+    d5 = dissipation(evolve(h, 1.0), E00)
     assert np.abs(d5 - (-math.e * math.sinh(1.0)) * np.eye(2)).max() <= 1e-10
     assert report.by_id("semigroup_sa").verdict == "violated"
     lam = lambda_grid(h)[0]
-    d3 = dissipation(resolvent(h, lam), E00, "selfadjoint")
+    d3 = dissipation(resolvent(h, lam), E00)
     assert np.abs(d3 - (-1.0 / (lam * (lam - 2.0))) * np.eye(2)).max() <= 1e-12
     assert report.by_id("resolvent_sa").verdict == "violated"
 
@@ -157,7 +157,7 @@ def test_03_laplace_bridge():
         a = random_hermitian(n, seed=200 + i)
         lam = lambda_grid(h)[1]
         via_quad = laplace_dissipation(h, lam, a)
-        direct = dissipation(resolvent(h, lam), a, "selfadjoint")
+        direct = dissipation(resolvent(h, lam), a)
         scale = max(1.0, float(np.abs(direct).max()))
         assert np.abs(via_quad - direct).max() <= 1e-6 * scale, i
     print("\n[criterion 03] PASS laplace bridge: all families at mid-grid, "
@@ -299,13 +299,13 @@ def test_08_structural_oracles():
         a = (a + a.conj().T) / 2
 
         # dissipation of a Hamiltonian generator vanishes
-        d = dissipation(handle(lindblad(hmat, [])).generator, a, "selfadjoint")
+        d = dissipation(handle(lindblad(hmat, [])).generator, a)
         worst_h = max(worst_h, spectral_norm(d))
         assert worst_h <= 1e-10
 
         # Lindblad dissipation identity D(a) = sum_k [V_k,a]* [V_k,a]
         vs = [rand_complex(rng, n, n) for _ in range(2)]
-        d = dissipation(handle(lindblad(hmat, vs)).generator, a, "selfadjoint")
+        d = dissipation(handle(lindblad(hmat, vs)).generator, a)
         oracle = sum((v @ a - a @ v).conj().T @ (v @ a - a @ v) for v in vs)
         worst_l = max(worst_l, float(np.abs(d - oracle).max()))
         assert worst_l <= 1e-10
@@ -313,7 +313,7 @@ def test_08_structural_oracles():
         # conjugation semigroups: D_t(a) = (T_t(a) - a)^2
         h = handle(lindblad(hmat, []))
         t = 0.7
-        d = dissipation(evolve(h, t), a, "selfadjoint")
+        d = dissipation(evolve(h, t), a)
         u = mat_exp(1j * t * hmat)
         ta = u @ a @ u.conj().T
         worst_c = max(worst_c, float(np.abs(d - (ta - a) @ (ta - a)).max()))

@@ -12,6 +12,7 @@ from posgen.criteria import (
     check_condition,
     corollary1_check,
     dissipation,
+    dissipation_batch,
     dissipation_margins,
     laplace_dissipation,
     theorem1_report,
@@ -43,6 +44,7 @@ from posgen.superop import (
     ConeVerdict,
     Superoperator,
     apply,
+    apply_stack,
     positivity_check,
 )
 
@@ -61,28 +63,54 @@ def small_config(**kw):
     return RunConfig(**defaults)
 
 
+def sa_dissipation_form(rep, probes):
+    """Phi(a^2) + a Phi(1) a - Phi(a) a - a Phi(a), the self-adjoint form."""
+    phi1 = apply(Superoperator(probes.shape[-1], rep), np.eye(probes.shape[-1]))
+    phi_a = apply_stack(rep.T, probes)
+    phi_a2 = apply_stack(rep.T, probes @ probes)
+    return phi_a2 + probes @ phi1 @ probes - phi_a @ probes - probes @ phi_a
+
+
+def u_dissipation_form(rep, probes):
+    """Phi(1) + u* Phi(1) u - Phi(u*) u - u* Phi(u), the unitary form."""
+    phi1 = apply(Superoperator(probes.shape[-1], rep), np.eye(probes.shape[-1]))
+    uh = probes.conj().swapaxes(1, 2)
+    phi_u = apply_stack(rep.T, probes)
+    phi_uh = apply_stack(rep.T, uh)
+    return phi1[None, :, :] + uh @ phi1 @ probes - phi_uh @ probes - uh @ phi_u
+
+
 class TestDissipationKernels:
+    @pytest.mark.parametrize("kind,form", [
+        ("selfadjoint", sa_dissipation_form),
+        ("unitary", u_dissipation_form),
+    ], ids=["selfadjoint", "unitary"])
+    def test_kernel_equals_specialised_forms(self, kind, form):
+        # one stacked kernel call over T_t, R_lam and L of a non-CP instance
+        h = handle(flip_plus_lindblad(3, 6))
+        maps = (evolve(h, 1.0), resolvent(h, 5.0), h.generator)
+        probes = ProbeSet.build(3, 8, 8, seed=1)
+        stack = np.stack(probes.selfadjoint if kind == "selfadjoint" else probes.unitaries)
+        got = dissipation_batch(np.stack([phi.rep for phi in maps]).swapaxes(1, 2), stack)
+        assert got.shape == (len(maps), *stack.shape)
+        for phi, rows in zip(maps, got):
+            want = form(phi.rep, stack)
+            assert np.abs(rows - want).max() <= 1e-13 * np.abs(want).max()
+
     def test_zero_generator_all_zero(self):
         h = SemigroupHandle(Superoperator(2, np.zeros((4, 4), dtype=complex)))
         a = random_hermitian(2, seed=1)
         u = random_unitary(2, seed=1)
-        assert np.abs(dissipation(resolvent(h, 1.0), a, "selfadjoint")).max() <= 1e-12
-        assert np.abs(dissipation(resolvent(h, 1.0), u, "unitary")).max() <= 1e-12
-        assert np.abs(dissipation(evolve(h, 1.0), a, "selfadjoint")).max() <= 1e-12
-        assert np.abs(dissipation(h.generator, a, "selfadjoint")).max() <= 1e-12
+        assert np.abs(dissipation(resolvent(h, 1.0), a)).max() <= 1e-12
+        assert np.abs(dissipation(resolvent(h, 1.0), u)).max() <= 1e-12
+        assert np.abs(dissipation(evolve(h, 1.0), a)).max() <= 1e-12
+        assert np.abs(dissipation(h.generator, a)).max() <= 1e-12
 
     def test_unit_probe_degeneracy(self):
         h = handle(random_lindblad(3, 2, seed=2))
         eye = np.eye(3, dtype=complex)
-        for d in (
-            dissipation(resolvent(h, 5.0), eye, "selfadjoint"),
-            dissipation(resolvent(h, 5.0), eye, "unitary"),
-            dissipation(evolve(h, 1.0), eye, "selfadjoint"),
-            dissipation(evolve(h, 1.0), eye, "unitary"),
-            dissipation(h.generator, eye, "selfadjoint"),
-            dissipation(h.generator, eye, "unitary"),
-        ):
-            assert np.abs(d).max() <= 1e-12
+        for phi in (resolvent(h, 5.0), evolve(h, 1.0), h.generator):
+            assert np.abs(dissipation(phi, eye)).max() <= 1e-12
 
     def test_lindblad_commutator_identity(self):
         # for L(x) = i[H,x] + sum_k V* x V - (V*V x + x V*V)/2 the self-adjoint
@@ -95,7 +123,7 @@ class TestDissipationKernels:
             vs = [rand_complex(rng, n, n) for _ in range(int(rng.integers(1, 3)))]
             a = rand_complex(rng, n, n)
             a = (a + a.conj().T) / 2
-            d = dissipation(handle(lindblad(hmat, vs)).generator, a, "selfadjoint")
+            d = dissipation(handle(lindblad(hmat, vs)).generator, a)
             oracle = sum(
                 (v @ a - a @ v).conj().T @ (v @ a - a @ v) for v in vs
             )
@@ -108,7 +136,7 @@ class TestDissipationKernels:
             hmat = (hmat + hmat.conj().T) / 2
             a = rand_complex(rng, 3, 3)
             a = (a + a.conj().T) / 2
-            d = dissipation(handle(lindblad(hmat, [])).generator, a, "selfadjoint")
+            d = dissipation(handle(lindblad(hmat, [])).generator, a)
             assert np.abs(d).max() <= 1e-12
 
     def test_conjugation_dissipation_is_square(self):
@@ -119,29 +147,29 @@ class TestDissipationKernels:
         a = rand_complex(rng, 3, 3)
         a = (a + a.conj().T) / 2
         t = 0.8
-        d = dissipation(evolve(h, t), a, "selfadjoint")
+        d = dissipation(evolve(h, t), a)
         u = mat_exp(1j * t * hmat)
         ta = u @ a @ u.conj().T
         assert np.abs(d - (ta - a) @ (ta - a)).max() <= 1e-12
         assert dissipation_margins(d[None])[0] >= -1e-12
 
     def test_flip_generator_regression(self):
-        d = dissipation(handle(flip_nonpositive(2)).generator, E00, "selfadjoint")
+        d = dissipation(handle(flip_nonpositive(2)).generator, E00)
         assert np.abs(d - (-np.eye(2))).max() <= 1e-12
 
     def test_flip_semigroup_closed_form(self):
         # at t = 1 and probe diag(1,0) the dissipation is exactly -e sinh(1) I
-        d = dissipation(evolve(handle(flip_nonpositive(2)), 1.0), E00, "selfadjoint")
+        d = dissipation(evolve(handle(flip_nonpositive(2)), 1.0), E00)
         expected = -math.e * math.sinh(1.0) * np.eye(2)
         assert np.abs(d - expected).max() <= 1e-10
 
     def test_flip_resolvent_closed_form(self):
         h = handle(flip_nonpositive(2))
         for lam in (3.0, 5.0, 9.0):
-            d = dissipation(resolvent(h, lam), E00, "selfadjoint")
+            d = dissipation(resolvent(h, lam), E00)
             expected = -1.0 / (lam * (lam - 2.0)) * np.eye(2)
             assert np.abs(d - expected).max() <= 1e-12
-        assert dissipation(resolvent(h, 5.0), E00, "selfadjoint")[0, 0].real == pytest.approx(
+        assert dissipation(resolvent(h, 5.0), E00)[0, 0].real == pytest.approx(
             -1 / 15, abs=1e-13
         )
 
@@ -149,7 +177,7 @@ class TestDissipationKernels:
         for c in (0.25, 0.5, 1.5):
             h = handle(flip_nonpositive(2, scale=c))
             lam = 2 * c + 3.0
-            d = dissipation(resolvent(h, lam), E00, "selfadjoint")
+            d = dissipation(resolvent(h, lam), E00)
             expected = -c / (lam * (lam - 2 * c)) * np.eye(2)
             assert np.abs(d - expected).max() <= 1e-12
 
@@ -161,13 +189,13 @@ class TestLaplaceBridge:
             a = random_hermitian(h.n, seed=7)
             for lam in (2.0, 10.0):
                 via_quad = laplace_dissipation(h, lam, a)
-                direct = dissipation(resolvent(h, lam), a, "selfadjoint")
+                direct = dissipation(resolvent(h, lam), a)
                 assert np.abs(via_quad - direct).max() <= 1e-6
 
     def test_flip_bridge_above_abscissa(self):
         h = handle(flip_nonpositive(2))
         via_quad = laplace_dissipation(h, 5.0, E00)
-        direct = dissipation(resolvent(h, 5.0), E00, "selfadjoint")
+        direct = dissipation(resolvent(h, 5.0), E00)
         assert np.abs(via_quad - direct).max() <= 1e-6
 
 
@@ -255,7 +283,7 @@ class TestCheckCondition:
         assert res5.verdict == "violated"
         ref = res5.worst_probe
         probe = probes.selfadjoint[ref.index]
-        d = dissipation(evolve(h, ref.grid_value), probe, "selfadjoint")
+        d = dissipation(evolve(h, ref.grid_value), probe)
         assert dissipation_margins(d[None])[0] == pytest.approx(
             res5.min_margin, rel=1e-12, abs=1e-12
         )
@@ -540,11 +568,14 @@ class TestConditionTable:
     @pytest.mark.parametrize("gen", [
         transpose_mixing(random_lindblad(3, 2, 5)),
         flip_plus_lindblad(3, 6),
-    ], ids=["transpose_mixing", "flip_plus_lindblad"])
+        random_lindblad(3, 2, 4),
+    ], ids=["transpose_mixing", "flip_plus_lindblad", "cp_lindblad"])
     def test_probe_conditions_equal_looped_reference(self, gen):
         # reference: one probe at a time over each family's maps, listed by
         # hand; the first least margin wins.  A one-probe product rounds
-        # apart from a stacked one, so margins agree to rounding only.
+        # apart from a stacked one, so margins agree to rounding only.  On
+        # the CP instance every map ties at exactly 0 through the unit probe,
+        # so the first map's grid value must win.
         config = small_config(seed=3)
         h = handle(gen)
         probes = ProbeSet.build(
@@ -565,7 +596,7 @@ class TestConditionTable:
             best, worst = math.inf, None
             for g, phi in maps:
                 for k, a in enumerate(pools[kind]):
-                    margin = float(dissipation_margins(dissipation(phi, a, kind)[None])[0])
+                    margin = float(dissipation_margins(dissipation(phi, a)[None])[0])
                     if margin < best:
                         best, worst = margin, {"kind": kind, "index": k, "grid_value": g}
             want = {
@@ -578,18 +609,15 @@ class TestConditionTable:
             assert got.pop("min_margin") == pytest.approx(best, rel=1e-12, abs=1e-15), cid
             assert got == want, cid
 
-    @pytest.mark.parametrize("kind,batch", [
-        ("selfadjoint", criteria.sa_dissipation_batch),
-        ("unitary", criteria.u_dissipation_batch),
-    ])
-    def test_single_probe_equals_batch_row(self, kind, batch):
+    @pytest.mark.parametrize("kind", ["selfadjoint", "unitary"])
+    def test_single_probe_equals_batch_row(self, kind):
         h = handle(flip_plus_lindblad(3, 6))
         probes = ProbeSet.build(3, 4, 4, seed=1)
         pool = probes.selfadjoint if kind == "selfadjoint" else probes.unitaries
         stack = np.stack(pool[-4:])  # random members, so row 0 is no structured probe
         for phi in (h.generator, evolve(h, 1.0), resolvent(h, 5.0)):
-            got = dissipation(phi, stack[0], kind)
-            row = batch(phi.rep, stack)[0]
+            got = dissipation(phi, stack[0])
+            row = dissipation_batch(phi.rep.T, stack)[0]
             assert np.abs(got - row).max() <= 1e-13 * np.abs(row).max()
             assert not got.flags.writeable
 

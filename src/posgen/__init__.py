@@ -14,9 +14,7 @@ from .criteria import (
     Theorem1Report,
     Theorem2Report,
     check_condition,
-    corollary1_check,
     dissipation,
-    laplace_dissipation,
     theorem1_report,
     theorem2_check,
 )
@@ -24,9 +22,7 @@ from .duality import (
     DensityMatrix,
     TracePreservationReport,
     as_density,
-    pairing,
     predual_evolve,
-    predual_generator,
     purity,
     trace_preservation_check,
     trajectory_records,
@@ -47,17 +43,13 @@ from .instances import (
     dephasing,
     flip_nonpositive,
     lindblad,
-    random_density,
     random_hermitian,
     random_lindblad,
-    random_unitary,
     transpose_conjugated,
     transpose_mixing,
 )
 from .matrixcore import (
     CMatrix,
-    ElementFlags,
-    classify_element,
     hermitian_part,
     mat_exp,
     spectral_norm,
@@ -73,7 +65,6 @@ from .semigroup import (
     lambda_grid,
     laplace_resolvent,
     resolvent,
-    spectral_abscissa,
     yosida_generator,
     yosida_semigroup,
 )
@@ -94,7 +85,6 @@ from .superop import (
     contraction_check,
     cp_check,
     devec,
-    from_function,
     hs_adjoint,
     identity_superop,
     is_symmetric_map,

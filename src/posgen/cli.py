@@ -340,6 +340,8 @@ def cmd_evolve(args, cfg: RunConfig, out) -> int:
             f"dimension mismatch: generator acts on {h.n}x{h.n} matrices, "
             f"state is {state.n}x{state.n}")
     times = args.times if args.times is not None else list(cfg.trace_t_grid)
+    if not all(np.isfinite(t) for t in times):
+        raise _CliError("evolution times must be finite")
     if any(t < 0 for t in times):
         raise _CliError("evolution times must be >= 0")
     records = trajectory_records(h, state.rho, times)

@@ -26,11 +26,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import RunConfig, subseed
-from .errors import ConsistencyError, HypothesisViolation
+from .errors import HypothesisViolation
 from .instances import hermitian_from, unitary_from
-from .matrixcore import as_matrix_stack, frozen, mat_exp, max_entry, spectral_norm
-from .matrixcore import psd_margins as dissipation_margins
-from .semigroup import _as_handle, _finite_map, evolve, lambda_grid, laplace_resolvent, resolvent
+from .matrixcore import as_matrix_stack, frozen, mat_exp, max_entry, psd_margins, spectral_norm
+from .semigroup import _as_handle, _finite_map, evolve, lambda_grid, resolvent
 from .superop import (
     CERTIFIED_POSITIVE,
     NO_VIOLATION_FOUND,
@@ -161,17 +160,6 @@ def dissipation(phi: Superoperator, x) -> np.ndarray:
     return frozen(dissipation_batch(phi.rep.T, np.asarray(x, dtype=complex)[None])[0])
 
 
-def laplace_dissipation(h, lam: float, a) -> np.ndarray:
-    """The dissipation operator of the quadrature resolvent at ``a``.
-
-    D is linear in the map, so this is the Laplace transform of the
-    semigroup-level operators; it shares nothing with the algebraic
-    resolvent, so the identity with ``dissipation(resolvent(h, lam), a)``
-    stays checkable.
-    """
-    return dissipation(laplace_resolvent(h, lam), a)
-
-
 # ---------------------------------------------------------------------------
 # condition evaluation
 # ---------------------------------------------------------------------------
@@ -296,7 +284,7 @@ def _evaluate(h, condition_ids, probes: ProbeSet, config: RunConfig) -> dict:
         else:
             pool = np.stack(probes.selfadjoint if kind == "selfadjoint" else probes.unitaries)
             d = dissipation_batch(np.stack([phi.rep for _, _, phi in maps]).swapaxes(1, 2), pool)
-            margins = dissipation_margins(d.reshape(-1, *pool.shape[1:])).reshape(len(maps), -1)
+            margins = psd_margins(d.reshape(-1, *pool.shape[1:])).reshape(len(maps), -1)
         i, k = np.unravel_index(np.argmin(margins), margins.shape)
         ref = ProbeRef(*((None, None) if kind == "cone" else (kind, int(k))), maps[i][1])
         results[cid] = _condition_result(cid, grid, margins[i, k], ref, tol)
@@ -461,40 +449,3 @@ def theorem2_check(h, config: RunConfig = RunConfig()) -> Theorem2Report:
         unital_margin=unital_margin,
         direction_consistency=left_holds == right_holds,
     )
-
-
-def corollary1_check(h, config: RunConfig = RunConfig()) -> ConeVerdict:
-    """Unital contraction semigroups are positive; verified, then replayed.
-
-    Reads theorem2_check's report of the same handle.  Preconditions
-    (contractivity, unitality) failing raise HypothesisViolation.  A genuine
-    positivity violation after the preconditions pass -- or an evolved
-    spectrum escaping [0 - tol, 2 + tol] on normalized PSD probes --
-    contradicts the characterization and raises ConsistencyError.
-    """
-    h = _as_handle(h)
-    tol = config.tol("predicate")
-    t2 = theorem2_check(h, config)
-    if t2.unital_margin > tol:
-        raise HypothesisViolation(f"semigroup is not unital: deviation {t2.unital_margin:.3e}")
-    if t2.positive.status == VIOLATED:
-        raise ConsistencyError(
-            f"unital contraction semigroup shows a positivity violation of "
-            f"{t2.positive.margin:.3e}"
-        )
-
-    # replay the spectral argument: normalized PSD probes stay in [0, 2]
-    rng = np.random.default_rng(np.random.SeedSequence((config.seed, 43)))
-    for _ in range(config.n_states):
-        g = (rng.standard_normal((h.n, h.n)) + 1j * rng.standard_normal((h.n, h.n)))
-        a = g @ g.conj().T
-        a /= spectral_norm(a)
-        for t in config.t_grid:
-            out = apply(evolve(h, t), a)
-            w = np.linalg.eigvalsh((out + out.conj().T) / 2)
-            if w.min() < -tol or w.max() > 2.0 + tol:
-                raise ConsistencyError(
-                    f"evolved spectrum [{w.min():.3e}, {w.max():.3e}] escapes "
-                    f"[0, 2] at t={t:g}"
-                )
-    return t2.positive

@@ -27,11 +27,9 @@ from .semigroup import _as_handle, evolve
 from .superop import (
     NO_VIOLATION_FOUND,
     VIOLATED,
-    Superoperator,
     apply,
     apply_stack,
     devec,
-    hs_adjoint,
     vec,
 )
 
@@ -39,7 +37,7 @@ STATE_TOL = 1e-9
 _TRACE_TOL = 1e-10
 
 
-def _validated_states(a: np.ndarray, tol: float) -> np.ndarray:
+def _validated_states(a: np.ndarray) -> np.ndarray:
     """Validate a (m, n, n) stack of density matrices as one stack.
 
     The first state that fails raises, naming its first failing check and
@@ -49,20 +47,20 @@ def _validated_states(a: np.ndarray, tol: float) -> np.ndarray:
     herm_dev = np.abs(a - ah).max(axis=(-2, -1))
     min_eig = np.linalg.eigvalsh(0.5 * (a + ah))[:, 0]
     tr_dev = np.abs(np.trace(a, axis1=-2, axis2=-1) - 1.0)
-    bad = (herm_dev > tol) | (min_eig < -tol) | (tr_dev > _TRACE_TOL)
+    bad = (herm_dev > STATE_TOL) | (min_eig < -STATE_TOL) | (tr_dev > _TRACE_TOL)
     if bad.any():
         i = int(np.argmax(bad))
-        if herm_dev[i] > tol:
+        if herm_dev[i] > STATE_TOL:
             raise ValueError(f"state is not hermitian (deviation {herm_dev[i]:.3e})")
-        if min_eig[i] < -tol:
+        if min_eig[i] < -STATE_TOL:
             raise ValueError(f"state is not positive (min eigenvalue {min_eig[i]:.3e})")
         raise ValueError(f"state trace differs from 1 by {tr_dev[i]:.3e}")
     return frozen(a)
 
 
-def as_density(rho, tol: float = STATE_TOL) -> np.ndarray:
-    """Validate a density matrix: Hermitian, PSD at `tol`, unit trace."""
-    return _validated_states(as_matrix(rho)[None], tol)[0]
+def as_density(rho) -> np.ndarray:
+    """Validate a density matrix: Hermitian, PSD at ``STATE_TOL``, unit trace."""
+    return _validated_states(as_matrix(rho)[None])[0]
 
 
 @dataclass(frozen=True)
@@ -94,11 +92,6 @@ def purity(rho) -> float:
     return float(np.trace(a @ a.conj().T).real)
 
 
-def predual_generator(s: Superoperator) -> Superoperator:
-    """Generator of the state-side semigroup: the Hilbert-Schmidt adjoint."""
-    return hs_adjoint(s)
-
-
 def predual_evolve(gen, t: float, rho) -> np.ndarray:
     """Evolve a state: T_t^*(rho), the adjoint of the observable evolution."""
     h = _as_handle(gen)
@@ -107,11 +100,6 @@ def predual_evolve(gen, t: float, rho) -> np.ndarray:
         raise ValueError(f"state dimension {a.shape[0]} != generator dimension {h.n}")
     prop = evolve(h, t).rep
     return devec(prop.conj().T @ vec(a), h.n)
-
-
-def pairing(rho, a) -> complex:
-    """The duality pairing <rho, a> = Tr(rho^dag a)."""
-    return complex(np.trace(as_matrix(rho).conj().T @ as_matrix(a)))
 
 
 @dataclass(frozen=True)
@@ -150,7 +138,6 @@ def trace_preservation_check(
     states,
     t_grid=(0.5, 1.0, 2.0),
     tol: float = 1e-6,
-    state_tol: float = STATE_TOL,
 ) -> TracePreservationReport:
     """Check trace preservation of the predual against the unit-kill margin.
 
@@ -161,7 +148,7 @@ def trace_preservation_check(
     h = _as_handle(gen)
     if not len(states):
         raise ValueError("need at least one probe state")
-    probes = _validated_states(as_matrix_stack(states), STATE_TOL)
+    probes = _validated_states(as_matrix_stack(states))
     traces_in = np.trace(probes, axis1=1, axis2=2)
 
     trace_margin = 0.0
@@ -174,7 +161,7 @@ def trace_preservation_check(
         state_min = min(state_min, float(psd_margins(evolved).min()))
 
     unit_margin = float(spectral_norm(apply(h.generator, np.eye(h.n))))
-    state_status = NO_VIOLATION_FOUND if state_min >= -state_tol else VIOLATED
+    state_status = NO_VIOLATION_FOUND if state_min >= -STATE_TOL else VIOLATED
     consistent = (trace_margin <= tol) == (unit_margin <= tol)
     return TracePreservationReport(
         trace_margin=trace_margin,

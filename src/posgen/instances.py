@@ -9,7 +9,7 @@ generators regardless of call order or thread count.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -29,8 +29,6 @@ FAMILIES = (
 
 # substream tags keep the random_* constructors independent at equal seeds
 _TAG_HERMITIAN = 1
-_TAG_UNITARY = 2
-_TAG_DENSITY = 3
 _TAG_LINDBLAD = 4
 
 
@@ -161,14 +159,6 @@ def random_hermitian(n: int, seed: int, scale: float = 1.0) -> np.ndarray:
     return hermitian_from(_rng(seed, _TAG_HERMITIAN), n, scale)
 
 
-def random_unitary(n: int, seed: int) -> np.ndarray:
-    return unitary_from(_rng(seed, _TAG_UNITARY), n)
-
-
-def random_density(n: int, seed: int) -> np.ndarray:
-    return density_from(_rng(seed, _TAG_DENSITY), n)
-
-
 def random_lindblad(n: int, k: int, seed: int, scale: float = 4.0) -> GeneratorSpec:
     """Random Lindblad generator rescaled so the map norm stays <= scale.
 
@@ -207,6 +197,12 @@ class InstanceRecipe:
             )
         if self.n < 1:
             raise SchemaError("instance dimension must be >= 1")
+        if self.n < 2 and self.family in ("dephasing", "flip_nonpositive"):
+            raise SchemaError(f"family {self.family!r} needs n >= 2")
+        if self.k < 0:
+            raise SchemaError(f"need k >= 0 dissipators, got {self.k}")
+        if not (np.isfinite(self.scale) and self.scale > 0):
+            raise SchemaError(f"scale must be finite and > 0, got {self.scale}")
 
     def to_json(self) -> dict:
         return {

@@ -103,35 +103,6 @@ class CMatrix:
         return cls(re + 1j * im)
 
 
-@dataclass(frozen=True)
-class ElementFlags:
-    """Result of classify_element: algebraic class membership with margins."""
-
-    hermitian: bool
-    psd: bool
-    unitary: bool
-    min_eig: float | None  # least eigenvalue; only meaningful when hermitian
-
-
-def classify_element(x, tol: float = DEFAULT_TOL) -> ElementFlags:
-    """Classify ``x`` as hermitian / positive semidefinite / unitary at ``tol``.
-
-    Hermiticity and unitarity are entrywise max-norm checks; psd additionally
-    requires the least eigenvalue to clear ``-tol``.
-    """
-    a = as_matrix(x)
-    n = a.shape[0]
-    hermitian = max_entry(a - a.conj().T) <= tol
-    if hermitian:
-        min_eig = float(np.linalg.eigvalsh(hermitian_part(a))[0])
-        psd = min_eig >= -tol
-    else:
-        min_eig = None
-        psd = False
-    unitary = max_entry(a.conj().T @ a - np.eye(n)) <= tol
-    return ElementFlags(hermitian=hermitian, psd=psd, unitary=unitary, min_eig=min_eig)
-
-
 # Higham (2005), "The scaling and squaring method for the matrix exponential
 # revisited", SIAM J. Matrix Anal. Appl. 26: the coefficients b_0..b_13 of the
 # [13/13] Pade approximant, and the 1-norm theta_13 up to which it needs no

@@ -216,11 +216,6 @@ def _as_handle(h) -> SemigroupHandle:
     return h if isinstance(h, SemigroupHandle) else SemigroupHandle(h)
 
 
-def spectral_abscissa(gen) -> float:
-    """Largest real part in the generator's spectrum."""
-    return _as_handle(gen).spectral_abscissa
-
-
 def _finite_map(n: int, rep: np.ndarray, what: str) -> Superoperator:
     if not np.isfinite(rep).all():
         raise PropagatorOverflow(f"{what} overflows double precision")

@@ -122,17 +122,6 @@ def transpose_map(n: int) -> Superoperator:
     return Superoperator(n, rep)
 
 
-def from_function(n: int, f) -> Superoperator:
-    """Build the rep of a map from a callable, one matrix unit at a time."""
-    rep = np.zeros((n * n, n * n), dtype=complex)
-    for j in range(n):
-        for i in range(n):
-            e = np.zeros((n, n), dtype=complex)
-            e[i, j] = 1.0
-            rep[:, i + n * j] = vec(as_matrix(f(e)))
-    return Superoperator(n, rep)
-
-
 def apply(s: Superoperator, x) -> np.ndarray:
     x = as_matrix(x)
     if x.shape[0] != s.n:
@@ -161,22 +150,6 @@ def compose(s1: Superoperator, s2: Superoperator) -> Superoperator:
     if s1.n != s2.n:
         raise DimensionMismatch("cannot compose maps on different algebras")
     return Superoperator(s1.n, s1.rep @ s2.rep)
-
-
-def scale(s: Superoperator, c: complex) -> Superoperator:
-    return Superoperator(s.n, c * s.rep)
-
-
-def add(s1: Superoperator, s2: Superoperator) -> Superoperator:
-    if s1.n != s2.n:
-        raise DimensionMismatch("cannot add maps on different algebras")
-    return Superoperator(s1.n, s1.rep + s2.rep)
-
-
-def subtract(s1: Superoperator, s2: Superoperator) -> Superoperator:
-    if s1.n != s2.n:
-        raise DimensionMismatch("cannot subtract maps on different algebras")
-    return Superoperator(s1.n, s1.rep - s2.rep)
 
 
 def hs_adjoint(s: Superoperator) -> Superoperator:

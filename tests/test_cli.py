@@ -55,6 +55,17 @@ def plus_state_file(tmp_path):
     return str(path)
 
 
+# recipes that fail validation, from both commands that build one
+BAD_RECIPES = [
+    (["instance", "dephasing", "-n", "1"], "needs n >= 2"),
+    (["instance", "flip_nonpositive", "-n", "1"], "needs n >= 2"),
+    (["fuzz", "dephasing", "1", "-n", "1"], "needs n >= 2"),
+    (["instance", "lindblad", "-n", "2", "--ops", "-1"], "k >= 0"),
+    (["instance", "lindblad", "-n", "2", "--scale", "-1"], "scale must be finite and > 0"),
+    (["instance", "lindblad", "-n", "2", "--scale", "nan"], "scale must be finite and > 0"),
+]
+
+
 class TestInstance:
     def test_emits_loadable_generator(self, capsys):
         assert main(["instance", "dephasing", "-n", "3"]) == 0
@@ -66,6 +77,15 @@ class TestInstance:
     def test_unknown_family(self, capsys):
         assert main(["instance", "bogus"]) == 1
         assert "unknown family" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv,message", BAD_RECIPES, ids=[" ".join(a) for a, _ in BAD_RECIPES])
+    def test_bad_recipe_exits_1(self, argv, message, capsys):
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("posgen: error:")
+        assert "Traceback" not in captured.err
+        assert message in captured.err
 
     def test_seed_changes_lindblad(self, capsys):
         main(["instance", "lindblad", "--seed", "1"])
@@ -204,8 +224,13 @@ class TestEvolve:
         assert "8.000e-01" in err  # margin diagnostic
 
     def test_negative_time(self, deph_file, plus_state_file, capsys):
-        assert main(["evolve", deph_file, plus_state_file, "-t", "-1"]) == 1
-        assert ">= 0" in capsys.readouterr().err
+        for t, message in (("-1", ">= 0"), ("nan", "finite"), ("inf", "finite")):
+            assert main(["evolve", deph_file, plus_state_file, "-t", t]) == 1
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err.startswith("posgen: error:")
+            assert "Traceback" not in captured.err
+            assert message in captured.err
 
     def test_dimension_mismatch(self, plus_state_file, tmp_path, capsys):
         path = tmp_path / "deph3.json"

@@ -10,31 +10,29 @@ from posgen.criteria import (
     CONDITION_IDS,
     ProbeSet,
     check_condition,
-    corollary1_check,
     dissipation,
     dissipation_batch,
-    dissipation_margins,
-    laplace_dissipation,
     theorem1_report,
     theorem2_check,
 )
-from posgen.errors import ConsistencyError, HypothesisViolation
+from posgen.errors import HypothesisViolation
 from posgen.instances import (
     dephasing,
     flip_nonpositive,
     lindblad,
     random_hermitian,
     random_lindblad,
-    random_unitary,
     transpose_mixing,
+    unitary_from,
 )
-from posgen.matrixcore import mat_exp
+from posgen.matrixcore import mat_exp, psd_margins
 from posgen.semigroup import (
     GeneratorSpec,
     SemigroupHandle,
     build_superoperator,
     evolve,
     lambda_grid,
+    laplace_resolvent,
     resolvent,
 )
 from posgen.superop import (
@@ -100,7 +98,7 @@ class TestDissipationKernels:
     def test_zero_generator_all_zero(self):
         h = SemigroupHandle(Superoperator(2, np.zeros((4, 4), dtype=complex)))
         a = random_hermitian(2, seed=1)
-        u = random_unitary(2, seed=1)
+        u = unitary_from(np.random.default_rng(1), 2)
         assert np.abs(dissipation(resolvent(h, 1.0), a)).max() <= 1e-12
         assert np.abs(dissipation(resolvent(h, 1.0), u)).max() <= 1e-12
         assert np.abs(dissipation(evolve(h, 1.0), a)).max() <= 1e-12
@@ -151,7 +149,7 @@ class TestDissipationKernels:
         u = mat_exp(1j * t * hmat)
         ta = u @ a @ u.conj().T
         assert np.abs(d - (ta - a) @ (ta - a)).max() <= 1e-12
-        assert dissipation_margins(d[None])[0] >= -1e-12
+        assert psd_margins(d[None])[0] >= -1e-12
 
     def test_flip_generator_regression(self):
         d = dissipation(handle(flip_nonpositive(2)).generator, E00)
@@ -188,13 +186,13 @@ class TestLaplaceBridge:
             h = handle(spec)
             a = random_hermitian(h.n, seed=7)
             for lam in (2.0, 10.0):
-                via_quad = laplace_dissipation(h, lam, a)
+                via_quad = dissipation(laplace_resolvent(h, lam), a)
                 direct = dissipation(resolvent(h, lam), a)
                 assert np.abs(via_quad - direct).max() <= 1e-6
 
     def test_flip_bridge_above_abscissa(self):
         h = handle(flip_nonpositive(2))
-        via_quad = laplace_dissipation(h, 5.0, E00)
+        via_quad = dissipation(laplace_resolvent(h, 5.0), E00)
         direct = dissipation(resolvent(h, 5.0), E00)
         assert np.abs(via_quad - direct).max() <= 1e-6
 
@@ -284,7 +282,7 @@ class TestCheckCondition:
         ref = res5.worst_probe
         probe = probes.selfadjoint[ref.index]
         d = dissipation(evolve(h, ref.grid_value), probe)
-        assert dissipation_margins(d[None])[0] == pytest.approx(
+        assert psd_margins(d[None])[0] == pytest.approx(
             res5.min_margin, rel=1e-12, abs=1e-12
         )
 
@@ -413,11 +411,6 @@ class TestStackedConeSearches:
         try:
             out.append(json.dumps(theorem2_check(handle(gen), config).to_json()))
         except HypothesisViolation as exc:
-            out.append(str(exc))
-        try:
-            cone = corollary1_check(handle(gen), config)
-            out.append((cone.status, cone.margin, cone.samples_used))
-        except (HypothesisViolation, ConsistencyError) as exc:
             out.append(str(exc))
         return out
 
@@ -596,7 +589,7 @@ class TestConditionTable:
             best, worst = math.inf, None
             for g, phi in maps:
                 for k, a in enumerate(pools[kind]):
-                    margin = float(dissipation_margins(dissipation(phi, a)[None])[0])
+                    margin = float(psd_margins(dissipation(phi, a)[None])[0])
                     if margin < best:
                         best, worst = margin, {"kind": kind, "index": k, "grid_value": g}
             want = {
@@ -620,30 +613,3 @@ class TestConditionTable:
             row = dissipation_batch(phi.rep.T, stack)[0]
             assert np.abs(got - row).max() <= 1e-13 * np.abs(row).max()
             assert not got.flags.writeable
-
-
-class TestCorollary1:
-    def test_unitary_conjugation(self):
-        hmat = random_hermitian(2, seed=16)
-        verdict = corollary1_check(handle(lindblad(hmat, [])), small_config())
-        assert verdict.status == CERTIFIED_POSITIVE
-        assert verdict.margin >= -1e-12
-
-    def test_lindblad(self):
-        verdict = corollary1_check(handle(random_lindblad(3, 2, seed=17)), small_config())
-        assert verdict.status == CERTIFIED_POSITIVE
-
-    def test_transpose_mixing(self):
-        spec = transpose_mixing(random_lindblad(2, 1, seed=18, scale=0.5))
-        verdict = corollary1_check(handle(spec), small_config())
-        assert verdict.status == NO_VIOLATION_FOUND
-        assert verdict.margin >= -1e-9
-
-    def test_flip_rejected_at_hypothesis(self):
-        with pytest.raises(HypothesisViolation, match="contract"):
-            corollary1_check(handle(flip_nonpositive(2)), small_config())
-
-    def test_decay_rejected_at_unitality(self):
-        h = SemigroupHandle(Superoperator(2, -np.eye(4, dtype=complex)))
-        with pytest.raises(HypothesisViolation, match="unital"):
-            corollary1_check(h, small_config())

@@ -10,22 +10,16 @@ from posgen.instances import (
     InstanceRecipe,
     build,
     dephasing,
+    density_from,
     flip_nonpositive,
     lindblad,
-    random_density,
     random_hermitian,
     random_lindblad,
-    random_unitary,
     transpose_conjugated,
     transpose_mixing,
+    unitary_from,
 )
-from posgen.matrixcore import classify_element
-from posgen.semigroup import (
-    SemigroupHandle,
-    build_superoperator,
-    evolve,
-    spectral_abscissa,
-)
+from posgen.semigroup import SemigroupHandle, build_superoperator, evolve
 from posgen.superop import (
     CERTIFIED_POSITIVE,
     apply,
@@ -56,9 +50,8 @@ class TestDephasing:
             assert np.abs(apply(s, d)).max() <= 1e-12
 
     def test_abscissa_zero(self):
-        assert spectral_abscissa(build_superoperator(dephasing(3))) == pytest.approx(
-            0.0, abs=1e-12
-        )
+        h = SemigroupHandle(build_superoperator(dephasing(3)))
+        assert h.spectral_abscissa == pytest.approx(0.0, abs=1e-12)
 
 
 class TestFlip:
@@ -79,12 +72,9 @@ class TestFlip:
         assert w.min() == pytest.approx(-3.1945280494653251, abs=1e-10)
 
     def test_abscissa_scales(self):
-        assert spectral_abscissa(build_superoperator(flip_nonpositive(2))) == (
-            pytest.approx(2.0, abs=1e-12)
-        )
-        assert spectral_abscissa(
-            build_superoperator(flip_nonpositive(2, scale=0.5))
-        ) == pytest.approx(1.0, abs=1e-12)
+        for scale, abscissa in ((1.0, 2.0), (0.5, 1.0)):
+            h = SemigroupHandle(build_superoperator(flip_nonpositive(2, scale)))
+            assert h.spectral_abscissa == pytest.approx(abscissa, abs=1e-12)
 
 
 class TestTransposeConjugated:
@@ -171,34 +161,37 @@ class TestTransposeMixing:
 class TestRandomConstructors:
     def test_hermitian(self):
         m = random_hermitian(3, seed=5)
-        assert classify_element(m).hermitian
+        assert np.abs(m - m.conj().T).max() <= 1e-9
         assert np.array_equal(random_hermitian(3, seed=5), m)
         assert np.array_equal(random_hermitian(3, seed=5, scale=2.0), 2.0 * m)
 
     def test_unitary(self):
-        for seed in range(10):
-            u = random_unitary(3, seed)
-            flags = classify_element(u, tol=1e-10)
-            assert flags.unitary
-        assert np.array_equal(random_unitary(3, 0), random_unitary(3, 0))
+        us = unitary_from(np.random.default_rng(0), 3, k=10)
+        assert np.abs(us.conj().swapaxes(1, 2) @ us - np.eye(3)).max() <= 1e-10
+        # a stack holds the matrices that single draws give, in order
+        rng = np.random.default_rng(0)
+        assert np.array_equal(us, [unitary_from(rng, 3) for _ in range(10)])
 
     def test_unitary_haar_first_entry(self):
         # |u_11|^2 is uniform on [0,1] for Haar U(2): mean 1/2, var 1/12
-        vals = np.array([abs(random_unitary(2, s)[0, 0]) ** 2 for s in range(10_000)])
+        vals = np.abs(unitary_from(np.random.default_rng(0), 2, k=10_000)[:, 0, 0]) ** 2
         se = math.sqrt(1 / 12 / len(vals))
         assert abs(vals.mean() - 0.5) <= 3 * se
 
     def test_density(self):
-        rho = random_density(4, seed=7)
-        flags = classify_element(rho, tol=1e-9)
-        assert flags.psd
-        assert np.trace(rho).real == pytest.approx(1.0, abs=1e-12)
-        assert np.array_equal(random_density(4, seed=7), rho)
+        rhos = density_from(np.random.default_rng(7), 4, k=3)
+        assert np.abs(rhos - rhos.conj().swapaxes(1, 2)).max() <= 1e-9
+        assert np.linalg.eigvalsh(rhos).min() >= -1e-9
+        assert np.trace(rhos, axis1=1, axis2=2).real == pytest.approx(1.0, abs=1e-12)
+        rng = np.random.default_rng(7)
+        assert np.array_equal(rhos, [density_from(rng, 4) for _ in range(3)])
 
     def test_streams_are_independent(self):
+        # at n = 2, k = 1 the Lindblad Hamiltonian is not rescaled, so equal
+        # substreams would draw it equal to the Hermitian one
         h = random_hermitian(2, seed=3)
-        u = random_unitary(2, seed=3)
-        assert not np.allclose(h, u)
+        spec = random_lindblad(2, 1, seed=3)
+        assert not np.allclose(h, spec.hamiltonian)
 
     def test_lindblad_norm_capped(self):
         for seed in range(5):
@@ -237,6 +230,20 @@ class TestRecipe:
     def test_unknown_family_rejected(self):
         with pytest.raises(SchemaError, match="family"):
             InstanceRecipe(family="bogus", n=2)
+
+    @pytest.mark.parametrize("fields", [
+        {"family": "dephasing", "n": 1},
+        {"family": "flip_nonpositive", "n": 1},
+        {"family": "lindblad", "n": 2, "k": -1},
+        {"family": "lindblad", "n": 2, "scale": -1.0},
+        {"family": "lindblad", "n": 2, "scale": 0.0},
+        {"family": "hamiltonian", "n": 2, "scale": math.inf},
+        {"family": "hamiltonian", "n": 2, "scale": math.nan},
+    ], ids=str)
+    def test_unbuildable_recipe_rejected(self, fields):
+        # from_json and both commands build recipes through the same checks
+        with pytest.raises(SchemaError):
+            InstanceRecipe.from_json(fields)
 
     def test_unknown_field_rejected(self):
         with pytest.raises(SchemaError, match="unknown"):

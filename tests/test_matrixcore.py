@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 from posgen.errors import DimensionMismatch, SchemaError
 from posgen.matrixcore import (
     CMatrix,
-    classify_element,
+    as_matrix,
     mat_exp,
     spectral_norm,
 )
@@ -28,39 +28,14 @@ def exp_series(m, terms=60):
     return acc
 
 
-class TestClassify:
-    def test_identity(self):
-        flags = classify_element(np.eye(2))
-        assert flags.hermitian and flags.psd and flags.unitary
-        assert flags.min_eig == pytest.approx(1.0, abs=1e-12)
-
-    def test_sigma_z_is_hermitian_unitary_not_psd(self):
-        flags = classify_element(np.diag([1.0, -1.0]))
-        assert flags.hermitian and flags.unitary
-        assert not flags.psd
-        assert flags.min_eig == pytest.approx(-1.0, abs=1e-12)
-
-    def test_nilpotent_is_nothing(self):
-        flags = classify_element(np.array([[0.0, 1.0], [0.0, 0.0]]))
-        assert not flags.hermitian and not flags.psd and not flags.unitary
-        assert flags.min_eig is None
-
+class TestAsMatrix:
     def test_non_square_rejected(self):
         with pytest.raises(DimensionMismatch):
-            classify_element(np.zeros((2, 3)))
+            as_matrix(np.zeros((2, 3)))
 
     def test_non_finite_rejected(self):
         with pytest.raises(ValueError):
-            classify_element(np.array([[np.inf, 0.0], [0.0, 1.0]]))
-
-    @given(st.integers(0, 2**32 - 1), st.integers(2, 6))
-    @settings(max_examples=25, deadline=None)
-    def test_random_hermitian_classified(self, seed, n):
-        rng = np.random.default_rng(seed)
-        g = rand_complex(rng, n, n)
-        a = (g + g.conj().T) / 2
-        flags = classify_element(a)
-        assert flags.hermitian
+            as_matrix(np.array([[np.inf, 0.0], [0.0, 1.0]]))
 
 
 class TestMatExp:

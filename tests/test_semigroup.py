@@ -14,12 +14,12 @@ from posgen.semigroup import (
     GeneratorSpec,
     SemigroupHandle,
     build_superoperator,
+    decay_horizon,
     euler_product,
     evolve,
     laplace_resolvent,
     lindblad_rep,
     resolvent,
-    spectral_abscissa,
     yosida_generator,
     yosida_semigroup,
 )
@@ -228,6 +228,29 @@ class TestLaplace:
         with pytest.raises(DecayFailureError):
             laplace_resolvent(flip_handle(), 1.0)
 
+    def test_decay_horizon(self):
+        # at the horizon T the tail bound e^{-gap T} / gap is 1e-10, unless
+        # the floor T >= 1e-2 binds; within 1e-9 of the abscissa nothing decays
+        shifted = SemigroupHandle(Superoperator(2, -3.0 * np.eye(4)))
+        for h in (zero_gen(), dephasing_handle(), flip_handle(), shifted):
+            a = h.spectral_abscissa
+            floored = 0
+            for gap in (1e-8, 1e-4, 1e-2, 0.5, 3.0, 1e3, 1e6, 1e12):
+                lam = a + gap
+                t_star = decay_horizon(h, lam)
+                assert t_star >= 1e-2
+                if t_star == 1e-2:
+                    floored += 1
+                else:
+                    seen = lam - a  # the gap as decay_horizon rounds it
+                    assert np.exp(-seen * t_star) / seen == pytest.approx(1e-10, rel=1e-12)
+            assert floored == 2
+            for lam in (a - 1.0, a, a + 5e-10):
+                with pytest.raises(DecayFailureError):
+                    decay_horizon(h, lam)
+        with pytest.raises(DecayFailureError):
+            decay_horizon(zero_gen(), 1e-9)
+
     @pytest.mark.parametrize("n, shapes", [
         (3, [(512, 9, 9)]),  # 512 * 81 entries fit in one stacked call
         (6, [(47, 36, 36)] * 6 + [(46, 36, 36)] * 5),  # 11 calls of <= 2^16 entries
@@ -325,9 +348,9 @@ class TestYosida:
 
 class TestSpectralData:
     def test_abscissa_values(self):
-        assert spectral_abscissa(zero_gen()) == pytest.approx(0.0, abs=1e-12)
-        assert spectral_abscissa(dephasing_handle()) == pytest.approx(0.0, abs=1e-12)
-        assert spectral_abscissa(flip_handle()) == pytest.approx(2.0, abs=1e-12)
+        assert zero_gen().spectral_abscissa == pytest.approx(0.0, abs=1e-12)
+        assert dephasing_handle().spectral_abscissa == pytest.approx(0.0, abs=1e-12)
+        assert flip_handle().spectral_abscissa == pytest.approx(2.0, abs=1e-12)
 
     def test_flip_spectrum(self):
         h = flip_handle()

@@ -12,14 +12,12 @@ from posgen.superop import (
     Superoperator,
     apply,
     apply_stack,
-    add,
     choi_matrix,
     compose,
     conjugation,
     contraction_check,
     cp_check,
     devec,
-    from_function,
     hs_adjoint,
     identity_superop,
     is_symmetric_map,
@@ -27,8 +25,6 @@ from posgen.superop import (
     positivity_check,
     positivity_checks,
     sandwich,
-    scale,
-    subtract,
     transpose_map,
     vec,
 )
@@ -93,25 +89,11 @@ class TestAlgebra:
         left = compose(conjugation(u), conjugation(v))
         assert np.allclose(left.rep, conjugation(v @ u).rep, atol=1e-12)
 
-    def test_linear_ops(self):
-        rng = np.random.default_rng(3)
-        s1 = Superoperator(2, rand_complex(rng, 4, 4))
-        s2 = Superoperator(2, rand_complex(rng, 4, 4))
-        assert np.allclose(add(s1, s2).rep, s1.rep + s2.rep)
-        assert np.allclose(subtract(s1, s2).rep, s1.rep - s2.rep)
-        assert np.allclose(scale(s1, 2.5j).rep, 2.5j * s1.rep)
-
     def test_dimension_guard(self):
         with pytest.raises(DimensionMismatch):
             apply(identity_superop(2), np.eye(3))
         with pytest.raises(DimensionMismatch):
             compose(identity_superop(2), identity_superop(3))
-
-    def test_from_function_agrees_with_kron(self):
-        rng = np.random.default_rng(4)
-        a, b = rand_complex(rng, 3, 3), rand_complex(rng, 3, 3)
-        s = from_function(3, lambda x: a @ x @ b)
-        assert np.allclose(s.rep, sandwich(a, b).rep, atol=1e-12)
 
 
 class TestPredicates:
@@ -122,15 +104,15 @@ class TestPredicates:
         assert chk.verdict and chk.margin <= 1e-12
 
     def test_multiplication_by_i_is_not_symmetric(self):
-        chk = is_symmetric_map(scale(identity_superop(2), 1j))
+        chk = is_symmetric_map(Superoperator(2, 1j * np.eye(4)))
         assert not chk.verdict
         assert chk.margin == pytest.approx(2.0, abs=1e-12)
 
     def test_unital_examples(self):
         assert is_unital(identity_superop(3)).verdict
-        trace_map = from_function(2, lambda x: np.trace(x) * np.eye(2) / 2)
+        trace_map = Superoperator(2, np.outer(vec(np.eye(2)), vec(np.eye(2))) / 2)
         assert is_unital(trace_map).verdict
-        doubling = scale(identity_superop(2), 2.0)
+        doubling = Superoperator(2, 2.0 * np.eye(4))
         chk = is_unital(doubling)
         assert not chk.verdict
         assert chk.margin == pytest.approx(1.0, abs=1e-12)
@@ -157,7 +139,7 @@ class TestChoi:
         assert chk.min_choi_eig == pytest.approx(-1.0, abs=1e-10)
 
     def test_trace_map_choi(self):
-        s = from_function(2, lambda x: np.trace(x) * np.eye(2) / 2)
+        s = Superoperator(2, np.outer(vec(np.eye(2)), vec(np.eye(2))) / 2)
         assert np.allclose(choi_matrix(s), np.eye(4) / 2, atol=1e-14)
         assert cp_check(s).verdict
 
@@ -187,18 +169,19 @@ class TestPositivityCheck:
         assert out.margin >= -1e-12
 
     def test_negation_violated(self):
-        out = positivity_check(scale(identity_superop(2), -1.0))
+        out = positivity_check(Superoperator(2, -np.eye(4)))
         assert out.status == "violated"
         assert out.margin == pytest.approx(-1.0, abs=1e-10)
         assert out.witness is not None
 
     def test_skew_image_flagged(self):
-        out = positivity_check(scale(identity_superop(2), 1j))
+        out = positivity_check(Superoperator(2, 1j * np.eye(4)))
         assert out.status == "violated"
 
     def test_witness_reproduces_margin(self):
-        out = positivity_check(scale(identity_superop(3), -1.0))
-        m = apply(scale(identity_superop(3), -1.0), np.outer(out.witness, out.witness.conj()))
+        negation = Superoperator(3, -np.eye(9))
+        out = positivity_check(negation)
+        m = apply(negation, np.outer(out.witness, out.witness.conj()))
         re_eval = float(np.linalg.eigvalsh((m + m.conj().T) / 2)[0]) - np.abs(
             m - m.conj().T
         ).max()
@@ -207,12 +190,7 @@ class TestPositivityCheck:
     def test_descent_finds_hidden_direction(self):
         # S(x) = x - 3 * q x q with q a random rank-one projector: the global
         # minimum is exactly -2, attained only along the hidden direction w.
-        rng = np.random.default_rng(11)
-        w = rand_complex(rng, 4)
-        w /= np.linalg.norm(w)
-        q = np.outer(w, w.conj())
-        s = from_function(4, lambda x: x - 3.0 * (q @ x @ q))
-        out = positivity_check(s, seed=5)
+        out = positivity_check(hidden_direction_map(4, 11), seed=5)
         assert out.status == "violated"
         assert out.margin <= -2.0 + 1e-4
         assert out.margin >= -2.0 - 1e-9
@@ -253,7 +231,7 @@ def hidden_direction_map(n, seed):
     w = rand_complex(rng, n)
     w /= np.linalg.norm(w)
     q = np.outer(w, w.conj())
-    return from_function(n, lambda x: x - 3.0 * (q @ x @ q))
+    return Superoperator(n, np.eye(n * n) - 3.0 * sandwich(q, q).rep)
 
 
 def looped_positivity_check(s, seed, tol=1e-9):
@@ -315,9 +293,9 @@ class TestStackedPositivityChecks:
         return [
             identity_superop(n),
             transpose_map(n),
-            scale(identity_superop(n), -1.0),
+            Superoperator(n, -np.eye(n * n)),
             hidden_direction_map(n, 11),
-            scale(identity_superop(n), 1j),
+            Superoperator(n, 1j * np.eye(n * n)),
         ]
 
     @pytest.mark.parametrize("n", [2, 4])
@@ -350,7 +328,9 @@ class TestStackedPositivityChecks:
         # keep their verdicts; the others' margins are rounding noise, which
         # absolute tolerances judge differently at this scale
         maps = self.mixed_stack(n)
-        huge = positivity_checks([scale(m, 2.0 ** 600) for m in maps], [0] * len(maps))
+        huge = positivity_checks(
+            [Superoperator(m.n, 2.0 ** 600 * m.rep) for m in maps], [0] * len(maps)
+        )
         assert all(np.isfinite(v.margin) for v in huge)
         for a, b in zip(huge[2:], positivity_checks(maps[2:], [0] * 3)):
             assert a.status == b.status == "violated"
@@ -369,7 +349,8 @@ class TestStackedPositivityChecks:
         base = positivity_checks([phi], [0])[0]
         assert base.status == "violated"
         for k in range(-20, 21):
-            out = positivity_checks([scale(phi, 2.0 ** k)], [0], 2.0 ** k * DEFAULT_TOL)[0]
+            scaled = Superoperator(phi.n, 2.0 ** k * phi.rep)
+            out = positivity_checks([scaled], [0], 2.0 ** k * DEFAULT_TOL)[0]
             assert out.status == base.status
             assert out.margin == 2.0 ** k * base.margin
             assert out.witness.tobytes() == base.witness.tobytes()
@@ -377,7 +358,7 @@ class TestStackedPositivityChecks:
     def test_subnormal_maps_descend_at_a_finite_scale(self):
         # no finite power of two brings a largest entry of 2**-1060 to unit
         # scale; an infinite one turned the descent into NaN
-        tiny = scale(identity_superop(2), -(2.0 ** -1060))
+        tiny = Superoperator(2, -(2.0 ** -1060) * np.eye(4))
         with np.errstate(invalid="raise", over="raise"):
             out = positivity_checks([tiny], [0], 0.0)[0]
         assert out.status == "violated"
@@ -427,7 +408,7 @@ class TestContractionCheck:
         assert out.norm_lower_bound == pytest.approx(1.0, abs=1e-9)
 
     def test_doubling_violated(self):
-        out = contraction_check(scale(identity_superop(2), 2.0))
+        out = contraction_check(Superoperator(2, 2.0 * np.eye(4)))
         assert out.status == "violated"
         assert out.norm_lower_bound >= 2.0 - 1e-9
 

@@ -205,7 +205,10 @@ class CPCheck:
 
 
 def _cp_checks(reps: np.ndarray, n: int, tol: float):
-    """CP verdicts and least Choi eigenvalues of an (m, n^2, n^2) stack of reps."""
+    """CP verdicts and least Choi eigenvalues of an (m, n^2, n^2) stack of reps.
+
+    ``tol`` is one tolerance, or one per map.
+    """
     c = _choi_stack(reps, n)
     ch = c.conj().swapaxes(-1, -2)
     herm_dev = np.abs(c - ch).max(axis=(-2, -1))
@@ -335,13 +338,17 @@ def positivity_checks(maps, seeds, tol: float = DEFAULT_TOL) -> list:
     vectors (plus the standard basis and two structured vectors), drawn once
     per distinct seed, are scored by f for every map in one stacked call; each
     map's worst starters seed 30 steps of a seesaw over the trace pairing (see
-    ``_descend``), run on the map scaled by the power of two of its largest
-    entry, so the search does not depend on the map's scale.  The seesaws of
-    all maps run as one stacked descent.  A CP certificate (one stacked Choi
-    eigendecomposition for all maps) takes its map out of the stack: the
-    certificate already implies positivity, so only the cheap sampling pass
-    runs to report an honest margin.  The verdicts equal, bit for bit, those
-    of separate searches under each map's seed.
+    ``_descend``).  Each map is judged at unit scale, scaled by the power of
+    two that brings its largest entry into [1/2, 1): the seesaw runs on that
+    copy, and the CP certificate and the violation threshold compare against
+    ``tol`` divided by that power, which is ``tol`` on the copy.  So no
+    verdict depends on the map's scale; margins are reported at the map's
+    own scale.  The seesaws of all maps run as one stacked descent.  A CP
+    certificate (one stacked Choi eigendecomposition for all maps) takes its
+    map out of the stack: the certificate already implies positivity, so
+    only the cheap sampling pass runs to report an honest margin.  The
+    verdicts equal, bit for bit, those of separate searches under each map's
+    seed.
     """
     maps = list(maps)
     if not maps:
@@ -360,24 +367,27 @@ def positivity_checks(maps, seeds, tol: float = DEFAULT_TOL) -> list:
     fvals, _ = _f_batch(reps_t, starters)
     k = np.argmin(fvals, axis=1)
     best_val, best_vec = fvals[rows, k], starters[rows, k]
-    certified, _ = _cp_checks(reps, n, tol)
+    unit = _unit_scale(reps)
+    # tol on the unit-scale copy is tol / unit on the map, since scaling by a
+    # power of two is exact
+    unit_tol = tol / unit
+    certified, _ = _cp_checks(reps, n, unit_tol)
     live = np.flatnonzero(~certified)  # the maps that descend from their worst starters
 
     evals = np.full(len(maps), starters.shape[1])
     if len(live):
         first = starters[live[:, None], np.argsort(fvals[live], axis=1)[:, :_N_DESCENT]]
-        unit = _unit_scale(reps[live])
         vals, best_vec[live] = _descend(
-            reps[live] * unit[:, None, None], first, best_val[live] * unit, best_vec[live]
+            reps[live] * unit[live, None, None], first, best_val[live] * unit[live], best_vec[live]
         )
-        best_val[live] = vals / unit
+        best_val[live] = vals / unit[live]
         evals[live] += (_DESCENT_ITERS + 1) * _N_DESCENT
 
     # each map's final vector re-scored as its own row, so that a witness
     # reproduces its margin
     score = _f_batch(reps_t, best_vec[:, None])[0][:, 0]
     margin = np.where(best_val < score, best_val, score)  # min(), ties to score
-    violated = ~certified & (margin < -tol)
+    violated = ~certified & (margin < -unit_tol)
     margin[violated] = score[violated]
     status = np.select([certified, violated], [CERTIFIED_POSITIVE, VIOLATED], NO_VIOLATION_FOUND)
     return [
@@ -412,6 +422,9 @@ class ContractionVerdict:
     certified_contraction is only issued for symmetric unital CP maps -- whose
     norm is exactly one by the Russo-Dye fact -- and even then the sampled
     bound must not exceed 1 + tol; the fact is verified, never assumed.
+    A violated verdict carries the first bound that exceeds 1 + tol: the
+    sampled one when sampling already proves the map is no contraction,
+    otherwise the bound after the power ascent.
     """
 
     status: str
@@ -432,7 +445,11 @@ def contraction_check(
 
     The effort is fixed: the unit, 64 seeded Gaussian inputs and inputs built
     from the rep's top singular vectors are scored, then the best four climb
-    30 steps of a power ascent.  ``seed`` is the only per-call setting.
+    30 steps of a power ascent.  ``seed`` is the only per-call setting.  The
+    search stops at its first proof: when a sampled ratio already exceeds
+    ``1 + tol`` the map is returned as violated with that sampled bound, and
+    neither the certificate tests nor the ascent run.  The ascent only raises
+    the bound, so no verdict depends on the stop.
     """
     n = s.n
     rng = np.random.default_rng(np.random.SeedSequence((seed, 0xC0)))
@@ -447,10 +464,12 @@ def contraction_check(
     )
     ratios = _ratio_batch(s.rep, xs)
     bound = float(np.max(ratios))
+    if bound > 1.0 + tol:
+        return ContractionVerdict(VIOLATED, bound)
 
     symmetric = is_symmetric_map(s, tol).verdict
     unital = is_unital(s, tol).verdict
-    if symmetric and unital and cp_check(s, tol).verdict and bound <= 1.0 + tol:
+    if symmetric and unital and cp_check(s, tol).verdict:
         return ContractionVerdict(CERTIFIED_CONTRACTION, bound)
 
     v = xs[np.argsort(ratios)[::-1][:4]].copy()

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from posgen import criteria
+from posgen import criteria, superop
 from posgen.semigroup import lindblad_rep
 
 SX = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
@@ -45,3 +45,41 @@ def cone_searches(monkeypatch):
 
     monkeypatch.setattr(criteria, "positivity_checks", count)
     return searched
+
+
+def full_contraction_search(s, seed=0, tol=1e-9):
+    """Reference: the contraction search with no stop before its ascent.
+
+    Scores the unit, 64 seeded Gaussians and the rep's top singular
+    directions, tests the Russo-Dye certificate, then climbs 30 steps of a
+    power ascent from the best four whatever the sampled bound.  Returns the
+    largest sampled ratio and the verdict.
+    """
+    n = s.n
+    rng = np.random.default_rng(np.random.SeedSequence((seed, 0xC0)))
+    gauss = rng.standard_normal((64, n, n)) + 1j * rng.standard_normal((64, n, n))
+    _, _, vh = np.linalg.svd(s.rep)
+    tops = vh[: min(3, len(vh))].conj().reshape(-1, n, n).swapaxes(1, 2)
+    xs = np.concatenate(
+        [np.eye(n, dtype=complex)[None], gauss, tops, (tops + tops.conj().transpose(0, 2, 1)) / 2]
+    )
+    ratios = superop._ratio_batch(s.rep, xs)
+    sampled = bound = float(np.max(ratios))
+    if (
+        superop.is_symmetric_map(s, tol).verdict
+        and superop.is_unital(s, tol).verdict
+        and superop.cp_check(s, tol).verdict
+        and bound <= 1.0 + tol
+    ):
+        return sampled, superop.ContractionVerdict("certified_contraction", bound)
+    v = xs[np.argsort(ratios)[::-1][:4]].copy()
+    v /= np.linalg.norm(v, axis=(1, 2), keepdims=True)
+    for _ in range(30):
+        u, _, wh = np.linalg.svd(superop.apply_stack(s.rep.T, v))
+        v = superop.apply_stack(s.rep.conj(), u[:, :, :1] @ wh[:, :1, :])
+        norms = np.linalg.norm(v, axis=(1, 2), keepdims=True)
+        norms[norms == 0] = 1.0
+        v /= norms
+        bound = max(bound, float(np.max(superop._ratio_batch(s.rep, v))))
+    status = "violated" if bound > 1.0 + tol else "no_violation_found"
+    return sampled, superop.ContractionVerdict(status, bound)

@@ -46,7 +46,7 @@ from posgen.superop import (
     positivity_check,
 )
 
-from conftest import rand_complex, signed_rate_rep
+from conftest import full_contraction_search, rand_complex, signed_rate_rep
 
 E00 = np.diag([1.0, 0.0]).astype(complex)
 
@@ -373,6 +373,21 @@ class TestTheorem2:
     def test_flip_fails_contraction_hypothesis(self):
         with pytest.raises(HypothesisViolation, match="contract"):
             theorem2_check(handle(flip_nonpositive(2)), small_config())
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5])
+    def test_flip_message_equals_the_full_search(self, n, monkeypatch):
+        # the contraction search stops at its first sampled proof; the bound
+        # it prints is the one the search without that stop prints
+        config = RunConfig()
+        with pytest.raises(HypothesisViolation) as early:
+            theorem2_check(handle(flip_nonpositive(n)), config)
+        monkeypatch.setattr(
+            criteria, "contraction_check", lambda s, seed, tol: full_contraction_search(s, seed, tol)[1]
+        )
+        with pytest.raises(HypothesisViolation) as full:
+            theorem2_check(handle(flip_nonpositive(n)), config)
+        assert str(early.value) == str(full.value)
+        assert "at t=0.1" in str(early.value)
 
     def test_decay_clears_both_sides(self):
         # L = -id: a contraction semigroup that is neither unital nor

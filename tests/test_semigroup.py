@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from posgen import semigroup
+from posgen.duality import predual_evolve, trajectory_records
 from posgen.errors import (
     DecayFailureError,
     PropagatorOverflow,
@@ -63,7 +64,38 @@ def dephasing_evolved(t):
     )
 
 
+def kron_lindblad_rep(h, vs):
+    """Reference: the generator's rep summed from ``np.kron`` products."""
+    eye = np.eye(h.shape[0])
+    rep = 1j * (np.kron(eye, h) - np.kron(h.T, eye))
+    for v in vs:
+        w = v.conj().T @ v
+        rep = rep + np.kron(v.T, v.conj().T)
+        rep = rep - 0.5 * (np.kron(eye, w) + np.kron(w.T, eye))
+    return rep
+
+
 class TestBuild:
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_rep_equals_kron_products_bitwise(self, n):
+        # each entry of a Kronecker product is one product, so the rep matches
+        # the np.kron formula bit for bit, signed zeros included; a real
+        # Hamiltonian with no jump or an imaginary diagonal one makes -0.0s
+        # for n >= 2
+        rng = np.random.default_rng(n)
+        g = rand_complex(rng, n, n)
+        a = rng.standard_normal((n, n))
+        real_h = (a + a.T) / 2
+        cases = [((g + g.conj().T) / 2, [rand_complex(rng, n, n) for _ in range(k)]) for k in range(4)]
+        cases += [(real_h, []), (real_h, [1j * np.diag(rng.standard_normal(n))])]
+        negative_zeros = 0
+        for h, vs in cases:
+            rep = lindblad_rep(h, vs)
+            assert rep.tobytes() == kron_lindblad_rep(h, vs).tobytes()
+            parts = rep.view(float)
+            negative_zeros += int((np.signbit(parts) & (parts == 0)).sum())
+        assert negative_zeros > 0 or n == 1
+
     def test_dephasing_rep_is_diagonal(self):
         rep = lindblad_rep(np.zeros((2, 2)), [SZ])
         assert np.allclose(rep, np.diag([0.0, -2.0, -2.0, 0.0]), atol=1e-14)
@@ -101,6 +133,21 @@ class TestEvolve:
     def test_negative_time_rejected(self):
         with pytest.raises(ValueError, match="t >= 0"):
             evolve(zero_gen(), -0.1)
+
+    @pytest.mark.parametrize("t", [np.nan, np.inf, -np.inf])
+    def test_non_finite_time_rejected(self, t):
+        # a non-finite T_t is not an overflow: each entry point names the time
+        h = dephasing_handle()
+        rho = np.eye(2) / 2
+        calls = [
+            lambda: evolve(h, t),
+            lambda: h.evolve_rep(np.array([0.5, t])),
+            lambda: predual_evolve(h, t, rho),
+            lambda: trajectory_records(h, rho, [0.5, t]),
+        ]
+        for call in calls:
+            with pytest.raises(ValueError, match=f"finite, got t={t:g}$"):
+                call()
 
     def test_dephasing_closed_form(self):
         h = dephasing_handle()

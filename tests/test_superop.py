@@ -5,8 +5,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from posgen.errors import DimensionMismatch, SchemaError
+from posgen.instances import flip_nonpositive, random_lindblad, transpose_mixing
 from posgen.matrixcore import DEFAULT_TOL
-from posgen.semigroup import SemigroupHandle, resolvent
+from posgen.semigroup import SemigroupHandle, evolve, resolvent
 from posgen import superop
 from posgen.superop import (
     Superoperator,
@@ -29,7 +30,7 @@ from posgen.superop import (
     vec,
 )
 
-from conftest import SX, SZ, rand_complex, signed_rate_rep
+from conftest import SX, SZ, full_contraction_search, rand_complex, signed_rate_rep
 
 
 def choi_by_blocks(s):
@@ -240,7 +241,8 @@ def looped_positivity_check(s, seed, tol=1e-9):
     Its effort is written out: 64 random starters, the worst 8 alternating
     30 times between w = least eigenvector of herm S(vv*) and v = least
     eigenvector of herm S^*(ww*), on a copy of S scaled by the power of two
-    that brings its largest entry into [1/2, 1).
+    that brings its largest entry into [1/2, 1).  The CP certificate and the
+    violation threshold judge that copy too.
     """
     n = s.n
 
@@ -260,10 +262,10 @@ def looped_positivity_check(s, seed, tol=1e-9):
     evals = len(starters)
     best_val = float(fvals.min())
     best_vec = starters[int(np.argmin(fvals))]
-    certified = cp_check(s, tol).verdict
+    unit = 2.0 ** min(-np.frexp(np.abs(s.rep).max())[1], 1023)
+    rep = s.rep * unit
+    certified = cp_check(Superoperator(n, rep), tol).verdict
     if not certified:
-        unit = 2.0 ** min(-np.frexp(np.abs(s.rep).max())[1], 1023)
-        rep = s.rep * unit
         best_val *= unit
         v = starters[np.argsort(fvals)[:8]].copy()
         for it in range(30 + 1):
@@ -283,7 +285,7 @@ def looped_positivity_check(s, seed, tol=1e-9):
     margin = min(rescored, best_val)
     if certified:
         return superop.ConeVerdict("certified_positive", margin, evals)
-    if margin < -tol:
+    if margin * unit < -tol:
         return superop.ConeVerdict("violated", rescored, evals, best_vec)
     return superop.ConeVerdict("no_violation_found", margin, evals)
 
@@ -355,6 +357,24 @@ class TestStackedPositivityChecks:
             assert out.margin == 2.0 ** k * base.margin
             assert out.witness.tobytes() == base.witness.tobytes()
 
+    @pytest.mark.parametrize(
+        "base, k, status",
+        [
+            (identity_superop(4), 600, "certified_positive"),
+            (transpose_map(2), 600, "no_violation_found"),
+            (transpose_map(2), -600, "no_violation_found"),
+        ],
+    )
+    def test_verdicts_do_not_depend_on_the_scale(self, base, k, status):
+        # the certificate and the violation threshold judge the map at unit
+        # scale: at 2**600 rounding noise of the Choi matrix and of the
+        # descent's values is far beyond an absolute tol, at 2**-600 the
+        # transpose's Choi eigenvalue -2**-600 is far inside it
+        assert positivity_checks([base], [0])[0].status == status
+        out = positivity_checks([Superoperator(base.n, 2.0**k * base.rep)], [0])[0]
+        assert out.status == status
+        assert out.witness is None
+
     def test_subnormal_maps_descend_at_a_finite_scale(self):
         # no finite power of two brings a largest entry of 2**-1060 to unit
         # scale; an infinite one turned the descent into NaN
@@ -416,6 +436,49 @@ class TestContractionCheck:
         out = contraction_check(transpose_map(3))
         assert out.status == "no_violation_found"
         assert out.norm_lower_bound == pytest.approx(1.0, abs=1e-9)
+
+    def test_sampled_proof_skips_the_ascent(self, monkeypatch):
+        t_01 = evolve(SemigroupHandle(flip_nonpositive(3)), 0.1)
+        sampled, full = full_contraction_search(t_01)
+        calls = []
+        svd = np.linalg.svd
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return svd(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", counted)
+        out = contraction_check(t_01)
+        # one SVD of the rep and two for the sampled ratios; the ascent would
+        # add three per step
+        assert len(calls) == 3
+        assert out.status == full.status == "violated"
+        assert out.norm_lower_bound == sampled
+
+    @pytest.mark.parametrize("seed", [0, 5])
+    @pytest.mark.parametrize(
+        "which", ["conjugation", "lindblad", "transpose", "transpose_mixing", "flip", "doubling"]
+    )
+    def test_verdicts_equal_the_full_search(self, which, seed):
+        rng = np.random.default_rng(7)
+        maps = {
+            "conjugation": lambda: conjugation(np.linalg.qr(rand_complex(rng, 3, 3))[0]),
+            "lindblad": lambda: evolve(SemigroupHandle(random_lindblad(3, 2, seed=4)), 0.5),
+            "transpose": lambda: transpose_map(3),
+            "transpose_mixing": lambda: evolve(
+                SemigroupHandle(transpose_mixing(random_lindblad(3, 1, seed=15, scale=0.5))), 1.0
+            ),
+            "flip": lambda: evolve(SemigroupHandle(flip_nonpositive(4)), 0.1),
+            "doubling": lambda: Superoperator(2, 2.0 * np.eye(4)),
+        }
+        s = maps[which]()
+        sampled, full = full_contraction_search(s, seed)
+        out = contraction_check(s, seed)
+        assert out.status == full.status
+        if out.status == "violated":
+            assert out.norm_lower_bound == sampled <= full.norm_lower_bound
+        else:
+            assert out.norm_lower_bound == full.norm_lower_bound
 
 
 class TestHsAdjoint:

@@ -31,6 +31,7 @@ from .errors import (
     DimensionMismatch,
     HypothesisViolation,
     PropagatorOverflow,
+    ResolventPoleError,
     SchemaError,
 )
 from .instances import FAMILIES, InstanceRecipe, build, density_from
@@ -402,7 +403,7 @@ def main(argv=None) -> int:
         except _CliError as exc:
             print(f"posgen: error: {exc}", file=sys.stderr)
             return 1
-        except (SchemaError, DimensionMismatch, PropagatorOverflow) as exc:
+        except (SchemaError, DimensionMismatch, PropagatorOverflow, ResolventPoleError) as exc:
             print(f"posgen: error: {exc}", file=sys.stderr)
             return 1
         except ConsistencyError as exc:

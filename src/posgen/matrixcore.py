@@ -16,6 +16,13 @@ from .errors import DimensionMismatch, SchemaError
 DEFAULT_TOL = 1e-9
 
 
+def json_dimension(n) -> int:
+    """Field 'n' of a JSON payload: a positive integer, and not a JSON boolean."""
+    if isinstance(n, bool) or not isinstance(n, int) or n < 1:
+        raise SchemaError("field 'n' must be a positive integer")
+    return n
+
+
 def as_matrix(x) -> np.ndarray:
     """Coerce ``x`` to a square complex ndarray, validating shape and finiteness."""
     a = x.a if isinstance(x, CMatrix) else np.asarray(x, dtype=complex)
@@ -86,9 +93,7 @@ class CMatrix:
         for field in ("n", "re", "im"):
             if field not in obj:
                 raise SchemaError(f"matrix payload missing field '{field}'")
-        n = obj["n"]
-        if not isinstance(n, int) or n < 1:
-            raise SchemaError("field 'n' must be a positive integer")
+        n = json_dimension(obj["n"])
         try:
             re = np.asarray(obj["re"], dtype=float)
             im = np.asarray(obj["im"], dtype=float)

@@ -2,8 +2,8 @@
 
 A generator is described either explicitly (by its superoperator matrix) or
 by Hamiltonian / Lindblad payloads, from which the superoperator is built and
-checked at construction time.  A :class:`SemigroupHandle` caches spectral data
-so that evaluating the semigroup on a grid of times is cheap.
+checked at construction time.  A :class:`SemigroupHandle` memoizes the maps
+built from its generator, so each T_t and R_lam is computed once.
 """
 from __future__ import annotations
 
@@ -20,7 +20,7 @@ from .errors import (
     ResolventPoleError,
     SchemaError,
 )
-from .matrixcore import CMatrix, as_matrix, frozen, mat_exp, max_entry
+from .matrixcore import CMatrix, as_matrix, frozen, json_dimension, mat_exp, max_entry
 from .superop import Superoperator, identity_superop, is_symmetric_map, vec
 
 GENERATOR_KINDS = ("explicit", "hamiltonian", "lindblad")
@@ -28,12 +28,8 @@ GENERATOR_KINDS = ("explicit", "hamiltonian", "lindblad")
 # Construction-time guarantees for hamiltonian/lindblad payloads.
 _BUILD_TOL = 1e-12
 
-# Eigenvector condition number above which the cached-diagonalization fast
-# path is abandoned in favor of the Pade exponential.
-_EIG_COND_LIMIT = 1e4
-
-# Matrix entries per stacked mat_exp call on that fallback path (1 MiB of
-# complex entries per temporary).
+# Matrix entries per stacked mat_exp call (1 MiB of complex entries per
+# temporary).
 _EXP_CHUNK = 1 << 16
 
 _POLE_GAP = 1e-9
@@ -126,9 +122,7 @@ class GeneratorSpec:
             if extra:
                 parts.append(f"unknown field(s) {extra}")
             raise SchemaError(f"generator kind '{kind}': " + ", ".join(parts))
-        n = obj["n"]
-        if not isinstance(n, int) or n < 1:
-            raise SchemaError("field 'n' must be a positive integer")
+        n = json_dimension(obj["n"])
         if kind == "explicit":
             return cls(kind=kind, n=n, superop=Superoperator.from_json(obj["superop"]))
         h = CMatrix.from_json(obj["H"]).a
@@ -162,44 +156,30 @@ def build_superoperator(spec: GeneratorSpec) -> Superoperator:
 
 
 class SemigroupHandle:
-    """A generator plus cached spectral data for fast e^{tL} evaluation.
+    """A generator, its spectrum, and memos of the maps built from it.
 
-    Diagonalizable generators (eigenvector condition number below 1e4) use the
-    cached eigendecomposition for every time point, which also serves the
-    quadrature routes' batches of T_t; anything worse falls back to stacked
-    :func:`mat_exp` calls of bounded size, trading speed for accuracy.
-    Each T_t and R_lam is built once per handle: :func:`evolve` and
-    :func:`resolvent` memoize them by t and lam, which is safe because a
-    Superoperator is immutable.  Next to them the criteria module memoizes
-    each map's cone-search verdict, so every map is searched once per handle.
+    Every T_t is a stacked :func:`mat_exp` call of bounded size.  Each T_t and
+    R_lam is built once per handle: :func:`evolve` and :func:`resolvent`
+    memoize them by t and lam, which is safe because a Superoperator is
+    immutable.  Next to them the criteria module memoizes each map's
+    cone-search verdict, so every map is searched once per handle.
     """
 
     def __init__(self, gen):
         if isinstance(gen, GeneratorSpec):
-            self.spec: GeneratorSpec | None = gen
             self.generator = build_superoperator(gen)
         elif isinstance(gen, Superoperator):
-            self.spec = None
             self.generator = gen
         else:
             raise TypeError("expected a GeneratorSpec or Superoperator")
-        rep = self.generator.rep
         self.n = self.generator.n
-        w, p = np.linalg.eig(rep)
+        w = np.linalg.eigvals(self.generator.rep)
         order = np.lexsort((w.imag, w.real))
         self.eigenvalues = tuple(complex(v) for v in w[order])
         self.spectral_abscissa = float(max(v.real for v in self.eigenvalues))
-        self._eig = None
         self._evolved = {}
         self._resolvents = {}
         self._cone_verdicts = {}
-        try:
-            pinv = np.linalg.inv(p)
-            cond = np.linalg.norm(p, 2) * np.linalg.norm(pinv, 2)
-            if np.isfinite(cond) and cond <= _EIG_COND_LIMIT:
-                self._eig = (p, w, pinv)
-        except np.linalg.LinAlgError:
-            pass
 
     def evolve_rep(self, ts: np.ndarray) -> np.ndarray:
         """Stack of e^{t rep} matrices for an array of finite times t >= 0."""
@@ -208,11 +188,7 @@ class SemigroupHandle:
         if bad.size:
             raise ValueError(f"semigroup times must be finite, got t={bad[0]:g}")
         if np.any(ts < 0):
-            raise ValueError("semigroup times must be nonnegative")
-        if self._eig is not None:
-            p, w, pinv = self._eig
-            phases = np.exp(np.multiply.outer(ts, w))
-            return np.einsum("ij,tj,jk->tik", p, phases, pinv)
+            raise ValueError("semigroup is defined for t >= 0 only")
         # stacked calls of at most _EXP_CHUNK entries (or one matrix) each:
         # one call on a quadrature's 512 nodes would hold several temporaries
         # of 512 n^2 x n^2 matrices each, and one call per node is slow
@@ -237,10 +213,6 @@ def evolve(h, t: float) -> Superoperator:
     Raises PropagatorOverflow when T_t does not fit in double precision.
     """
     h = _as_handle(h)
-    if not np.isfinite(t):
-        raise ValueError(f"semigroup time must be finite, got t={t:g}")
-    if t < 0:
-        raise ValueError("semigroup is defined for t >= 0 only")
     if t == 0:
         return identity_superop(h.n)
     s = h._evolved.get(t)

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionMismatch, SchemaError
-from .matrixcore import DEFAULT_TOL, as_matrix, frozen, max_entry
+from .matrixcore import DEFAULT_TOL, CMatrix, as_matrix, frozen, json_dimension, max_entry
 
 CERTIFIED_POSITIVE = "certified_positive"
 NO_VIOLATION_FOUND = "no_violation_found"
@@ -57,8 +57,6 @@ class Superoperator:
         object.__setattr__(self, "rep", frozen(rep))
 
     def to_json(self) -> dict:
-        from .matrixcore import CMatrix
-
         return {
             "n": self.n,
             "rep": CMatrix(self.rep).to_json(),
@@ -67,8 +65,6 @@ class Superoperator:
 
     @classmethod
     def from_json(cls, obj) -> "Superoperator":
-        from .matrixcore import CMatrix
-
         if not isinstance(obj, dict):
             raise SchemaError("superoperator payload must be an object")
         extra = set(obj) - {"n", "rep", "vec"}
@@ -81,9 +77,7 @@ class Superoperator:
             raise SchemaError(
                 "field 'vec' must be the literal string 'column-stacking'"
             )
-        n = obj["n"]
-        if not isinstance(n, int) or n < 1:
-            raise SchemaError("field 'n' must be a positive integer")
+        n = json_dimension(obj["n"])
         rep = CMatrix.from_json(obj["rep"]).a
         if rep.shape != (n * n, n * n):
             raise SchemaError(f"field 'rep' must be {n*n} x {n*n}, got {rep.shape}")

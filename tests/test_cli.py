@@ -141,6 +141,21 @@ class TestReport:
         assert main(["report", str(path)]) == 1
         assert "superop" in capsys.readouterr().err
 
+    def test_bool_dimension_exits_1(self, tmp_path, capsys):
+        # JSON true is a Python int; a 1 x 1 generator written with it must
+        # fail validation, not the report
+        path = tmp_path / "bool_n.json"
+        path.write_text(json.dumps({"n": True, "kind": "explicit", "superop": {
+            "n": True, "vec": "column-stacking",
+            "rep": {"n": 1, "re": [[0.0]], "im": [[0.0]]},
+        }}))
+        assert main(["report", str(path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("posgen: error:")
+        assert "Traceback" not in captured.err
+        assert "positive integer" in captured.err
+
     def test_invalid_json_syntax(self, tmp_path, capsys):
         path = tmp_path / "syntax.json"
         path.write_text("{not json")
@@ -304,6 +319,7 @@ BAD_FLAGS = [
     (["--t-grid", "nan"], FINITE),
     (["--t-grid", "0.1,inf"], FINITE),
     (["--lambda-grid", "inf"], FINITE),
+    (["--lambda-grid", "1e-12"], "does not clear the spectral abscissa"),
     (["--seed", "-1"], "seed must be an integer >= 0"),
 ]
 

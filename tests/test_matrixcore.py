@@ -186,6 +186,11 @@ class TestCMatrixJson:
         with pytest.raises(SchemaError, match="im"):
             CMatrix.from_json(payload)
 
+    def test_bool_dimension_rejected(self):
+        payload = {"n": True, "re": [[1.0]], "im": [[0.0]]}
+        with pytest.raises(SchemaError, match="positive integer"):
+            CMatrix.from_json(payload)
+
     def test_shape_mismatch_rejected(self):
         payload = {"n": 2, "re": [[1.0, 0.0]], "im": [[0.0, 0.0]]}
         with pytest.raises(SchemaError, match="re"):

@@ -10,6 +10,7 @@ from posgen.errors import (
     ResolventPoleError,
     SchemaError,
 )
+from posgen.instances import flip_nonpositive, random_lindblad, transpose_mixing
 from posgen.matrixcore import mat_exp, spectral_norm
 from posgen.semigroup import (
     GeneratorSpec,
@@ -179,10 +180,19 @@ class TestEvolve:
         rep = np.zeros((4, 4), dtype=complex)
         rep[0, 1] = 1.0
         h = SemigroupHandle(Superoperator(2, rep))
-        assert h._eig is None
         t = 1.7
         assert np.abs(evolve(h, t).rep - (np.eye(4) + t * rep)).max() <= 1e-12
 
+
+    @pytest.mark.parametrize("spec", [
+        random_lindblad(3, 2, seed=5),
+        transpose_mixing(random_lindblad(3, 2, seed=5)),
+        flip_nonpositive(3),
+    ], ids=["lindblad", "transpose_mixing", "flip"])
+    def test_every_time_is_one_pade_exponential(self, spec):
+        h = SemigroupHandle(spec)
+        for t in (0.1, 1.0, 10.0):
+            assert np.array_equal(evolve(h, t).rep, mat_exp(t * h.generator.rep))
 
     def test_memoized_per_handle(self):
         h = small_lindblad(seed=2)
@@ -308,7 +318,6 @@ class TestLaplace:
         q, _ = np.linalg.qr(rand_complex(rng, n * n, n * n))
         jordan = -np.eye(n * n) + np.diag(np.ones(n * n - 1), 1)
         h = SemigroupHandle(Superoperator(n, q @ jordan @ q.conj().T))
-        assert h._eig is None
         calls = []
 
         def counted(m):
@@ -438,6 +447,12 @@ class TestGeneratorSpecJson:
     def test_missing_payload_rejected(self):
         with pytest.raises(SchemaError, match="missing"):
             GeneratorSpec.from_json({"n": 2, "kind": "lindblad", "H": None})
+
+    def test_bool_dimension_rejected(self):
+        payload = GeneratorSpec(kind="hamiltonian", n=1, hamiltonian=np.eye(1)).to_json()
+        payload["n"] = True
+        with pytest.raises(SchemaError, match="positive integer"):
+            GeneratorSpec.from_json(payload)
 
     def test_bad_kind_rejected(self):
         with pytest.raises(SchemaError, match="kind"):

@@ -546,3 +546,9 @@ class TestSuperopJson:
         payload["note"] = "hi"
         with pytest.raises(SchemaError, match="note"):
             Superoperator.from_json(payload)
+
+    def test_bool_dimension_rejected(self):
+        payload = identity_superop(1).to_json()
+        payload["n"] = True
+        with pytest.raises(SchemaError, match="positive integer"):
+            Superoperator.from_json(payload)

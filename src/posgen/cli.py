@@ -34,7 +34,8 @@ from .errors import (
     ResolventPoleError,
     SchemaError,
 )
-from .instances import FAMILIES, InstanceRecipe, build, density_from
+from .instances import InstanceRecipe, build, density_from
+from .matrixcore import json_object
 from .criteria import theorem1_report, theorem2_check
 from .semigroup import GeneratorSpec, SemigroupHandle, build_superoperator
 
@@ -120,6 +121,15 @@ def _load_json(path: str):
         raise _CliError(f"{path}: not valid JSON ({exc})")
 
 
+def _parse_file(path: str, parse):
+    """``parse`` of the file's JSON payload; a failure is an input error naming the file."""
+    payload = _load_json(path)
+    try:
+        return parse(payload)
+    except ValueError as exc:
+        raise _CliError(f"{path}: {exc}")
+
+
 def _resolve_config(args) -> RunConfig:
     """Defaults, overridden by flags, overridden by the config file."""
     cfg = RunConfig()
@@ -147,37 +157,23 @@ def _resolve_config(args) -> RunConfig:
             raise _CliError(f"--tol {name}: {value!r} is not a number")
     if overrides:
         updates["tolerances"] = {**cfg.tolerances, **overrides}
-    try:
-        cfg = cfg.replace(**updates)
-    except SchemaError as exc:
-        raise _CliError(str(exc))
+    cfg = cfg.replace(**updates)
 
     if args.config is not None:
-        payload = _load_json(args.config)
-        if not isinstance(payload, dict):
-            raise _CliError(f"{args.config}: config must be a JSON object")
-        merged = cfg.to_json()
-        for key, value in payload.items():
-            if key == "tolerances":
-                if not isinstance(value, dict):
-                    raise _CliError(f"{args.config}: tolerances must be an object")
-                merged["tolerances"] = {**merged["tolerances"], **value}
-            else:
-                merged[key] = value
-        try:
-            cfg = RunConfig.from_json(merged)
-        except SchemaError as exc:
-            raise _CliError(f"{args.config}: {exc}")
+        cfg = _parse_file(args.config, functools.partial(_override, cfg))
     return cfg
 
 
+def _override(cfg: RunConfig, payload) -> RunConfig:
+    """``cfg`` with the fields of a config file's payload; tolerances override by name."""
+    fields = json_object(payload, "config", (), cfg.to_json())
+    if isinstance(fields.get("tolerances"), dict):
+        fields = {**fields, "tolerances": {**cfg.tolerances, **fields["tolerances"]}}
+    return cfg.replace(**fields)
+
+
 def _load_generator(path: str) -> SemigroupHandle:
-    payload = _load_json(path)
-    try:
-        spec = GeneratorSpec.from_json(payload)
-        return SemigroupHandle(build_superoperator(spec))
-    except (SchemaError, ValueError) as exc:
-        raise _CliError(f"{path}: {exc}")
+    return _parse_file(path, lambda payload: SemigroupHandle(GeneratorSpec.from_json(payload)))
 
 
 def _report_sections(h: SemigroupHandle, cfg: RunConfig):
@@ -205,34 +201,30 @@ def _report_sections(h: SemigroupHandle, cfg: RunConfig):
     return sections, flags
 
 
-def _emit(text: str, out) -> None:
-    print(text, file=out)
-
-
 def _print_report_text(payload: dict, out) -> None:
-    _emit(f"n = {payload['n']}  seed = {payload['seed']}", out)
+    print(f"n = {payload['n']}  seed = {payload['seed']}", file=out)
     sections = payload["sections"]
     t1 = sections["theorem1"]
     if "hypothesis_violation" in t1:
-        _emit(f"theorem1: hypothesis violation: {t1['hypothesis_violation']}", out)
+        print(f"theorem1: hypothesis violation: {t1['hypothesis_violation']}", file=out)
     else:
-        _emit(f"theorem1: consistent={t1['consistency']}", out)
+        print(f"theorem1: consistent={t1['consistency']}", file=out)
         for c in t1["conditions"]:
-            _emit(f"  {c['id']:<22} {c['verdict']:<10} "
-                  f"min_margin={c['min_margin']:+.3e}", out)
+            print(f"  {c['id']:<22} {c['verdict']:<10} "
+                  f"min_margin={c['min_margin']:+.3e}", file=out)
     t2 = sections["theorem2"]
     if "hypothesis_violation" in t2:
-        _emit(f"theorem2: hypothesis violation: {t2['hypothesis_violation']}", out)
+        print(f"theorem2: hypothesis violation: {t2['hypothesis_violation']}", file=out)
     else:
-        _emit(f"theorem2: consistent={t2['direction_consistency']} "
+        print(f"theorem2: consistent={t2['direction_consistency']} "
               f"unit_margin={t2['unit_margin']:.3e} "
               f"positive={t2['positive']['status']} "
-              f"unital_margin={t2['unital_margin']:.3e}", out)
+              f"unital_margin={t2['unital_margin']:.3e}", file=out)
     tp = sections["trace_preservation"]
-    _emit(f"trace_preservation: consistent={tp['consistent']} "
+    print(f"trace_preservation: consistent={tp['consistent']} "
           f"trace_margin={tp['trace_margin']:.3e} "
-          f"unit_margin={tp['unit_margin']:.3e}", out)
-    _emit(f"consistent: {payload['consistent']}", out)
+          f"unit_margin={tp['unit_margin']:.3e}", file=out)
+    print(f"consistent: {payload['consistent']}", file=out)
 
 
 def cmd_report(args, cfg: RunConfig, out) -> int:
@@ -246,26 +238,19 @@ def cmd_report(args, cfg: RunConfig, out) -> int:
         "sections": sections,
     }
     if cfg.format == "json":
-        _emit(json.dumps(payload, indent=2, sort_keys=True), out)
+        print(json.dumps(payload, indent=2, sort_keys=True), file=out)
     else:
         _print_report_text(payload, out)
     return 0 if consistent else 2
 
 
 def cmd_fuzz(args, cfg: RunConfig, out) -> int:
-    if args.family not in FAMILIES:
-        raise _CliError(
-            f"unknown family {args.family!r}; choose from {', '.join(FAMILIES)}")
     if args.count < 1:
         raise _CliError("count must be >= 1")
-    try:
-        recipes = [
-            InstanceRecipe(family=args.family, n=args.dim,
-                           seed=subseed(cfg.seed, 53, i))
-            for i in range(args.count)
-        ]
-    except SchemaError as exc:
-        raise _CliError(str(exc))
+    recipes = [
+        InstanceRecipe(family=args.family, n=args.dim, seed=subseed(cfg.seed, 53, i))
+        for i in range(args.count)
+    ]
 
     results = []
     for idx, recipe in enumerate(recipes):
@@ -301,41 +286,30 @@ def cmd_fuzz(args, cfg: RunConfig, out) -> int:
         "results": results,
     }
     if cfg.format == "json":
-        _emit(json.dumps(payload, indent=2, sort_keys=True), out)
+        print(json.dumps(payload, indent=2, sort_keys=True), file=out)
     else:
-        _emit(f"family={args.family} n={args.dim} count={args.count} "
-              f"seed={cfg.seed}", out)
-        _emit(f"inconsistencies: {inconsistencies}", out)
-        _emit("worst margins:", out)
+        print(f"family={args.family} n={args.dim} count={args.count} "
+              f"seed={cfg.seed}", file=out)
+        print(f"inconsistencies: {inconsistencies}", file=out)
+        print("worst margins:", file=out)
         for cid, margin in sorted(worst.items()):
-            _emit(f"  {cid:<22} {margin:+.3e}", out)
+            print(f"  {cid:<22} {margin:+.3e}", file=out)
     return 0 if inconsistencies == 0 else 2
 
 
 def cmd_instance(args, cfg: RunConfig, out) -> int:
-    if args.family not in FAMILIES:
-        raise _CliError(
-            f"unknown family {args.family!r}; choose from {', '.join(FAMILIES)}")
-    try:
-        recipe = InstanceRecipe(family=args.family, n=args.dim, seed=cfg.seed,
-                                k=args.k, scale=args.scale)
-        spec = build(recipe)
-    except SchemaError as exc:
-        raise _CliError(str(exc))
+    spec = build(InstanceRecipe(family=args.family, n=args.dim, seed=cfg.seed,
+                                k=args.k, scale=args.scale))
     if cfg.format == "json":
-        _emit(json.dumps(spec.to_json(), indent=2, sort_keys=True), out)
+        print(json.dumps(spec.to_json(), indent=2, sort_keys=True), file=out)
     else:
-        _emit(f"family={args.family} n={spec.n} kind={spec.kind} seed={cfg.seed}", out)
+        print(f"family={args.family} n={spec.n} kind={spec.kind} seed={cfg.seed}", file=out)
     return 0
 
 
 def cmd_evolve(args, cfg: RunConfig, out) -> int:
     h = _load_generator(args.generator_file)
-    state_payload = _load_json(args.state_file)
-    try:
-        state = DensityMatrix.from_json(state_payload)
-    except SchemaError as exc:
-        raise _CliError(f"{args.state_file}: {exc}")
+    state = _parse_file(args.state_file, DensityMatrix.from_json)
     if state.n != h.n:
         raise _CliError(
             f"dimension mismatch: generator acts on {h.n}x{h.n} matrices, "
@@ -348,10 +322,10 @@ def cmd_evolve(args, cfg: RunConfig, out) -> int:
     records = trajectory_records(h, state.rho, times)
     for rec in records:
         if cfg.format == "json":
-            _emit(json.dumps(rec, sort_keys=True), out)
+            print(json.dumps(rec, sort_keys=True), file=out)
         else:
-            _emit(f"t={rec['t']:g} trace={rec['trace']:.12f} "
-                  f"min_eig={rec['min_eig']:+.6e} purity={rec['purity']:.6f}", out)
+            print(f"t={rec['t']:g} trace={rec['trace']:.12f} "
+                  f"min_eig={rec['min_eig']:+.6e} purity={rec['purity']:.6f}", file=out)
     return 0
 
 
@@ -400,10 +374,8 @@ def main(argv=None) -> int:
                     raise _CliError(f"cannot write {args.output}: {exc}")
                 _discard_stdout()
                 raise _CliError(f"cannot write output: {exc}")
-        except _CliError as exc:
-            print(f"posgen: error: {exc}", file=sys.stderr)
-            return 1
-        except (SchemaError, DimensionMismatch, PropagatorOverflow, ResolventPoleError) as exc:
+        except (_CliError, SchemaError, DimensionMismatch, PropagatorOverflow,
+                ResolventPoleError) as exc:
             print(f"posgen: error: {exc}", file=sys.stderr)
             return 1
         except ConsistencyError as exc:

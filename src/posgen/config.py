@@ -3,12 +3,14 @@
 from __future__ import annotations
 
 import dataclasses
+import math
 import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import SchemaError
+from .matrixcore import json_object
 
 DEFAULT_TOLERANCES = {
     "predicate": 1e-9,  # map-level verdicts (positivity, unitality, symmetry)
@@ -18,9 +20,20 @@ DEFAULT_TOLERANCES = {
 
 FORMATS = ("json", "text")
 
+# The most probes of one class a run may ask for: 200 times the default.
+MAX_SAMPLES = 10_000
+
 
 def _is_real(v) -> bool:
     return isinstance(v, numbers.Real) and not isinstance(v, bool)
+
+
+def _is_finite(v) -> bool:
+    """Whether a real is finite as a float; an int too large for one is not."""
+    try:
+        return math.isfinite(v)
+    except OverflowError:
+        return False
 
 
 def subseed(*parts) -> int:
@@ -51,18 +64,18 @@ class RunConfig:
             raise SchemaError(f"unknown tolerance name(s): {sorted(unknown)}")
         if not all(map(_is_real, merged.values())):
             raise SchemaError("tolerances must be numbers")
-        if not all(0 < v < np.inf for v in merged.values()):
+        if not all(v > 0 and _is_finite(v) for v in merged.values()):
             raise SchemaError("all tolerances must be positive and finite")
         object.__setattr__(self, "tolerances", merged)
         for name in ("t_grid", "s_grid", "trace_t_grid", "lambda_multipliers"):
             values = getattr(self, name)
             if not isinstance(values, (list, tuple)) or not all(map(_is_real, values)):
                 raise SchemaError(f"{name} must be a list of numbers")
+            if not all(map(_is_finite, values)):
+                raise SchemaError(f"{name} values must be finite")
             grid = tuple(float(v) for v in values)
             if not grid:
                 raise SchemaError(f"{name} must be non-empty")
-            if not np.isfinite(grid).all():
-                raise SchemaError(f"{name} values must be finite")
             object.__setattr__(self, name, grid)
         if min(self.t_grid) < 0 or min(self.s_grid) < 0 or min(self.trace_t_grid) < 0:
             raise SchemaError("time grids must be nonnegative")
@@ -73,6 +86,8 @@ class RunConfig:
             if not isinstance(value, numbers.Integral) or isinstance(value, bool) or value < 0:
                 raise SchemaError(f"{name} must be an integer >= 0")
             object.__setattr__(self, name, int(value))
+            if name != "seed" and value > MAX_SAMPLES:
+                raise SchemaError(f"{name} must be at most {MAX_SAMPLES}")
         if self.format not in FORMATS:
             raise SchemaError(f"format must be one of {FORMATS}")
 
@@ -100,10 +115,5 @@ class RunConfig:
 
     @classmethod
     def from_json(cls, payload: dict) -> "RunConfig":
-        if not isinstance(payload, dict):
-            raise SchemaError("config payload must be an object")
-        fields = {f.name for f in dataclasses.fields(cls)}
-        unknown = payload.keys() - fields
-        if unknown:
-            raise SchemaError(f"config has unknown field(s): {sorted(unknown)}")
+        json_object(payload, "config", (), [f.name for f in dataclasses.fields(cls)])
         return cls(**payload)

@@ -29,7 +29,7 @@ from .config import RunConfig, subseed
 from .errors import HypothesisViolation
 from .instances import hermitian_from, unitary_from
 from .matrixcore import as_matrix_stack, frozen, mat_exp, max_entry, psd_margins, spectral_norm
-from .semigroup import _as_handle, _finite_map, evolve, lambda_grid, resolvent
+from .semigroup import SemigroupHandle, _finite_map, evolve, lambda_grid, resolvent
 from .superop import (
     CERTIFIED_POSITIVE,
     NO_VIOLATION_FOUND,
@@ -291,11 +291,13 @@ def _evaluate(h, condition_ids, probes: ProbeSet, config: RunConfig) -> dict:
     return results
 
 
-def check_condition(h, condition_id: str, probes: ProbeSet, config: RunConfig) -> ConditionResult:
-    """Evaluate one condition over its grid, aggregating margins as minima."""
+def check_condition(
+    h: SemigroupHandle, condition_id: str, probes: ProbeSet, config: RunConfig
+) -> ConditionResult:
+    """Evaluate one condition on the handle over its grid, aggregating margins as minima."""
     if condition_id not in _CONDITIONS:
         raise ValueError(f"unknown condition id {condition_id!r}")
-    return _evaluate(_as_handle(h), (condition_id,), probes, config)[condition_id]
+    return _evaluate(h, (condition_id,), probes, config)[condition_id]
 
 
 # ---------------------------------------------------------------------------
@@ -325,9 +327,8 @@ class Theorem1Report:
         }
 
 
-def theorem1_report(h, config: RunConfig = RunConfig()) -> Theorem1Report:
-    """Evaluate every condition; hypothesis: the semigroup is symmetric."""
-    h = _as_handle(h)
+def theorem1_report(h: SemigroupHandle, config: RunConfig = RunConfig()) -> Theorem1Report:
+    """Evaluate every condition on the handle; hypothesis: the semigroup is symmetric."""
     for t in config.t_grid:
         s_t = evolve(h, t)
         # no contraction hypothesis here, so entries of T_t can be huge;
@@ -411,9 +412,8 @@ def _aggregate_cone(verdicts) -> ConeVerdict:
     return ConeVerdict(status=status, margin=margin, samples_used=samples, witness=witness)
 
 
-def theorem2_check(h, config: RunConfig = RunConfig()) -> Theorem2Report:
-    """Generator-side margins versus semigroup-side positivity and unitality."""
-    h = _as_handle(h)
+def theorem2_check(h: SemigroupHandle, config: RunConfig = RunConfig()) -> Theorem2Report:
+    """The handle's generator-side margins versus semigroup-side positivity and unitality."""
     tol = config.tol("predicate")
     cseed = subseed(config.seed, 23)
     bound = 0.0

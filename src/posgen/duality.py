@@ -23,7 +23,7 @@ from .matrixcore import (
     psd_margins,
     spectral_norm,
 )
-from .semigroup import _as_handle, evolve
+from .semigroup import SemigroupHandle, evolve
 from .superop import (
     NO_VIOLATION_FOUND,
     VIOLATED,
@@ -92,9 +92,8 @@ def purity(rho) -> float:
     return float(np.trace(a @ a.conj().T).real)
 
 
-def predual_evolve(gen, t: float, rho) -> np.ndarray:
-    """Evolve a state: T_t^*(rho), the adjoint of the observable evolution."""
-    h = _as_handle(gen)
+def predual_evolve(h: SemigroupHandle, t: float, rho) -> np.ndarray:
+    """Evolve a state under the handle: T_t^*(rho), the adjoint of the observable evolution."""
     a = as_matrix(rho)
     if a.shape[0] != h.n:
         raise ValueError(f"state dimension {a.shape[0]} != generator dimension {h.n}")
@@ -134,18 +133,17 @@ class TracePreservationReport:
 
 
 def trace_preservation_check(
-    gen,
+    h: SemigroupHandle,
     states,
     t_grid=(0.5, 1.0, 2.0),
     tol: float = 1e-6,
 ) -> TracePreservationReport:
-    """Check trace preservation of the predual against the unit-kill margin.
+    """Check trace preservation of the handle's predual against the unit-kill margin.
 
     `states` is an explicit list of density matrices (probes); the check is
     deterministic given the probes.  The two sides of the equivalence are
     evaluated independently and compared, never collapsed into one another.
     """
-    h = _as_handle(gen)
     if not len(states):
         raise ValueError("need at least one probe state")
     probes = _validated_states(as_matrix_stack(states))
@@ -174,9 +172,8 @@ def trace_preservation_check(
     )
 
 
-def trajectory_records(gen, rho, ts) -> list[dict]:
-    """Per-time snapshots {t, rho, trace, min_eig, purity} of a state orbit."""
-    h = _as_handle(gen)
+def trajectory_records(h: SemigroupHandle, rho, ts) -> list[dict]:
+    """Per-time snapshots {t, rho, trace, min_eig, purity} of a state orbit under the handle."""
     state = as_density(rho)
     records = []
     for t in ts:

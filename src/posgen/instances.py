@@ -9,12 +9,14 @@ generators regardless of call order or thread count.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
+from .config import _is_finite, _is_real
 from .errors import SchemaError
-from .matrixcore import frozen, spectral_norm
+from .matrixcore import frozen, json_dimension, json_object, spectral_norm
 from .semigroup import GeneratorSpec, build_superoperator
 from .superop import Superoperator, compose, transpose_map
 
@@ -193,16 +195,21 @@ class InstanceRecipe:
     def __post_init__(self):
         if self.family not in FAMILIES:
             raise SchemaError(
-                f"unknown family {self.family!r}; expected one of {FAMILIES}"
+                f"unknown family {self.family!r}; choose from {', '.join(FAMILIES)}"
             )
-        if self.n < 1:
-            raise SchemaError("instance dimension must be >= 1")
+        json_dimension(self.n)
         if self.n < 2 and self.family in ("dephasing", "flip_nonpositive"):
             raise SchemaError(f"family {self.family!r} needs n >= 2")
+        for name in ("seed", "k"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                raise SchemaError(f"field '{name}' must be an integer")
+        if self.seed < 0:
+            raise SchemaError(f"field 'seed' must be >= 0, got {self.seed}")
         if self.k < 0:
             raise SchemaError(f"need k >= 0 dissipators, got {self.k}")
-        if not (np.isfinite(self.scale) and self.scale > 0):
-            raise SchemaError(f"scale must be finite and > 0, got {self.scale}")
+        if not (_is_real(self.scale) and self.scale > 0 and _is_finite(self.scale)):
+            raise SchemaError(f"scale must be finite and > 0, got {self.scale!r}")
 
     def to_json(self) -> dict:
         return {
@@ -215,23 +222,8 @@ class InstanceRecipe:
 
     @classmethod
     def from_json(cls, payload: dict) -> "InstanceRecipe":
-        if not isinstance(payload, dict):
-            raise SchemaError("instance recipe payload must be an object")
-        required = {"family", "n"}
-        allowed = required | {"seed", "k", "scale"}
-        missing = required - payload.keys()
-        unknown = payload.keys() - allowed
-        if missing:
-            raise SchemaError(f"instance recipe missing fields: {sorted(missing)}")
-        if unknown:
-            raise SchemaError(f"instance recipe has unknown fields: {sorted(unknown)}")
-        return cls(
-            family=payload["family"],
-            n=int(payload["n"]),
-            seed=int(payload.get("seed", 0)),
-            k=int(payload.get("k", 1)),
-            scale=float(payload.get("scale", 4.0)),
-        )
+        fields = json_object(payload, "instance recipe", ("family", "n"), ("seed", "k", "scale"))
+        return cls(**fields)
 
 
 def build(recipe: InstanceRecipe) -> GeneratorSpec:

@@ -23,6 +23,23 @@ def json_dimension(n) -> int:
     return n
 
 
+def json_object(obj, what: str, required, optional=()) -> dict:
+    """A JSON payload that must be an object with every ``required`` field and
+    no field outside ``required`` and ``optional``.
+
+    One SchemaError names every missing and every unknown field.
+    """
+    if not isinstance(obj, dict):
+        raise SchemaError(f"{what} payload must be an object")
+    missing = sorted(set(required) - obj.keys())
+    unknown = sorted(obj.keys() - set(required) - set(optional))
+    parts = [f"{label} field(s) {names}"
+             for label, names in (("missing", missing), ("unknown", unknown)) if names]
+    if parts:
+        raise SchemaError(f"{what} payload: " + ", ".join(parts))
+    return obj
+
+
 def as_matrix(x) -> np.ndarray:
     """Coerce ``x`` to a square complex ndarray, validating shape and finiteness."""
     a = x.a if isinstance(x, CMatrix) else np.asarray(x, dtype=complex)
@@ -85,14 +102,7 @@ class CMatrix:
 
     @classmethod
     def from_json(cls, obj) -> "CMatrix":
-        if not isinstance(obj, dict):
-            raise SchemaError("matrix payload must be an object")
-        extra = set(obj) - {"n", "re", "im"}
-        if extra:
-            raise SchemaError(f"unknown matrix field(s): {sorted(extra)}")
-        for field in ("n", "re", "im"):
-            if field not in obj:
-                raise SchemaError(f"matrix payload missing field '{field}'")
+        json_object(obj, "matrix", ("n", "re", "im"))
         n = json_dimension(obj["n"])
         try:
             re = np.asarray(obj["re"], dtype=float)
@@ -180,10 +190,8 @@ def mat_exp(m) -> np.ndarray:
     and superdiagonal rewritten exactly after every squaring (Al-Mohy and
     Higham 2009), so a stiff diagonal is not lost to the scaling.  Each matrix
     of a stack comes out bit for bit as it would alone.  An exponential beyond
-    double precision comes back non-finite, for the caller to report.
-
-    The one general exponential of the toolkit; a :class:`SemigroupHandle`
-    adds only its cached eigendecomposition for diagonalizable generators.
+    double precision comes back non-finite, for the caller to report.  The
+    one general exponential of the toolkit.
     """
     single = np.ndim(m) != 3
     a = as_matrix(m)[None] if single else as_matrix_stack(m)

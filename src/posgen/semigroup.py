@@ -20,7 +20,7 @@ from .errors import (
     ResolventPoleError,
     SchemaError,
 )
-from .matrixcore import CMatrix, as_matrix, frozen, json_dimension, mat_exp, max_entry
+from .matrixcore import CMatrix, as_matrix, frozen, json_dimension, json_object, mat_exp, max_entry
 from .superop import Superoperator, identity_superop, is_symmetric_map, vec
 
 GENERATOR_KINDS = ("explicit", "hamiltonian", "lindblad")
@@ -108,20 +108,8 @@ class GeneratorSpec:
         kind = obj.get("kind")
         if kind not in GENERATOR_KINDS:
             raise SchemaError(f"field 'kind' must be one of {GENERATOR_KINDS}")
-        required = {
-            "explicit": {"n", "kind", "superop"},
-            "hamiltonian": {"n", "kind", "H"},
-            "lindblad": {"n", "kind", "H", "V"},
-        }[kind]
-        if set(obj) != required:
-            missing = sorted(required - set(obj))
-            extra = sorted(set(obj) - required)
-            parts = []
-            if missing:
-                parts.append(f"missing field(s) {missing}")
-            if extra:
-                parts.append(f"unknown field(s) {extra}")
-            raise SchemaError(f"generator kind '{kind}': " + ", ".join(parts))
+        payload = {"explicit": ("superop",), "hamiltonian": ("H",), "lindblad": ("H", "V")}
+        json_object(obj, f"{kind} generator", ("n", "kind", *payload[kind]))
         n = json_dimension(obj["n"])
         if kind == "explicit":
             return cls(kind=kind, n=n, superop=Superoperator.from_json(obj["superop"]))
@@ -197,22 +185,17 @@ class SemigroupHandle:
         return np.concatenate([mat_exp(np.multiply.outer(c, rep)) for c in np.array_split(ts, k)])
 
 
-def _as_handle(h) -> SemigroupHandle:
-    return h if isinstance(h, SemigroupHandle) else SemigroupHandle(h)
-
-
 def _finite_map(n: int, rep: np.ndarray, what: str) -> Superoperator:
     if not np.isfinite(rep).all():
         raise PropagatorOverflow(f"{what} overflows double precision")
     return Superoperator(n, rep)
 
 
-def evolve(h, t: float) -> Superoperator:
-    """The semigroup element T_t = e^{tL}; t must be finite and nonnegative.
+def evolve(h: SemigroupHandle, t: float) -> Superoperator:
+    """The handle's semigroup element T_t = e^{tL}, at a finite t >= 0.
 
     Raises PropagatorOverflow when T_t does not fit in double precision.
     """
-    h = _as_handle(h)
     if t == 0:
         return identity_superop(h.n)
     s = h._evolved.get(t)
@@ -225,9 +208,8 @@ def evolve(h, t: float) -> Superoperator:
     return s
 
 
-def resolvent(h, lam: float) -> Superoperator:
-    """(lam - L)^{-1}, defined for lam beyond the spectral abscissa."""
-    h = _as_handle(h)
+def resolvent(h: SemigroupHandle, lam: float) -> Superoperator:
+    """(lam - L)^{-1} of the handle ``h``, for lam beyond the spectral abscissa."""
     if lam <= h.spectral_abscissa + _POLE_GAP:
         raise ResolventPoleError(
             f"resolvent point {lam:g} does not clear the spectral abscissa "
@@ -259,14 +241,13 @@ def _quad_nodes(t_star: float):
     return nodes, weights
 
 
-def decay_horizon(h, lam: float) -> float:
-    """Truncation horizon for Laplace-transform integrals against e^{tL}.
+def decay_horizon(h: SemigroupHandle, lam: float) -> float:
+    """Truncation horizon for Laplace-transform integrals against the handle's e^{tL}.
 
     Chosen so the tail bound e^{(abscissa - lam) T} / (lam - abscissa) drops
     below 1e-10 (at least 1e-2); raises DecayFailureError when the integrand
     does not decay at all.
     """
-    h = _as_handle(h)
     gap = lam - h.spectral_abscissa
     if gap <= _POLE_GAP:
         raise DecayFailureError(
@@ -276,13 +257,12 @@ def decay_horizon(h, lam: float) -> float:
     return max(-math.log(_TRUNCATION_EPS * gap) / gap, 1e-2)
 
 
-def laplace_resolvent(h, lam: float) -> Superoperator:
-    """Resolvent via the Laplace transform: integral of e^{-lam t} T_t dt.
+def laplace_resolvent(h: SemigroupHandle, lam: float) -> Superoperator:
+    """The handle's resolvent via the Laplace transform: integral of e^{-lam t} T_t dt.
 
     The integral is truncated at :func:`decay_horizon`, then evaluated by a
     fixed composite Gauss-Legendre rule: 64 panels of order 8.
     """
-    h = _as_handle(h)
     t_star = decay_horizon(h, lam)
     nodes, weights = _quad_nodes(t_star)
     mats = h.evolve_rep(nodes)
@@ -291,9 +271,8 @@ def laplace_resolvent(h, lam: float) -> Superoperator:
     return Superoperator(h.n, rep)
 
 
-def euler_product(h, t: float, m: int) -> Superoperator:
-    """Backward-Euler approximation ((m/t)(m/t - L)^{-1})^m of e^{tL}."""
-    h = _as_handle(h)
+def euler_product(h: SemigroupHandle, t: float, m: int) -> Superoperator:
+    """Backward-Euler approximation ((m/t)(m/t - L)^{-1})^m of the handle's e^{tL}."""
     if t <= 0:
         raise ValueError("euler_product needs t > 0")
     if m < 1:
@@ -303,24 +282,23 @@ def euler_product(h, t: float, m: int) -> Superoperator:
     return Superoperator(h.n, np.linalg.matrix_power(lam * r.rep, m))
 
 
-def lambda_grid(h, multipliers=(1.0, 10.0, 100.0)) -> tuple:
-    """Decade-spaced admissible resolvent parameters for this generator.
+def lambda_grid(h: SemigroupHandle, multipliers=(1.0, 10.0, 100.0)) -> tuple:
+    """Decade-spaced admissible resolvent parameters for the handle's generator.
 
     Anchored at max(1, spectral_abscissa + 1) so every grid point clears the
     spectrum with a unit gap; the spread exposes tolerance-sensitivity in
     "large lambda" claims.
     """
-    base = max(1.0, _as_handle(h).spectral_abscissa + 1.0)
+    base = max(1.0, h.spectral_abscissa + 1.0)
     return tuple(float(m) * base for m in multipliers)
 
 
-def yosida_generator(h, lam: float) -> Superoperator:
-    """Bounded approximation L_lam = lam^2 (lam - L)^{-1} - lam.
+def yosida_generator(h: SemigroupHandle, lam: float) -> Superoperator:
+    """Bounded approximation L_lam = lam^2 (lam - L)^{-1} - lam of the handle's L.
 
     Computed two ways -- the displayed formula and lam * L (lam - L)^{-1} --
     and cross-checked; disagreement raises ConsistencyError.
     """
-    h = _as_handle(h)
     r = resolvent(h, lam).rep
     n2 = h.n * h.n
     primary = lam * lam * r - lam * np.eye(n2)
@@ -333,15 +311,14 @@ def yosida_generator(h, lam: float) -> Superoperator:
     return Superoperator(h.n, primary)
 
 
-def yosida_semigroup(h, lam: float, t: float) -> Superoperator:
-    """e^{t L_lam} in its product form e^{-t lam} e^{lam^2 t (lam - L)^{-1}}.
+def yosida_semigroup(h: SemigroupHandle, lam: float, t: float) -> Superoperator:
+    """The handle's e^{t L_lam} in its product form e^{-t lam} e^{lam^2 t (lam - L)^{-1}}.
 
     The scalar prefactor underflows for lam * t beyond ~700, so the product is
     split into equal factors with exponent at most 100 each and multiplied
     back together; the result is cross-checked against mat_exp of the Yosida
     generator.
     """
-    h = _as_handle(h)
     if t < 0:
         raise ValueError("semigroup times must be nonnegative")
     r = resolvent(h, lam).rep

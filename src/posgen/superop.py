@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionMismatch, SchemaError
-from .matrixcore import DEFAULT_TOL, CMatrix, as_matrix, frozen, json_dimension, max_entry
+from .matrixcore import DEFAULT_TOL, CMatrix, as_matrix, frozen, json_dimension, json_object, max_entry
 
 CERTIFIED_POSITIVE = "certified_positive"
 NO_VIOLATION_FOUND = "no_violation_found"
@@ -65,14 +65,7 @@ class Superoperator:
 
     @classmethod
     def from_json(cls, obj) -> "Superoperator":
-        if not isinstance(obj, dict):
-            raise SchemaError("superoperator payload must be an object")
-        extra = set(obj) - {"n", "rep", "vec"}
-        if extra:
-            raise SchemaError(f"unknown superoperator field(s): {sorted(extra)}")
-        for field in ("n", "rep", "vec"):
-            if field not in obj:
-                raise SchemaError(f"superoperator payload missing field '{field}'")
+        json_object(obj, "superoperator", ("n", "rep", "vec"))
         if obj["vec"] != "column-stacking":
             raise SchemaError(
                 "field 'vec' must be the literal string 'column-stacking'"

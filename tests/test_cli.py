@@ -66,6 +66,19 @@ BAD_RECIPES = [
 ]
 
 
+UNKNOWN_FAMILY = (
+    "posgen: error: unknown family 'bogus'; choose from lindblad, hamiltonian, "
+    "dephasing, transpose_conjugated, transpose_mixing, flip_nonpositive\n"
+)
+
+
+@pytest.mark.parametrize("argv", [["fuzz", "bogus", "2"], ["instance", "bogus"]], ids=" ".join)
+def test_unknown_family_line(argv, capsys):
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", UNKNOWN_FAMILY)
+
+
 class TestInstance:
     def test_emits_loadable_generator(self, capsys):
         assert main(["instance", "dephasing", "-n", "3"]) == 0
@@ -130,6 +143,17 @@ class TestReport:
         assert tp["unit_margin"] <= 1e-16 < tp["trace_margin"]
         assert tp["consistent"] is False
         assert payload["consistent"] is False
+
+    def test_non_symmetric_generator_reports_hypothesis_violation(self, tmp_path, capsys):
+        # L = i id: T_t = e^{it} id does not commute with the adjoint
+        spec = GeneratorSpec(kind="explicit", n=2,
+                             superop=Superoperator(2, 1j * np.eye(4, dtype=complex)))
+        path = tmp_path / "rotation.json"
+        path.write_text(json.dumps(spec.to_json()))
+        assert main(["report", str(path), "--samples", "6"]) == 0
+        t1 = json.loads(capsys.readouterr().out)["sections"]["theorem1"]
+        assert list(t1) == ["hypothesis_violation"]
+        assert "not symmetric" in t1["hypothesis_violation"]
 
     def test_missing_file(self, capsys):
         assert main(["report", "/nonexistent/gen.json"]) == 1
@@ -321,6 +345,7 @@ BAD_FLAGS = [
     (["--lambda-grid", "inf"], FINITE),
     (["--lambda-grid", "1e-12"], "does not clear the spectral abscissa"),
     (["--seed", "-1"], "seed must be an integer >= 0"),
+    (["--samples", "100000000000000000000"], "n_selfadjoint must be at most 10000"),
 ]
 
 # config files that must exit 1 with a clean error: id -> (text, error)
@@ -337,6 +362,9 @@ BAD_CONFIGS = {
     "seed-string": ('{"seed": "3"}', "seed must be an integer >= 0"),
     "n_states-float": ('{"n_states": 1.5}', "n_states must be an integer >= 0"),
     "n_selfadjoint-bool": ('{"n_selfadjoint": true}', "n_selfadjoint must be an integer >= 0"),
+    "n_states-huge": ('{"n_states": 100000000000000000000}', "n_states must be at most 10000"),
+    "t_grid-huge-int": ('{"t_grid": [1%s]}' % ("0" * 400), FINITE),
+    "trace-huge-int": ('{"tolerances": {"trace": 1%s}}' % ("0" * 400), FINITE),
 }
 
 

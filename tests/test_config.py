@@ -74,6 +74,14 @@ class TestRunConfig:
         with pytest.raises(SchemaError, match=f"{field} must be an integer >= 0"):
             RunConfig(**{field: value})
 
+    @pytest.mark.parametrize("field", ["n_selfadjoint", "n_unitary", "n_states"])
+    def test_sample_count_bound(self, field):
+        # only the settings are checked here; no probe is drawn
+        assert getattr(RunConfig(**{field: 10_000}), field) == 10_000
+        for value in (10_001, 10**20):
+            with pytest.raises(SchemaError, match=f"{field} must be at most 10000"):
+                RunConfig(**{field: value})
+
     @pytest.mark.parametrize("value", ["x", True, None, [1e-9]])
     def test_ill_typed_tolerance_rejected(self, value):
         with pytest.raises(SchemaError, match="tolerances must be numbers"):

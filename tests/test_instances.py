@@ -239,6 +239,13 @@ class TestRecipe:
         {"family": "lindblad", "n": 2, "scale": 0.0},
         {"family": "hamiltonian", "n": 2, "scale": math.inf},
         {"family": "hamiltonian", "n": 2, "scale": math.nan},
+        {"family": "lindblad", "n": True},
+        {"family": "lindblad", "n": 2.9},
+        {"family": "lindblad", "n": 2, "seed": "3"},
+        {"family": "lindblad", "n": 2, "seed": -1},
+        {"family": "lindblad", "n": 2, "k": True},
+        {"family": "lindblad", "n": 2, "scale": "4"},
+        {"family": "lindblad", "n": 2, "scale": 10**400},
     ], ids=str)
     def test_unbuildable_recipe_rejected(self, fields):
         # from_json and both commands build recipes through the same checks

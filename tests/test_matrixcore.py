@@ -1,3 +1,4 @@
+import re
 import warnings
 
 import numpy as np
@@ -5,13 +6,18 @@ import pytest
 import scipy.linalg
 from hypothesis import given, settings, strategies as st
 
+from posgen.config import RunConfig
 from posgen.errors import DimensionMismatch, SchemaError
+from posgen.instances import InstanceRecipe
 from posgen.matrixcore import (
     CMatrix,
     as_matrix,
+    json_object,
     mat_exp,
     spectral_norm,
 )
+from posgen.semigroup import GeneratorSpec
+from posgen.superop import Superoperator
 
 from conftest import SZ, rand_complex
 
@@ -200,3 +206,44 @@ class TestCMatrixJson:
         m = CMatrix(np.eye(2))
         with pytest.raises(ValueError):
             m.a[0, 0] = 5.0
+
+
+ONE = {"n": 1, "re": [[0.0]], "im": [[0.0]]}
+
+# each payload kind: its parser, a valid payload and one required field
+# (None: the kind has no required field)
+PAYLOADS = {
+    "matrix": (CMatrix.from_json, ONE, "re"),
+    "superoperator": (Superoperator.from_json, {"n": 1, "rep": ONE, "vec": "column-stacking"}, "rep"),
+    "generator": (GeneratorSpec.from_json, {"n": 1, "kind": "hamiltonian", "H": ONE}, "H"),
+    "instance recipe": (InstanceRecipe.from_json, {"family": "lindblad", "n": 2}, "n"),
+    "config": (RunConfig.from_json, {"seed": 1}, None),
+}
+MALFORMED = [(kind, case) for kind in PAYLOADS for case in ("non-object", "missing", "unknown")
+             if case != "missing" or PAYLOADS[kind][2]]
+
+
+class TestJsonObject:
+    @pytest.mark.parametrize("kind", PAYLOADS)
+    def test_valid_payload_parses(self, kind):
+        parse, payload, _ = PAYLOADS[kind]
+        parse(payload)
+
+    @pytest.mark.parametrize("kind,case", MALFORMED, ids=[" ".join(c) for c in MALFORMED])
+    def test_malformed_payload_names_the_field(self, kind, case):
+        parse, payload, field = PAYLOADS[kind]
+        bad, message = {
+            "non-object": ([payload], f"{kind} payload must be an object"),
+            "missing": ({k: v for k, v in payload.items() if k != field},
+                        f"missing field(s) ['{field}']"),
+            "unknown": ({**payload, "bogus": 1}, "unknown field(s) ['bogus']"),
+        }[case]
+        with pytest.raises(SchemaError, match=re.escape(message)):
+            parse(bad)
+
+    def test_one_error_names_every_field(self):
+        with pytest.raises(SchemaError) as exc:
+            json_object({"a": 1, "y": 2, "x": 3}, "thing", ("a", "b", "c"), ("d",))
+        assert str(exc.value) == (
+            "thing payload: missing field(s) ['b', 'c'], unknown field(s) ['x', 'y']"
+        )

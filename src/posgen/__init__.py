@@ -58,6 +58,7 @@ from .semigroup import (
     GENERATOR_KINDS,
     GeneratorSpec,
     SemigroupHandle,
+    build_evolved,
     build_superoperator,
     decay_horizon,
     euler_product,
@@ -83,6 +84,7 @@ from .superop import (
     compose,
     conjugation,
     contraction_check,
+    contraction_checks,
     cp_check,
     devec,
     hs_adjoint,

@@ -38,7 +38,7 @@ from .superop import (
     Superoperator,
     apply,
     apply_stack,
-    contraction_check,
+    contraction_checks,
     is_symmetric_map,
     is_unital,
     positivity_checks,
@@ -418,8 +418,9 @@ def theorem2_check(h: SemigroupHandle, config: RunConfig = RunConfig()) -> Theor
     cseed = subseed(config.seed, 23)
     bound = 0.0
     statuses = []
-    for t in config.t_grid:
-        verdict = contraction_check(evolve(h, t), cseed, tol)
+    # the search stops at its first violated map, where this loop raises
+    verdicts = contraction_checks([evolve(h, t) for t in config.t_grid], cseed, tol)
+    for t, verdict in zip(config.t_grid, verdicts):
         bound = max(bound, verdict.norm_lower_bound)
         if verdict.status == VIOLATED:
             raise HypothesisViolation(

@@ -146,17 +146,17 @@ def trace_preservation_check(
     """
     if not len(states):
         raise ValueError("need at least one probe state")
+    if not len(t_grid):
+        raise ValueError("need at least one time")
     probes = _validated_states(as_matrix_stack(states))
     traces_in = np.trace(probes, axis1=1, axis2=2)
 
-    trace_margin = 0.0
-    state_min = np.inf
-    for t in t_grid:
-        # conj(rep) is the transposed rep of the predual T_t^*
-        evolved = apply_stack(evolve(h, t).rep.conj(), probes)
-        traces = np.einsum("mii->m", evolved)
-        trace_margin = max(trace_margin, float(np.abs(traces - traces_in).max()))
-        state_min = min(state_min, float(psd_margins(evolved).min()))
+    # every probe at every t as one (t, probe) stack; conj(rep) is the
+    # transposed rep of the predual T_t^*
+    evolved = apply_stack(np.stack([evolve(h, t).rep.conj() for t in t_grid]), probes)
+    traces = np.einsum("tmii->tm", evolved)
+    trace_margin = float(np.abs(traces - traces_in).max())
+    state_min = float(psd_margins(evolved.reshape(-1, h.n, h.n)).min())
 
     unit_margin = float(spectral_norm(apply(h.generator, np.eye(h.n))))
     state_status = NO_VIOLATION_FOUND if state_min >= -STATE_TOL else VIOLATED

@@ -170,8 +170,13 @@ class SemigroupHandle:
         self._cone_verdicts = {}
 
     def evolve_rep(self, ts: np.ndarray) -> np.ndarray:
-        """Stack of e^{t rep} matrices for an array of finite times t >= 0."""
+        """Stack of e^{t rep} matrices for a 1-D array of finite times t >= 0."""
         ts = np.asarray(ts, dtype=float)
+        if ts.ndim != 1:
+            raise ValueError(f"semigroup times must be a 1-D array, got shape {ts.shape}")
+        rep = self.generator.rep
+        if not ts.size:
+            return np.empty((0, *rep.shape), dtype=complex)
         bad = ts[~np.isfinite(ts)]
         if bad.size:
             raise ValueError(f"semigroup times must be finite, got t={bad[0]:g}")
@@ -180,7 +185,6 @@ class SemigroupHandle:
         # stacked calls of at most _EXP_CHUNK entries (or one matrix) each:
         # one call on a quadrature's 512 nodes would hold several temporaries
         # of 512 n^2 x n^2 matrices each, and one call per node is slow
-        rep = self.generator.rep
         k = min(ts.size, -(-ts.size * rep.size // _EXP_CHUNK))
         return np.concatenate([mat_exp(np.multiply.outer(c, rep)) for c in np.array_split(ts, k)])
 
@@ -191,20 +195,35 @@ def _finite_map(n: int, rep: np.ndarray, what: str) -> Superoperator:
     return Superoperator(n, rep)
 
 
+def build_evolved(h: SemigroupHandle, ts) -> None:
+    """Memoize T_t on the handle for every t of ``ts`` not built yet, in one stacked call.
+
+    A T_t that does not fit in double precision is left out of the memo, so
+    that :func:`evolve` reports it where it is asked for.
+    """
+    missing = [t for t in dict.fromkeys(ts) if t != 0 and t not in h._evolved]
+    # an overflow is reported as PropagatorOverflow, not as a warning
+    with np.errstate(over="ignore", invalid="ignore"):
+        reps = h.evolve_rep(np.array(missing, dtype=float))
+    for t, rep in zip(missing, reps):
+        if np.isfinite(rep).all():
+            h._evolved[t] = Superoperator(h.n, rep)
+
+
 def evolve(h: SemigroupHandle, t: float) -> Superoperator:
     """The handle's semigroup element T_t = e^{tL}, at a finite t >= 0.
 
-    Raises PropagatorOverflow when T_t does not fit in double precision.
+    Reads the memo :func:`build_evolved` fills, building T_t there first when
+    it is missing.  Raises PropagatorOverflow when T_t does not fit in double
+    precision.
     """
     if t == 0:
         return identity_superop(h.n)
+    if t not in h._evolved:
+        build_evolved(h, (t,))
     s = h._evolved.get(t)
     if s is None:
-        # an overflow is reported as PropagatorOverflow, not as a warning
-        with np.errstate(over="ignore", invalid="ignore"):
-            rep = h.evolve_rep(np.array([t]))[0]
-        s = _finite_map(h.n, rep, f"T_t at t={t:g}")
-        h._evolved[t] = s
+        raise PropagatorOverflow(f"T_t at t={t:g} overflows double precision")
     return s
 
 

@@ -248,20 +248,34 @@ def _structured_unit_vectors(n: int) -> np.ndarray:
     return np.array(vs)
 
 
-def _f_batch(rep_t: np.ndarray, v: np.ndarray):
-    """f(v) = min_eig(herm(S(vv*))) - max|skew(S(vv*))| for a stack of vectors.
+def _image_parts(rep_t: np.ndarray, v: np.ndarray):
+    """herm(S(vv*)) and max|skew(S(vv*))| for a stack of vectors.
 
     ``rep_t`` is the transposed rep of S, or a stack of them matching the
-    leading axes of ``v``.  The skew penalty makes f faithful for maps that
-    do not preserve hermiticity: a PSD image requires both a nonnegative
-    hermitian part and a vanishing skew part.  Returns f and the least
-    eigenvectors, one per vector.
+    leading axes of ``v``.
     """
     m = apply_stack(rep_t, v[..., :, None] * v.conj()[..., None, :])
     mh = m.conj().swapaxes(-1, -2)
-    skew = np.abs(m - mh).max(axis=(-2, -1))
-    w, u = np.linalg.eigh((m + mh) / 2)
+    return (m + mh) / 2, np.abs(m - mh).max(axis=(-2, -1))
+
+
+def _f_batch(rep_t: np.ndarray, v: np.ndarray):
+    """f(v) = min_eig(herm(S(vv*))) - max|skew(S(vv*))| for a stack of vectors.
+
+    The skew penalty makes f faithful for maps that do not preserve
+    hermiticity: a PSD image requires both a nonnegative hermitian part and
+    a vanishing skew part.  Returns f and the least eigenvectors, one per
+    vector.
+    """
+    herm, skew = _image_parts(rep_t, v)
+    w, u = np.linalg.eigh(herm)
     return w[..., 0] - skew, u[..., :, 0]
+
+
+def _f_values(rep_t: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """f of :func:`_f_batch` alone, from eigenvalues only."""
+    herm, skew = _image_parts(rep_t, v)
+    return np.linalg.eigvalsh(herm)[..., 0] - skew
 
 
 def _seeded_starters(n: int, seed: int) -> np.ndarray:
@@ -323,9 +337,10 @@ def positivity_checks(maps, seeds, tol: float = DEFAULT_TOL) -> list:
     The maps must act on the same M(n); one ConeVerdict is returned per map.
     ``seeds`` holds one int seed per map; the effort is fixed.  Seeded unit
     vectors (plus the standard basis and two structured vectors), drawn once
-    per distinct seed, are scored by f for every map in one stacked call; each
-    map's worst starters seed 30 steps of a seesaw over the trace pairing (see
-    ``_descend``).  Each map is judged at unit scale, scaled by the power of
+    per distinct seed, are scored by f for every map in one stacked call
+    that computes eigenvalues only (the seesaw and the final re-score take
+    eigenvectors); each map's worst starters seed 30 steps of a seesaw over
+    the trace pairing (see ``_descend``).  Each map is judged at unit scale, scaled by the power of
     two that brings its largest entry into [1/2, 1): the seesaw runs on that
     copy, and the CP certificate and the violation threshold compare against
     ``tol`` divided by that power, which is ``tol`` on the copy.  So no
@@ -351,7 +366,7 @@ def positivity_checks(maps, seeds, tol: float = DEFAULT_TOL) -> list:
     reps = np.stack([s.rep for s in maps])
     reps_t = reps.swapaxes(-1, -2)
     rows = np.arange(len(maps))
-    fvals, _ = _f_batch(reps_t, starters)
+    fvals = _f_values(reps_t, starters)
     k = np.argmin(fvals, axis=1)
     best_val, best_vec = fvals[rows, k], starters[rows, k]
     unit = _unit_scale(reps)
@@ -418,11 +433,117 @@ class ContractionVerdict:
     norm_lower_bound: float
 
 
-def _ratio_batch(rep: np.ndarray, xs: np.ndarray) -> np.ndarray:
-    s_out = np.linalg.svd(apply_stack(rep.T, xs), compute_uv=False)[:, 0]
-    s_in = np.linalg.svd(xs, compute_uv=False)[:, 0]
-    ok = s_in > 1e-12 * max(1.0, float(s_in.max(initial=0.0)))
+def _top_singular(xs: np.ndarray) -> np.ndarray:
+    """Spectral norm of every matrix of a stack."""
+    return np.linalg.svd(xs, compute_uv=False)[..., 0]
+
+
+def _ratios(s_out: np.ndarray, s_in: np.ndarray) -> np.ndarray:
+    """``||S(x)|| / ||x||`` from spectral norms, batched along the last axis.
+
+    An input whose norm is negligible next to the batch's largest (or next
+    to 1) scores 0.
+    """
+    ok = s_in > 1e-12 * np.maximum(1.0, s_in.max(axis=-1, keepdims=True))
     return np.where(ok, s_out / np.where(ok, s_in, 1.0), 0.0)
+
+
+def _ascend(reps: np.ndarray, v: np.ndarray, bounds: np.ndarray) -> np.ndarray:
+    """Power ascent of an (m, b, n, n) stack of unit inputs, one map each.
+
+    Each step takes two SVD calls: the full SVD of S(v) gives both the
+    ratio of v and the gradient u_1 w_1^*, and a values-only SVD gives the
+    norms of v.  Returns ``bounds`` raised to the best ratio of each map.
+    """
+    reps_t = reps.swapaxes(-1, -2)
+    reps_c = reps.conj()
+    for _ in range(_ASCENT_ITERS):
+        u, sv, wh = np.linalg.svd(apply_stack(reps_t, v))
+        bounds = np.fmax(bounds, _ratios(sv[..., 0], _top_singular(v)).max(axis=-1))
+        # the gradient goes back through the adjoint map
+        v = apply_stack(reps_c, u[..., :, :1] @ wh[..., :1, :])
+        norms = np.linalg.norm(v, axis=(-2, -1), keepdims=True)
+        norms[norms == 0] = 1.0
+        v /= norms
+    return bounds
+
+
+def contraction_checks(maps, seed: int = 0, tol: float = DEFAULT_TOL) -> list:
+    """Lower-bound ``sup ||S(x)|| / ||x||`` for each of a list of maps on one M(n).
+
+    The effort per map is fixed: the unit, 64 Gaussian inputs drawn from
+    ``seed`` (shared by all maps, so their norms are computed once) and
+    inputs built from the map's top singular vectors are scored, then the
+    best four climb 30 steps of a power ascent.  The maps are sampled in
+    order, and the search stops at its first proof: when a sampled ratio
+    exceeds ``1 + tol`` that map is violated with its sampled bound, and no
+    later map is looked at.  The maps left with neither a sampled proof nor
+    the Russo-Dye certificate then climb as one stacked ascent (see
+    ``_ascend``); the ascent only raises a bound.  Returns one verdict per
+    map up to the first violated one and None after it, which is what
+    :func:`contraction_check` calls in order, stopped at the first
+    violation, give.
+    """
+    maps = list(maps)
+    if not maps:
+        raise ValueError("contraction_checks needs at least one map")
+    n = maps[0].n
+    if any(s.n != n for s in maps):
+        raise DimensionMismatch("contraction_checks needs maps on one algebra")
+    rng = np.random.default_rng(np.random.SeedSequence((seed, 0xC0)))
+    shape = (_CONTRACTION_SAMPLES, n, n)
+    gauss = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    shared = np.concatenate([np.eye(n, dtype=complex)[None], gauss])
+    shared_norms = _top_singular(shared)
+
+    inputs, sampled, proof = [], [], None
+    for s in maps:
+        # top right-singular vectors of the rep seed the search near the
+        # maximizer of the Hilbert-Schmidt-induced norm, a guaranteed
+        # lower-bound direction
+        _, _, vh = np.linalg.svd(s.rep)
+        tops = vh[: min(3, len(vh))].conj().reshape(-1, n, n).swapaxes(1, 2)
+        own = np.concatenate([tops, (tops + tops.conj().transpose(0, 2, 1)) / 2])
+        xs = np.concatenate([shared, own])
+        # one call gives the norms of the images and of the map's own inputs
+        sv = _top_singular(np.concatenate([apply_stack(s.rep.T, xs), own]))
+        ratios = _ratios(sv[: len(xs)], np.concatenate([shared_norms, sv[len(xs):]]))
+        bound = float(np.max(ratios))
+        if bound > 1.0 + tol:
+            proof = ContractionVerdict(VIOLATED, bound)
+            break
+        inputs.append(xs)
+        sampled.append(ratios)
+
+    # the maps before the first sampled proof: Russo-Dye certificates, then
+    # one stacked ascent for the rest
+    head = maps[: len(sampled)]
+    # a (0, n^2, n^2) stack when the first map was proved
+    reps = np.array([s.rep for s in head]).reshape(-1, n * n, n * n)
+    bounds = np.array([np.max(r) for r in sampled], dtype=float)
+    certified = np.array(
+        [is_symmetric_map(s, tol).verdict and is_unital(s, tol).verdict for s in head],
+        dtype=bool,
+    )
+    if certified.any():
+        certified[certified] = _cp_checks(reps[certified], n, tol)[0]
+    climb = np.flatnonzero(~certified)
+    if len(climb):
+        v = np.stack([inputs[k][np.argsort(sampled[k])[::-1][:4]] for k in climb])
+        v /= np.linalg.norm(v, axis=(-2, -1), keepdims=True)
+        bounds[climb] = _ascend(reps[climb], v, bounds[climb])
+
+    verdicts = []
+    for cert, bound in zip(certified.tolist(), bounds.tolist()):
+        status = (CERTIFIED_CONTRACTION if cert
+                  else VIOLATED if bound > 1.0 + tol else NO_VIOLATION_FOUND)
+        verdicts.append(ContractionVerdict(status, bound))
+        if status == VIOLATED:
+            break
+    else:
+        if proof is not None:
+            verdicts.append(proof)
+    return verdicts + [None] * (len(maps) - len(verdicts))
 
 
 def contraction_check(
@@ -430,46 +551,8 @@ def contraction_check(
 ) -> ContractionVerdict:
     """Lower-bound ``sup ||S(x)|| / ||x||`` by sampling plus local ascent.
 
-    The effort is fixed: the unit, 64 seeded Gaussian inputs and inputs built
-    from the rep's top singular vectors are scored, then the best four climb
-    30 steps of a power ascent.  ``seed`` is the only per-call setting.  The
-    search stops at its first proof: when a sampled ratio already exceeds
-    ``1 + tol`` the map is returned as violated with that sampled bound, and
-    neither the certificate tests nor the ascent run.  The ascent only raises
-    the bound, so no verdict depends on the stop.
+    The single-map case of :func:`contraction_checks`: when a sampled ratio
+    already exceeds ``1 + tol`` the map is returned as violated with that
+    sampled bound, and neither the certificate tests nor the ascent run.
     """
-    n = s.n
-    rng = np.random.default_rng(np.random.SeedSequence((seed, 0xC0)))
-    shape = (_CONTRACTION_SAMPLES, n, n)
-    gauss = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-    # top right-singular vectors of the rep seed the search near the maximizer
-    # of the Hilbert-Schmidt-induced norm, a guaranteed lower-bound direction
-    _, _, vh = np.linalg.svd(s.rep)
-    tops = vh[: min(3, len(vh))].conj().reshape(-1, n, n).swapaxes(1, 2)
-    xs = np.concatenate(
-        [np.eye(n, dtype=complex)[None], gauss, tops, (tops + tops.conj().transpose(0, 2, 1)) / 2]
-    )
-    ratios = _ratio_batch(s.rep, xs)
-    bound = float(np.max(ratios))
-    if bound > 1.0 + tol:
-        return ContractionVerdict(VIOLATED, bound)
-
-    symmetric = is_symmetric_map(s, tol).verdict
-    unital = is_unital(s, tol).verdict
-    if symmetric and unital and cp_check(s, tol).verdict:
-        return ContractionVerdict(CERTIFIED_CONTRACTION, bound)
-
-    v = xs[np.argsort(ratios)[::-1][:4]].copy()
-    v /= np.linalg.norm(v, axis=(1, 2), keepdims=True)
-    for _ in range(_ASCENT_ITERS):
-        u, _, wh = np.linalg.svd(apply_stack(s.rep.T, v))
-        # the gradient u_1 w_1^* goes back through the adjoint map
-        v = apply_stack(s.rep.conj(), u[:, :, :1] @ wh[:, :1, :])
-        norms = np.linalg.norm(v, axis=(1, 2), keepdims=True)
-        norms[norms == 0] = 1.0
-        v /= norms
-        bound = max(bound, float(np.max(_ratio_batch(s.rep, v))))
-
-    if bound > 1.0 + tol:
-        return ContractionVerdict(VIOLATED, bound)
-    return ContractionVerdict(NO_VIOLATION_FOUND, bound)
+    return contraction_checks([s], seed, tol)[0]

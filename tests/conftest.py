@@ -47,13 +47,20 @@ def cone_searches(monkeypatch):
     return searched
 
 
+def spectral_ratios(s_out, s_in):
+    """||S(x)|| / ||x|| of a batch from its spectral norms; 0 for a negligible x."""
+    ok = s_in > 1e-12 * max(1.0, float(s_in.max(initial=0.0)))
+    return np.where(ok, s_out / np.where(ok, s_in, 1.0), 0.0)
+
+
 def full_contraction_search(s, seed=0, tol=1e-9):
     """Reference: the contraction search with no stop before its ascent.
 
     Scores the unit, 64 seeded Gaussians and the rep's top singular
     directions, tests the Russo-Dye certificate, then climbs 30 steps of a
-    power ascent from the best four whatever the sampled bound.  Returns the
-    largest sampled ratio and the verdict.
+    power ascent from the best four whatever the sampled bound.  Each step
+    reads the ratio of its inputs from its own SVD of their images.  Returns
+    the largest sampled ratio and the verdict.
     """
     n = s.n
     rng = np.random.default_rng(np.random.SeedSequence((seed, 0xC0)))
@@ -63,7 +70,11 @@ def full_contraction_search(s, seed=0, tol=1e-9):
     xs = np.concatenate(
         [np.eye(n, dtype=complex)[None], gauss, tops, (tops + tops.conj().transpose(0, 2, 1)) / 2]
     )
-    ratios = superop._ratio_batch(s.rep, xs)
+
+    def norms(x):
+        return np.linalg.svd(x, compute_uv=False)[:, 0]
+
+    ratios = spectral_ratios(norms(superop.apply_stack(s.rep.T, xs)), norms(xs))
     sampled = bound = float(np.max(ratios))
     if (
         superop.is_symmetric_map(s, tol).verdict
@@ -75,11 +86,11 @@ def full_contraction_search(s, seed=0, tol=1e-9):
     v = xs[np.argsort(ratios)[::-1][:4]].copy()
     v /= np.linalg.norm(v, axis=(1, 2), keepdims=True)
     for _ in range(30):
-        u, _, wh = np.linalg.svd(superop.apply_stack(s.rep.T, v))
+        u, sv, wh = np.linalg.svd(superop.apply_stack(s.rep.T, v))
+        bound = max(bound, float(np.max(spectral_ratios(sv[:, 0], norms(v)))))
         v = superop.apply_stack(s.rep.conj(), u[:, :, :1] @ wh[:, :1, :])
-        norms = np.linalg.norm(v, axis=(1, 2), keepdims=True)
-        norms[norms == 0] = 1.0
-        v /= norms
-        bound = max(bound, float(np.max(superop._ratio_batch(s.rep, v))))
+        v_norms = np.linalg.norm(v, axis=(1, 2), keepdims=True)
+        v_norms[v_norms == 0] = 1.0
+        v /= v_norms
     status = "violated" if bound > 1.0 + tol else "no_violation_found"
     return sampled, superop.ContractionVerdict(status, bound)

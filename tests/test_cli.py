@@ -12,9 +12,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from posgen import cli, semigroup
 from posgen.cli import main
+from posgen.config import RunConfig
 from posgen.instances import dephasing, flip_nonpositive, random_lindblad
-from posgen.semigroup import GeneratorSpec
+from posgen.matrixcore import mat_exp
+from posgen.semigroup import GeneratorSpec, SemigroupHandle
 from posgen.superop import Superoperator
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
@@ -331,6 +334,24 @@ class TestReportSearches:
         assert main(["instance", "transpose_mixing", "-n", "3", "-o", str(path)]) == 0
         assert main(["report", str(path)]) == 0
         assert cone_searches == [15]
+
+    def test_every_T_t_from_one_exponential(self, monkeypatch):
+        # T_t of t_grid and trace_t_grid (0.1, 1, 10, 0.5, 2; 1 is shared)
+        # are built by one stacked call, and each is mat_exp(t L) bit for bit
+        h = SemigroupHandle(random_lindblad(3, 2, seed=4))
+        calls = []
+
+        def counted(m):
+            calls.append(np.shape(m))
+            return mat_exp(m)
+
+        monkeypatch.setattr(semigroup, "mat_exp", counted)
+        cfg = RunConfig(n_selfadjoint=4, n_unitary=4, n_states=4)
+        cli._report_sections(h, cfg)
+        assert calls == [(5, 9, 9)]
+        assert sorted(h._evolved) == [0.1, 0.5, 1.0, 2.0, 10.0]
+        for t, s in h._evolved.items():
+            assert np.array_equal(s.rep, mat_exp(t * h.generator.rep))
 
 
 FINITE = "must be (positive and )?finite"

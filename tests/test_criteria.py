@@ -382,7 +382,9 @@ class TestTheorem2:
         with pytest.raises(HypothesisViolation) as early:
             theorem2_check(handle(flip_nonpositive(n)), config)
         monkeypatch.setattr(
-            criteria, "contraction_check", lambda s, seed, tol: full_contraction_search(s, seed, tol)[1]
+            criteria,
+            "contraction_checks",
+            lambda maps, seed, tol: [full_contraction_search(s, seed, tol)[1] for s in maps],
         )
         with pytest.raises(HypothesisViolation) as full:
             theorem2_check(handle(flip_nonpositive(n)), config)

@@ -14,8 +14,16 @@ from posgen.duality import (
     trajectory_records,
 )
 from posgen.errors import SchemaError
-from posgen.semigroup import SemigroupHandle, lindblad_rep
-from posgen.superop import NO_VIOLATION_FOUND, VIOLATED, Superoperator, apply, hs_adjoint
+from posgen.matrixcore import psd_margins
+from posgen.semigroup import SemigroupHandle, evolve, lindblad_rep
+from posgen.superop import (
+    NO_VIOLATION_FOUND,
+    VIOLATED,
+    Superoperator,
+    apply,
+    apply_stack,
+    hs_adjoint,
+)
 
 from conftest import SMINUS, SX, SZ, rand_complex
 
@@ -204,6 +212,35 @@ class TestTracePreservation:
     def test_empty_probe_list_rejected(self):
         with pytest.raises(ValueError, match="probe"):
             trace_preservation_check(handle_of(np.zeros((4, 4))), [])
+
+    def test_empty_time_grid_rejected(self):
+        # no evolved state means no least eigenvalue; inf is not JSON
+        with pytest.raises(ValueError, match="at least one time"):
+            trace_preservation_check(handle_of(np.zeros((4, 4))), [np.eye(2) / 2], t_grid=())
+
+    @pytest.mark.parametrize("which", ["lindblad", "flip", "dilation"])
+    def test_stacked_grid_equals_a_loop_over_times(self, which):
+        rng = np.random.default_rng(6)
+        rep = {
+            "lindblad": lambda: lindblad_rep(np.zeros((2, 2)), [rand_complex(rng, 2, 2)]),
+            "flip": lambda: np.eye(4) - np.kron(SX, SX),
+            "dilation": lambda: np.eye(4, dtype=complex),
+        }[which]()
+        h = handle_of(rep)
+        states = [rand_density(rng, 2) for _ in range(5)]
+        grid = (0.5, 0.0, 2.0, 1.0)
+        out = trace_preservation_check(h, states, t_grid=grid)
+        probes = np.array(states)
+        traces_in = np.trace(probes, axis1=1, axis2=2)
+        trace_margin, state_min = 0.0, np.inf
+        for t in grid:
+            evolved = apply_stack(evolve(h, t).rep.conj(), probes)
+            traces = np.einsum("mii->m", evolved)
+            trace_margin = max(trace_margin, float(np.abs(traces - traces_in).max()))
+            state_min = min(state_min, float(psd_margins(evolved).min()))
+        assert out.trace_margin == trace_margin
+        assert out.state_min_eig == state_min
+        assert out.samples_used == 20
 
     def test_report_json_types(self):
         h = handle_of(np.zeros((4, 4), dtype=complex))

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -15,6 +17,7 @@ from posgen.matrixcore import mat_exp, spectral_norm
 from posgen.semigroup import (
     GeneratorSpec,
     SemigroupHandle,
+    build_evolved,
     build_superoperator,
     decay_horizon,
     euler_product,
@@ -205,6 +208,33 @@ class TestEvolve:
     def test_overflow_names_time(self):
         h = SemigroupHandle(Superoperator(2, 100.0 * (np.eye(4) - np.kron(SX, SX))))
         assert np.isfinite(evolve(h, 1.0).rep).all()
+        with pytest.raises(PropagatorOverflow, match="t=10"):
+            evolve(h, 10.0)
+
+    def test_empty_times_give_an_empty_stack(self):
+        assert small_lindblad().evolve_rep(np.array([])).shape == (0, 9, 9)
+
+    @pytest.mark.parametrize("ts", [[[0.5, 1.0]], 0.5], ids=["2-D", "0-D"])
+    def test_times_must_be_one_dimensional(self, ts):
+        shape = np.shape(ts)
+        with pytest.raises(ValueError, match=f"1-D array, got shape {re.escape(str(shape))}"):
+            small_lindblad().evolve_rep(np.array(ts))
+
+    def test_built_maps_are_the_ones_evolve_returns(self, monkeypatch):
+        h = small_lindblad(seed=2)
+        build_evolved(h, (1.0, 0.0, 0.5, 1.0))
+        assert sorted(h._evolved) == [0.5, 1.0]
+        built = dict(h._evolved)
+        monkeypatch.setattr(semigroup, "mat_exp", None)  # nothing left to build
+        for t, s in built.items():
+            assert evolve(h, t) is s
+            assert np.array_equal(s.rep, mat_exp(t * h.generator.rep))
+        build_evolved(h, (0.5,))
+
+    def test_overflow_is_left_for_evolve_to_report(self):
+        h = SemigroupHandle(Superoperator(2, 100.0 * (np.eye(4) - np.kron(SX, SX))))
+        build_evolved(h, (1.0, 10.0))
+        assert list(h._evolved) == [1.0]
         with pytest.raises(PropagatorOverflow, match="t=10"):
             evolve(h, 10.0)
 

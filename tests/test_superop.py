@@ -17,6 +17,7 @@ from posgen.superop import (
     compose,
     conjugation,
     contraction_check,
+    contraction_checks,
     cp_check,
     devec,
     hs_adjoint,
@@ -242,23 +243,27 @@ def looped_positivity_check(s, seed, tol=1e-9):
     30 times between w = least eigenvector of herm S(vv*) and v = least
     eigenvector of herm S^*(ww*), on a copy of S scaled by the power of two
     that brings its largest entry into [1/2, 1).  The CP certificate and the
-    violation threshold judge that copy too.
+    violation threshold judge that copy too.  The starters are scored by
+    eigenvalues alone; the seesaw and the final re-score take eigenvectors.
     """
     n = s.n
 
-    def f_batch(rep, v):
+    def f_batch(rep, v, vectors=True):
         p = v[:, :, None] * v.conj()[:, None, :]
         vecs = p.transpose(0, 2, 1).reshape(len(v), n * n)
         m = (vecs @ rep.T).reshape(len(v), n, n).swapaxes(1, 2)
         skew = np.abs(m - m.conj().transpose(0, 2, 1)).max(axis=(1, 2))
-        w, u = np.linalg.eigh((m + m.conj().transpose(0, 2, 1)) / 2)
+        herm = (m + m.conj().transpose(0, 2, 1)) / 2
+        if not vectors:
+            return np.linalg.eigvalsh(herm)[:, 0] - skew
+        w, u = np.linalg.eigh(herm)
         return w[:, 0] - skew, u[:, :, 0]
 
     rng = np.random.default_rng(np.random.SeedSequence((seed, 0x705)))
     g = rng.standard_normal((64, n)) + 1j * rng.standard_normal((64, n))
     g /= np.linalg.norm(g, axis=1, keepdims=True)
     starters = np.concatenate([superop._structured_unit_vectors(n), g])
-    fvals, _ = f_batch(s.rep, starters)
+    fvals = f_batch(s.rep, starters, vectors=False)
     evals = len(starters)
     best_val = float(fvals.min())
     best_vec = starters[int(np.argmin(fvals))]
@@ -479,6 +484,65 @@ class TestContractionCheck:
             assert out.norm_lower_bound == sampled <= full.norm_lower_bound
         else:
             assert out.norm_lower_bound == full.norm_lower_bound
+
+
+class TestStackedContractionChecks:
+    """One search serves a whole t-grid, with the verdicts of single searches."""
+
+    def grid_maps(self, which):
+        if which == "mixed":
+            return [transpose_map(3), Superoperator(3, 2.0 * np.eye(9)), identity_superop(3)]
+        gen = {
+            "lindblad": lambda: random_lindblad(3, 2, seed=4),
+            "transpose_mixing": lambda: transpose_mixing(random_lindblad(3, 1, seed=15, scale=0.5)),
+            "flip": lambda: flip_nonpositive(3),
+        }[which]()
+        h = SemigroupHandle(gen)
+        return [evolve(h, t) for t in (0.1, 1.0, 10.0)]
+
+    @pytest.mark.parametrize("seed", [0, 5])
+    @pytest.mark.parametrize(
+        "which, statuses",
+        [
+            ("lindblad", ["certified_contraction"] * 3),
+            ("transpose_mixing", ["no_violation_found"] * 3),
+            ("flip", ["violated", None, None]),
+            ("mixed", ["no_violation_found", "violated", None]),
+        ],
+    )
+    def test_equals_a_loop_of_single_checks(self, which, statuses, seed, monkeypatch):
+        maps = self.grid_maps(which)
+        looped = []
+        for m in maps:
+            looped.append(contraction_check(m, seed))
+            if looped[-1].status == "violated":
+                break
+        calls = []
+        svd = np.linalg.svd
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return svd(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", counted)
+        stacked = contraction_checks(maps, seed)
+        svd_calls = len(calls)
+        contraction_checks(maps[: len(looped)], seed)
+        # the maps after the first violated one cost no SVD call
+        assert len(calls) == 2 * svd_calls
+        assert [v and v.status for v in stacked] == statuses
+        assert stacked[len(looped):] == [None] * (len(maps) - len(looped))
+        for a, b in zip(stacked, looped):
+            assert a.status == b.status
+            assert a.norm_lower_bound == b.norm_lower_bound
+
+    def test_empty_list_rejected(self):
+        with pytest.raises(ValueError):
+            contraction_checks([], 0)
+
+    def test_mixed_dimensions_rejected(self):
+        with pytest.raises(DimensionMismatch):
+            contraction_checks([identity_superop(2), identity_superop(3)], 0)
 
 
 class TestHsAdjoint:

@@ -32,8 +32,7 @@ def main():
 
     flip = build_superoperator(flip_nonpositive(2)).rep
     deph = build_superoperator(dephasing(2)).rep
-    cfg = RunConfig(seed=args.seed, n_selfadjoint=args.samples,
-                    n_unitary=args.samples)
+    cfg = RunConfig(seed=args.seed, samples=args.samples)
 
     header = None
     for theta in np.linspace(0.0, 1.0, args.steps):

@@ -29,7 +29,6 @@ from .duality import (
 )
 from .errors import (
     ConsistencyError,
-    DecayFailureError,
     DimensionMismatch,
     HypothesisViolation,
     PropagatorOverflow,
@@ -60,11 +59,9 @@ from .semigroup import (
     SemigroupHandle,
     build_evolved,
     build_superoperator,
-    decay_horizon,
     euler_product,
     evolve,
     lambda_grid,
-    laplace_resolvent,
     resolvent,
     yosida_generator,
     yosida_semigroup,

@@ -25,7 +25,7 @@ import numpy as np
 
 from ._blas import single_blas_thread
 from .config import FORMATS, RunConfig, subseed
-from .duality import DensityMatrix, trace_preservation_check, trajectory_records
+from .duality import TRACE_T_GRID, DensityMatrix, trace_preservation_check, trajectory_records
 from .errors import (
     ConsistencyError,
     DimensionMismatch,
@@ -138,8 +138,7 @@ def _resolve_config(args) -> RunConfig:
     if args.seed is not None:
         updates["seed"] = args.seed
     if args.samples is not None:
-        updates.update(n_selfadjoint=args.samples, n_unitary=args.samples,
-                       n_states=args.samples)
+        updates["samples"] = args.samples
     if args.t_grid is not None:
         updates["t_grid"] = _parse_grid(args.t_grid, "--t-grid")
     if args.lambda_grid is not None:
@@ -179,7 +178,7 @@ def _load_generator(path: str) -> SemigroupHandle:
 def _report_sections(h: SemigroupHandle, cfg: RunConfig):
     """All three checks; returns (sections dict, consistency flags)."""
     # every T_t the checks ask for, in one stacked exponential
-    build_evolved(h, cfg.t_grid + cfg.trace_t_grid)
+    build_evolved(h, cfg.t_grid + TRACE_T_GRID)
     sections = {}
     flags = []
     try:
@@ -195,9 +194,8 @@ def _report_sections(h: SemigroupHandle, cfg: RunConfig):
     except HypothesisViolation as exc:
         sections["theorem2"] = {"hypothesis_violation": str(exc)}
     states = density_from(np.random.default_rng(np.random.SeedSequence((cfg.seed, 47))),
-                          h.n, k=max(1, cfg.n_states))
-    tp = trace_preservation_check(h, states, t_grid=cfg.trace_t_grid,
-                                  tol=cfg.tol("trace"))
+                          h.n, k=max(1, cfg.samples))
+    tp = trace_preservation_check(h, states, tol=cfg.tol("trace"))
     sections["trace_preservation"] = tp.to_json()
     flags.append(bool(tp.consistent))
     return sections, flags
@@ -316,7 +314,7 @@ def cmd_evolve(args, cfg: RunConfig, out) -> int:
         raise _CliError(
             f"dimension mismatch: generator acts on {h.n}x{h.n} matrices, "
             f"state is {state.n}x{state.n}")
-    times = args.times if args.times is not None else list(cfg.trace_t_grid)
+    times = args.times if args.times is not None else list(TRACE_T_GRID)
     if not all(np.isfinite(t) for t in times):
         raise _CliError("evolution times must be finite")
     if any(t < 0 for t in times):

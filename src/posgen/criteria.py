@@ -60,6 +60,9 @@ _CONDITIONS = {
 }
 CONDITION_IDS = tuple(_CONDITIONS)
 
+# The s of every e^{s R_lam} that resolvent_exp searches.
+S_GRID = (0.5, 1.0, 2.0)
+
 SATISFIED = "satisfied"
 VIOLATED_VERDICT = "violated"
 INCONCLUSIVE = "inconclusive"
@@ -118,17 +121,16 @@ class ProbeSet:
                 raise ValueError("unitary probe fails its class check")
 
     @classmethod
-    def build(
-        cls, n: int, n_selfadjoint: int = 50, n_unitary: int = 50, seed: int = 0
-    ) -> "ProbeSet":
+    def build(cls, n: int, samples: int, seed: int = 0) -> "ProbeSet":
+        """The structured probes and ``samples`` random ones of each class."""
         sa_rng = np.random.default_rng(np.random.SeedSequence((int(seed), 31)))
         u_rng = np.random.default_rng(np.random.SeedSequence((int(seed), 32)))
         # one read-only stack per class; the members are views into it
         sa = frozen(np.concatenate(
-            [_structured_selfadjoint(n), hermitian_from(sa_rng, n, k=n_selfadjoint)]
+            [_structured_selfadjoint(n), hermitian_from(sa_rng, n, k=samples)]
         ))
         us = frozen(np.concatenate(
-            [_structured_unitaries(n), unitary_from(u_rng, n, k=n_unitary)]
+            [_structured_unitaries(n), unitary_from(u_rng, n, k=samples)]
         ))
         return cls(selfadjoint=tuple(sa), unitaries=tuple(us), seed=int(seed))
 
@@ -213,7 +215,7 @@ def _resolvent_maps(h, config):
 def _resolvent_exp_maps(h, config):
     # s-major, lambda-minor: a margin tie goes to the first pair in this order
     lams = lambda_grid(h, config.lambda_multipliers)
-    points = [(s, l) for s in config.s_grid for l in lams]
+    points = [(s, l) for s in S_GRID for l in lams]
     reps = mat_exp(np.stack([s * resolvent(h, l).rep for s, l in points]))
     return lams, [
         ((s, l), l, _finite_map(h.n, rep, f"e^(s R_lam) at s={s:g}, lam={l:g}"))
@@ -339,9 +341,7 @@ def theorem1_report(h: SemigroupHandle, config: RunConfig = RunConfig()) -> Theo
             raise HypothesisViolation(
                 f"semigroup is not symmetric at t={t:g}: deviation {sym.margin:.3e}"
             )
-    probes = ProbeSet.build(
-        h.n, config.n_selfadjoint, config.n_unitary, subseed(config.seed, 11)
-    )
+    probes = ProbeSet.build(h.n, config.samples, subseed(config.seed, 11))
     # the cone conditions share one stacked descent; each probe condition goes
     # through check_condition, so a profile shows each under its own call
     cones = _evaluate(

@@ -13,6 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .config import DEFAULT_TOLERANCES
 from .errors import SchemaError
 from .matrixcore import (
     CMatrix,
@@ -35,6 +36,10 @@ from .superop import (
 
 STATE_TOL = 1e-9
 _TRACE_TOL = 1e-10
+
+# The times at which a report tests trace preservation, and the times
+# `posgen evolve` reports when given none.
+TRACE_T_GRID = (0.5, 1.0, 2.0)
 
 
 def _validated_states(a: np.ndarray) -> np.ndarray:
@@ -135,8 +140,8 @@ class TracePreservationReport:
 def trace_preservation_check(
     h: SemigroupHandle,
     states,
-    t_grid=(0.5, 1.0, 2.0),
-    tol: float = 1e-6,
+    t_grid=TRACE_T_GRID,
+    tol: float = DEFAULT_TOLERANCES["trace"],
 ) -> TracePreservationReport:
     """Check trace preservation of the handle's predual against the unit-kill margin.
 

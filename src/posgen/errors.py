@@ -13,10 +13,6 @@ class ResolventPoleError(ValueError):
     """Resolvent requested at (or numerically too close to) a spectral point."""
 
 
-class DecayFailureError(ValueError):
-    """Laplace-transform quadrature requested where the integrand does not decay."""
-
-
 class PropagatorOverflow(ValueError):
     """A semigroup or resolvent map has entries beyond double precision.
 

@@ -42,7 +42,6 @@ from posgen.semigroup import (
     euler_product,
     evolve,
     lambda_grid,
-    laplace_resolvent,
     resolvent,
     yosida_generator,
     yosida_semigroup,
@@ -57,7 +56,7 @@ from posgen.superop import (
     transpose_map,
 )
 
-from conftest import rand_complex
+from conftest import laplace_resolvent, rand_complex
 
 E00 = np.diag([1.0, 0.0]).astype(complex)
 
@@ -121,7 +120,7 @@ def test_02_negative_control_flip():
     d5 = dissipation(evolve(h, 1.0), E00)
     assert np.abs(d5 - (-math.e * math.sinh(1.0)) * np.eye(2)).max() <= 1e-10
     assert report.by_id("semigroup_sa").verdict == "violated"
-    lam = lambda_grid(h)[0]
+    lam = lambda_grid(h, cfg.lambda_multipliers)[0]
     d3 = dissipation(resolvent(h, lam), E00)
     assert np.abs(d3 - (-1.0 / (lam * (lam - 2.0))) * np.eye(2)).max() <= 1e-12
     assert report.by_id("resolvent_sa").verdict == "violated"
@@ -142,7 +141,7 @@ def test_03_laplace_bridge():
     """Quadrature Laplace transform reproduces the algebraic resolvent."""
     for name, spec in _family_instances(seed=5).items():
         h = handle(spec)
-        lam = lambda_grid(h)[1]  # middle grid point
+        lam = lambda_grid(h, RunConfig().lambda_multipliers)[1]  # middle grid point
         numeric = laplace_resolvent(h, lam)
         algebraic = resolvent(h, lam)
         rel = spectral_norm(numeric.rep - algebraic.rep) / spectral_norm(algebraic.rep)
@@ -154,7 +153,7 @@ def test_03_laplace_bridge():
         n = int(rng.integers(2, 5))
         h = handle(random_lindblad(n, 2, seed=100 + i))
         a = random_hermitian(n, seed=200 + i)
-        lam = lambda_grid(h)[1]
+        lam = lambda_grid(h, RunConfig().lambda_multipliers)[1]
         via_quad = dissipation(laplace_resolvent(h, lam), a)
         direct = dissipation(resolvent(h, lam), a)
         scale = max(1.0, float(np.abs(direct).max()))
@@ -215,7 +214,7 @@ def test_05_yosida_convergence():
 def test_06_unital_symmetric_two_directions():
     """Unital + symmetric generators: positivity certified for the CP family;
     the transpose-mixing family stays positive while measurably not CP."""
-    cfg = RunConfig(n_selfadjoint=20, n_unitary=20, n_states=20)
+    cfg = RunConfig(samples=20)
     for i in range(20):
         h = handle(random_lindblad(2 + i % 3, 2, seed=400 + i))
         rep = theorem2_check(h, cfg.replace(seed=i))

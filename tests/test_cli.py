@@ -199,17 +199,28 @@ class TestReport:
         assert "t=10" in captured.err
         assert captured.err.count("\n") == 1
 
-    def test_overflowing_resolvent_exponential_exits_1(self, flip_file, tmp_path, capsys):
-        # e^{1000 R_lam} of the flip generator overflows; it raised ValueError
-        # from Superoperator's finiteness check
-        config = tmp_path / "c.json"
-        config.write_text(json.dumps({"s_grid": [1000]}))
-        assert main(["report", flip_file, "--samples", "6", "--config", str(config)]) == 1
+    def test_overflowing_resolvent_exponential_exits_1(self, flip_file, capsys):
+        # lam = 0.6667 * 3 sits 1e-4 above the flip generator's abscissa 2, so
+        # R_lam has entries near 1e4 and e^{s R_lam} overflows at the first s
+        assert main(["report", flip_file, "--samples", "6", "--lambda-grid", "0.6667"]) == 1
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith("posgen: error: ")
-        assert "s=1000" in captured.err and "overflows double precision" in captured.err
+        assert "e^(s R_lam) at s=0.5, lam=2.0001 overflows double precision" in captured.err
         assert "Traceback" not in captured.err
+
+    @pytest.mark.parametrize("t", ["88.6", "88.75"])
+    def test_semigroup_near_overflow_exits_1(self, tmp_path, capsys, t):
+        # T_t of flip_nonpositive(3) at these t is finite, with entries within
+        # a factor 5.3 (88.6) or 1.6 (88.75) of the largest double; the probe
+        # scan (88.6) or the cone search (88.75) overflowed on its images,
+        # and eigvalsh raised LinAlgError
+        path = tmp_path / "flip3.json"
+        path.write_text(json.dumps(flip_nonpositive(3, scale=4.0).to_json()))
+        assert main(["report", str(path), "--t-grid", t]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"posgen: error: T_t at t={t} overflows double precision\n"
 
     def test_huge_finite_semigroup_reports(self, tmp_path, capsys):
         # T_10 has entries near e^360: finite, but the positivity descent on
@@ -336,7 +347,7 @@ class TestReportSearches:
         assert cone_searches == [15]
 
     def test_every_T_t_from_one_exponential(self, monkeypatch):
-        # T_t of t_grid and trace_t_grid (0.1, 1, 10, 0.5, 2; 1 is shared)
+        # T_t of t_grid and TRACE_T_GRID (0.1, 1, 10, 0.5, 2; 1 is shared)
         # are built by one stacked call, and each is mat_exp(t L) bit for bit
         h = SemigroupHandle(random_lindblad(3, 2, seed=4))
         calls = []
@@ -346,7 +357,7 @@ class TestReportSearches:
             return mat_exp(m)
 
         monkeypatch.setattr(semigroup, "mat_exp", counted)
-        cfg = RunConfig(n_selfadjoint=4, n_unitary=4, n_states=4)
+        cfg = RunConfig(samples=4)
         cli._report_sections(h, cfg)
         assert calls == [(5, 9, 9)]
         assert sorted(h._evolved) == [0.1, 0.5, 1.0, 2.0, 10.0]
@@ -355,6 +366,8 @@ class TestReportSearches:
 
 
 FINITE = "must be (positive and )?finite"
+# the one-line error of a config file that names a field RunConfig does not have
+UNKNOWN = r"^posgen: error: .*: config payload: unknown field\(s\) \['%s'\]\n$"
 
 # flags that must exit 1 with a clean error, and the error they must name
 BAD_FLAGS = [
@@ -366,24 +379,30 @@ BAD_FLAGS = [
     (["--lambda-grid", "inf"], FINITE),
     (["--lambda-grid", "1e-12"], "does not clear the spectral abscissa"),
     (["--seed", "-1"], "seed must be an integer >= 0"),
-    (["--samples", "100000000000000000000"], "n_selfadjoint must be at most 10000"),
+    (["--samples", "100000000000000000000"], "samples must be at most 10000"),
+    (["--t-grid", ",".join(["1"] * 257)], "t_grid must have at most 256 values"),
+    (["--lambda-grid", ",".join(["1"] * 257)], "lambda_multipliers must have at most 256 values"),
 ]
 
 # config files that must exit 1 with a clean error: id -> (text, error)
 BAD_CONFIGS = {
     "consistency-nan": ('{"tolerances": {"consistency": NaN}}', FINITE),
     "t_grid-inf": ('{"t_grid": [0.1, Infinity]}', FINITE),
-    "s_grid-nan": ('{"s_grid": [NaN]}', FINITE),
-    "trace_t_grid-minus-inf": ('{"trace_t_grid": [-Infinity]}', FINITE),
+    "s_grid-nan": ('{"s_grid": [NaN]}', UNKNOWN % "s_grid"),
+    "trace_t_grid-minus-inf": ('{"trace_t_grid": [-Infinity]}', UNKNOWN % "trace_t_grid"),
     "predicate-string": ('{"tolerances": {"predicate": "x"}}', "tolerances must be numbers"),
     "predicate-bool": ('{"tolerances": {"predicate": true}}', "tolerances must be numbers"),
     "t_grid-string-value": ('{"t_grid": ["a"]}', "t_grid must be a list of numbers"),
     "t_grid-number": ('{"t_grid": 5}', "t_grid must be a list of numbers"),
     "seed-nan": ('{"seed": NaN}', "seed must be an integer >= 0"),
     "seed-string": ('{"seed": "3"}', "seed must be an integer >= 0"),
-    "n_states-float": ('{"n_states": 1.5}', "n_states must be an integer >= 0"),
-    "n_selfadjoint-bool": ('{"n_selfadjoint": true}', "n_selfadjoint must be an integer >= 0"),
-    "n_states-huge": ('{"n_states": 100000000000000000000}', "n_states must be at most 10000"),
+    "n_states-float": ('{"n_states": 1.5}', UNKNOWN % "n_states"),
+    "n_selfadjoint-bool": ('{"n_selfadjoint": true}', UNKNOWN % "n_selfadjoint"),
+    "n_states-huge": ('{"n_states": 100000000000000000000}', UNKNOWN % "n_states"),
+    "samples-float": ('{"samples": 1.5}', "samples must be an integer >= 0"),
+    "samples-bool": ('{"samples": true}', "samples must be an integer >= 0"),
+    "samples-huge": ('{"samples": 100000000000000000000}', "samples must be at most 10000"),
+    "t_grid-long": ('{"t_grid": [%s]}' % ", ".join(["1"] * 257), "t_grid must have at most 256"),
     "t_grid-huge-int": ('{"t_grid": [1%s]}' % ("0" * 400), FINITE),
     "trace-huge-int": ('{"tolerances": {"trace": 1%s}}' % ("0" * 400), FINITE),
 }
@@ -396,12 +415,23 @@ class TestConfigResolution:
 
     def test_config_file_overrides_flag(self, deph_file, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({"seed": 9, "n_selfadjoint": 6,
-                                   "n_unitary": 6, "n_states": 6}))
+        cfg.write_text(json.dumps({"seed": 9, "samples": 6}))
         main(["report", deph_file, "--seed", "5", "--samples", "20",
               "--config", str(cfg)])
         payload = json.loads(capsys.readouterr().out)
         assert payload["seed"] == 9
+
+    def test_samples_flag_equals_config_file(self, tmp_path, capsys):
+        path = tmp_path / "g.json"
+        assert main(["instance", "transpose_mixing", "-n", "3", "-o", str(path)]) == 0
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"samples": 7}))
+        assert main(["report", str(path), "--samples", "7"]) == 0
+        by_flag = capsys.readouterr()
+        assert main(["report", str(path), "--config", str(cfg)]) == 0
+        assert capsys.readouterr() == by_flag
+        assert main(["report", str(path)]) == 0
+        assert capsys.readouterr() != by_flag
 
     def test_config_file_unknown_field(self, deph_file, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"

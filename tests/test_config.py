@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from posgen.config import DEFAULT_TOLERANCES, RunConfig, subseed
+from posgen.config import DEFAULT_TOLERANCES, MAX_GRID, RunConfig, subseed
 from posgen.errors import SchemaError
 
 
@@ -34,7 +34,7 @@ class TestRunConfig:
 
     def test_negative_time_rejected(self):
         with pytest.raises(SchemaError, match="nonnegative"):
-            RunConfig(s_grid=(-1.0,))
+            RunConfig(t_grid=(-1.0,))
 
     def test_nonpositive_multiplier_rejected(self):
         with pytest.raises(SchemaError, match="positive"):
@@ -47,7 +47,7 @@ class TestRunConfig:
             RunConfig(tolerances={name: value})
 
     @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
-    @pytest.mark.parametrize("name", ["t_grid", "s_grid", "trace_t_grid", "lambda_multipliers"])
+    @pytest.mark.parametrize("name", ["t_grid", "lambda_multipliers"])
     def test_nonfinite_grid_value_rejected(self, name, value):
         with pytest.raises(SchemaError, match="finite"):
             RunConfig(**{name: (1.0, value)})
@@ -63,24 +63,39 @@ class TestRunConfig:
             RunConfig(format="yaml")
 
     def test_negative_count_rejected(self):
-        with pytest.raises(SchemaError, match="n_states"):
-            RunConfig(n_states=-1)
+        with pytest.raises(SchemaError, match="samples"):
+            RunConfig(samples=-1)
 
     @pytest.mark.parametrize("field,value", [
         ("seed", -1), ("seed", "3"), ("seed", float("nan")), ("seed", 3.0), ("seed", True),
-        ("n_states", 1.5), ("n_selfadjoint", True), ("n_unitary", "2"),
+        ("samples", 1.5), ("samples", True), ("samples", "2"),
     ])
     def test_ill_typed_count_or_seed_rejected(self, field, value):
         with pytest.raises(SchemaError, match=f"{field} must be an integer >= 0"):
             RunConfig(**{field: value})
 
-    @pytest.mark.parametrize("field", ["n_selfadjoint", "n_unitary", "n_states"])
-    def test_sample_count_bound(self, field):
+    def test_sample_count_bound(self):
         # only the settings are checked here; no probe is drawn
-        assert getattr(RunConfig(**{field: 10_000}), field) == 10_000
+        assert RunConfig(samples=10_000).samples == 10_000
         for value in (10_001, 10**20):
-            with pytest.raises(SchemaError, match=f"{field} must be at most 10000"):
-                RunConfig(**{field: value})
+            with pytest.raises(SchemaError, match="samples must be at most 10000"):
+                RunConfig(samples=value)
+
+    @pytest.mark.parametrize("name", ["t_grid", "lambda_multipliers"])
+    def test_grid_length_bound(self, name):
+        assert len(getattr(RunConfig(**{name: [1.0] * MAX_GRID}), name)) == MAX_GRID
+        with pytest.raises(SchemaError, match=f"{name} must have at most {MAX_GRID} values"):
+            RunConfig(**{name: [1.0] * (MAX_GRID + 1)})
+
+    @pytest.mark.parametrize("name", ["n_selfadjoint", "n_unitary", "n_states",
+                                      "s_grid", "trace_t_grid"])
+    def test_removed_field_rejected(self, name):
+        with pytest.raises(SchemaError, match=rf"unknown field\(s\) \['{name}'\]"):
+            RunConfig.from_json({name: [1.0] if name.endswith("grid") else 5})
+
+    def test_six_fields(self):
+        assert list(RunConfig().to_json()) == [
+            "tolerances", "samples", "t_grid", "lambda_multipliers", "seed", "format"]
 
     @pytest.mark.parametrize("value", ["x", True, None, [1e-9]])
     def test_ill_typed_tolerance_rejected(self, value):
@@ -97,8 +112,8 @@ class TestRunConfig:
             RunConfig.from_json({"t_grid": value})
 
     def test_integral_settings_stored_as_int(self):
-        cfg = RunConfig(seed=np.int64(3), n_states=np.int32(4))
-        assert type(cfg.seed) is int and type(cfg.n_states) is int
+        cfg = RunConfig(seed=np.int64(3), samples=np.int32(4))
+        assert type(cfg.seed) is int and type(cfg.samples) is int
         assert json.dumps(cfg.to_json())
 
     def test_grids_coerced_to_floats(self):

@@ -32,7 +32,6 @@ from posgen.semigroup import (
     build_superoperator,
     evolve,
     lambda_grid,
-    laplace_resolvent,
     resolvent,
 )
 from posgen.superop import (
@@ -46,7 +45,7 @@ from posgen.superop import (
     positivity_check,
 )
 
-from conftest import full_contraction_search, rand_complex, signed_rate_rep
+from conftest import full_contraction_search, laplace_resolvent, rand_complex, signed_rate_rep
 
 E00 = np.diag([1.0, 0.0]).astype(complex)
 
@@ -56,7 +55,7 @@ def handle(spec):
 
 
 def small_config(**kw):
-    defaults = dict(n_selfadjoint=10, n_unitary=10, n_states=10)
+    defaults = dict(samples=10)
     defaults.update(kw)
     return RunConfig(**defaults)
 
@@ -87,7 +86,7 @@ class TestDissipationKernels:
         # one stacked kernel call over T_t, R_lam and L of a non-CP instance
         h = handle(flip_plus_lindblad(3, 6))
         maps = (evolve(h, 1.0), resolvent(h, 5.0), h.generator)
-        probes = ProbeSet.build(3, 8, 8, seed=1)
+        probes = ProbeSet.build(3, 8, seed=1)
         stack = np.stack(probes.selfadjoint if kind == "selfadjoint" else probes.unitaries)
         got = dissipation_batch(np.stack([phi.rep for phi in maps]).swapaxes(1, 2), stack)
         assert got.shape == (len(maps), *stack.shape)
@@ -198,7 +197,11 @@ class TestLaplaceBridge:
 
 
 def looped_probe_set(n, n_selfadjoint, n_unitary, seed):
-    """Reference: the probes of ProbeSet.build, random ones drawn one at a time."""
+    """Reference: the probes of ProbeSet.build, random ones drawn one at a time.
+
+    Each class has its own count and its own substream, as when a run could
+    set the two counts apart.
+    """
     sa_rng = np.random.default_rng(np.random.SeedSequence((seed, 31)))
     u_rng = np.random.default_rng(np.random.SeedSequence((seed, 32)))
     sa = criteria._structured_selfadjoint(n)
@@ -217,16 +220,18 @@ def looped_probe_set(n, n_selfadjoint, n_unitary, seed):
 class TestProbeSet:
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 8])
     @pytest.mark.parametrize("seed", [0, 9])
-    @pytest.mark.parametrize("count", [0, 12])
+    @pytest.mark.parametrize("count", [0, 12, 50])
     def test_stacked_draws_equal_looped_draws(self, n, seed, count):
-        p = ProbeSet.build(n, n_selfadjoint=count, n_unitary=count, seed=seed)
+        # one count for both classes draws, bit for bit, the probes that two
+        # equal counts drew
+        p = ProbeSet.build(n, count, seed)
         sa, us = looped_probe_set(n, count, count, seed)
         assert len(p.selfadjoint) == len(sa) and len(p.unitaries) == len(us)
         for got, want in zip(p.selfadjoint + p.unitaries, sa + us):
             assert np.asarray(got).tobytes() == np.asarray(want, dtype=complex).tobytes()
 
     def test_counts_and_structure(self):
-        p = ProbeSet.build(2, n_selfadjoint=10, n_unitary=10, seed=0)
+        p = ProbeSet.build(2, samples=10, seed=0)
         # structured: unit + 2 diagonal units + 2 superposition projectors
         assert len(p.selfadjoint) == 5 + 10
         assert len(p.unitaries) == 3 + 10
@@ -234,11 +239,11 @@ class TestProbeSet:
         assert np.array_equal(p.selfadjoint[1], E00)
 
     def test_deterministic(self):
-        a = ProbeSet.build(3, 5, 5, seed=9)
-        b = ProbeSet.build(3, 5, 5, seed=9)
+        a = ProbeSet.build(3, 5, seed=9)
+        b = ProbeSet.build(3, 5, seed=9)
         for x, y in zip(a.selfadjoint + a.unitaries, b.selfadjoint + b.unitaries):
             assert x.tobytes() == y.tobytes()
-        c = ProbeSet.build(3, 5, 5, seed=10)
+        c = ProbeSet.build(3, 5, seed=10)
         assert not np.array_equal(a.selfadjoint[-1], c.selfadjoint[-1])
 
     def test_validation_rejects_wrong_class(self):
@@ -254,7 +259,7 @@ class TestCheckCondition:
     def test_zero_generator_satisfies_everything(self):
         h = SemigroupHandle(Superoperator(2, np.zeros((4, 4), dtype=complex)))
         cfg = small_config()
-        probes = ProbeSet.build(2, cfg.n_selfadjoint, cfg.n_unitary, seed=0)
+        probes = ProbeSet.build(2, cfg.samples, seed=0)
         for cid in CONDITION_IDS:
             res = check_condition(h, cid, probes, cfg)
             assert res.verdict == "satisfied", cid
@@ -263,7 +268,7 @@ class TestCheckCondition:
     def test_lindblad_satisfies_everything(self):
         h = handle(random_lindblad(3, 2, seed=8))
         cfg = small_config()
-        probes = ProbeSet.build(3, cfg.n_selfadjoint, cfg.n_unitary, seed=1)
+        probes = ProbeSet.build(3, cfg.samples, seed=1)
         for cid in CONDITION_IDS:
             res = check_condition(h, cid, probes, cfg)
             assert res.verdict == "satisfied", (cid, res.min_margin)
@@ -272,7 +277,7 @@ class TestCheckCondition:
     def test_flip_violations_and_reproducibility(self):
         h = handle(flip_nonpositive(2))
         cfg = small_config()
-        probes = ProbeSet.build(2, cfg.n_selfadjoint, cfg.n_unitary, seed=2)
+        probes = ProbeSet.build(2, cfg.samples, seed=2)
 
         res1 = check_condition(h, "semigroup_positive", probes, cfg)
         assert res1.verdict == "violated"
@@ -293,7 +298,7 @@ class TestCheckCondition:
     def test_unknown_condition_rejected(self):
         h = handle(dephasing(2))
         with pytest.raises(ValueError, match="condition"):
-            check_condition(h, "bogus", ProbeSet.build(2, 1, 1, 0), small_config())
+            check_condition(h, "bogus", ProbeSet.build(2, 1, 0), small_config())
 
 
 class TestTheorem1Report:
@@ -457,9 +462,7 @@ class TestTheorem1StackedCones:
     def test_report_equals_nine_check_condition_calls(self, gen):
         config = small_config(seed=3)
         report = theorem1_report(handle(gen), config).to_json()
-        probes = ProbeSet.build(
-            3, config.n_selfadjoint, config.n_unitary, subseed(config.seed, 11)
-        )
+        probes = ProbeSet.build(3, config.samples, subseed(config.seed, 11))
         h = handle(gen)
         conditions = [
             check_condition(h, cid, probes, config).to_json() for cid in CONDITION_IDS
@@ -480,7 +483,7 @@ class TestTheorem1StackedCones:
             "resolvent_positive": [(l, resolvent(h, l)) for l in lams],
             "resolvent_exp": [
                 (l, Superoperator(3, mat_exp(s * resolvent(h, l).rep)))
-                for s in config.s_grid for l in lams
+                for s in criteria.S_GRID for l in lams
             ],
         }
         report = theorem1_report(handle(gen), config)
@@ -552,8 +555,9 @@ class TestConeVerdictMemo:
 
         monkeypatch.setattr(criteria, "positivity_checks", score)
         h = SemigroupHandle(Superoperator(2, np.zeros((4, 4), dtype=complex)))
-        config = small_config(s_grid=(1.0, 2.0), lambda_multipliers=(1.0, 0.5))
-        got = check_condition(h, "resolvent_exp", ProbeSet.build(2, 1, 1), config)
+        monkeypatch.setattr(criteria, "S_GRID", (1.0, 2.0))
+        config = small_config(lambda_multipliers=(1.0, 0.5))
+        got = check_condition(h, "resolvent_exp", ProbeSet.build(2, 1), config)
         assert got.min_margin == -1.0
         assert got.worst_probe.grid_value == 0.5
 
@@ -588,9 +592,7 @@ class TestConditionTable:
         # so the first map's grid value must win.
         config = small_config(seed=3)
         h = handle(gen)
-        probes = ProbeSet.build(
-            3, config.n_selfadjoint, config.n_unitary, subseed(config.seed, 11)
-        )
+        probes = ProbeSet.build(3, config.samples, subseed(config.seed, 11))
         lams = lambda_grid(h, config.lambda_multipliers)
         families = {
             "resolvent": (lams, [(l, resolvent(h, l)) for l in lams]),
@@ -622,7 +624,7 @@ class TestConditionTable:
     @pytest.mark.parametrize("kind", ["selfadjoint", "unitary"])
     def test_single_probe_equals_batch_row(self, kind):
         h = handle(flip_plus_lindblad(3, 6))
-        probes = ProbeSet.build(3, 4, 4, seed=1)
+        probes = ProbeSet.build(3, 4, seed=1)
         pool = probes.selfadjoint if kind == "selfadjoint" else probes.unitaries
         stack = np.stack(pool[-4:])  # random members, so row 0 is no structured probe
         for phi in (h.generator, evolve(h, 1.0), resolvent(h, 5.0)):

@@ -7,7 +7,6 @@ from hypothesis import given, settings, strategies as st
 from posgen import semigroup
 from posgen.duality import predual_evolve, trajectory_records
 from posgen.errors import (
-    DecayFailureError,
     PropagatorOverflow,
     ResolventPoleError,
     SchemaError,
@@ -19,10 +18,8 @@ from posgen.semigroup import (
     SemigroupHandle,
     build_evolved,
     build_superoperator,
-    decay_horizon,
     euler_product,
     evolve,
-    laplace_resolvent,
     lindblad_rep,
     resolvent,
     yosida_generator,
@@ -30,7 +27,7 @@ from posgen.semigroup import (
 )
 from posgen.superop import Superoperator, apply, vec
 
-from conftest import SX, SZ, rand_complex
+from conftest import SX, SZ, DecayFailureError, decay_horizon, laplace_resolvent, rand_complex
 
 
 def zero_gen(n=2):

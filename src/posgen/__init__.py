@@ -57,10 +57,11 @@ from .semigroup import (
     GENERATOR_KINDS,
     GeneratorSpec,
     SemigroupHandle,
-    build_evolved,
+    build_maps,
     build_superoperator,
     euler_product,
     evolve,
+    family_maps,
     lambda_grid,
     resolvent,
     yosida_generator,

@@ -37,7 +37,7 @@ from .errors import (
 from .instances import InstanceRecipe, build, density_from
 from .matrixcore import json_object
 from .criteria import theorem1_report, theorem2_check
-from .semigroup import GeneratorSpec, SemigroupHandle, build_evolved, build_superoperator
+from .semigroup import GeneratorSpec, SemigroupHandle, build_maps, build_superoperator
 
 
 class _CliError(Exception):
@@ -178,7 +178,7 @@ def _load_generator(path: str) -> SemigroupHandle:
 def _report_sections(h: SemigroupHandle, cfg: RunConfig):
     """All three checks; returns (sections dict, consistency flags)."""
     # every T_t the checks ask for, in one stacked exponential
-    build_evolved(h, cfg.t_grid + TRACE_T_GRID)
+    build_maps(h, "semigroup", cfg.t_grid + TRACE_T_GRID)
     sections = {}
     flags = []
     try:

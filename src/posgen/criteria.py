@@ -28,8 +28,8 @@ import numpy as np
 from .config import RunConfig, subseed
 from .errors import HypothesisViolation
 from .instances import hermitian_from, unitary_from
-from .matrixcore import as_matrix_stack, frozen, mat_exp, max_entry, psd_margins, spectral_norm
-from .semigroup import SemigroupHandle, _finite_map, evolve, lambda_grid, resolvent
+from .matrixcore import as_matrix_stack, frozen, max_entry, psd_margins, spectral_norm
+from .semigroup import SemigroupHandle, evolve, family_maps, lambda_grid, resolvent
 from .superop import (
     CERTIFIED_POSITIVE,
     NO_VIOLATION_FOUND,
@@ -62,6 +62,10 @@ CONDITION_IDS = tuple(_CONDITIONS)
 
 # The s of every e^{s R_lam} that resolvent_exp searches.
 S_GRID = (0.5, 1.0, 2.0)
+
+# Probe entries (probes x n^2) times maps per probe-scan call: a call holds
+# several temporaries of that many complex entries (16 MiB each).
+_SCAN_ENTRIES = 1 << 20
 
 SATISFIED = "satisfied"
 VIOLATED_VERDICT = "violated"
@@ -216,11 +220,7 @@ def _resolvent_exp_maps(h, config):
     # s-major, lambda-minor: a margin tie goes to the first pair in this order
     lams = lambda_grid(h, config.lambda_multipliers)
     points = [(s, l) for s in S_GRID for l in lams]
-    reps = mat_exp(np.stack([s * resolvent(h, l).rep for s, l in points]))
-    return lams, [
-        ((s, l), l, _finite_map(h.n, rep, f"e^(s R_lam) at s={s:g}, lam={l:g}"))
-        for (s, l), rep in zip(points, reps)
-    ]
+    return lams, [(p, p[1], m) for p, m in zip(points, family_maps(h, "resolvent_exp", points))]
 
 
 # Each family returns the grid a condition reports and its maps, each with its
@@ -271,8 +271,8 @@ def _evaluate(h, condition_ids, probes: ProbeSet, config: RunConfig) -> dict:
     The maps of all cone conditions are searched at most once per handle, each
     condition under its own seed, so its margin is the one a search of
     that condition alone finds.  A probe condition scans every probe of its
-    class at every map in one kernel call.  Margins aggregate as minima; the
-    first minimum in map-major order wins.
+    class at every map.  Margins aggregate as minima; the first minimum in
+    map-major order wins.
     """
     tol = config.tol("predicate")
     plans = {cid: _FAMILIES[_CONDITIONS[cid][0]](h, config) for cid in condition_ids}
@@ -285,8 +285,12 @@ def _evaluate(h, condition_ids, probes: ProbeSet, config: RunConfig) -> dict:
             margins = np.array([next(verdicts).margin for _ in maps])[:, None]
         else:
             pool = np.stack(probes.selfadjoint if kind == "selfadjoint" else probes.unitaries)
-            d = dissipation_batch(np.stack([phi.rep for _, _, phi in maps]).swapaxes(1, 2), pool)
-            margins = psd_margins(d.reshape(-1, *pool.shape[1:])).reshape(len(maps), -1)
+            reps_t = np.stack([phi.rep for _, _, phi in maps]).swapaxes(1, 2)
+            k = min(len(maps), -(-len(maps) * pool.size // _SCAN_ENTRIES))
+            margins = np.concatenate([
+                psd_margins(dissipation_batch(c, pool).reshape(-1, *pool.shape[1:]))
+                for c in np.array_split(reps_t, k)
+            ]).reshape(len(maps), -1)
         i, k = np.unravel_index(np.argmin(margins), margins.shape)
         ref = ProbeRef(*((None, None) if kind == "cone" else (kind, int(k))), maps[i][1])
         results[cid] = _condition_result(cid, grid, margins[i, k], ref, tol)

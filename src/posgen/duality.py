@@ -24,7 +24,7 @@ from .matrixcore import (
     psd_margins,
     spectral_norm,
 )
-from .semigroup import SemigroupHandle, evolve
+from .semigroup import SemigroupHandle, build_maps, evolve
 from .superop import (
     NO_VIOLATION_FOUND,
     VIOLATED,
@@ -180,6 +180,7 @@ def trace_preservation_check(
 def trajectory_records(h: SemigroupHandle, rho, ts) -> list[dict]:
     """Per-time snapshots {t, rho, trace, min_eig, purity} of a state orbit under the handle."""
     state = as_density(rho)
+    build_maps(h, "semigroup", [float(t) for t in ts])
     records = []
     for t in ts:
         out = predual_evolve(h, float(t), state)

@@ -20,15 +20,6 @@ from .matrixcore import frozen, json_dimension, json_object, spectral_norm
 from .semigroup import GeneratorSpec, build_superoperator
 from .superop import Superoperator, compose, transpose_map
 
-FAMILIES = (
-    "lindblad",
-    "hamiltonian",
-    "dephasing",
-    "transpose_conjugated",
-    "transpose_mixing",
-    "flip_nonpositive",
-)
-
 # substream tags keep the random_* constructors independent at equal seeds
 _TAG_HERMITIAN = 1
 _TAG_LINDBLAD = 4
@@ -182,6 +173,23 @@ def random_lindblad(n: int, k: int, seed: int, scale: float = 4.0) -> GeneratorS
     return lindblad(h, vs)
 
 
+def _recipe_lindblad(r) -> GeneratorSpec:
+    return random_lindblad(r.n, r.k, r.seed, r.scale)
+
+
+# Each family's least n and how a recipe builds its spec.
+_FAMILIES = {
+    "lindblad": (1, _recipe_lindblad),
+    "hamiltonian": (1, lambda r: GeneratorSpec(
+        kind="hamiltonian", n=r.n, hamiltonian=random_hermitian(r.n, r.seed, r.scale))),
+    "dephasing": (2, lambda r: dephasing(r.n)),
+    "transpose_conjugated": (1, lambda r: transpose_conjugated(_recipe_lindblad(r))),
+    "transpose_mixing": (1, lambda r: transpose_mixing(_recipe_lindblad(r))),
+    "flip_nonpositive": (2, lambda r: flip_nonpositive(r.n, r.scale)),
+}
+FAMILIES = tuple(_FAMILIES)
+
+
 @dataclass(frozen=True)
 class InstanceRecipe:
     """A reproducible pointer to one generator: family + dimension + seed."""
@@ -198,8 +206,9 @@ class InstanceRecipe:
                 f"unknown family {self.family!r}; choose from {', '.join(FAMILIES)}"
             )
         json_dimension(self.n)
-        if self.n < 2 and self.family in ("dephasing", "flip_nonpositive"):
-            raise SchemaError(f"family {self.family!r} needs n >= 2")
+        least = _FAMILIES[self.family][0]
+        if self.n < least:
+            raise SchemaError(f"family {self.family!r} needs n >= {least}")
         for name in ("seed", "k"):
             value = getattr(self, name)
             if isinstance(value, bool) or not isinstance(value, numbers.Integral):
@@ -228,24 +237,4 @@ class InstanceRecipe:
 
 def build(recipe: InstanceRecipe) -> GeneratorSpec:
     """Materialize a recipe; identical recipes give bit-identical specs."""
-    if recipe.family == "lindblad":
-        return random_lindblad(recipe.n, recipe.k, recipe.seed, recipe.scale)
-    if recipe.family == "hamiltonian":
-        return GeneratorSpec(
-            kind="hamiltonian",
-            n=recipe.n,
-            hamiltonian=random_hermitian(recipe.n, recipe.seed, recipe.scale),
-        )
-    if recipe.family == "dephasing":
-        return dephasing(recipe.n)
-    if recipe.family == "transpose_conjugated":
-        return transpose_conjugated(
-            random_lindblad(recipe.n, recipe.k, recipe.seed, recipe.scale)
-        )
-    if recipe.family == "transpose_mixing":
-        return transpose_mixing(
-            random_lindblad(recipe.n, recipe.k, recipe.seed, recipe.scale)
-        )
-    if recipe.family == "flip_nonpositive":
-        return flip_nonpositive(recipe.n, recipe.scale)
-    raise SchemaError(f"unknown family {recipe.family!r}")
+    return _FAMILIES[recipe.family][1](recipe)

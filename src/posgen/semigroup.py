@@ -3,7 +3,7 @@
 A generator is described either explicitly (by its superoperator matrix) or
 by Hamiltonian / Lindblad payloads, from which the superoperator is built and
 checked at construction time.  A :class:`SemigroupHandle` memoizes the maps
-built from its generator, so each T_t and R_lam is computed once.
+built from its generator, so each T_t, R_lam and e^{s R_lam} is computed once.
 """
 from __future__ import annotations
 
@@ -20,7 +20,7 @@ from .errors import (
     SchemaError,
 )
 from .matrixcore import CMatrix, as_matrix, frozen, json_dimension, json_object, mat_exp, max_entry
-from .superop import Superoperator, identity_superop, is_symmetric_map, vec
+from .superop import Superoperator, is_symmetric_map, vec
 
 GENERATOR_KINDS = ("explicit", "hamiltonian", "lindblad")
 
@@ -145,10 +145,10 @@ def build_superoperator(spec: GeneratorSpec) -> Superoperator:
 class SemigroupHandle:
     """A generator, its spectrum, and memos of the maps built from it.
 
-    Every T_t is a stacked :func:`mat_exp` call of bounded size.  Each T_t and
-    R_lam is built once per handle: :func:`evolve` and :func:`resolvent`
-    memoize them by t and lam, which is safe because a Superoperator is
-    immutable.  Next to them the criteria module memoizes each map's
+    Every T_t is a stacked :func:`mat_exp` call of bounded size.  Each T_t,
+    R_lam and e^{s R_lam} is built once per handle: :func:`build_maps`
+    memoizes them by family and point, which is safe because a Superoperator
+    is immutable.  Next to them the criteria module memoizes each map's
     cone-search verdict, so every map is searched once per handle.
     """
 
@@ -164,28 +164,28 @@ class SemigroupHandle:
         order = np.lexsort((w.imag, w.real))
         self.eigenvalues = tuple(complex(v) for v in w[order])
         self.spectral_abscissa = float(max(v.real for v in self.eigenvalues))
-        self._evolved = {}
-        self._resolvents = {}
+        self._maps = {family: {} for family in _FAMILIES}
         self._cone_verdicts = {}
 
     def evolve_rep(self, ts: np.ndarray) -> np.ndarray:
-        """Stack of e^{t rep} matrices for a 1-D array of finite times t >= 0."""
+        """Stack of e^{t rep} for a 1-D array of finite t >= 0; non-finite where t rep is."""
         ts = np.asarray(ts, dtype=float)
         if ts.ndim != 1:
             raise ValueError(f"semigroup times must be a 1-D array, got shape {ts.shape}")
-        rep = self.generator.rep
-        if not ts.size:
-            return np.empty((0, *rep.shape), dtype=complex)
         bad = ts[~np.isfinite(ts)]
         if bad.size:
             raise ValueError(f"semigroup times must be finite, got t={bad[0]:g}")
         if np.any(ts < 0):
             raise ValueError("semigroup is defined for t >= 0 only")
+        out = np.multiply.outer(ts, self.generator.rep)
+        idx = np.flatnonzero(np.isfinite(out).all(axis=(1, 2)))
         # stacked calls of at most _EXP_CHUNK entries (or one matrix) each:
         # one call on a long time grid would hold several temporaries of one
         # n^2 x n^2 matrix per time, and one call per time is slow
-        k = min(ts.size, -(-ts.size * rep.size // _EXP_CHUNK))
-        return np.concatenate([mat_exp(np.multiply.outer(c, rep)) for c in np.array_split(ts, k)])
+        k = min(idx.size, -(-idx.size * self.generator.rep.size // _EXP_CHUNK))
+        for c in np.array_split(idx, k) if k else ():
+            out[c] = mat_exp(out[c])
+        return out
 
 
 # The largest entry a built map may have: 2^32 below the largest double.  The
@@ -200,58 +200,57 @@ def _fits(rep: np.ndarray) -> bool:
     return max_entry(rep) <= _LARGEST_ENTRY  # False for NaN too
 
 
-def _finite_map(n: int, rep: np.ndarray, what: str) -> Superoperator:
-    if not _fits(rep):
-        raise PropagatorOverflow(f"{what} overflows double precision")
-    return Superoperator(n, rep)
+def _resolvent_reps(h: SemigroupHandle, lams) -> np.ndarray:
+    for lam in lams:
+        if lam <= h.spectral_abscissa + _POLE_GAP:
+            raise ResolventPoleError(
+                f"resolvent point {lam:g} does not clear the spectral abscissa "
+                f"{h.spectral_abscissa:g}"
+            )
+    return np.linalg.inv(np.multiply.outer(lams, np.eye(h.n**2)) - h.generator.rep)
 
 
-def build_evolved(h: SemigroupHandle, ts) -> None:
-    """Memoize T_t on the handle for every t of ``ts`` not built yet, in one stacked call.
+# The families of maps Theorem 1 builds from a generator: how the maps at a list
+# of points are built by one stacked call, and how an overflow names a point.
+_FAMILIES = {
+    "semigroup": (SemigroupHandle.evolve_rep, lambda t: f"T_t at t={t:g}"),
+    "resolvent": (_resolvent_reps, lambda lam: f"R_lam at lam={lam:g}"),
+    "resolvent_exp": (
+        lambda h, points: mat_exp(np.stack([s * resolvent(h, lam).rep for s, lam in points])),
+        lambda p: f"e^(s R_lam) at s={p[0]:g}, lam={p[1]:g}",
+    ),
+}
 
-    A T_t whose entries do not fit (see ``_fits``) is left out of the memo,
-    so that :func:`evolve` reports it where it is asked for.
-    """
-    missing = [t for t in dict.fromkeys(ts) if t != 0 and t not in h._evolved]
-    # an overflow is reported as PropagatorOverflow, not as a warning
-    with np.errstate(over="ignore", invalid="ignore"):
-        reps = h.evolve_rep(np.array(missing, dtype=float))
-    for t, rep in zip(missing, reps):
-        if _fits(rep):
-            h._evolved[t] = Superoperator(h.n, rep)
+
+def build_maps(h: SemigroupHandle, family: str, points) -> None:
+    """Memoize the maps of ``family`` at the points not built yet; None where one does not fit."""
+    memo = h._maps[family]
+    missing = [p for p in dict.fromkeys(points) if p not in memo]
+    if missing:
+        # an overflow is reported as PropagatorOverflow, not as a warning
+        with np.errstate(over="ignore", invalid="ignore"):
+            reps = _FAMILIES[family][0](h, missing)
+        for p, rep in zip(missing, reps):
+            memo[p] = Superoperator(h.n, rep) if _fits(rep) else None
+
+
+def family_maps(h: SemigroupHandle, family: str, points) -> list:
+    """The maps of ``family`` at ``points``; PropagatorOverflow at the first that does not fit."""
+    build_maps(h, family, points)
+    for p in points:
+        if h._maps[family][p] is None:
+            raise PropagatorOverflow(f"{_FAMILIES[family][1](p)} overflows double precision")
+    return [h._maps[family][p] for p in points]
 
 
 def evolve(h: SemigroupHandle, t: float) -> Superoperator:
-    """The handle's semigroup element T_t = e^{tL}, at a finite t >= 0.
-
-    Reads the memo :func:`build_evolved` fills, building T_t there first when
-    it is missing.  Raises PropagatorOverflow when T_t does not fit in double
-    precision.
-    """
-    if t == 0:
-        return identity_superop(h.n)
-    if t not in h._evolved:
-        build_evolved(h, (t,))
-    s = h._evolved.get(t)
-    if s is None:
-        raise PropagatorOverflow(f"T_t at t={t:g} overflows double precision")
-    return s
+    """The handle's semigroup element T_t = e^{tL}, at a finite t >= 0."""
+    return family_maps(h, "semigroup", (t,))[0]
 
 
 def resolvent(h: SemigroupHandle, lam: float) -> Superoperator:
     """(lam - L)^{-1} of the handle ``h``, for lam beyond the spectral abscissa."""
-    if lam <= h.spectral_abscissa + _POLE_GAP:
-        raise ResolventPoleError(
-            f"resolvent point {lam:g} does not clear the spectral abscissa "
-            f"{h.spectral_abscissa:g}"
-        )
-    s = h._resolvents.get(lam)
-    if s is None:
-        n2 = h.n * h.n
-        rep = np.linalg.solve(lam * np.eye(n2) - h.generator.rep, np.eye(n2))
-        s = _finite_map(h.n, rep, f"R_lam at lam={lam:g}")
-        h._resolvents[lam] = s
-    return s
+    return family_maps(h, "resolvent", (lam,))[0]
 
 
 def euler_product(h: SemigroupHandle, t: float, m: int) -> Superoperator:

@@ -222,6 +222,22 @@ class TestReport:
         assert captured.out == ""
         assert captured.err == f"posgen: error: T_t at t={t} overflows double precision\n"
 
+    @pytest.mark.parametrize("n, scale, flags, t", [
+        (2, -1e300, ["--t-grid", "1e10"], "1e+10"),
+        (3, -1.7e308, [], "10"),
+    ], ids=["1e300", "1.7e308"])
+    def test_nonfinite_tL_exits_1(self, tmp_path, capsys, n, scale, flags, t):
+        # L = scale * id: t L is -inf at this t, and a traceback from the
+        # exponential's finiteness check used to end the report
+        spec = GeneratorSpec(kind="explicit", n=n,
+                             superop=Superoperator(n, scale * np.eye(n * n)))
+        path = tmp_path / "big.json"
+        path.write_text(json.dumps(spec.to_json()))
+        assert main(["report", str(path), *flags]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"posgen: error: T_t at t={t} overflows double precision\n"
+
     def test_huge_finite_semigroup_reports(self, tmp_path, capsys):
         # T_10 has entries near e^360: finite, but the positivity descent on
         # it overflowed to NaN and eigh raised LinAlgError
@@ -348,7 +364,8 @@ class TestReportSearches:
 
     def test_every_T_t_from_one_exponential(self, monkeypatch):
         # T_t of t_grid and TRACE_T_GRID (0.1, 1, 10, 0.5, 2; 1 is shared)
-        # are built by one stacked call, and each is mat_exp(t L) bit for bit
+        # are built by one stacked call, and each is mat_exp(t L) bit for bit;
+        # the 3 x 3 e^{s R_lam} are the second call
         h = SemigroupHandle(random_lindblad(3, 2, seed=4))
         calls = []
 
@@ -359,9 +376,9 @@ class TestReportSearches:
         monkeypatch.setattr(semigroup, "mat_exp", counted)
         cfg = RunConfig(samples=4)
         cli._report_sections(h, cfg)
-        assert calls == [(5, 9, 9)]
-        assert sorted(h._evolved) == [0.1, 0.5, 1.0, 2.0, 10.0]
-        for t, s in h._evolved.items():
+        assert calls == [(5, 9, 9), (9, 9, 9)]
+        assert sorted(h._maps["semigroup"]) == [0.1, 0.5, 1.0, 2.0, 10.0]
+        for t, s in h._maps["semigroup"].items():
             assert np.array_equal(s.rep, mat_exp(t * h.generator.rep))
 
 

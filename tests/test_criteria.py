@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from posgen import criteria
+from posgen import criteria, semigroup
 from posgen.config import RunConfig, subseed
 from posgen.criteria import (
     CONDITION_IDS,
@@ -538,10 +538,21 @@ class TestConeVerdictMemo:
             shapes.append(np.shape(m))
             return mat_exp(m)
 
-        monkeypatch.setattr(criteria, "mat_exp", counted)
         h = handle(transpose_mixing(random_lindblad(3, 2, 5)))
-        theorem1_report(h, small_config(seed=3))
+        config = small_config(seed=3)
+        semigroup.build_maps(h, "semigroup", config.t_grid)
+        monkeypatch.setattr(semigroup, "mat_exp", counted)
+        theorem1_report(h, config)
         assert shapes == [(9, 9, 9)]  # the 3 x 3 (s, lam) pairs at once
+
+    def test_resolvent_exp_maps_built_once(self, monkeypatch):
+        h = handle(transpose_mixing(random_lindblad(3, 2, 5)))
+        config = small_config(seed=3)
+        theorem1_report(h, config)
+        for module in (criteria, semigroup):  # nothing left to build anywhere
+            monkeypatch.setattr(module, "mat_exp", None, raising=False)
+        got = check_condition(h, "resolvent_exp", ProbeSet.build(3, 1), config)
+        assert got == theorem1_report(h, config).by_id("resolvent_exp")
 
     def test_resolvent_exp_tie_goes_to_first_s_major_pair(self, monkeypatch):
         # L = 0 gives e^{s R_lam} = e^{s/lam} 1, so the pairs (s, lam) = (1, 0.5)
@@ -620,6 +631,30 @@ class TestConditionTable:
             got = check_condition(h, cid, probes, config).to_json()
             assert got.pop("min_margin") == pytest.approx(best, rel=1e-12, abs=1e-15), cid
             assert got == want, cid
+
+    def test_probe_scan_one_map_per_call_equals_one_call(self, monkeypatch):
+        # margins and worst probes bit for bit, whatever the scan's chunks
+        h = handle(flip_plus_lindblad(3, 6))
+        config = small_config(seed=3, t_grid=(0.1, 0.5, 1.0, 2.0, 10.0))
+        probes = ProbeSet.build(3, config.samples, subseed(config.seed, 11))
+        ids = [cid for cid in CONDITION_IDS if criteria._CONDITIONS[cid][1] != "cone"]
+
+        def scan():
+            return [check_condition(h, cid, probes, config).to_json() for cid in ids]
+
+        monkeypatch.setattr(criteria, "_SCAN_ENTRIES", 2**62)
+        whole = scan()
+        maps_per_call = []
+        kernel = criteria.dissipation_batch
+
+        def counted(reps_t, xs):
+            maps_per_call.append(len(reps_t))
+            return kernel(reps_t, xs)
+
+        monkeypatch.setattr(criteria, "dissipation_batch", counted)
+        monkeypatch.setattr(criteria, "_SCAN_ENTRIES", 1)
+        assert scan() == whole
+        assert maps_per_call == [1] * (2 * (3 + 5 + 1))  # R_lam, T_t and L, two probe kinds
 
     @pytest.mark.parametrize("kind", ["selfadjoint", "unitary"])
     def test_single_probe_equals_batch_row(self, kind):

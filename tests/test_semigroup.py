@@ -16,10 +16,11 @@ from posgen.matrixcore import mat_exp, spectral_norm
 from posgen.semigroup import (
     GeneratorSpec,
     SemigroupHandle,
-    build_evolved,
+    build_maps,
     build_superoperator,
     euler_product,
     evolve,
+    family_maps,
     lindblad_rep,
     resolvent,
     yosida_generator,
@@ -208,6 +209,31 @@ class TestEvolve:
         with pytest.raises(PropagatorOverflow, match="t=10"):
             evolve(h, 10.0)
 
+    def test_overflowing_tL_comes_back_nonfinite(self, monkeypatch):
+        # t L is -inf at t = 1e10 and 1e20: those matrices are left non-finite,
+        # and only the finite t L reach the exponential
+        h = SemigroupHandle(Superoperator(2, -1e300 * np.eye(4)))
+        calls = []
+
+        def counted(m):
+            calls.append(np.shape(m))
+            return mat_exp(m)
+
+        monkeypatch.setattr(semigroup, "mat_exp", counted)
+        with np.errstate(over="ignore"):
+            out = h.evolve_rep(np.array([1e10, 1e-300, 1e20]))
+            assert not np.isfinite(h.evolve_rep(np.array([1e10]))).all()
+        assert np.isfinite(out).all(axis=(1, 2)).tolist() == [False, True, False]
+        assert np.array_equal(out[1], mat_exp(1e-300 * h.generator.rep))
+        assert calls == [(1, 4, 4)]  # none for the stack with no finite t L
+        with pytest.raises(PropagatorOverflow, match=r"^T_t at t=1e\+10 overflows"):
+            evolve(h, 1e10)
+
+    @pytest.mark.parametrize("t", [np.nan, np.inf])
+    def test_nonfinite_time_is_a_value_error(self, t):
+        with pytest.raises(ValueError, match=f"must be finite, got t={t:g}"):
+            small_lindblad().evolve_rep(np.array([0.5, t]))
+
     def test_empty_times_give_an_empty_stack(self):
         assert small_lindblad().evolve_rep(np.array([])).shape == (0, 9, 9)
 
@@ -219,21 +245,42 @@ class TestEvolve:
 
     def test_built_maps_are_the_ones_evolve_returns(self, monkeypatch):
         h = small_lindblad(seed=2)
-        build_evolved(h, (1.0, 0.0, 0.5, 1.0))
-        assert sorted(h._evolved) == [0.5, 1.0]
-        built = dict(h._evolved)
+        build_maps(h, "semigroup", (1.0, 0.0, 0.5, 1.0))
+        assert sorted(h._maps["semigroup"]) == [0.0, 0.5, 1.0]
+        built = dict(h._maps["semigroup"])
         monkeypatch.setattr(semigroup, "mat_exp", None)  # nothing left to build
         for t, s in built.items():
             assert evolve(h, t) is s
             assert np.array_equal(s.rep, mat_exp(t * h.generator.rep))
-        build_evolved(h, (0.5,))
+        build_maps(h, "semigroup", (0.5,))
 
     def test_overflow_is_left_for_evolve_to_report(self):
         h = SemigroupHandle(Superoperator(2, 100.0 * (np.eye(4) - np.kron(SX, SX))))
-        build_evolved(h, (1.0, 10.0))
-        assert list(h._evolved) == [1.0]
+        build_maps(h, "semigroup", (1.0, 10.0))
+        assert h._maps["semigroup"][10.0] is None  # memoized as not fitting
         with pytest.raises(PropagatorOverflow, match="t=10"):
             evolve(h, 10.0)
+
+
+class TestResolventExp:
+    def test_overflow_is_built_once(self, monkeypatch):
+        # L = 0 gives e^{s R_lam} = e^{s / lam} 1, beyond double precision at
+        # s / lam = 1000; every request names that point, and none rebuilds it
+        h = zero_gen()
+        calls = []
+
+        def counted(m):
+            calls.append(np.shape(m))
+            return mat_exp(m)
+
+        monkeypatch.setattr(semigroup, "mat_exp", counted)
+        points = [(1.0, 1.0), (1000.0, 1.0)]
+        for request in (points, points, points[1:]):
+            with pytest.raises(PropagatorOverflow) as exc:
+                family_maps(h, "resolvent_exp", request)
+            assert str(exc.value) == "e^(s R_lam) at s=1000, lam=1 overflows double precision"
+        assert family_maps(h, "resolvent_exp", points[:1])[0] is h._maps["resolvent_exp"][1.0, 1.0]
+        assert calls == [(2, 4, 4)]
 
 
 class TestResolvent:

@@ -29,7 +29,7 @@ from .config import RunConfig, subseed
 from .errors import HypothesisViolation
 from .instances import hermitian_from, unitary_from
 from .matrixcore import as_matrix_stack, frozen, max_entry, psd_margins, spectral_norm
-from .semigroup import SemigroupHandle, evolve, family_maps, lambda_grid, resolvent
+from .semigroup import SemigroupHandle, build_maps, evolve, family_maps, lambda_grid, resolvent
 from .superop import (
     CERTIFIED_POSITIVE,
     NO_VIOLATION_FOUND,
@@ -249,27 +249,35 @@ def _condition_result(condition_id, grid, margin, worst, tol) -> ConditionResult
 def _cone_verdicts(h, plans: dict, config: RunConfig) -> list:
     """The per-map verdicts of the cone conditions among ``plans``, in plan order.
 
-    Verdicts are memoized on the handle by family, grid point, seed and
-    tolerance; the maps not yet searched go through one stacked search.
+    A condition's maps are one group of the search (see ``positivity_checks``),
+    so a map's verdict depends on the rest of its grid.  Verdicts are
+    memoized on the handle per grid, by family, grid points, seed and
+    tolerance; the distinct points of the grids not yet searched go through
+    one stacked search.
     """
     tol = config.tol("predicate")
-    keyed = []
+    keys, missing = [], {}
     for cid, (_, maps) in plans.items():
         if _CONDITIONS[cid][1] == "cone":
             seed = subseed(config.seed, 17, CONDITION_IDS.index(cid))
-            keyed += [((_CONDITIONS[cid][0], point, seed, tol), phi) for point, _, phi in maps]
-    missing = {k: phi for k, phi in keyed if k not in h._cone_verdicts}
+            key = (_CONDITIONS[cid][0], tuple(point for point, _, _ in maps), seed, tol)
+            keys.append(key)
+            if key not in h._cone_verdicts:
+                missing[key] = {point: phi for point, _, phi in maps}
     if missing:
-        seeds = [k[2] for k in missing]
-        h._cone_verdicts.update(zip(missing, positivity_checks(missing.values(), seeds, tol)))
-    return [h._cone_verdicts[k] for k, _ in keyed]
+        groups = [key for key, distinct in missing.items() for _ in distinct]
+        stacked = [phi for distinct in missing.values() for phi in distinct.values()]
+        verdicts = iter(positivity_checks(stacked, [key[2] for key in groups], tol, groups))
+        for key, distinct in missing.items():
+            h._cone_verdicts[key] = {point: next(verdicts) for point in distinct}
+    return [h._cone_verdicts[key][point] for key in keys for point in key[1]]
 
 
 def _evaluate(h, condition_ids, probes: ProbeSet, config: RunConfig) -> dict:
     """Evaluate the given conditions; returns a ConditionResult per id.
 
     The maps of all cone conditions are searched at most once per handle, each
-    condition under its own seed, so its margin is the one a search of
+    condition under its own seed, so its result is the one a search of
     that condition alone finds.  A probe condition scans every probe of its
     class at every map.  Margins aggregate as minima; the first minimum in
     map-major order wins.
@@ -335,6 +343,7 @@ class Theorem1Report:
 
 def theorem1_report(h: SemigroupHandle, config: RunConfig = RunConfig()) -> Theorem1Report:
     """Evaluate every condition on the handle; hypothesis: the semigroup is symmetric."""
+    build_maps(h, "semigroup", config.t_grid)  # every T_t in one stacked exponential
     for t in config.t_grid:
         s_t = evolve(h, t)
         # no contraction hypothesis here, so entries of T_t can be huge;
@@ -418,6 +427,7 @@ def _aggregate_cone(verdicts) -> ConeVerdict:
 
 def theorem2_check(h: SemigroupHandle, config: RunConfig = RunConfig()) -> Theorem2Report:
     """The handle's generator-side margins versus semigroup-side positivity and unitality."""
+    build_maps(h, "semigroup", config.t_grid)  # every T_t in one stacked exponential
     tol = config.tol("predicate")
     cseed = subseed(config.seed, 23)
     bound = 0.0

@@ -148,8 +148,9 @@ class SemigroupHandle:
     Every T_t is a stacked :func:`mat_exp` call of bounded size.  Each T_t,
     R_lam and e^{s R_lam} is built once per handle: :func:`build_maps`
     memoizes them by family and point, which is safe because a Superoperator
-    is immutable.  Next to them the criteria module memoizes each map's
-    cone-search verdict, so every map is searched once per handle.
+    is immutable.  Next to them the criteria module memoizes the cone-search
+    verdicts of each condition grid, so every grid is searched once per
+    handle.
     """
 
     def __init__(self, gen):

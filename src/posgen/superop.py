@@ -192,15 +192,16 @@ class CPCheck:
 
 
 def _cp_checks(reps: np.ndarray, n: int, tol: float):
-    """CP verdicts and least Choi eigenvalues of an (m, n^2, n^2) stack of reps.
+    """CP verdicts, least Choi eigenvalues and Choi hermiticity deviations.
 
-    ``tol`` is one tolerance, or one per map.
+    ``reps`` is an (m, n^2, n^2) stack; ``tol`` is one tolerance, or one per
+    map.  The deviation of a map is ``max|C - C*|`` of its Choi matrix C.
     """
     c = _choi_stack(reps, n)
     ch = c.conj().swapaxes(-1, -2)
     herm_dev = np.abs(c - ch).max(axis=(-2, -1))
     min_eig = np.linalg.eigvalsh(0.5 * (c + ch))[:, 0]
-    return (herm_dev <= tol) & (min_eig >= -tol), min_eig
+    return (herm_dev <= tol) & (min_eig >= -tol), min_eig, herm_dev
 
 
 def cp_check(s: Superoperator, tol: float = DEFAULT_TOL) -> CPCheck:
@@ -209,7 +210,7 @@ def cp_check(s: Superoperator, tol: float = DEFAULT_TOL) -> CPCheck:
     ``verdict`` holds iff the Choi matrix is hermitian at ``tol`` and its least
     eigenvalue clears ``-tol``.  A true verdict certifies positivity of the map.
     """
-    verdict, min_eig = _cp_checks(s.rep[None], s.n, tol)
+    verdict, min_eig, _ = _cp_checks(s.rep[None], s.n, tol)
     return CPCheck(verdict=bool(verdict[0]), min_choi_eig=float(min_eig[0]))
 
 
@@ -217,7 +218,7 @@ def cp_check(s: Superoperator, tol: float = DEFAULT_TOL) -> CPCheck:
 # sampled positivity
 # ---------------------------------------------------------------------------
 
-# The search's fixed effort: seeded random unit vectors join the structured
+# The search's effort: seeded random unit vectors join the structured
 # starters, and the worst few descend for a fixed number of seesaw steps.
 _N_RANDOM = 64
 _N_DESCENT = 8
@@ -230,7 +231,10 @@ class ConeVerdict:
 
     margin is the most negative value of ``f(v) = min_eig(S(v v^*))`` observed
     (with a penalty for non-hermitian images); witness is present iff violated
-    and re-evaluating f at the witness reproduces the margin.
+    and re-evaluating f at the witness reproduces the margin.  samples_used
+    counts the vectors scored: the starters, plus the descent's vectors when
+    the map descended (a certified map, or one bounded within its group by
+    :func:`positivity_checks`, counts only its starters).
     """
 
     status: str
@@ -331,26 +335,57 @@ def _descend(reps, v, best_val, best_vec):
     return best_val, best_vec
 
 
-def positivity_checks(maps, seeds, tol: float = DEFAULT_TOL) -> list:
+def _bounded(groups, start, floor, slack, violated) -> np.ndarray:
+    """The maps whose descent cannot change what their group reports.
+
+    ``start`` is each map's least starter value and ``floor`` a lower bound
+    on every value f can take on it.  A map is bounded when it is violated
+    at its starters and some map of its group has a starter value below its
+    floor by more than the slacks of both: that map's margin can then rise
+    above its starter value only by rounding, and the bounded map's, with or
+    without a descent, cannot fall below its floor but by rounding.  So it
+    neither holds nor ties its group's least margin, and its status stays
+    violated.  A map's own starters never lie that far below its floor.
+    """
+    index = {}
+    code = np.array([index.setdefault(g, len(index)) for g in groups])
+    group_top = np.full(len(index), np.inf)
+    np.minimum.at(group_top, code, start + slack)
+    return violated & (group_top[code] < floor - slack)
+
+
+def positivity_checks(maps, seeds, tol: float = DEFAULT_TOL, groups=None) -> list:
     """Search each map for a rank-one input whose image leaves the PSD cone.
 
     The maps must act on the same M(n); one ConeVerdict is returned per map.
-    ``seeds`` holds one int seed per map; the effort is fixed.  Seeded unit
-    vectors (plus the standard basis and two structured vectors), drawn once
-    per distinct seed, are scored by f for every map in one stacked call
-    that computes eigenvalues only (the seesaw and the final re-score take
-    eigenvectors); each map's worst starters seed 30 steps of a seesaw over
-    the trace pairing (see ``_descend``).  Each map is judged at unit scale, scaled by the power of
-    two that brings its largest entry into [1/2, 1): the seesaw runs on that
-    copy, and the CP certificate and the violation threshold compare against
-    ``tol`` divided by that power, which is ``tol`` on the copy.  So no
-    verdict depends on the map's scale; margins are reported at the map's
-    own scale.  The seesaws of all maps run as one stacked descent.  A CP
-    certificate (one stacked Choi eigendecomposition for all maps) takes its
-    map out of the stack: the certificate already implies positivity, so
-    only the cheap sampling pass runs to report an honest margin.  The
-    verdicts equal, bit for bit, those of separate searches under each map's
-    seed.
+    ``seeds`` holds one int seed per map.  Seeded unit vectors (plus the
+    standard basis and two structured vectors), drawn once per distinct
+    seed, are scored by f for every map in one stacked call that computes
+    eigenvalues only (the seesaw and the final re-score take eigenvectors);
+    each map's worst starters seed at most 30 steps of a seesaw over the
+    trace pairing (see ``_descend``).  Each map is judged at unit scale,
+    scaled by the power of two that brings its largest entry into [1/2, 1):
+    the seesaw runs on that copy, and the CP certificate and the violation
+    threshold compare against ``tol`` divided by that power, which is
+    ``tol`` on the copy.  So no verdict depends on the map's scale; margins
+    are reported at the map's own scale.  The seesaws of all maps run as
+    one stacked descent.  A CP certificate (one stacked Choi
+    eigendecomposition for all maps) takes its map out of the stack: the
+    certificate already implies positivity, so only the cheap sampling pass
+    runs to report an honest margin.
+
+    ``groups``, if given, holds one hashable label per map; a group is the
+    maps whose least margin a caller reports.  Choi's correspondence
+    ``w* S(vv*) w = (conj(v) kron w)* C (conj(v) kron w)``, C the Choi
+    matrix, bounds every f(v) below by the floor ``min_eig(herm C) -
+    n^2 max|C - C*|``, which the certificate's eigendecomposition already
+    gives.  A map that is violated at its starters, and whose floor lies
+    above another starter value of its group, skips its descent (see
+    ``_bounded``): its margin is its best starter's, its samples_used counts
+    only its starters, and its status is violated either way.  Each group's
+    least margin and the first map that holds it, and every status, equal
+    bit for bit those of separate searches under each map's seed; without
+    ``groups`` every verdict does.
     """
     maps = list(maps)
     if not maps:
@@ -361,6 +396,10 @@ def positivity_checks(maps, seeds, tol: float = DEFAULT_TOL) -> list:
     seeds = list(seeds)
     if len(seeds) != len(maps):
         raise ValueError(f"positivity_checks got {len(seeds)} seeds for {len(maps)} maps")
+    if groups is not None:
+        groups = list(groups)
+        if len(groups) != len(maps):
+            raise ValueError(f"positivity_checks got {len(groups)} groups for {len(maps)} maps")
     starters_by_seed = {seed: _seeded_starters(n, seed) for seed in dict.fromkeys(seeds)}
     starters = np.stack([starters_by_seed[seed] for seed in seeds])
     reps = np.stack([s.rep for s in maps])
@@ -373,8 +412,16 @@ def positivity_checks(maps, seeds, tol: float = DEFAULT_TOL) -> list:
     # tol on the unit-scale copy is tol / unit on the map, since scaling by a
     # power of two is exact
     unit_tol = tol / unit
-    certified, _ = _cp_checks(reps, n, unit_tol)
-    live = np.flatnonzero(~certified)  # the maps that descend from their worst starters
+    certified, min_eig, herm_dev = _cp_checks(reps, n, unit_tol)
+    descend = ~certified
+    if groups is not None:
+        # the slack also covers rounding, which on the unit-scale copy stays
+        # far below n^4 2^-44, so that the bound holds at tol = 0 too
+        slack = (tol + n**4 * 2.0**-44) / unit
+        descend &= ~_bounded(
+            groups, best_val, min_eig - n * n * herm_dev, slack, best_val < -unit_tol
+        )
+    live = np.flatnonzero(descend)  # the maps that descend from their worst starters
 
     evals = np.full(len(maps), starters.shape[1])
     if len(live):

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from posgen import criteria, superop
-from posgen.semigroup import _POLE_GAP, lindblad_rep
+from posgen.instances import flip_nonpositive, random_lindblad
+from posgen.semigroup import _POLE_GAP, GeneratorSpec, build_superoperator, lindblad_rep
 
 SX = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 SY = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
@@ -34,16 +35,24 @@ def signed_rate_rep(seed):
     return sum(c * lindblad_rep(np.zeros((2, 2)), [a]) for c, a in zip(rates, jumps))
 
 
+def flip_plus_lindblad(n, seed):
+    """The flip generator plus a seeded Lindblad part: every T_t, R_lam and
+    e^{s R_lam} is non-positive (the benchmark's violated_flip construction)."""
+    rep = (build_superoperator(random_lindblad(n, 2, seed)).rep
+           + build_superoperator(flip_nonpositive(n)).rep)
+    return GeneratorSpec(kind="explicit", n=n, superop=superop.Superoperator(n, rep))
+
+
 @pytest.fixture
 def cone_searches(monkeypatch):
     """The number of maps of each positivity_checks call the criteria make."""
     searched = []
     search = criteria.positivity_checks
 
-    def count(maps, seeds, tol):
+    def count(maps, seeds, tol, groups):
         maps = list(maps)
         searched.append(len(maps))
-        return search(maps, seeds, tol)
+        return search(maps, seeds, tol, groups)
 
     monkeypatch.setattr(criteria, "positivity_checks", count)
     return searched

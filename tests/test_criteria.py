@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from posgen import criteria, semigroup
+from posgen import criteria, semigroup, superop
 from posgen.config import RunConfig, subseed
 from posgen.criteria import (
     CONDITION_IDS,
@@ -45,7 +45,13 @@ from posgen.superop import (
     positivity_check,
 )
 
-from conftest import full_contraction_search, laplace_resolvent, rand_complex, signed_rate_rep
+from conftest import (
+    flip_plus_lindblad,
+    full_contraction_search,
+    laplace_resolvent,
+    rand_complex,
+    signed_rate_rep,
+)
 
 E00 = np.diag([1.0, 0.0]).astype(complex)
 
@@ -419,12 +425,6 @@ class TestTheorem2:
         }
 
 
-def flip_plus_lindblad(n, seed):
-    rep = (build_superoperator(random_lindblad(n, 2, seed)).rep
-           + build_superoperator(flip_nonpositive(n)).rep)
-    return GeneratorSpec(kind="explicit", n=n, superop=Superoperator(n, rep))
-
-
 class TestStackedConeSearches:
     """Reports are byte-identical whether cone searches run stacked or per map."""
 
@@ -439,16 +439,40 @@ class TestStackedConeSearches:
     @pytest.mark.parametrize("gen", [
         transpose_mixing(random_lindblad(3, 2, 5)),
         flip_plus_lindblad(3, 6),
-    ], ids=["transpose_mixing", "flip_plus_lindblad"])
+        flip_plus_lindblad(4, 6),
+        # the CLI's flip recipe: T_10's margins reach -2.8e34, so the
+        # semigroup group spans some 30 decades
+        flip_nonpositive(3, 4.0),
+        # signed rates on M(2): certified, unviolated and violated maps share
+        # a grid
+        GeneratorSpec(kind="explicit", n=2, superop=Superoperator(2, signed_rate_rep(10))),
+    ], ids=["transpose_mixing", "flip_plus_lindblad", "violated_flip", "flip_nonpositive",
+            "signed_rate_10"])
     def test_byte_identical_to_per_map_searches(self, gen, monkeypatch):
         config = small_config(seed=3)
         stacked = self.payloads(gen, config)
 
-        def per_map(maps, seeds, tol):
+        def per_map(maps, seeds, tol, groups):
             return [positivity_check(m, seed, tol) for m, seed in zip(maps, seeds)]
 
         monkeypatch.setattr(criteria, "positivity_checks", per_map)
         assert self.payloads(gen, config) == stacked
+
+    def test_violated_flip_descends_one_map_per_condition(self, monkeypatch):
+        # every map is violated at its starters, and in each condition one
+        # map's starter value lies below the Choi floors of the others, so
+        # only that map descends
+        sizes = []
+        eigh = np.linalg.eigh
+
+        def counted(a, *args, **kwargs):
+            sizes.append(int(np.prod(np.shape(a)[:-2])))
+            return eigh(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigh", counted)
+        theorem1_report(handle(flip_plus_lindblad(4, 6)), RunConfig())
+        assert max(sizes) <= 3 * superop._N_DESCENT
+        assert sum(sizes) <= 1500
 
 
 class TestTheorem1StackedCones:
@@ -497,10 +521,13 @@ class TestTheorem1StackedCones:
 
 
 class TestConeVerdictMemo:
-    """Each map is cone-searched once per handle; reports read the verdicts."""
+    """Each condition grid is cone-searched once per handle; reports read the verdicts."""
 
     def payloads(self, h, config):
-        t2 = json.dumps(theorem2_check(h, config).to_json())
+        try:
+            t2 = json.dumps(theorem2_check(h, config).to_json())
+        except HypothesisViolation as exc:
+            t2 = str(exc)
         return t2, json.dumps(theorem1_report(h, config).to_json())
 
     def test_shared_handle_equals_fresh_handles(self):
@@ -531,6 +558,42 @@ class TestConeVerdictMemo:
         theorem1_report(h, config)
         assert cone_searches == [len(config.t_grid), 12]  # R_lam and e^{sR_lam} only
 
+    def test_shared_handle_equals_fresh_handle_on_a_subgrid(self, cone_searches):
+        # T_1 is bounded against T_10 in the search of (0.1, 1, 10); the
+        # search of (1,) alone must not read that bounded margin
+        gen = flip_plus_lindblad(4, 6)
+        first = small_config(seed=3)
+        second = small_config(seed=3, t_grid=(1.0,))
+        h = handle(gen)
+        shared = [self.payloads(h, first), self.payloads(h, second)]
+        assert cone_searches == [15, 1]  # the R_lam and e^{sR_lam} grids are shared
+        fresh = [self.payloads(handle(gen), c) for c in (first, second)]
+        assert shared == fresh
+
+    def test_duplicate_grid_points_are_searched_once(self, cone_searches):
+        h = handle(transpose_mixing(random_lindblad(3, 2, 5)))
+        rep = theorem2_check(h, small_config(seed=3, t_grid=(1.0, 1.0, 10.0)))
+        assert cone_searches == [2]
+        fresh = theorem2_check(handle(transpose_mixing(random_lindblad(3, 2, 5))),
+                               small_config(seed=3, t_grid=(1.0, 10.0)))
+        assert (rep.positive.status, rep.positive.margin) == (fresh.positive.status,
+                                                              fresh.positive.margin)
+
+    @pytest.mark.parametrize("check, shapes", [
+        (theorem1_report, [(3, 9, 9), (9, 9, 9)]),
+        (theorem2_check, [(3, 9, 9)]),
+    ], ids=["theorem1", "theorem2"])
+    def test_report_builds_its_time_grid_in_one_stacked_call(self, check, shapes, monkeypatch):
+        built = []
+
+        def counted(m):
+            built.append(np.shape(m))
+            return mat_exp(m)
+
+        monkeypatch.setattr(semigroup, "mat_exp", counted)
+        check(handle(transpose_mixing(random_lindblad(3, 2, 5))), small_config(seed=3))
+        assert built == shapes
+
     def test_resolvent_exp_maps_built_in_one_stacked_call(self, monkeypatch):
         shapes = []
 
@@ -559,7 +622,7 @@ class TestConeVerdictMemo:
         # and (2, 1) build the same map.  Scored so that exactly those two tie
         # for the least margin, the s-major, lam-minor order reports lam = 0.5
         # and a lam-major order would report lam = 1.
-        def score(maps, seeds, tol):
+        def score(maps, seeds, tol, groups):
             return [ConeVerdict(NO_VIOLATION_FOUND,
                                 -float(np.isclose(m.rep[0, 0].real, np.exp(2.0))), 1)
                     for m in maps]

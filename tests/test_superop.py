@@ -31,7 +31,14 @@ from posgen.superop import (
     vec,
 )
 
-from conftest import SX, SZ, full_contraction_search, rand_complex, signed_rate_rep
+from conftest import (
+    SX,
+    SZ,
+    flip_plus_lindblad,
+    full_contraction_search,
+    rand_complex,
+    signed_rate_rep,
+)
 
 
 def choi_by_blocks(s):
@@ -422,6 +429,114 @@ class TestStackedPositivityChecks:
     def test_mixed_dimensions_rejected(self):
         with pytest.raises(DimensionMismatch):
             positivity_checks([identity_superop(2), identity_superop(3)], [0, 0])
+
+
+def choi_floor(s):
+    """min_eig(herm C) - n^2 max|C - C*| of the Choi matrix C, from choi_matrix."""
+    c = choi_matrix(s)
+    herm_min = np.linalg.eigvalsh((c + c.conj().T) / 2)[0]
+    return herm_min - s.n**2 * np.abs(c - c.conj().T).max()
+
+
+class TestGroupedPositivityChecks:
+    """A grouped search reports each group's least margin as the ungrouped one does."""
+
+    N = 4
+    STARTERS = N + 2 + superop._N_RANDOM
+
+    def stack(self):
+        # four groups, interleaved; "positive" has no map violated at its
+        # starters, and its label shows that any hashable label will do
+        h = SemigroupHandle(flip_plus_lindblad(self.N, 6))
+        semigroup = [evolve(h, t) for t in (0.1, 1.0, 10.0)]
+        resolvents = [resolvent(h, lam) for lam in (2.0, 20.0, 200.0)]
+        mixed = TestStackedPositivityChecks().mixed_stack(self.N)
+        h = SemigroupHandle(transpose_mixing(random_lindblad(self.N, 2, 5)))
+        positive = [transpose_map(self.N), evolve(h, 1.0), identity_superop(self.N), evolve(h, 0.1)]
+        labelled = [("semigroup", m) for m in semigroup] + [("resolvent", m) for m in resolvents]
+        labelled += [("mixed", m) for m in mixed] + [(("positive", 0), m) for m in positive]
+        order = np.random.default_rng(3).permutation(len(labelled))
+        groups = [labelled[i][0] for i in order]
+        maps = [labelled[i][1] for i in order]
+        seed_of = {"semigroup": 5, "resolvent": 6, "mixed": 7, ("positive", 0): 8}
+        seeds = [seed_of[g] for g in groups]
+        return maps, seeds, groups
+
+    @pytest.mark.parametrize("tol", [DEFAULT_TOL, 0.0])
+    def test_group_minima_and_statuses_equal_the_ungrouped_search(self, tol):
+        # at tol = 0 the slack is rounding alone
+        maps, seeds, groups = self.stack()
+        grouped = positivity_checks(maps, seeds, tol, groups)
+        plain = positivity_checks(maps, seeds, tol)
+        assert [v.status for v in grouped] == [v.status for v in plain]
+        for g in dict.fromkeys(groups):
+            rows = [i for i, label in enumerate(groups) if label == g]
+            got = [grouped[i].margin for i in rows]
+            want = [plain[i].margin for i in rows]
+            assert min(got) == min(want)
+            assert int(np.argmin(got)) == int(np.argmin(want))
+
+    def test_bounded_maps_keep_an_honest_margin(self):
+        maps, seeds, groups = self.stack()
+        grouped = positivity_checks(maps, seeds, DEFAULT_TOL, groups)
+        plain = positivity_checks(maps, seeds)
+        bounded = [i for i, v in enumerate(grouped)
+                   if v.status != "certified_positive" and v.samples_used == self.STARTERS]
+        # the two lesser T_t and R_lam of each condition are bounded
+        assert sorted(groups[i] for i in bounded) == ["resolvent"] * 2 + ["semigroup"] * 2
+        for i, (a, b) in enumerate(zip(grouped, plain)):
+            if i in bounded:
+                assert a.status == "violated"
+                assert a.margin >= choi_floor(maps[i])
+                assert a.margin >= b.margin  # the descent only lowers a margin
+                m = apply(maps[i], np.outer(a.witness, a.witness.conj()))
+                re_eval = np.linalg.eigvalsh((m + m.conj().T) / 2)[0] - np.abs(m - m.conj().T).max()
+                assert re_eval == pytest.approx(a.margin, rel=1e-12)
+            else:  # every other map searches as it does alone
+                assert (a.status, a.margin, a.samples_used) == (b.status, b.margin, b.samples_used)
+                assert (a.witness is None) == (b.witness is None)
+                if a.witness is not None:
+                    assert a.witness.tobytes() == b.witness.tobytes()
+
+    def test_group_without_starter_violation_descends_every_map(self):
+        maps, seeds, groups = self.stack()
+        grouped = positivity_checks(maps, seeds, DEFAULT_TOL, groups)
+        positive = [v for v, g in zip(grouped, groups) if g == ("positive", 0)]
+        # the transpose and both T_t are positive but not CP: all three descend
+        assert sorted(v.status for v in positive) == ["certified_positive"] + ["no_violation_found"] * 3
+        for v in positive:
+            if v.status != "certified_positive":
+                assert v.samples_used == self.STARTERS + (superop._DESCENT_ITERS + 1) * superop._N_DESCENT
+
+    def test_singleton_groups_and_no_groups_equal_per_map_searches(self):
+        # a map's own starters never lie below its own floor, so a group of one
+        # descends as the ungrouped search does
+        maps, seeds, _ = self.stack()
+        for groups in (None, range(len(maps))):
+            out = positivity_checks(maps, seeds, DEFAULT_TOL, groups)
+            for a, m, seed in zip(out, maps, seeds):
+                b = positivity_check(m, seed)
+                assert (a.status, a.margin, a.samples_used) == (b.status, b.margin, b.samples_used)
+
+    def test_group_labels_of_wrong_length_rejected(self):
+        maps, seeds, groups = self.stack()
+        with pytest.raises(ValueError, match="groups"):
+            positivity_checks(maps, seeds, DEFAULT_TOL, groups[1:])
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(2, 4), st.integers(0, 2**32 - 1))
+    def test_choi_floor_bounds_every_value(self, n, seed):
+        # w* S(vv*) w = (conj(v) kron w)* C (conj(v) kron w) bounds the
+        # hermitian part by min_eig(herm C), and the skew part of S(vv*) has
+        # entries at most ||C - C*|| <= n^2 max|C - C*|
+        rng = np.random.default_rng(seed)
+        s = Superoperator(n, rand_complex(rng, n * n, n * n))
+        v = rand_complex(rng, 200, n)
+        v /= np.linalg.norm(v, axis=1, keepdims=True)
+        f = superop._f_values(s.rep.T, v)
+        _, min_eig, herm_dev = superop._cp_checks(s.rep[None], n, DEFAULT_TOL)
+        assert min_eig[0] - n * n * herm_dev[0] == pytest.approx(choi_floor(s), rel=1e-12)
+        assert np.all(f >= choi_floor(s) - 1e-12 * np.abs(s.rep).max())
 
 
 class TestContractionCheck:

@@ -23,7 +23,6 @@ import sys
 
 import numpy as np
 
-from ._blas import single_blas_thread
 from .config import FORMATS, RunConfig, subseed
 from .duality import TRACE_T_GRID, DensityMatrix, trace_preservation_check, trajectory_records
 from .errors import (
@@ -37,7 +36,7 @@ from .errors import (
 from .instances import InstanceRecipe, build, density_from
 from .matrixcore import json_object
 from .criteria import theorem1_report, theorem2_check
-from .semigroup import GeneratorSpec, SemigroupHandle, build_maps, build_superoperator
+from .semigroup import GeneratorSpec, SemigroupHandle, build_maps
 
 
 class _CliError(Exception):
@@ -255,7 +254,7 @@ def cmd_fuzz(args, cfg: RunConfig, out) -> int:
     results = []
     for idx, recipe in enumerate(recipes):
         local = cfg.replace(seed=subseed(cfg.seed, 59, idx))
-        h = SemigroupHandle(build_superoperator(build(recipe)))
+        h = SemigroupHandle(build(recipe))
         sections, flags = _report_sections(h, local)
         verdicts, margins = {}, {}
         for c in sections["theorem1"].get("conditions", ()):
@@ -357,30 +356,29 @@ def _discard_stdout() -> None:
 
 def main(argv=None) -> int:
     parser = _build_parser()
-    with single_blas_thread():
+    try:
+        args = parser.parse_args(argv)
+        cfg = _resolve_config(args)
+        handler = _COMMANDS[args.command]
         try:
-            args = parser.parse_args(argv)
-            cfg = _resolve_config(args)
-            handler = _COMMANDS[args.command]
-            try:
-                if args.output is not None:
-                    with open(args.output, "w") as out:
-                        return handler(args, cfg, out)
-                code = handler(args, cfg, sys.stdout)
-                sys.stdout.flush()
-                return code
-            except OSError as exc:
-                if args.output is not None:
-                    raise _CliError(f"cannot write {args.output}: {exc}")
-                _discard_stdout()
-                raise _CliError(f"cannot write output: {exc}")
-        except (_CliError, SchemaError, DimensionMismatch, PropagatorOverflow,
-                ResolventPoleError) as exc:
-            print(f"posgen: error: {exc}", file=sys.stderr)
-            return 1
-        except ConsistencyError as exc:
-            print(f"posgen: internal consistency failure: {exc}", file=sys.stderr)
-            return 2
+            if args.output is not None:
+                with open(args.output, "w") as out:
+                    return handler(args, cfg, out)
+            code = handler(args, cfg, sys.stdout)
+            sys.stdout.flush()
+            return code
+        except OSError as exc:
+            if args.output is not None:
+                raise _CliError(f"cannot write {args.output}: {exc}")
+            _discard_stdout()
+            raise _CliError(f"cannot write output: {exc}")
+    except (_CliError, SchemaError, DimensionMismatch, PropagatorOverflow,
+            ResolventPoleError) as exc:
+        print(f"posgen: error: {exc}", file=sys.stderr)
+        return 1
+    except ConsistencyError as exc:
+        print(f"posgen: internal consistency failure: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -213,6 +213,7 @@ def _verdict(min_margin: float, tol: float, evaluated: bool) -> str:
 
 def _resolvent_maps(h, config):
     lams = lambda_grid(h, config.lambda_multipliers)
+    build_maps(h, "resolvent", lams)  # every R_lam in one stacked inverse
     return lams, [(l, l, resolvent(h, l)) for l in lams]
 
 
@@ -415,9 +416,10 @@ def _aggregate_cone(verdicts) -> ConeVerdict:
     witness = None
     if any(v.status == VIOLATED for v in verdicts):
         status = VIOLATED
-        for v in verdicts:
-            if v.status == VIOLATED and v.margin == margin:
-                witness = v.witness
+        # the first violated map that holds the minimum, as in _evaluate; None
+        # when a map that is not violated at its own scale holds it
+        witness = next((v.witness for v in verdicts
+                        if v.status == VIOLATED and v.margin == margin), None)
     elif all(v.status == CERTIFIED_POSITIVE for v in verdicts):
         status = CERTIFIED_POSITIVE
     else:

@@ -526,6 +526,21 @@ def test_cli_imports_no_scipy():
     assert proc.stdout.strip() == "[]"
 
 
+def test_report_identical_at_one_and_two_blas_threads(tmp_path):
+    # posgen leaves BLAS threading to the environment; its output must not
+    # depend on the thread count
+    assert main(["instance", "transpose_mixing", "-n", "8",
+                 "-o", str(tmp_path / "g.json")]) == 0
+    runs = [
+        subprocess.run([sys.executable, "-m", "posgen", "report", "g.json"], cwd=tmp_path,
+                       env=dict(os.environ, PYTHONPATH=SRC, OPENBLAS_NUM_THREADS=threads),
+                       capture_output=True, text=True, timeout=120)
+        for threads in ("1", "2")
+    ]
+    assert runs[0].stdout
+    assert (runs[0].returncode, runs[0].stdout) == (runs[1].returncode, runs[1].stdout)
+
+
 class TestUnwritableStdout:
     """A stdout that cannot take the report exits 1 with one line on stderr."""
 

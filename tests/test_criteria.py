@@ -402,6 +402,20 @@ class TestTheorem2:
         assert str(early.value) == str(full.value)
         assert "at t=0.1" in str(early.value)
 
+    def test_witness_tie_goes_to_first_violated_map(self, monkeypatch):
+        # T_t = 1 passes the contraction hypothesis; the fake search violates
+        # every T_t, and the last two tie for the least margin
+        def score(maps, seeds, tol, groups):
+            return [ConeVerdict(VIOLATED, margin, 1, np.full(2, i, dtype=complex))
+                    for i, margin in enumerate([-0.5, -1.0, -1.0][:len(maps)])]
+
+        monkeypatch.setattr(criteria, "positivity_checks", score)
+        h = SemigroupHandle(Superoperator(2, np.zeros((4, 4), dtype=complex)))
+        rep = theorem2_check(h, small_config(t_grid=(0.5, 1.0, 2.0)))
+        assert rep.positive.status == VIOLATED
+        assert rep.positive.margin == -1.0
+        assert np.array_equal(rep.positive.witness, np.full(2, 1, dtype=complex))
+
     def test_decay_clears_both_sides(self):
         # L = -id: a contraction semigroup that is neither unital nor
         # unit-killing; both sides of the equivalence fail, so it stays
@@ -607,6 +621,18 @@ class TestConeVerdictMemo:
         monkeypatch.setattr(semigroup, "mat_exp", counted)
         theorem1_report(h, config)
         assert shapes == [(9, 9, 9)]  # the 3 x 3 (s, lam) pairs at once
+
+    def test_resolvent_grid_built_in_one_stacked_inverse(self, monkeypatch):
+        shapes = []
+        inv = np.linalg.inv
+
+        def counted(m):
+            shapes.append(np.shape(m))
+            return inv(m)
+
+        monkeypatch.setattr(np.linalg, "inv", counted)
+        theorem1_report(handle(transpose_mixing(random_lindblad(3, 2, 5))), small_config(seed=3))
+        assert shapes == [(3, 9, 9)]  # the 3 R_lam at once
 
     def test_resolvent_exp_maps_built_once(self, monkeypatch):
         h = handle(transpose_mixing(random_lindblad(3, 2, 5)))

@@ -15,9 +15,9 @@ from hypothesis import given, settings, strategies as st
 from posgen import cli, semigroup
 from posgen.cli import main
 from posgen.config import RunConfig
-from posgen.instances import dephasing, flip_nonpositive, random_lindblad
+from posgen.instances import FAMILIES, dephasing, flip_nonpositive, random_lindblad
 from posgen.matrixcore import mat_exp
-from posgen.semigroup import GeneratorSpec, SemigroupHandle
+from posgen.semigroup import GeneratorSpec, SemigroupHandle, build_superoperator
 from posgen.superop import Superoperator
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
@@ -539,6 +539,45 @@ def test_report_identical_at_one_and_two_blas_threads(tmp_path):
     ]
     assert runs[0].stdout
     assert (runs[0].returncode, runs[0].stdout) == (runs[1].returncode, runs[1].stdout)
+
+
+@pytest.mark.parametrize("case, code", [
+    ("flip_nonpositive", 0),
+    ("missing_file", 1),
+    ("inconsistent", 2),
+])
+def test_every_exit_identical_at_one_and_two_blas_threads(tmp_path, case, code):
+    assert main(["instance", "flip_nonpositive", "-n", "8", "-o", str(tmp_path / "f.json")]) == 0
+    argv = {
+        "flip_nonpositive": ["report", "f.json"],
+        "missing_file": ["report", "absent.json"],
+        # a trace tolerance below float noise splits the two sides of the
+        # trace-preservation test
+        "inconsistent": ["report", "f.json", "--samples", "6", "--tol", "trace=1e-16"],
+    }[case]
+    runs = [
+        subprocess.run([sys.executable, "-m", "posgen", *argv], cwd=tmp_path,
+                       env=dict(os.environ, PYTHONPATH=SRC, OPENBLAS_NUM_THREADS=threads),
+                       capture_output=True, text=True, timeout=120)
+        for threads in ("1", "2")
+    ]
+    assert runs[0].returncode == code
+    assert [(r.returncode, r.stdout, r.stderr) for r in runs[1:]] == [
+        (runs[0].returncode, runs[0].stdout, runs[0].stderr)
+    ]
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+def test_fuzz_builds_each_superoperator_once(family, monkeypatch, capsys):
+    built = []
+
+    def counted(spec):
+        built.append(spec)
+        return build_superoperator(spec)
+
+    monkeypatch.setattr(semigroup, "build_superoperator", counted)
+    assert main(["fuzz", family, "2", "-n", "2", "--samples", "6"]) == 0
+    assert len(built) == 2
 
 
 class TestUnwritableStdout:

@@ -11,7 +11,14 @@ from posgen.errors import (
     ResolventPoleError,
     SchemaError,
 )
-from posgen.instances import flip_nonpositive, random_lindblad, transpose_mixing
+from posgen.instances import (
+    FAMILIES,
+    InstanceRecipe,
+    build,
+    flip_nonpositive,
+    random_lindblad,
+    transpose_mixing,
+)
 from posgen.matrixcore import mat_exp, spectral_norm
 from posgen.semigroup import (
     GeneratorSpec,
@@ -322,6 +329,17 @@ class TestResolvent:
         assert resolvent(h, 4.0) is first
         assert resolvent(h, 5.0) is not first
         assert np.array_equal(resolvent(small_lindblad(seed=3), 4.0).rep, first.rep)
+
+    @pytest.mark.parametrize("family", FAMILIES)
+    def test_stacked_grid_equals_one_lambda_at_a_time(self, family):
+        # a report builds its R_lam grid in one stacked inverse; each map must
+        # be the one a lone resolvent(h, lam) builds, bit for bit
+        spec = build(InstanceRecipe(family=family, n=3, seed=7))
+        stacked, single = SemigroupHandle(spec), SemigroupHandle(spec)
+        lams = [stacked.spectral_abscissa + d for d in (0.5, 2.0, 8.0)]
+        build_maps(stacked, "resolvent", lams)
+        for lam in lams:
+            assert np.array_equal(resolvent(stacked, lam).rep, resolvent(single, lam).rep)
 
     def test_defect_residual(self):
         h = small_lindblad(seed=4, n=3, k=2)

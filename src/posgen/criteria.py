@@ -29,7 +29,7 @@ from .config import RunConfig, subseed
 from .errors import HypothesisViolation
 from .instances import hermitian_from, unitary_from
 from .matrixcore import as_matrix_stack, frozen, max_entry, psd_margins, spectral_norm
-from .semigroup import SemigroupHandle, build_maps, evolve, family_maps, lambda_grid, resolvent
+from .semigroup import SemigroupHandle, family_maps, lambda_grid
 from .superop import (
     CERTIFIED_POSITIVE,
     NO_VIOLATION_FOUND,
@@ -211,29 +211,21 @@ def _verdict(min_margin: float, tol: float, evaluated: bool) -> str:
     return SATISFIED if min_margin >= -tol else VIOLATED_VERDICT
 
 
-def _resolvent_maps(h, config):
-    lams = lambda_grid(h, config.lambda_multipliers)
-    build_maps(h, "resolvent", lams)  # every R_lam in one stacked inverse
-    return lams, [(l, l, resolvent(h, l)) for l in lams]
+def _plan(h, family: str, config: RunConfig):
+    """The grid a condition of ``family`` reports and its maps, with their points.
 
-
-def _resolvent_exp_maps(h, config):
-    # s-major, lambda-minor: a margin tie goes to the first pair in this order
-    lams = lambda_grid(h, config.lambda_multipliers)
-    points = [(s, l) for s in S_GRID for l in lams]
-    return lams, [(p, p[1], m) for p, m in zip(points, family_maps(h, "resolvent_exp", points))]
-
-
-# Each family returns the grid a condition reports and its maps, each with its
-# grid point (t, lam or (s, lam)) and the grid value a violation there reports.
-_FAMILIES = {
-    "semigroup": lambda h, config: (
-        config.t_grid, [(t, t, evolve(h, t)) for t in config.t_grid]
-    ),
-    "resolvent": _resolvent_maps,
-    "resolvent_exp": _resolvent_exp_maps,
-    "generator": lambda h, config: ((), [(None, None, h.generator)]),
-}
+    Each map comes as (grid point: t, lam or (s, lam); the grid value a
+    violation there reports; the map), all read by one ``family_maps`` call.
+    """
+    if family == "generator":
+        return (), [(None, None, h.generator)]
+    grid = config.t_grid if family == "semigroup" else lambda_grid(h, config.lambda_multipliers)
+    points = values = grid
+    if family == "resolvent_exp":
+        # s-major, lambda-minor: a margin tie goes to the first pair in this order
+        points = [(s, l) for s in S_GRID for l in grid]
+        values = [l for _, l in points]
+    return grid, list(zip(points, values, family_maps(h, family, points)))
 
 
 def _condition_result(condition_id, grid, margin, worst, tol) -> ConditionResult:
@@ -284,7 +276,7 @@ def _evaluate(h, condition_ids, probes: ProbeSet, config: RunConfig) -> dict:
     map-major order wins.
     """
     tol = config.tol("predicate")
-    plans = {cid: _FAMILIES[_CONDITIONS[cid][0]](h, config) for cid in condition_ids}
+    plans = {cid: _plan(h, _CONDITIONS[cid][0], config) for cid in condition_ids}
     verdicts = iter(_cone_verdicts(h, plans, config))
 
     results = {}
@@ -344,9 +336,7 @@ class Theorem1Report:
 
 def theorem1_report(h: SemigroupHandle, config: RunConfig = RunConfig()) -> Theorem1Report:
     """Evaluate every condition on the handle; hypothesis: the semigroup is symmetric."""
-    build_maps(h, "semigroup", config.t_grid)  # every T_t in one stacked exponential
-    for t in config.t_grid:
-        s_t = evolve(h, t)
+    for t, s_t in zip(config.t_grid, family_maps(h, "semigroup", config.t_grid)):
         # no contraction hypothesis here, so entries of T_t can be huge;
         # judge the symmetry deviation relative to the map's own scale
         scale = max(1.0, float(np.abs(s_t.rep).max()))
@@ -429,13 +419,13 @@ def _aggregate_cone(verdicts) -> ConeVerdict:
 
 def theorem2_check(h: SemigroupHandle, config: RunConfig = RunConfig()) -> Theorem2Report:
     """The handle's generator-side margins versus semigroup-side positivity and unitality."""
-    build_maps(h, "semigroup", config.t_grid)  # every T_t in one stacked exponential
+    maps = family_maps(h, "semigroup", config.t_grid)
     tol = config.tol("predicate")
     cseed = subseed(config.seed, 23)
     bound = 0.0
     statuses = []
     # the search stops at its first violated map, where this loop raises
-    verdicts = contraction_checks([evolve(h, t) for t in config.t_grid], cseed, tol)
+    verdicts = contraction_checks(maps, cseed, tol)
     for t, verdict in zip(config.t_grid, verdicts):
         bound = max(bound, verdict.norm_lower_bound)
         if verdict.status == VIOLATED:
@@ -451,9 +441,9 @@ def theorem2_check(h: SemigroupHandle, config: RunConfig = RunConfig()) -> Theor
     unit_margin = float(spectral_norm(apply(h.generator, np.eye(h.n))))
     symmetry_margin = float(is_symmetric_map(h.generator).margin)
 
-    plan = {"semigroup_positive": _FAMILIES["semigroup"](h, config)}
+    plan = {"semigroup_positive": _plan(h, "semigroup", config)}
     cone = _aggregate_cone(_cone_verdicts(h, plan, config))
-    unital_margin = max(float(is_unital(evolve(h, t)).margin) for t in config.t_grid)
+    unital_margin = max(float(is_unital(s_t).margin) for s_t in maps)
 
     left_holds = unit_margin <= tol and symmetry_margin <= tol
     right_holds = cone.status != VIOLATED and unital_margin <= tol

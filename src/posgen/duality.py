@@ -24,15 +24,8 @@ from .matrixcore import (
     psd_margins,
     spectral_norm,
 )
-from .semigroup import SemigroupHandle, build_maps, evolve
-from .superop import (
-    NO_VIOLATION_FOUND,
-    VIOLATED,
-    apply,
-    apply_stack,
-    devec,
-    vec,
-)
+from .semigroup import SemigroupHandle, family_maps
+from .superop import NO_VIOLATION_FOUND, VIOLATED, apply, apply_stack
 
 STATE_TOL = 1e-9
 _TRACE_TOL = 1e-10
@@ -97,13 +90,16 @@ def purity(rho) -> float:
     return float(np.trace(a @ a.conj().T).real)
 
 
-def predual_evolve(h: SemigroupHandle, t: float, rho) -> np.ndarray:
-    """Evolve a state under the handle: T_t^*(rho), the adjoint of the observable evolution."""
-    a = as_matrix(rho)
+def _predual(h: SemigroupHandle, ts, a: np.ndarray) -> list:
+    """T_t^*(a) at every t of ``ts``; conj(rep) is the transposed rep of the predual."""
     if a.shape[0] != h.n:
         raise ValueError(f"state dimension {a.shape[0]} != generator dimension {h.n}")
-    prop = evolve(h, t).rep
-    return devec(prop.conj().T @ vec(a), h.n)
+    return [apply_stack(s_t.rep.conj(), a) for s_t in family_maps(h, "semigroup", ts)]
+
+
+def predual_evolve(h: SemigroupHandle, t: float, rho) -> np.ndarray:
+    """Evolve a state under the handle: T_t^*(rho), the adjoint of the observable evolution."""
+    return _predual(h, (t,), as_matrix(rho))[0]
 
 
 @dataclass(frozen=True)
@@ -158,7 +154,9 @@ def trace_preservation_check(
 
     # every probe at every t as one (t, probe) stack; conj(rep) is the
     # transposed rep of the predual T_t^*
-    evolved = apply_stack(np.stack([evolve(h, t).rep.conj() for t in t_grid]), probes)
+    evolved = apply_stack(
+        np.stack([s_t.rep.conj() for s_t in family_maps(h, "semigroup", t_grid)]), probes
+    )
     traces = np.einsum("tmii->tm", evolved)
     trace_margin = float(np.abs(traces - traces_in).max())
     state_min = float(psd_margins(evolved.reshape(-1, h.n, h.n)).min())
@@ -179,14 +177,12 @@ def trace_preservation_check(
 
 def trajectory_records(h: SemigroupHandle, rho, ts) -> list[dict]:
     """Per-time snapshots {t, rho, trace, min_eig, purity} of a state orbit under the handle."""
-    state = as_density(rho)
-    build_maps(h, "semigroup", [float(t) for t in ts])
+    ts = [float(t) for t in ts]
     records = []
-    for t in ts:
-        out = predual_evolve(h, float(t), state)
+    for t, out in zip(ts, _predual(h, ts, as_density(rho))):
         records.append(
             {
-                "t": float(t),
+                "t": t,
                 "rho": CMatrix(out).to_json(),
                 "trace": float(np.trace(out).real),
                 "min_eig": float(np.linalg.eigvalsh(hermitian_part(out)).min()),

@@ -84,8 +84,8 @@ def transpose_conjugated(spec: GeneratorSpec) -> GeneratorSpec:
     )
 
 
-def transpose_mixing(spec: GeneratorSpec, weight: float = 1.0) -> GeneratorSpec:
-    """L'(x) = L(x) + weight * (transpose(x) - x).
+def transpose_mixing(spec: GeneratorSpec) -> GeneratorSpec:
+    """L'(x) = L(x) + transpose(x) - x.
 
     Both terms generate positive unital semigroups (the second one evolves as
     a(t)*id + b(t)*transpose with a + b = 1, a convex mixture), so by the
@@ -97,12 +97,10 @@ def transpose_mixing(spec: GeneratorSpec, weight: float = 1.0) -> GeneratorSpec:
     """
     if spec.kind != "lindblad":
         raise ValueError("transpose mixing expects a lindblad-form input")
-    if weight <= 0:
-        raise ValueError("mixing weight must be positive")
     s = build_superoperator(spec)
     tau = transpose_map(spec.n)
     d = s.n * s.n
-    rep = s.rep + weight * (tau.rep - np.eye(d, dtype=complex))
+    rep = s.rep + (tau.rep - np.eye(d, dtype=complex))
     return GeneratorSpec(kind="explicit", n=spec.n, superop=Superoperator(spec.n, rep))
 
 

@@ -146,7 +146,7 @@ class SemigroupHandle:
     """A generator, its spectrum, and memos of the maps built from it.
 
     Every T_t is a stacked :func:`mat_exp` call of bounded size.  Each T_t,
-    R_lam and e^{s R_lam} is built once per handle: :func:`build_maps`
+    R_lam and e^{s R_lam} is built once per handle: :func:`family_maps`
     memoizes them by family and point, which is safe because a Superoperator
     is immutable.  Next to them the criteria module memoizes the cone-search
     verdicts of each condition grid, so every grid is searched once per
@@ -211,20 +211,28 @@ def _resolvent_reps(h: SemigroupHandle, lams) -> np.ndarray:
     return np.linalg.inv(np.multiply.outer(lams, np.eye(h.n**2)) - h.generator.rep)
 
 
+def _resolvent_exp_reps(h: SemigroupHandle, points) -> np.ndarray:
+    rs = family_maps(h, "resolvent", [lam for _, lam in points])
+    return mat_exp(np.stack([s * r.rep for (s, _), r in zip(points, rs)]))
+
+
 # The families of maps Theorem 1 builds from a generator: how the maps at a list
 # of points are built by one stacked call, and how an overflow names a point.
 _FAMILIES = {
     "semigroup": (SemigroupHandle.evolve_rep, lambda t: f"T_t at t={t:g}"),
     "resolvent": (_resolvent_reps, lambda lam: f"R_lam at lam={lam:g}"),
     "resolvent_exp": (
-        lambda h, points: mat_exp(np.stack([s * resolvent(h, lam).rep for s, lam in points])),
+        _resolvent_exp_reps,
         lambda p: f"e^(s R_lam) at s={p[0]:g}, lam={p[1]:g}",
     ),
 }
 
 
 def build_maps(h: SemigroupHandle, family: str, points) -> None:
-    """Memoize the maps of ``family`` at the points not built yet; None where one does not fit."""
+    """Memoize the maps of ``family`` at the points not built yet; None where one does not fit.
+
+    A prebuild that raises nothing; checks read maps through :func:`family_maps`.
+    """
     memo = h._maps[family]
     missing = [p for p in dict.fromkeys(points) if p not in memo]
     if missing:
@@ -236,7 +244,10 @@ def build_maps(h: SemigroupHandle, family: str, points) -> None:
 
 
 def family_maps(h: SemigroupHandle, family: str, points) -> list:
-    """The maps of ``family`` at ``points``; PropagatorOverflow at the first that does not fit."""
+    """The maps of ``family`` at ``points``; PropagatorOverflow at the first that does not fit.
+
+    The maps not built yet are built by one stacked call.
+    """
     build_maps(h, family, points)
     for p in points:
         if h._maps[family][p] is None:

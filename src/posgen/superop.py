@@ -374,18 +374,19 @@ def positivity_checks(maps, seeds, tol: float = DEFAULT_TOL, groups=None) -> lis
     certificate already implies positivity, so only the cheap sampling pass
     runs to report an honest margin.
 
-    ``groups``, if given, holds one hashable label per map; a group is the
-    maps whose least margin a caller reports.  Choi's correspondence
-    ``w* S(vv*) w = (conj(v) kron w)* C (conj(v) kron w)``, C the Choi
-    matrix, bounds every f(v) below by the floor ``min_eig(herm C) -
-    n^2 max|C - C*|``, which the certificate's eigendecomposition already
-    gives.  A map that is violated at its starters, and whose floor lies
+    ``groups`` holds one hashable label per map, by default a group of its
+    own for each; a group is the maps whose least margin a caller reports.
+    Choi's correspondence ``w* S(vv*) w = (conj(v) kron w)* C (conj(v) kron
+    w)``, C the Choi matrix, bounds every f(v) below by the floor
+    ``min_eig(herm C) - n^2 max|C - C*|``, which the certificate's
+    eigendecomposition already gives.  A map that is violated at its starters, and whose floor lies
     above another starter value of its group, skips its descent (see
     ``_bounded``): its margin is its best starter's, its samples_used counts
     only its starters, and its status is violated either way.  Each group's
     least margin and the first map that holds it, and every status, equal
-    bit for bit those of separate searches under each map's seed; without
-    ``groups`` every verdict does.
+    bit for bit those of separate searches under each map's seed.  A map
+    alone in its group is never bounded, so its verdict equals its separate
+    search's.
     """
     maps = list(maps)
     if not maps:
@@ -396,10 +397,9 @@ def positivity_checks(maps, seeds, tol: float = DEFAULT_TOL, groups=None) -> lis
     seeds = list(seeds)
     if len(seeds) != len(maps):
         raise ValueError(f"positivity_checks got {len(seeds)} seeds for {len(maps)} maps")
-    if groups is not None:
-        groups = list(groups)
-        if len(groups) != len(maps):
-            raise ValueError(f"positivity_checks got {len(groups)} groups for {len(maps)} maps")
+    groups = range(len(maps)) if groups is None else list(groups)
+    if len(groups) != len(maps):
+        raise ValueError(f"positivity_checks got {len(groups)} groups for {len(maps)} maps")
     starters_by_seed = {seed: _seeded_starters(n, seed) for seed in dict.fromkeys(seeds)}
     starters = np.stack([starters_by_seed[seed] for seed in seeds])
     reps = np.stack([s.rep for s in maps])
@@ -413,15 +413,12 @@ def positivity_checks(maps, seeds, tol: float = DEFAULT_TOL, groups=None) -> lis
     # power of two is exact
     unit_tol = tol / unit
     certified, min_eig, herm_dev = _cp_checks(reps, n, unit_tol)
-    descend = ~certified
-    if groups is not None:
-        # the slack also covers rounding, which on the unit-scale copy stays
-        # far below n^4 2^-44, so that the bound holds at tol = 0 too
-        slack = (tol + n**4 * 2.0**-44) / unit
-        descend &= ~_bounded(
-            groups, best_val, min_eig - n * n * herm_dev, slack, best_val < -unit_tol
-        )
-    live = np.flatnonzero(descend)  # the maps that descend from their worst starters
+    # the slack also covers rounding, which on the unit-scale copy stays far
+    # below n^4 2^-44, so that the bound holds at tol = 0 too
+    slack = (tol + n**4 * 2.0**-44) / unit
+    bounded = _bounded(groups, best_val, min_eig - n * n * herm_dev, slack, best_val < -unit_tol)
+    # the maps that descend from their worst starters
+    live = np.flatnonzero(~certified & ~bounded)
 
     evals = np.full(len(maps), starters.shape[1])
     if len(live):

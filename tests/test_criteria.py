@@ -15,8 +15,10 @@ from posgen.criteria import (
     theorem1_report,
     theorem2_check,
 )
+from posgen.duality import TRACE_T_GRID, trace_preservation_check, trajectory_records
 from posgen.errors import HypothesisViolation
 from posgen.instances import (
+    density_from,
     dephasing,
     flip_nonpositive,
     lindblad,
@@ -593,46 +595,25 @@ class TestConeVerdictMemo:
         assert (rep.positive.status, rep.positive.margin) == (fresh.positive.status,
                                                               fresh.positive.margin)
 
-    @pytest.mark.parametrize("check, shapes", [
-        (theorem1_report, [(3, 9, 9), (9, 9, 9)]),
-        (theorem2_check, [(3, 9, 9)]),
-    ], ids=["theorem1", "theorem2"])
-    def test_report_builds_its_time_grid_in_one_stacked_call(self, check, shapes, monkeypatch):
-        built = []
+    @pytest.mark.parametrize("check, exps, invs", [
+        (lambda h: trace_preservation_check(h, density_from(np.random.default_rng(1), 3, k=2)),
+         [(3, 9, 9)], []),
+        (lambda h: check_condition(h, "resolvent_exp", ProbeSet.build(3, 1), small_config()),
+         [(9, 9, 9)], [(3, 9, 9)]),  # the 3 x 3 (s, lam) pairs from the 3 R_lam
+        (lambda h: trajectory_records(h, np.eye(3) / 3, TRACE_T_GRID), [(3, 9, 9)], []),
+        (lambda h: theorem1_report(h, small_config(seed=3)), [(3, 9, 9), (9, 9, 9)], [(3, 9, 9)]),
+        (lambda h: theorem2_check(h, small_config(seed=3)), [(3, 9, 9)], []),
+    ], ids=["trace_preservation", "resolvent_exp", "trajectory", "theorem1", "theorem2"])
+    def test_each_family_is_built_in_one_stacked_call(self, check, exps, invs, monkeypatch):
+        built = {"exp": [], "inv": []}
 
-        def counted(m):
-            built.append(np.shape(m))
-            return mat_exp(m)
+        def counted(name, fn):
+            return lambda m: built[name].append(np.shape(m)) or fn(m)
 
-        monkeypatch.setattr(semigroup, "mat_exp", counted)
-        check(handle(transpose_mixing(random_lindblad(3, 2, 5))), small_config(seed=3))
-        assert built == shapes
-
-    def test_resolvent_exp_maps_built_in_one_stacked_call(self, monkeypatch):
-        shapes = []
-
-        def counted(m):
-            shapes.append(np.shape(m))
-            return mat_exp(m)
-
-        h = handle(transpose_mixing(random_lindblad(3, 2, 5)))
-        config = small_config(seed=3)
-        semigroup.build_maps(h, "semigroup", config.t_grid)
-        monkeypatch.setattr(semigroup, "mat_exp", counted)
-        theorem1_report(h, config)
-        assert shapes == [(9, 9, 9)]  # the 3 x 3 (s, lam) pairs at once
-
-    def test_resolvent_grid_built_in_one_stacked_inverse(self, monkeypatch):
-        shapes = []
-        inv = np.linalg.inv
-
-        def counted(m):
-            shapes.append(np.shape(m))
-            return inv(m)
-
-        monkeypatch.setattr(np.linalg, "inv", counted)
-        theorem1_report(handle(transpose_mixing(random_lindblad(3, 2, 5))), small_config(seed=3))
-        assert shapes == [(3, 9, 9)]  # the 3 R_lam at once
+        monkeypatch.setattr(semigroup, "mat_exp", counted("exp", mat_exp))
+        monkeypatch.setattr(np.linalg, "inv", counted("inv", np.linalg.inv))
+        check(handle(transpose_mixing(random_lindblad(3, 2, 5))))
+        assert built == {"exp": exps, "inv": invs}
 
     def test_resolvent_exp_maps_built_once(self, monkeypatch):
         h = handle(transpose_mixing(random_lindblad(3, 2, 5)))

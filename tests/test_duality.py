@@ -294,3 +294,8 @@ class TestTrajectory:
         for r in recs:
             assert r["trace"] == pytest.approx(1.0, abs=1e-13)
             assert r["purity"] == pytest.approx(0.5, abs=1e-13)
+
+    def test_no_times_give_no_records(self):
+        h = handle_of(np.zeros((4, 4), dtype=complex))
+        assert trajectory_records(h, np.eye(2) / 2, ()) == []
+        assert h._maps["semigroup"] == {}

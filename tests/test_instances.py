@@ -127,7 +127,7 @@ class TestTransposeMixing:
     def test_pure_mixing_is_unital_contraction(self):
         from posgen.superop import contraction_check, is_unital
 
-        spec = transpose_mixing(lindblad(np.zeros((2, 2)), []), weight=1.0)
+        spec = transpose_mixing(lindblad(np.zeros((2, 2)), []))
         t1 = evolve(SemigroupHandle(build_superoperator(spec)), 1.0)
         unital = is_unital(t1)
         assert unital.verdict and unital.margin <= 1e-12
@@ -152,8 +152,6 @@ class TestTransposeMixing:
         assert sym.verdict and sym.margin <= 1e-11
 
     def test_bad_arguments(self):
-        with pytest.raises(ValueError, match="weight"):
-            transpose_mixing(dephasing(2), weight=0.0)
         with pytest.raises(ValueError, match="lindblad"):
             transpose_mixing(flip_nonpositive(2))
 

@@ -380,7 +380,3 @@ def main(argv=None) -> int:
     except ConsistencyError as exc:
         print(f"posgen: internal consistency failure: {exc}", file=sys.stderr)
         return 2
-
-
-if __name__ == "__main__":
-    sys.exit(main())

@@ -112,7 +112,6 @@ class ProbeSet:
 
     selfadjoint: tuple
     unitaries: tuple
-    seed: int
 
     def __post_init__(self):
         if self.selfadjoint:
@@ -136,7 +135,7 @@ class ProbeSet:
         us = frozen(np.concatenate(
             [_structured_unitaries(n), unitary_from(u_rng, n, k=samples)]
         ))
-        return cls(selfadjoint=tuple(sa), unitaries=tuple(us), seed=int(seed))
+        return cls(selfadjoint=tuple(sa), unitaries=tuple(us))
 
 
 # ---------------------------------------------------------------------------
@@ -205,12 +204,6 @@ class ConditionResult:
         }
 
 
-def _verdict(min_margin: float, tol: float, evaluated: bool) -> str:
-    if not evaluated:
-        return INCONCLUSIVE
-    return SATISFIED if min_margin >= -tol else VIOLATED_VERDICT
-
-
 def _plan(h, family: str, config: RunConfig):
     """The grid a condition of ``family`` reports and its maps, with their points.
 
@@ -228,83 +221,74 @@ def _plan(h, family: str, config: RunConfig):
     return grid, list(zip(points, values, family_maps(h, family, points)))
 
 
-def _condition_result(condition_id, grid, margin, worst, tol) -> ConditionResult:
-    evaluated = np.isfinite(margin)
-    return ConditionResult(
-        condition_id=condition_id,
-        grid=tuple(float(g) for g in grid),
-        min_margin=float(margin) if evaluated else float("nan"),
-        worst_probe=worst,
-        verdict=_verdict(margin, tol, evaluated),
-    )
-
-
-def _cone_verdicts(h, plans: dict, config: RunConfig) -> list:
-    """The per-map verdicts of the cone conditions among ``plans``, in plan order.
+def _cone_verdicts(h, condition_ids, config: RunConfig) -> dict:
+    """The per-map verdicts of the given cone conditions, by id, in grid order.
 
     A condition's maps are one group of the search (see ``positivity_checks``),
     so a map's verdict depends on the rest of its grid.  Verdicts are
     memoized on the handle per grid, by family, grid points, seed and
     tolerance; the distinct points of the grids not yet searched go through
-    one stacked search.
+    one stacked search, each condition under its own seed, so its verdicts
+    are the ones a search of that condition alone finds.
     """
     tol = config.tol("predicate")
-    keys, missing = [], {}
-    for cid, (_, maps) in plans.items():
-        if _CONDITIONS[cid][1] == "cone":
-            seed = subseed(config.seed, 17, CONDITION_IDS.index(cid))
-            key = (_CONDITIONS[cid][0], tuple(point for point, _, _ in maps), seed, tol)
-            keys.append(key)
-            if key not in h._cone_verdicts:
-                missing[key] = {point: phi for point, _, phi in maps}
+    keys, missing = {}, {}
+    for cid in condition_ids:
+        family = _CONDITIONS[cid][0]
+        _, maps = _plan(h, family, config)
+        seed = subseed(config.seed, 17, CONDITION_IDS.index(cid))
+        key = keys[cid] = (family, tuple(point for point, _, _ in maps), seed, tol)
+        if key not in h._cone_verdicts:
+            missing[key] = {point: phi for point, _, phi in maps}
     if missing:
-        groups = [key for key, distinct in missing.items() for _ in distinct]
-        stacked = [phi for distinct in missing.values() for phi in distinct.values()]
-        verdicts = iter(positivity_checks(stacked, [key[2] for key in groups], tol, groups))
-        for key, distinct in missing.items():
-            h._cone_verdicts[key] = {point: next(verdicts) for point in distinct}
-    return [h._cone_verdicts[key][point] for key in keys for point in key[1]]
-
-
-def _evaluate(h, condition_ids, probes: ProbeSet, config: RunConfig) -> dict:
-    """Evaluate the given conditions; returns a ConditionResult per id.
-
-    The maps of all cone conditions are searched at most once per handle, each
-    condition under its own seed, so its result is the one a search of
-    that condition alone finds.  A probe condition scans every probe of its
-    class at every map.  Margins aggregate as minima; the first minimum in
-    map-major order wins.
-    """
-    tol = config.tol("predicate")
-    plans = {cid: _plan(h, _CONDITIONS[cid][0], config) for cid in condition_ids}
-    verdicts = iter(_cone_verdicts(h, plans, config))
-
-    results = {}
-    for cid, (grid, maps) in plans.items():
-        kind = _CONDITIONS[cid][1]
-        if kind == "cone":
-            margins = np.array([next(verdicts).margin for _ in maps])[:, None]
-        else:
-            pool = np.stack(probes.selfadjoint if kind == "selfadjoint" else probes.unitaries)
-            reps_t = np.stack([phi.rep for _, _, phi in maps]).swapaxes(1, 2)
-            k = min(len(maps), -(-len(maps) * pool.size // _SCAN_ENTRIES))
-            margins = np.concatenate([
-                psd_margins(dissipation_batch(c, pool).reshape(-1, *pool.shape[1:]))
-                for c in np.array_split(reps_t, k)
-            ]).reshape(len(maps), -1)
-        i, k = np.unravel_index(np.argmin(margins), margins.shape)
-        ref = ProbeRef(*((None, None) if kind == "cone" else (kind, int(k))), maps[i][1])
-        results[cid] = _condition_result(cid, grid, margins[i, k], ref, tol)
-    return results
+        stacked = [(key, point, phi) for key, distinct in missing.items()
+                   for point, phi in distinct.items()]
+        verdicts = positivity_checks([phi for _, _, phi in stacked],
+                                     [key[2] for key, _, _ in stacked], tol,
+                                     [key for key, _, _ in stacked])
+        for (key, point, _), verdict in zip(stacked, verdicts):
+            h._cone_verdicts.setdefault(key, {})[point] = verdict
+    return {cid: [h._cone_verdicts[key][point] for point in key[1]]
+            for cid, key in keys.items()}
 
 
 def check_condition(
     h: SemigroupHandle, condition_id: str, probes: ProbeSet, config: RunConfig
 ) -> ConditionResult:
-    """Evaluate one condition on the handle over its grid, aggregating margins as minima."""
+    """Evaluate one condition on the handle over its grid, aggregating margins as minima.
+
+    A cone condition reads its maps' verdicts from the handle's memo, which
+    ``_cone_verdicts`` fills by a search of the grid if it is not there yet.
+    A probe condition scans every probe of its class at every map.  The
+    first minimum in map-major order wins.
+    """
     if condition_id not in _CONDITIONS:
         raise ValueError(f"unknown condition id {condition_id!r}")
-    return _evaluate(h, (condition_id,), probes, config)[condition_id]
+    family, kind = _CONDITIONS[condition_id]
+    grid, maps = _plan(h, family, config)
+    if kind == "cone":
+        verdicts = _cone_verdicts(h, (condition_id,), config)[condition_id]
+        margins = np.array([v.margin for v in verdicts])[:, None]
+    else:
+        pool = np.stack(probes.selfadjoint if kind == "selfadjoint" else probes.unitaries)
+        reps_t = np.stack([phi.rep for _, _, phi in maps]).swapaxes(1, 2)
+        k = min(len(maps), -(-len(maps) * pool.size // _SCAN_ENTRIES))
+        margins = np.concatenate([
+            psd_margins(dissipation_batch(c, pool).reshape(-1, *pool.shape[1:]))
+            for c in np.array_split(reps_t, k)
+        ]).reshape(len(maps), -1)
+    i, k = np.unravel_index(np.argmin(margins), margins.shape)
+    margin = margins[i, k]
+    evaluated = np.isfinite(margin)
+    tol = config.tol("predicate")
+    return ConditionResult(
+        condition_id=condition_id,
+        grid=tuple(float(g) for g in grid),
+        min_margin=float(margin) if evaluated else float("nan"),
+        worst_probe=ProbeRef(*((None, None) if kind == "cone" else (kind, int(k))), maps[i][1]),
+        verdict=(INCONCLUSIVE if not evaluated
+                 else SATISFIED if margin >= -tol else VIOLATED_VERDICT),
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -346,15 +330,10 @@ def theorem1_report(h: SemigroupHandle, config: RunConfig = RunConfig()) -> Theo
                 f"semigroup is not symmetric at t={t:g}: deviation {sym.margin:.3e}"
             )
     probes = ProbeSet.build(h.n, config.samples, subseed(config.seed, 11))
-    # the cone conditions share one stacked descent; each probe condition goes
-    # through check_condition, so a profile shows each under its own call
-    cones = _evaluate(
-        h, [cid for cid in CONDITION_IDS if _CONDITIONS[cid][1] == "cone"], probes, config
-    )
-    conditions = tuple(
-        cones[cid] if cid in cones else check_condition(h, cid, probes, config)
-        for cid in CONDITION_IDS
-    )
+    # one stacked descent searches the maps of every cone condition; their
+    # checks below read its verdicts
+    _cone_verdicts(h, [cid for cid in CONDITION_IDS if _CONDITIONS[cid][1] == "cone"], config)
+    conditions = tuple(check_condition(h, cid, probes, config) for cid in CONDITION_IDS)
     margins = [c.min_margin for c in conditions if np.isfinite(c.min_margin)]
     ctol = config.tol("consistency")
     consistency_flag = not (
@@ -406,8 +385,9 @@ def _aggregate_cone(verdicts) -> ConeVerdict:
     witness = None
     if any(v.status == VIOLATED for v in verdicts):
         status = VIOLATED
-        # the first violated map that holds the minimum, as in _evaluate; None
-        # when a map that is not violated at its own scale holds it
+        # the first violated map that holds the minimum, as in
+        # check_condition; None when a map that is not violated at its own
+        # scale holds it
         witness = next((v.witness for v in verdicts
                         if v.status == VIOLATED and v.margin == margin), None)
     elif all(v.status == CERTIFIED_POSITIVE for v in verdicts):
@@ -441,8 +421,9 @@ def theorem2_check(h: SemigroupHandle, config: RunConfig = RunConfig()) -> Theor
     unit_margin = float(spectral_norm(apply(h.generator, np.eye(h.n))))
     symmetry_margin = float(is_symmetric_map(h.generator).margin)
 
-    plan = {"semigroup_positive": _plan(h, "semigroup", config)}
-    cone = _aggregate_cone(_cone_verdicts(h, plan, config))
+    cone = _aggregate_cone(
+        _cone_verdicts(h, ("semigroup_positive",), config)["semigroup_positive"]
+    )
     unital_margin = max(float(is_unital(s_t).margin) for s_t in maps)
 
     left_holds = unit_margin <= tol and symmetry_margin <= tol

@@ -143,7 +143,7 @@ def build_superoperator(spec: GeneratorSpec) -> Superoperator:
 
 
 class SemigroupHandle:
-    """A generator, its spectrum, and memos of the maps built from it.
+    """A generator, its spectral abscissa, and memos of the maps built from it.
 
     Every T_t is a stacked :func:`mat_exp` call of bounded size.  Each T_t,
     R_lam and e^{s R_lam} is built once per handle: :func:`family_maps`
@@ -161,10 +161,7 @@ class SemigroupHandle:
         else:
             raise TypeError("expected a GeneratorSpec or Superoperator")
         self.n = self.generator.n
-        w = np.linalg.eigvals(self.generator.rep)
-        order = np.lexsort((w.imag, w.real))
-        self.eigenvalues = tuple(complex(v) for v in w[order])
-        self.spectral_abscissa = float(max(v.real for v in self.eigenvalues))
+        self.spectral_abscissa = float(np.linalg.eigvals(self.generator.rep).real.max())
         self._maps = {family: {} for family in _FAMILIES}
         self._cone_verdicts = {}
 

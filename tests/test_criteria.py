@@ -259,7 +259,6 @@ class TestProbeSet:
             ProbeSet(
                 selfadjoint=(np.array([[0.0, 1.0], [0.0, 0.0]]),),
                 unitaries=(),
-                seed=0,
             )
 
 
@@ -565,6 +564,27 @@ class TestConeVerdictMemo:
         # Theorem 2's positive side is semigroup_positive's search
         assert rep.positive.margin == theorem1_report(h, config).by_id(
             "semigroup_positive").min_margin
+
+    def test_report_searches_once_then_checks_every_condition(self, cone_searches,
+                                                               monkeypatch):
+        checked = []
+        check = criteria.check_condition
+
+        def record(h, cid, probes, config):
+            checked.append(cid)
+            return check(h, cid, probes, config)
+
+        monkeypatch.setattr(criteria, "check_condition", record)
+        h = handle(transpose_mixing(random_lindblad(3, 2, 5)))
+        config = small_config(seed=3)
+        theorem1_report(h, config)
+        assert cone_searches == [15]
+        assert checked == list(CONDITION_IDS)
+        theorem2_check(h, config)
+        probes = ProbeSet.build(3, config.samples, subseed(config.seed, 11))
+        for cid in ("semigroup_positive", "resolvent_positive", "resolvent_exp"):
+            check(h, cid, probes, config)
+        assert cone_searches == [15]
 
     def test_theorem2_alone_searches_the_semigroup_maps(self, cone_searches):
         h = handle(transpose_mixing(random_lindblad(3, 2, 5)))

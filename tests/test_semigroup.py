@@ -502,8 +502,9 @@ class TestSpectralData:
 
     def test_flip_spectrum(self):
         h = flip_handle()
-        w = sorted(v.real for v in h.eigenvalues)
+        w = sorted(np.linalg.eigvals(h.generator.rep).real)
         assert np.allclose(w, [0.0, 0.0, 2.0, 2.0], atol=1e-12)
+        assert h.spectral_abscissa == max(w)
 
 
 class TestGeneratorSpecJson:

@@ -22,6 +22,7 @@ means the toolkit is broken, not the mathematics.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -29,7 +30,7 @@ from .config import RunConfig, subseed
 from .errors import HypothesisViolation
 from .instances import hermitian_from, unitary_from
 from .matrixcore import as_matrix_stack, frozen, max_entry, psd_margins, spectral_norm
-from .semigroup import SemigroupHandle, family_maps, lambda_grid
+from .semigroup import SemigroupHandle, family_maps, lambda_grid, mirror_maps
 from .superop import (
     CERTIFIED_POSITIVE,
     NO_VIOLATION_FOUND,
@@ -221,31 +222,49 @@ def _plan(h, family: str, config: RunConfig):
     return grid, list(zip(points, values, family_maps(h, family, points)))
 
 
-def _cone_verdicts(h, condition_ids, config: RunConfig) -> dict:
-    """The per-map verdicts of the given cone conditions, by id, in grid order.
+@lru_cache(maxsize=256)
+def _cone_seed(seed: int, condition_id: str) -> int:
+    """The seed a cone condition's search runs under."""
+    return subseed(seed, 17, CONDITION_IDS.index(condition_id))
 
-    A condition's maps are one group of the search (see ``positivity_checks``),
+
+def _cone_verdicts(h, plans: dict, config: RunConfig) -> dict:
+    """The per-map verdicts of cone conditions, by id, in grid order.
+
+    ``plans`` gives each condition id its maps, as ``_plan`` lists them.  A
+    condition's maps are one group of the search (see ``positivity_checks``),
     so a map's verdict depends on the rest of its grid.  Verdicts are
     memoized on the handle per grid, by family, grid points, seed and
     tolerance; the distinct points of the grids not yet searched go through
     one stacked search, each condition under its own seed, so its verdicts
-    are the ones a search of that condition alone finds.
+    are the ones a search of that condition alone finds.  The search reads
+    the mirror maps of the maps it cannot decide at their starters from the
+    handle's mirror, one ``mirror_maps`` call per family.
     """
     tol = config.tol("predicate")
     keys, missing = {}, {}
-    for cid in condition_ids:
+    for cid, maps in plans.items():
         family = _CONDITIONS[cid][0]
-        _, maps = _plan(h, family, config)
-        seed = subseed(config.seed, 17, CONDITION_IDS.index(cid))
-        key = keys[cid] = (family, tuple(point for point, _, _ in maps), seed, tol)
+        key = keys[cid] = (family, tuple(point for point, _, _ in maps),
+                           _cone_seed(config.seed, cid), tol)
         if key not in h._cone_verdicts:
             missing[key] = {point: phi for point, _, phi in maps}
     if missing:
         stacked = [(key, point, phi) for key, distinct in missing.items()
                    for point, phi in distinct.items()]
+
+        def mirrors(indices):
+            # the mirror maps of the stacked maps at indices, one build per family
+            points = {}
+            for i in indices:
+                points.setdefault(stacked[i][0][0], []).append(stacked[i][1])
+            built = {family: dict(zip(ps, mirror_maps(h, tol, family, ps)))
+                     for family, ps in points.items()}
+            return [built[stacked[i][0][0]][stacked[i][1]] for i in indices]
+
         verdicts = positivity_checks([phi for _, _, phi in stacked],
                                      [key[2] for key, _, _ in stacked], tol,
-                                     [key for key, _, _ in stacked])
+                                     [key for key, _, _ in stacked], mirrors)
         for (key, point, _), verdict in zip(stacked, verdicts):
             h._cone_verdicts.setdefault(key, {})[point] = verdict
     return {cid: [h._cone_verdicts[key][point] for point in key[1]]
@@ -258,7 +277,8 @@ def check_condition(
     """Evaluate one condition on the handle over its grid, aggregating margins as minima.
 
     A cone condition reads its maps' verdicts from the handle's memo, which
-    ``_cone_verdicts`` fills by a search of the grid if it is not there yet.
+    ``_cone_verdicts`` fills by a search of the planned grid if it is not
+    there yet.
     A probe condition scans every probe of its class at every map.  The
     first minimum in map-major order wins.
     """
@@ -267,7 +287,7 @@ def check_condition(
     family, kind = _CONDITIONS[condition_id]
     grid, maps = _plan(h, family, config)
     if kind == "cone":
-        verdicts = _cone_verdicts(h, (condition_id,), config)[condition_id]
+        verdicts = _cone_verdicts(h, {condition_id: maps}, config)[condition_id]
         margins = np.array([v.margin for v in verdicts])[:, None]
     else:
         pool = np.stack(probes.selfadjoint if kind == "selfadjoint" else probes.unitaries)
@@ -332,7 +352,8 @@ def theorem1_report(h: SemigroupHandle, config: RunConfig = RunConfig()) -> Theo
     probes = ProbeSet.build(h.n, config.samples, subseed(config.seed, 11))
     # one stacked descent searches the maps of every cone condition; their
     # checks below read its verdicts
-    _cone_verdicts(h, [cid for cid in CONDITION_IDS if _CONDITIONS[cid][1] == "cone"], config)
+    _cone_verdicts(h, {cid: _plan(h, family, config)[1]
+                       for cid, (family, kind) in _CONDITIONS.items() if kind == "cone"}, config)
     conditions = tuple(check_condition(h, cid, probes, config) for cid in CONDITION_IDS)
     margins = [c.min_margin for c in conditions if np.isfinite(c.min_margin)]
     ctol = config.tol("consistency")
@@ -421,9 +442,9 @@ def theorem2_check(h: SemigroupHandle, config: RunConfig = RunConfig()) -> Theor
     unit_margin = float(spectral_norm(apply(h.generator, np.eye(h.n))))
     symmetry_margin = float(is_symmetric_map(h.generator).margin)
 
-    cone = _aggregate_cone(
-        _cone_verdicts(h, ("semigroup_positive",), config)["semigroup_positive"]
-    )
+    cone = _aggregate_cone(_cone_verdicts(
+        h, {"semigroup_positive": _plan(h, "semigroup", config)[1]}, config
+    )["semigroup_positive"])
     unital_margin = max(float(is_unital(s_t).margin) for s_t in maps)
 
     left_holds = unit_margin <= tol and symmetry_margin <= tol

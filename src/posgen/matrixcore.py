@@ -144,8 +144,10 @@ def _pade13(a: np.ndarray) -> np.ndarray:
     for k, p in ((11, a4), (9, a2)):
         odd += b[k] * p
         even += b[k - 1] * p
-    u, v = a6 @ odd, a6 @ even
-    del odd, even
+    u = a6 @ odd
+    del odd
+    v = a6 @ even
+    del even
     for k, p in ((7, a6), (5, a4), (3, a2)):
         u += b[k] * p
         v += b[k - 1] * p

@@ -3,7 +3,9 @@
 A generator is described either explicitly (by its superoperator matrix) or
 by Hamiltonian / Lindblad payloads, from which the superoperator is built and
 checked at construction time.  A :class:`SemigroupHandle` memoizes the maps
-built from its generator, so each T_t, R_lam and e^{s R_lam} is computed once.
+built from its generator, so each T_t, R_lam and e^{s R_lam} is computed once,
+and the handle of its mirror generator (see :func:`mirror_split`), which the
+cone searches read decomposability certificates from.
 """
 from __future__ import annotations
 
@@ -20,7 +22,7 @@ from .errors import (
     SchemaError,
 )
 from .matrixcore import CMatrix, as_matrix, frozen, json_dimension, json_object, mat_exp, max_entry
-from .superop import Superoperator, is_symmetric_map, vec
+from .superop import Superoperator, _unit_scale, choi_matrix, is_symmetric_map, transpose_map, vec
 
 GENERATOR_KINDS = ("explicit", "hamiltonian", "lindblad")
 
@@ -32,6 +34,9 @@ _BUILD_TOL = 1e-12
 _EXP_CHUNK = 1 << 16
 
 _POLE_GAP = 1e-9
+
+# The most cutting-plane steps of the generator split's search for c.
+_SPLIT_STEPS = 60
 
 
 def _kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -150,7 +155,7 @@ class SemigroupHandle:
     memoizes them by family and point, which is safe because a Superoperator
     is immutable.  Next to them the criteria module memoizes the cone-search
     verdicts of each condition grid, so every grid is searched once per
-    handle.
+    handle.  The mirror handle of :func:`mirror` is memoized per tolerance.
     """
 
     def __init__(self, gen):
@@ -164,6 +169,7 @@ class SemigroupHandle:
         self.spectral_abscissa = float(np.linalg.eigvals(self.generator.rep).real.max())
         self._maps = {family: {} for family in _FAMILIES}
         self._cone_verdicts = {}
+        self._mirrors = {}
 
     def evolve_rep(self, ts: np.ndarray) -> np.ndarray:
         """Stack of e^{t rep} for a 1-D array of finite t >= 0; non-finite where t rep is."""
@@ -198,9 +204,14 @@ def _fits(rep: np.ndarray) -> bool:
     return max_entry(rep) <= _LARGEST_ENTRY  # False for NaN too
 
 
+def _clears(h: SemigroupHandle, lam: float) -> bool:
+    """Whether a resolvent point clears the handle's spectral abscissa."""
+    return lam > h.spectral_abscissa + _POLE_GAP
+
+
 def _resolvent_reps(h: SemigroupHandle, lams) -> np.ndarray:
     for lam in lams:
-        if lam <= h.spectral_abscissa + _POLE_GAP:
+        if not _clears(h, lam):
             raise ResolventPoleError(
                 f"resolvent point {lam:g} does not clear the spectral abscissa "
                 f"{h.spectral_abscissa:g}"
@@ -250,6 +261,109 @@ def family_maps(h: SemigroupHandle, family: str, points) -> list:
         if h._maps[family][p] is None:
             raise PropagatorOverflow(f"{_FAMILIES[family][1](p)} overflows double precision")
     return [h._maps[family][p] for p in points]
+
+
+def _complement_of_omega(n: int) -> np.ndarray:
+    """Orthonormal real columns spanning the complement of Omega = sum_i e_i kron e_i.
+
+    The Householder reflection that swaps e_0 and Omega / sqrt(n) maps
+    e_1, ..., e_{n^2-1} onto them.  Needs n >= 2.
+    """
+    w = -np.eye(n).reshape(-1) / np.sqrt(n)
+    w[0] += 1.0
+    return (np.eye(n * n) - (2.0 / (w @ w)) * np.outer(w, w))[:, 1:]
+
+
+def mirror_split(gen: Superoperator, tol: float) -> float | None:
+    """The c >= 0 that brings L - c tau, tau the transpose, closest to a CCP generator.
+
+    f(c) is the least eigenvalue of the hermitian part of Choi(L - c tau),
+    L scaled to unit scale (see ``superop._unit_scale``), compressed to the
+    complement of Omega = sum_i e_i kron e_i.  A hermiticity-preserving
+    L - c tau generates a CP semigroup where f(c) >= 0, and f is concave in
+    c with supergradient ``-u* Choi(tau) u`` at its least eigenvector u.
+    The search steps to the intersection of the tangent lines at the ends
+    of a bracket of the maximizer, each step one ``eigh``, and stops when
+    that upper bound on f lies within ``tol`` of the best f seen.
+
+    Returns 0 when f(0) >= -tol (L itself is CCP) or f falls from c = 0,
+    and None once the upper bound drops below -tol: then no c gives a
+    split.  The c returned is only a guess; a certificate built from it
+    (see :func:`mirror`) checks itself.
+    """
+    n = gen.n
+    if n == 1:
+        return 0.0
+    unit = float(_unit_scale(gen.rep))
+    v = _complement_of_omega(n)
+    choi = choi_matrix(Superoperator(n, unit * gen.rep))
+    a = v.T @ ((choi + choi.conj().T) / 2) @ v
+    b = v.T @ choi_matrix(transpose_map(n)).real @ v
+
+    def cut(c):
+        w, u = np.linalg.eigh(a - c * b)
+        u = u[:, 0]
+        return c, float(w[0]), -float((u.conj() @ b @ u).real)
+
+    lo = cut(0.0)
+    if lo[1] >= -tol or lo[2] <= 0:
+        return 0.0
+    # on the vectors Choi(tau) fixes f(c) <= |a| - c, so the maximizer lies
+    # below |a| - f(0); past 2 |a| the least eigenvector is mostly such a
+    # vector, so the supergradient there is negative
+    hi = cut(2.0 * float(np.linalg.norm(a)) - lo[1])
+    for _ in range(_SPLIT_STEPS):
+        (c0, f0, g0), (c1, f1, g1) = lo, hi
+        # the tangents meet at x; rounding may put x outside the bracket
+        x = min(max((f1 - f0 + g0 * c0 - g1 * c1) / (g0 - g1), c0), c1)
+        bound = min(f0 + g0 * (x - c0), f1 + g1 * (x - c1))
+        if bound < -tol:
+            return None
+        if bound - max(f0, f1) <= tol:
+            break
+        step = cut(x)
+        if step[2] > 0:
+            lo = step
+        else:
+            hi = step
+    return max(lo, hi, key=lambda cut: cut[1])[0] / unit
+
+
+def mirror(h: SemigroupHandle, tol: float) -> SemigroupHandle | None:
+    """The handle of the mirror L - 2c tau of h's generator; None when c is 0 or None.
+
+    c is :func:`mirror_split`'s.  With L = A + c tau, A CCP, every map built
+    from L is P + tau o Q, where P and Q are CP: the halved sum and
+    tau o the halved difference of it and the same map built from the
+    mirror A - c tau.  Memoized on h per tolerance.
+    """
+    if tol not in h._mirrors:
+        c = mirror_split(h.generator, tol)
+        h._mirrors[tol] = SemigroupHandle(
+            Superoperator(h.n, h.generator.rep - 2.0 * c * transpose_map(h.n).rep)
+        ) if c else None
+    return h._mirrors[tol]
+
+
+def mirror_maps(h: SemigroupHandle, tol: float, family: str, points) -> list:
+    """The maps of ``family`` at ``points`` built from h's mirror; None where there are none.
+
+    Raises nothing: a point has no mirror map when h has no mirror, when
+    its lam does not clear the mirror's spectral abscissa, or when the map
+    does not fit (see :func:`build_maps`).  One ``build_maps`` call per
+    family builds the rest.
+    """
+    m = mirror(h, tol)
+    if m is None:
+        return [None] * len(points)
+    buildable = points
+    if family != "semigroup":
+        lams = list(points) if family == "resolvent" else [lam for _, lam in points]
+        build_maps(m, "resolvent", [lam for lam in lams if _clears(m, lam)])
+        resolvents = m._maps["resolvent"]
+        buildable = [p for p, lam in zip(points, lams) if resolvents.get(lam) is not None]
+    build_maps(m, family, buildable)
+    return [m._maps[family].get(p) for p in points]
 
 
 def evolve(h: SemigroupHandle, t: float) -> Superoperator:

@@ -49,10 +49,10 @@ def cone_searches(monkeypatch):
     searched = []
     search = criteria.positivity_checks
 
-    def count(maps, seeds, tol, groups):
+    def count(maps, seeds, tol, groups, mirrors):
         maps = list(maps)
         searched.append(len(maps))
-        return search(maps, seeds, tol, groups)
+        return search(maps, seeds, tol, groups, mirrors)
 
     monkeypatch.setattr(criteria, "positivity_checks", count)
     return searched

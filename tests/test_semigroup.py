@@ -28,7 +28,11 @@ from posgen.semigroup import (
     euler_product,
     evolve,
     family_maps,
+    lambda_grid,
     lindblad_rep,
+    mirror,
+    mirror_maps,
+    mirror_split,
     resolvent,
     yosida_generator,
     yosida_semigroup,
@@ -492,6 +496,68 @@ class TestYosida:
         direct = mat_exp(t * yosida_generator(h, lam).rep)
         assert np.abs(u.rep - direct).max() <= 1e-9
         assert np.isfinite(u.rep).all()
+
+
+class TestMirrorSplit:
+    """The generator split L = (L - c tau) + c tau and the mirror handle built from it."""
+
+    @pytest.mark.parametrize("n, k, seed", [(3, 1, 0), (3, 2, 5), (4, 1, 1), (6, 2, 2), (8, 1, 3)])
+    def test_finds_c_one_on_transpose_mixing(self, n, k, seed, monkeypatch):
+        # L - tau is a Lindblad generator minus the identity, so f peaks at
+        # c = 1; two tangents at the ends of the bracket meet there
+        calls = []
+        eigh = np.linalg.eigh
+        monkeypatch.setattr(np.linalg, "eigh", lambda *a, **kw: calls.append(1) or eigh(*a, **kw))
+        c = mirror_split(build_superoperator(transpose_mixing(random_lindblad(n, k, seed))), 1e-9)
+        assert abs(c - 1.0) <= 1e-12
+        assert len(calls) == 3
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 8])
+    def test_one_eigh_on_flip(self, n, monkeypatch):
+        # f(0) < -tol and f falls from c = 0: no split, no second step
+        calls = []
+        eigh = np.linalg.eigh
+        monkeypatch.setattr(np.linalg, "eigh", lambda *a, **kw: calls.append(1) or eigh(*a, **kw))
+        assert mirror_split(build_superoperator(flip_nonpositive(n)), 1e-9) == 0.0
+        assert len(calls) == 1
+
+    def test_zero_on_a_ccp_generator(self):
+        assert mirror_split(build_superoperator(random_lindblad(3, 2, 4)), 1e-9) == 0.0
+
+    def test_none_when_no_c_reaches_tol(self):
+        # L(x) = 2 x^T - Z x Z on M(2): on the complement of Omega, Choi(L -
+        # c tau) is c - 2 on the antisymmetric vector and -c on vec(Z), so f
+        # rises from c = 0 but peaks at f(1) = -1 (times the unit scale)
+        z = np.diag([1.0, -1.0]).astype(complex)
+        gen = Superoperator(2, 2.0 * semigroup.transpose_map(2).rep - np.kron(z, z))
+        assert mirror_split(gen, 1e-9) is None
+
+    def test_mirror_is_memoized_per_tolerance(self):
+        h = SemigroupHandle(transpose_mixing(random_lindblad(3, 1, 0)))
+        m = mirror(h, 1e-9)
+        assert mirror(h, 1e-9) is m
+        assert mirror(h, 1e-6) is not m
+        tau = semigroup.transpose_map(3).rep
+        assert np.allclose(m.generator.rep, h.generator.rep - 2.0 * tau, atol=1e-12)
+        assert mirror(SemigroupHandle(flip_nonpositive(3)), 1e-9) is None
+
+    def test_unbuildable_mirror_maps_are_none(self, monkeypatch):
+        # c = 40 puts the mirror's spectral abscissa near 80: lam = 1 and 10
+        # do not clear it and T_10 overflows, while the rest are built
+        monkeypatch.setattr(semigroup, "mirror_split", lambda gen, tol: 40.0)
+        h = SemigroupHandle(transpose_mixing(random_lindblad(3, 1, 0)))
+        lams = lambda_grid(h, (1.0, 10.0, 100.0))
+        assert 10.0 < mirror(h, 1e-9).spectral_abscissa < 100.0
+        assert [m is None for m in mirror_maps(h, 1e-9, "semigroup", (0.1, 1.0, 10.0))] == [
+            False, False, True]
+        assert [m is None for m in mirror_maps(h, 1e-9, "resolvent", lams)] == [True, True, False]
+        pairs = [(s, lam) for s in (0.5, 2.0) for lam in lams]
+        assert [m is None for m in mirror_maps(h, 1e-9, "resolvent_exp", pairs)] == [
+            True, True, False] * 2
+
+    def test_no_mirror_gives_no_maps(self):
+        h = SemigroupHandle(random_lindblad(3, 2, 4))
+        assert mirror_maps(h, 1e-9, "resolvent", (1.0, 2.0)) == [None, None]
 
 
 class TestSpectralData:

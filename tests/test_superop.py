@@ -7,7 +7,15 @@ from hypothesis import given, settings, strategies as st
 from posgen.errors import DimensionMismatch, SchemaError
 from posgen.instances import flip_nonpositive, random_lindblad, transpose_mixing
 from posgen.matrixcore import DEFAULT_TOL
-from posgen.semigroup import SemigroupHandle, evolve, resolvent
+from posgen.semigroup import (
+    SemigroupHandle,
+    evolve,
+    family_maps,
+    lambda_grid,
+    mirror,
+    mirror_maps,
+    resolvent,
+)
 from posgen import superop
 from posgen.superop import (
     Superoperator,
@@ -537,6 +545,121 @@ class TestGroupedPositivityChecks:
         _, min_eig, herm_dev = superop._cp_checks(s.rep[None], n, DEFAULT_TOL)
         assert min_eig[0] - n * n * herm_dev[0] == pytest.approx(choi_floor(s), rel=1e-12)
         assert np.all(f >= choi_floor(s) - 1e-12 * np.abs(s.rep).max())
+
+
+class TestMirrorCertificate:
+    """P + tau o Q certificates from a mirror map: sound whatever the mirror."""
+
+    TOL = DEFAULT_TOL
+
+    def cone_maps(self, h):
+        """A report's T_t, R_lam and e^{s R_lam}, with their families and points."""
+        lams = lambda_grid(h, (1.0, 10.0, 100.0))
+        points = {
+            "semigroup": [0.1, 1.0, 10.0],
+            "resolvent": list(lams),
+            "resolvent_exp": [(s, lam) for s in (0.5, 1.0, 2.0) for lam in lams],
+        }
+        return [(family, p, m) for family, ps in points.items()
+                for p, m in zip(ps, family_maps(h, family, ps))]
+
+    def mirror_of(self, h, family, point):
+        return mirror_maps(h, self.TOL, family, [point])[0]
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_parts_reconstruct_the_map(self, seed):
+        rng = np.random.default_rng(seed)
+        n = 3
+        h = SemigroupHandle(transpose_mixing(random_lindblad(n, 1, seed)))
+        maps = [m.rep for _, _, m in self.cone_maps(h)]
+        mirrors = [self.mirror_of(h, f, p).rep for f, p, _ in self.cone_maps(h)]
+        # and arbitrary maps with arbitrary mirrors
+        maps += [rand_complex(rng, n * n, n * n) for _ in range(3)]
+        mirrors += [rand_complex(rng, n * n, n * n) for _ in range(3)]
+        p, q = superop._mirror_parts(np.stack(maps), np.stack(mirrors), n)
+        tau = transpose_map(n).rep
+        for phi, pk, qk in zip(maps, p, q):
+            assert np.abs(pk + tau @ qk - phi).max() <= 1e-14 * np.abs(phi).max()
+
+    @pytest.mark.parametrize("gen", [flip_nonpositive(3), flip_plus_lindblad(4, 6)],
+                             ids=["flip_nonpositive", "violated_flip"])
+    @pytest.mark.parametrize("wrong", ["c=0.5", "c=-0.5", "zero"])
+    def test_wrong_mirror_never_certifies_a_non_positive_map(self, gen, wrong):
+        # the split finds no c on these generators; a mirror forced on them
+        # must not certify any of their maps
+        h = SemigroupHandle(gen)
+        assert mirror(h, self.TOL) is None
+        maps = self.cone_maps(h)
+        n = h.n
+        if wrong == "zero":
+            mirrors = [Superoperator(n, np.zeros((n * n, n * n)))] * len(maps)
+        else:
+            c = float(wrong[2:])
+            forced = SemigroupHandle(
+                Superoperator(n, h.generator.rep - 2.0 * c * transpose_map(n).rep))
+            h._mirrors[self.TOL] = forced
+            mirrors = [self.mirror_of(h, f, p) for f, p, _ in maps]
+            assert sum(m is not None for m in mirrors) >= 3
+        reps = np.stack([m.rep for _, _, m in maps])
+        unit_tol = self.TOL / superop._unit_scale(reps)
+        assert not superop._decomposable(reps, mirrors, n, unit_tol).any()
+        verdicts = positivity_checks([m for _, _, m in maps], [0] * len(maps), self.TOL,
+                                     None, lambda idx: [mirrors[i] for i in idx])
+        assert all(v.status == "violated" for v in verdicts)
+
+    @given(st.integers(0, 2**16), st.sampled_from([2, 3, 4]))
+    @settings(max_examples=4, deadline=None)
+    def test_certified_maps_are_positive_at_random_vectors(self, seed, n):
+        # every map is CP or certified by its mirror, and f >= -tol at 10^4
+        # unit vectors on each map the mirror certifies
+        h = SemigroupHandle(transpose_mixing(random_lindblad(n, 1, seed)))
+        maps = self.cone_maps(h)
+        mirrors = [self.mirror_of(h, f, p) for f, p, _ in maps]
+        reps = np.stack([m.rep for _, _, m in maps])
+        unit = superop._unit_scale(reps)
+        certified = superop._decomposable(reps, mirrors, n, self.TOL / unit)
+        assert (certified | superop._cp_checks(reps, n, self.TOL / unit)[0]).all()
+        rng = np.random.default_rng(seed)
+        v = rand_complex(rng, 10_000, n)
+        v /= np.linalg.norm(v, axis=1, keepdims=True)
+        for rep, u in zip(reps[certified], unit[certified]):
+            assert superop._f_values(rep.T, v).min() >= -self.TOL / u
+
+    def test_undecided_maps_go_to_the_mirror_once(self):
+        # the transpose is 0 + tau o id: the mirror -tau certifies it
+        n = 3
+        h = SemigroupHandle(transpose_mixing(random_lindblad(n, 1, 0)))
+        maps = [identity_superop(n), transpose_map(n), Superoperator(n, -np.eye(n * n)),
+                evolve(h, 1.0)]
+        mirrors = [None, Superoperator(n, -transpose_map(n).rep), None,
+                   self.mirror_of(h, "semigroup", 1.0)]
+        calls = []
+
+        def mirror_call(idx):
+            calls.append(list(idx))
+            return [mirrors[i] for i in idx]
+
+        got = positivity_checks(maps, [4] * 4, self.TOL, None, mirror_call)
+        plain = positivity_checks(maps, [4] * 4, self.TOL)
+        assert calls == [[1, 3]]
+        starters = n + 2 + superop._N_RANDOM
+        assert [v.status for v in got] == ["certified_positive", "certified_positive",
+                                           "violated", "certified_positive"]
+        assert [v.status for v in plain] == ["certified_positive", "no_violation_found",
+                                             "violated", "no_violation_found"]
+        assert [v.samples_used for v in got] == [starters, starters, plain[2].samples_used,
+                                                 starters]
+        assert got[0] == plain[0]
+        assert got[2].margin == plain[2].margin
+        assert got[2].witness.tobytes() == plain[2].witness.tobytes()
+
+    def test_no_undecided_map_no_call(self):
+        def unreachable(idx):
+            raise AssertionError("mirrors called")
+
+        maps = [identity_superop(3), Superoperator(3, -np.eye(9))]
+        assert [v.status for v in positivity_checks(maps, [0, 0], self.TOL, None, unreachable)] == [
+            "certified_positive", "violated"]
 
 
 class TestContractionCheck:

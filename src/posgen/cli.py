@@ -218,6 +218,7 @@ def _print_report_text(payload: dict, out) -> None:
     else:
         print(f"theorem2: consistent={t2['direction_consistency']} "
               f"unit_margin={t2['unit_margin']:.3e} "
+              f"contraction={t2['contraction']['status']} "
               f"positive={t2['positive']['status']} "
               f"unital_margin={t2['unital_margin']:.3e}", file=out)
     tp = sections["trace_preservation"]

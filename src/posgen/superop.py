@@ -518,9 +518,10 @@ _ASCENT_ITERS = 30
 class ContractionVerdict:
     """Sampled lower bound on the operator norm of a map (spectral-to-spectral).
 
-    certified_contraction is only issued for symmetric unital CP maps -- whose
-    norm is exactly one by the Russo-Dye fact -- and even then the sampled
-    bound must not exceed 1 + tol; the fact is verified, never assumed.
+    certified_contraction is only issued for symmetric unital maps with a
+    positivity certificate (CP or decomposable) -- whose norm is exactly one
+    by the Russo-Dye fact -- and even then the sampled bound must not exceed
+    1 + tol; the fact is verified, never assumed.
     A violated verdict carries the first bound that exceeds 1 + tol: the
     sampled one when sampling already proves the map is no contraction,
     otherwise the bound after the power ascent.
@@ -565,7 +566,7 @@ def _ascend(reps: np.ndarray, v: np.ndarray, bounds: np.ndarray) -> np.ndarray:
     return bounds
 
 
-def contraction_checks(maps, seed: int = 0, tol: float = DEFAULT_TOL) -> list:
+def contraction_checks(maps, seed: int = 0, tol: float = DEFAULT_TOL, positive=None) -> list:
     """Lower-bound ``sup ||S(x)|| / ||x||`` for each of a list of maps on one M(n).
 
     The effort per map is fixed: the unit, 64 Gaussian inputs drawn from
@@ -580,6 +581,17 @@ def contraction_checks(maps, seed: int = 0, tol: float = DEFAULT_TOL) -> list:
     map up to the first violated one and None after it, which is what
     :func:`contraction_check` calls in order, stopped at the first
     violation, give.
+
+    A map has the Russo-Dye certificate when it is symmetric and unital at
+    ``tol`` and certified positive: a positive unital map has norm
+    ||S(1)|| = 1.  ``positive`` gives the positivity certificates.  It is
+    called at most once, lazily, with the indices of the maps that survive
+    sampling and are symmetric and unital, and returns one bool per index;
+    with no such map it is not called.  By default it is the stacked CP
+    test at ``tol`` (see ``_cp_checks``); a caller that already holds other
+    certificates, such as decomposability, can pass them.  A certified map
+    keeps its sampled bound, which is at most ``1 + tol``, and skips the
+    ascent.
     """
     maps = list(maps)
     if not maps:
@@ -623,7 +635,8 @@ def contraction_checks(maps, seed: int = 0, tol: float = DEFAULT_TOL) -> list:
         dtype=bool,
     )
     if certified.any():
-        certified[certified] = _cp_checks(reps[certified], n, tol)[0]
+        certified[certified] = (_cp_checks(reps[certified], n, tol)[0] if positive is None
+                                else positive(np.flatnonzero(certified)))
     climb = np.flatnonzero(~certified)
     if len(climb):
         v = np.stack([inputs[k][np.argsort(sampled[k])[::-1][:4]] for k in climb])

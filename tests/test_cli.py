@@ -258,6 +258,7 @@ class TestReport:
         out = capsys.readouterr().out
         assert "theorem1: consistent=True" in out
         assert "semigroup_positive" in out
+        assert " contraction=certified_contraction " in out
         assert "consistent: True" in out
 
 

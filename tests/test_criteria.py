@@ -376,6 +376,25 @@ class TestTheorem2:
         assert rep.unital_margin <= 1e-10
         assert rep.direction_consistency
 
+    @pytest.mark.parametrize("seed", [3, 15])
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_transpose_mixing_certified_without_the_ascent(self, n, seed, monkeypatch):
+        # every T_t is positive (the mirror split certifies it) and unital, so
+        # by Russo-Dye its norm is 1 and the contraction search skips its ascent
+        climbs = []
+        ascend = superop._ascend
+        monkeypatch.setattr(superop, "_ascend", lambda *args: climbs.append(1) or ascend(*args))
+        h = handle(transpose_mixing(random_lindblad(n, 1, seed)))
+        config = small_config()
+        rep = theorem2_check(h, config)
+        assert rep.contraction_status == "certified_contraction"
+        assert climbs == []
+        # the search without a stop, ascent included, proves no T_t non-contractive
+        tol = config.tol("predicate")
+        for s_t in semigroup.family_maps(h, "semigroup", config.t_grid):
+            full = full_contraction_search(s_t, subseed(config.seed, 23), tol)[1]
+            assert full.norm_lower_bound <= 1.0 + tol
+
     def test_hamiltonian_automorphisms(self):
         hmat = np.diag([1.0, -1.0]).astype(complex)
         rep = theorem2_check(handle(lindblad(hmat, [])), small_config())
@@ -397,7 +416,8 @@ class TestTheorem2:
         monkeypatch.setattr(
             criteria,
             "contraction_checks",
-            lambda maps, seed, tol: [full_contraction_search(s, seed, tol)[1] for s in maps],
+            lambda maps, seed, tol, positive: [full_contraction_search(s, seed, tol)[1]
+                                               for s in maps],
         )
         with pytest.raises(HypothesisViolation) as full:
             theorem2_check(handle(flip_nonpositive(n)), config)

@@ -774,6 +774,44 @@ class TestStackedContractionChecks:
             assert a.status == b.status
             assert a.norm_lower_bound == b.norm_lower_bound
 
+    def test_positivity_certificates_need_symmetric_unital_maps(self, monkeypatch):
+        climbs = []
+        ascend = superop._ascend
+        monkeypatch.setattr(superop, "_ascend",
+                            lambda reps, v, bounds: climbs.append(len(reps)) or ascend(reps, v, bounds))
+        asked = []
+
+        def always(indices):
+            asked.append(list(indices))
+            return [True] * len(indices)
+
+        tol = 1e-3
+        # e^{-1} id: symmetric, not unital
+        decay = evolve(SemigroupHandle(Superoperator(2, -np.eye(4, dtype=complex))), 1.0)
+        # x + 3i tol x_01 E_01: unital, not symmetric, and its sampled norm is
+        # within 1 + tol
+        skew = np.eye(4, dtype=complex)
+        skew[2, 2] += 3j * tol
+        skew = Superoperator(2, skew)
+        assert not is_symmetric_map(skew, tol).verdict and is_unital(skew, tol).verdict
+        out = contraction_checks([decay, identity_superop(2), skew], 0, tol, always)
+        assert asked == [[1]]
+        assert [v.status for v in out][:2] == ["no_violation_found", "certified_contraction"]
+        assert out[2].status != "certified_contraction"
+        # the decay and skew maps still climb
+        assert climbs == [2]
+
+    def test_uncertified_maps_climb(self):
+        out = contraction_checks([transpose_map(3)], 0, DEFAULT_TOL, lambda indices: [False])
+        assert out == [contraction_check(transpose_map(3))]
+
+    def test_sampled_proof_asks_for_no_certificate(self):
+        def unreachable(indices):
+            raise AssertionError("a certificate was asked for")
+
+        out = contraction_checks(self.grid_maps("flip"), 0, DEFAULT_TOL, unreachable)
+        assert [v and v.status for v in out] == ["violated", None, None]
+
     def test_empty_list_rejected(self):
         with pytest.raises(ValueError):
             contraction_checks([], 0)

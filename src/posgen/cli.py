@@ -378,6 +378,10 @@ def main(argv=None) -> int:
             ResolventPoleError) as exc:
         print(f"posgen: error: {exc}", file=sys.stderr)
         return 1
+    except MemoryError as exc:
+        # an input too large to hold, such as a huge -n; numpy names the request
+        print(f"posgen: error: {str(exc) or 'out of memory'}", file=sys.stderr)
+        return 1
     except ConsistencyError as exc:
         print(f"posgen: internal consistency failure: {exc}", file=sys.stderr)
         return 2

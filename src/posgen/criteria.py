@@ -422,25 +422,19 @@ def theorem2_check(h: SemigroupHandle, config: RunConfig = RunConfig()) -> Theor
     """The handle's generator-side margins versus semigroup-side positivity and unitality.
 
     The contraction search takes its positivity certificates from
-    ``semigroup_positive``'s cone verdicts, CP or decomposable, and reads
-    them only once a symmetric unital ``T_t`` survives its sampling.
+    ``semigroup_positive``'s cone verdicts, CP or decomposable, which a
+    report has already searched.
     """
     plan = _plan(h, "semigroup", config)[1]
     maps = [phi for _, _, phi in plan]
     tol = config.tol("predicate")
-    cseed = subseed(config.seed, 23)
-
-    def cone_verdicts():
-        return _cone_verdicts(h, {"semigroup_positive": plan}, config)["semigroup_positive"]
-
-    def positive(indices):
-        verdicts = cone_verdicts()
-        return [verdicts[i].status == CERTIFIED_POSITIVE for i in indices]
+    cone_verdicts = _cone_verdicts(h, {"semigroup_positive": plan}, config)["semigroup_positive"]
 
     bound = 0.0
     statuses = []
     # the search stops at its first violated map, where this loop raises
-    verdicts = contraction_checks(maps, cseed, tol, positive)
+    verdicts = contraction_checks(maps, subseed(config.seed, 23), tol,
+                                  [v.status == CERTIFIED_POSITIVE for v in cone_verdicts])
     for t, verdict in zip(config.t_grid, verdicts):
         bound = max(bound, verdict.norm_lower_bound)
         if verdict.status == VIOLATED:
@@ -456,7 +450,7 @@ def theorem2_check(h: SemigroupHandle, config: RunConfig = RunConfig()) -> Theor
     unit_margin = float(spectral_norm(apply(h.generator, np.eye(h.n))))
     symmetry_margin = float(is_symmetric_map(h.generator).margin)
 
-    cone = _aggregate_cone(cone_verdicts())
+    cone = _aggregate_cone(cone_verdicts)
     unital_margin = max(float(is_unital(s_t).margin) for s_t in maps)
 
     left_holds = unit_margin <= tol and symmetry_margin <= tol

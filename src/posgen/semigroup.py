@@ -150,8 +150,8 @@ def build_superoperator(spec: GeneratorSpec) -> Superoperator:
 class SemigroupHandle:
     """A generator, its spectral abscissa, and memos of the maps built from it.
 
-    Every T_t is a stacked :func:`mat_exp` call of bounded size.  Each T_t,
-    R_lam and e^{s R_lam} is built once per handle: :func:`family_maps`
+    Each T_t, R_lam and e^{s R_lam} is built once per handle, T_t and e^{s R_lam}
+    by stacked :func:`mat_exp` calls of bounded size: :func:`build_maps`
     memoizes them by family and point, which is safe because a Superoperator
     is immutable.  Next to them the criteria module memoizes the cone-search
     verdicts of each condition grid, so every grid is searched once per
@@ -181,15 +181,21 @@ class SemigroupHandle:
             raise ValueError(f"semigroup times must be finite, got t={bad[0]:g}")
         if np.any(ts < 0):
             raise ValueError("semigroup is defined for t >= 0 only")
-        out = np.multiply.outer(ts, self.generator.rep)
-        idx = np.flatnonzero(np.isfinite(out).all(axis=(1, 2)))
-        # stacked calls of at most _EXP_CHUNK entries (or one matrix) each:
-        # one call on a long time grid would hold several temporaries of one
-        # n^2 x n^2 matrix per time, and one call per time is slow
-        k = min(idx.size, -(-idx.size * self.generator.rep.size // _EXP_CHUNK))
-        for c in np.array_split(idx, k) if k else ():
-            out[c] = mat_exp(out[c])
-        return out
+        return _exp_finite(np.multiply.outer(ts, self.generator.rep))
+
+
+def _exp_finite(out: np.ndarray) -> np.ndarray:
+    """Exponentiate the finite matrices of a stack in place; the rest stay non-finite."""
+    idx = np.flatnonzero(np.isfinite(out).all(axis=(1, 2)))
+    # stacked calls of at most _EXP_CHUNK entries (or one matrix) each: one
+    # call on a long grid would hold several temporaries of one n^2 x n^2
+    # matrix per point, and one call per point is slow
+    k = min(idx.size, -(-idx.size * out.shape[-1] ** 2 // _EXP_CHUNK))
+    for c in np.array_split(idx, k) if k else ():
+        # a run of consecutive rows goes in as a view, not as a copy
+        c = slice(c[0], c[-1] + 1) if c[-1] - c[0] + 1 == len(c) else c
+        out[c] = mat_exp(out[c])
+    return out
 
 
 # The largest entry a built map may have: 2^32 below the largest double.  The
@@ -204,42 +210,42 @@ def _fits(rep: np.ndarray) -> bool:
     return max_entry(rep) <= _LARGEST_ENTRY  # False for NaN too
 
 
-def _clears(h: SemigroupHandle, lam: float) -> bool:
-    """Whether a resolvent point clears the handle's spectral abscissa."""
-    return lam > h.spectral_abscissa + _POLE_GAP
-
-
 def _resolvent_reps(h: SemigroupHandle, lams) -> np.ndarray:
-    for lam in lams:
-        if not _clears(h, lam):
-            raise ResolventPoleError(
-                f"resolvent point {lam:g} does not clear the spectral abscissa "
-                f"{h.spectral_abscissa:g}"
-            )
-    return np.linalg.inv(np.multiply.outer(lams, np.eye(h.n**2)) - h.generator.rep)
+    """(lam - L)^{-1} for the lams that clear the spectral abscissa; non-finite at the rest."""
+    lams = np.asarray(lams, dtype=float)
+    out = np.full((len(lams), h.n**2, h.n**2), np.nan, dtype=complex)
+    clear = lams > h.spectral_abscissa + _POLE_GAP  # False for NaN too
+    out[clear] = np.linalg.inv(np.multiply.outer(lams[clear], np.eye(h.n**2)) - h.generator.rep)
+    return out
 
 
 def _resolvent_exp_reps(h: SemigroupHandle, points) -> np.ndarray:
-    rs = family_maps(h, "resolvent", [lam for _, lam in points])
-    return mat_exp(np.stack([s * r.rep for (s, _), r in zip(points, rs)]))
+    """e^{s R_lam}, R_lam read through ``build_maps``; non-finite where R_lam is missing."""
+    build_maps(h, "resolvent", [lam for _, lam in points])
+    rs = h._maps["resolvent"]
+    missing = np.full((h.n**2, h.n**2), np.nan)
+    return _exp_finite(np.stack([s * (missing if rs[lam] is None else rs[lam].rep)
+                                 for s, lam in points]))
 
 
-# The families of maps Theorem 1 builds from a generator: how the maps at a list
-# of points are built by one stacked call, and how an overflow names a point.
+# Theorem 1's families of maps: how one stacked call builds the maps at a list
+# of points, how an overflow names a point, and a point's lam (None for T_t).
 _FAMILIES = {
-    "semigroup": (SemigroupHandle.evolve_rep, lambda t: f"T_t at t={t:g}"),
-    "resolvent": (_resolvent_reps, lambda lam: f"R_lam at lam={lam:g}"),
+    "semigroup": (SemigroupHandle.evolve_rep, lambda t: f"T_t at t={t:g}", lambda t: None),
+    "resolvent": (_resolvent_reps, lambda lam: f"R_lam at lam={lam:g}", lambda lam: lam),
     "resolvent_exp": (
         _resolvent_exp_reps,
         lambda p: f"e^(s R_lam) at s={p[0]:g}, lam={p[1]:g}",
+        lambda p: p[1],
     ),
 }
 
 
 def build_maps(h: SemigroupHandle, family: str, points) -> None:
-    """Memoize the maps of ``family`` at the points not built yet; None where one does not fit.
+    """Memoize the maps of ``family`` at the points not built yet; None where there is none.
 
-    A prebuild that raises nothing; checks read maps through :func:`family_maps`.
+    A point has no map when its map does not fit (``_fits``) or its lam does
+    not clear the spectral abscissa.  Raises nothing; checks use :func:`family_maps`.
     """
     memo = h._maps[family]
     missing = [p for p in dict.fromkeys(points) if p not in memo]
@@ -252,13 +258,18 @@ def build_maps(h: SemigroupHandle, family: str, points) -> None:
 
 
 def family_maps(h: SemigroupHandle, family: str, points) -> list:
-    """The maps of ``family`` at ``points``; PropagatorOverflow at the first that does not fit.
+    """The maps of ``family`` at ``points``, built by one stacked call where not built yet.
 
-    The maps not built yet are built by one stacked call.
+    At the first point with no map, raises ResolventPoleError when its lam
+    does not clear the spectral abscissa and PropagatorOverflow otherwise.
     """
     build_maps(h, family, points)
     for p in points:
         if h._maps[family][p] is None:
+            lam = _FAMILIES[family][2](p)
+            if lam is not None and not lam > h.spectral_abscissa + _POLE_GAP:
+                raise ResolventPoleError(f"resolvent point {lam:g} does not clear the "
+                                         f"spectral abscissa {h.spectral_abscissa:g}")
             raise PropagatorOverflow(f"{_FAMILIES[family][1](p)} overflows double precision")
     return [h._maps[family][p] for p in points]
 
@@ -348,22 +359,14 @@ def mirror(h: SemigroupHandle, tol: float) -> SemigroupHandle | None:
 def mirror_maps(h: SemigroupHandle, tol: float, family: str, points) -> list:
     """The maps of ``family`` at ``points`` built from h's mirror; None where there are none.
 
-    Raises nothing: a point has no mirror map when h has no mirror, when
-    its lam does not clear the mirror's spectral abscissa, or when the map
-    does not fit (see :func:`build_maps`).  One ``build_maps`` call per
-    family builds the rest.
+    Raises nothing: a point has no mirror map when h has no mirror or when
+    :func:`build_maps` builds none there.
     """
     m = mirror(h, tol)
     if m is None:
         return [None] * len(points)
-    buildable = points
-    if family != "semigroup":
-        lams = list(points) if family == "resolvent" else [lam for _, lam in points]
-        build_maps(m, "resolvent", [lam for lam in lams if _clears(m, lam)])
-        resolvents = m._maps["resolvent"]
-        buildable = [p for p, lam in zip(points, lams) if resolvents.get(lam) is not None]
-    build_maps(m, family, buildable)
-    return [m._maps[family].get(p) for p in points]
+    build_maps(m, family, points)
+    return [m._maps[family][p] for p in points]
 
 
 def evolve(h: SemigroupHandle, t: float) -> Superoperator:

@@ -492,16 +492,13 @@ def positivity_checks(maps, seeds, tol: float = DEFAULT_TOL, groups=None, mirror
     ]
 
 
-def positivity_check(
-    s: Superoperator, seed: int = 0, tol: float = DEFAULT_TOL, mirrors=None
-) -> ConeVerdict:
+def positivity_check(s: Superoperator, seed: int = 0, tol: float = DEFAULT_TOL) -> ConeVerdict:
     """Search one map for a rank-one input whose image leaves the PSD cone.
 
     The single-map case of :func:`positivity_checks`, which runs the searches
-    of many maps as one stacked descent with the same verdicts; ``mirrors``
-    is called as there, with the index 0 of ``s``.
+    of many maps as one stacked descent with the same verdicts.
     """
-    return positivity_checks([s], [seed], tol, None, mirrors)[0]
+    return positivity_checks([s], [seed], tol)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -584,14 +581,12 @@ def contraction_checks(maps, seed: int = 0, tol: float = DEFAULT_TOL, positive=N
 
     A map has the Russo-Dye certificate when it is symmetric and unital at
     ``tol`` and certified positive: a positive unital map has norm
-    ||S(1)|| = 1.  ``positive`` gives the positivity certificates.  It is
-    called at most once, lazily, with the indices of the maps that survive
-    sampling and are symmetric and unital, and returns one bool per index;
-    with no such map it is not called.  By default it is the stacked CP
-    test at ``tol`` (see ``_cp_checks``); a caller that already holds other
-    certificates, such as decomposability, can pass them.  A certified map
-    keeps its sampled bound, which is at most ``1 + tol``, and skips the
-    ascent.
+    ||S(1)|| = 1.  ``positive`` holds one bool per map, its positivity
+    certificate; a caller that already holds certificates, such as
+    decomposability, passes them.  By default the symmetric unital maps
+    that survive sampling get the stacked CP test at ``tol`` (see
+    ``_cp_checks``).  A certified map keeps its sampled bound, which is at
+    most ``1 + tol``, and skips the ascent.
     """
     maps = list(maps)
     if not maps:
@@ -599,6 +594,8 @@ def contraction_checks(maps, seed: int = 0, tol: float = DEFAULT_TOL, positive=N
     n = maps[0].n
     if any(s.n != n for s in maps):
         raise DimensionMismatch("contraction_checks needs maps on one algebra")
+    if positive is not None and len(positive) != len(maps):
+        raise ValueError(f"contraction_checks got {len(positive)} flags for {len(maps)} maps")
     rng = np.random.default_rng(np.random.SeedSequence((seed, 0xC0)))
     shape = (_CONTRACTION_SAMPLES, n, n)
     gauss = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
@@ -634,9 +631,10 @@ def contraction_checks(maps, seed: int = 0, tol: float = DEFAULT_TOL, positive=N
         [is_symmetric_map(s, tol).verdict and is_unital(s, tol).verdict for s in head],
         dtype=bool,
     )
-    if certified.any():
-        certified[certified] = (_cp_checks(reps[certified], n, tol)[0] if positive is None
-                                else positive(np.flatnonzero(certified)))
+    if positive is not None:
+        certified &= np.array(positive, dtype=bool)[: len(head)]
+    elif certified.any():
+        certified[certified] = _cp_checks(reps[certified], n, tol)[0]
     climb = np.flatnonzero(~certified)
     if len(climb):
         v = np.stack([inputs[k][np.argsort(sampled[k])[::-1][:4]] for k in climb])

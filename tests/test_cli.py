@@ -82,6 +82,24 @@ def test_unknown_family_line(argv, capsys):
     assert (captured.out, captured.err) == ("", UNKNOWN_FAMILY)
 
 
+@pytest.mark.parametrize("error, line", [
+    (MemoryError("Unable to allocate 1.42 PiB for an array"),
+     "posgen: error: Unable to allocate 1.42 PiB for an array\n"),
+    (MemoryError(), "posgen: error: out of memory\n"),
+], ids=["numpy", "bare"])
+@pytest.mark.parametrize("argv", [["instance", "lindblad", "-n", "10000000"],
+                                  ["fuzz", "lindblad", "1", "-n", "10000000"]], ids=" ".join)
+def test_out_of_memory_is_an_input_error(argv, error, line, monkeypatch, capsys):
+    # a huge -n asks numpy for more than any address space; the fake builder
+    # raises as numpy does without allocating
+    def too_large(recipe):
+        raise error
+
+    monkeypatch.setattr(cli, "build", too_large)
+    assert main(argv) == 1
+    assert capsys.readouterr() == ("", line)
+
+
 class TestInstance:
     def test_emits_loadable_generator(self, capsys):
         assert main(["instance", "dephasing", "-n", "3"]) == 0

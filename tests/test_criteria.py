@@ -38,13 +38,14 @@ from posgen.semigroup import (
 )
 from posgen.superop import (
     CERTIFIED_POSITIVE,
+    DEFAULT_TOL,
     NO_VIOLATION_FOUND,
     VIOLATED,
     ConeVerdict,
     Superoperator,
     apply,
     apply_stack,
-    positivity_check,
+    positivity_checks,
 )
 
 from conftest import (
@@ -489,7 +490,7 @@ class TestStackedConeSearches:
         stacked = self.payloads(gen, config)
 
         def per_map(maps, seeds, tol, groups, mirrors):
-            return [positivity_check(m, seed, tol, lambda _, i=i: mirrors([i]))
+            return [positivity_checks([m], [seed], tol, None, lambda _, i=i: mirrors([i]))[0]
                     for i, (m, seed) in enumerate(zip(maps, seeds))]
 
         monkeypatch.setattr(criteria, "positivity_checks", per_map)
@@ -558,7 +559,7 @@ class TestTheorem1StackedCones:
         report = theorem1_report(handle(gen), config)
         for cid, pairs in maps.items():
             seed = subseed(config.seed, 17, CONDITION_IDS.index(cid))
-            verdicts = [positivity_check(m, seed, mirrors=lambda _, mm=mm: [mm])
+            verdicts = [positivity_checks([m], [seed], DEFAULT_TOL, None, lambda _, mm=mm: [mm])[0]
                         for (_, m), (_, mm) in zip(pairs, mirrors[cid])]
             k = int(np.argmin([v.margin for v in verdicts]))
             got = report.by_id(cid)
@@ -633,7 +634,9 @@ class TestConeVerdictMemo:
         second = small_config(seed=3, t_grid=(1.0,))
         h = handle(gen)
         shared = [self.payloads(h, first), self.payloads(h, second)]
-        assert cone_searches == [15, 1]  # the R_lam and e^{sR_lam} grids are shared
+        # Theorem 2 reads its three T_t verdicts before its sampled proof; the
+        # R_lam and e^{sR_lam} grids are shared
+        assert cone_searches == [3, 12, 1]
         fresh = [self.payloads(handle(gen), c) for c in (first, second)]
         assert shared == fresh
 

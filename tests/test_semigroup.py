@@ -353,6 +353,53 @@ class TestResolvent:
         assert np.abs(residual).max() <= 1e-10
 
 
+class TestOneBuildRule:
+    """build_maps decides which points have a map; family_maps names why one has none."""
+
+    POLE = "resolvent point 4.5 does not clear the spectral abscissa 8"
+
+    def flip(self):
+        # the CLI's flip instance: abscissa 8, so lam = 4.5 is a pole
+        return SemigroupHandle(build(InstanceRecipe(family="flip_nonpositive", n=3)))
+
+    @pytest.mark.parametrize("family, points", [
+        ("resolvent", [900.0, 4.5]),
+        ("resolvent_exp", [(0.5, 900.0), (0.5, 4.5)]),
+    ])
+    def test_pole_after_a_clearing_point(self, family, points, monkeypatch):
+        h = self.flip()
+        calls = []
+        inv = np.linalg.inv
+        monkeypatch.setattr(np.linalg, "inv", lambda m: calls.append(np.shape(m)) or inv(m))
+        with pytest.raises(ResolventPoleError) as exc:
+            family_maps(h, family, points)
+        assert str(exc.value) == self.POLE
+        # the clearing map is built and memoized, by one inverse of its row only
+        assert calls == [(1, 9, 9)]
+        assert h._maps[family][points[0]] is not None
+        assert h._maps[family][points[1]] is None
+        assert h._maps["resolvent"][4.5] is None
+        with pytest.raises(ResolventPoleError, match=re.escape(self.POLE)):
+            family_maps(h, family, points[1:])
+        assert len(calls) == 1
+
+    def test_resolvent_exp_chunks_equal_one_call(self, monkeypatch):
+        points = [(s, lam) for s in (0.5, 1.0, 2.0) for lam in (1.0, 10.0, 100.0)]
+        one = family_maps(small_lindblad(seed=5), "resolvent_exp", points)
+        calls = []
+
+        def counted(m):
+            calls.append(len(m))
+            return mat_exp(m)
+
+        monkeypatch.setattr(semigroup, "mat_exp", counted)
+        monkeypatch.setattr(semigroup, "_EXP_CHUNK", 81)  # one 9 x 9 matrix
+        chunked = family_maps(small_lindblad(seed=5), "resolvent_exp", points)
+        assert calls == [1] * len(points)
+        for a, b in zip(one, chunked):
+            assert np.array_equal(a.rep, b.rep)
+
+
 class TestLaplace:
     def test_zero_generator(self):
         r = laplace_resolvent(zero_gen(), 1.0)

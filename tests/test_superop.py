@@ -779,12 +779,6 @@ class TestStackedContractionChecks:
         ascend = superop._ascend
         monkeypatch.setattr(superop, "_ascend",
                             lambda reps, v, bounds: climbs.append(len(reps)) or ascend(reps, v, bounds))
-        asked = []
-
-        def always(indices):
-            asked.append(list(indices))
-            return [True] * len(indices)
-
         tol = 1e-3
         # e^{-1} id: symmetric, not unital
         decay = evolve(SemigroupHandle(Superoperator(2, -np.eye(4, dtype=complex))), 1.0)
@@ -794,22 +788,19 @@ class TestStackedContractionChecks:
         skew[2, 2] += 3j * tol
         skew = Superoperator(2, skew)
         assert not is_symmetric_map(skew, tol).verdict and is_unital(skew, tol).verdict
-        out = contraction_checks([decay, identity_superop(2), skew], 0, tol, always)
-        assert asked == [[1]]
+        out = contraction_checks([decay, identity_superop(2), skew], 0, tol, [True] * 3)
         assert [v.status for v in out][:2] == ["no_violation_found", "certified_contraction"]
         assert out[2].status != "certified_contraction"
         # the decay and skew maps still climb
         assert climbs == [2]
 
     def test_uncertified_maps_climb(self):
-        out = contraction_checks([transpose_map(3)], 0, DEFAULT_TOL, lambda indices: [False])
+        out = contraction_checks([transpose_map(3)], 0, DEFAULT_TOL, [False])
         assert out == [contraction_check(transpose_map(3))]
 
     def test_sampled_proof_asks_for_no_certificate(self):
-        def unreachable(indices):
-            raise AssertionError("a certificate was asked for")
-
-        out = contraction_checks(self.grid_maps("flip"), 0, DEFAULT_TOL, unreachable)
+        # a map proved no contraction by sampling is violated under any mask
+        out = contraction_checks(self.grid_maps("flip"), 0, DEFAULT_TOL, [True] * 3)
         assert [v and v.status for v in out] == ["violated", None, None]
 
     def test_empty_list_rejected(self):
@@ -819,6 +810,11 @@ class TestStackedContractionChecks:
     def test_mixed_dimensions_rejected(self):
         with pytest.raises(DimensionMismatch):
             contraction_checks([identity_superop(2), identity_superop(3)], 0)
+
+    def test_one_flag_per_map(self):
+        # a short mask must not broadcast its one certificate over every map
+        with pytest.raises(ValueError, match="got 1 flags for 3 maps"):
+            contraction_checks([identity_superop(2)] * 3, 0, DEFAULT_TOL, [True])
 
 
 class TestHsAdjoint:

@@ -22,7 +22,6 @@ from .duality import (
     DensityMatrix,
     TracePreservationReport,
     as_density,
-    predual_evolve,
     purity,
     trace_preservation_check,
     trajectory_records,
@@ -80,18 +79,14 @@ from .superop import (
     apply,
     choi_matrix,
     compose,
-    conjugation,
     contraction_check,
     contraction_checks,
     cp_check,
     devec,
-    hs_adjoint,
-    identity_superop,
     is_symmetric_map,
     is_unital,
     positivity_check,
     positivity_checks,
-    sandwich,
     transpose_map,
     vec,
 )

@@ -34,7 +34,6 @@ from .errors import (
     SchemaError,
 )
 from .instances import InstanceRecipe, build, density_from
-from .matrixcore import json_object
 from .criteria import theorem1_report, theorem2_check
 from .semigroup import GeneratorSpec, SemigroupHandle, build_maps
 
@@ -158,16 +157,8 @@ def _resolve_config(args) -> RunConfig:
     cfg = cfg.replace(**updates)
 
     if args.config is not None:
-        cfg = _parse_file(args.config, functools.partial(_override, cfg))
+        cfg = _parse_file(args.config, cfg.updated)
     return cfg
-
-
-def _override(cfg: RunConfig, payload) -> RunConfig:
-    """``cfg`` with the fields of a config file's payload; tolerances override by name."""
-    fields = json_object(payload, "config", (), cfg.to_json())
-    if isinstance(fields.get("tolerances"), dict):
-        fields = {**fields, "tolerances": {**cfg.tolerances, **fields["tolerances"]}}
-    return cfg.replace(**fields)
 
 
 def _load_generator(path: str) -> SemigroupHandle:

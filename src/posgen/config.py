@@ -111,7 +111,13 @@ class RunConfig:
             "format": self.format,
         }
 
+    def updated(self, payload) -> "RunConfig":
+        """This config with the fields of a config payload; tolerances update by name."""
+        fields = json_object(payload, "config", (), self.to_json())
+        if isinstance(fields.get("tolerances"), dict):
+            fields = {**fields, "tolerances": {**self.tolerances, **fields["tolerances"]}}
+        return self.replace(**fields)
+
     @classmethod
     def from_json(cls, payload: dict) -> "RunConfig":
-        json_object(payload, "config", (), [f.name for f in dataclasses.fields(cls)])
-        return cls(**payload)
+        return cls().updated(payload)

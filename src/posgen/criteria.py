@@ -108,35 +108,38 @@ class ProbeSet:
 
     Structured members (the unit, rank-one projectors, clock and shift) are
     always present; the rest are seeded Gaussian Hermitians and Haar
-    unitaries.  Every member is validated for its declared class at 1e-9.
+    unitaries.  Each class is one read-only (k, n, n) stack, k >= 1, and
+    every member is validated for its class at 1e-9.
     """
 
-    selfadjoint: tuple
-    unitaries: tuple
+    selfadjoint: np.ndarray
+    unitaries: np.ndarray
 
     def __post_init__(self):
-        if self.selfadjoint:
-            a = as_matrix_stack(self.selfadjoint)
-            if max_entry(a - a.conj().swapaxes(1, 2)) > 1e-9:
-                raise ValueError("self-adjoint probe fails its class check")
-        if self.unitaries:
-            u = as_matrix_stack(self.unitaries)
-            if max_entry(u.conj().swapaxes(1, 2) @ u - np.eye(u.shape[-1])) > 1e-9:
-                raise ValueError("unitary probe fails its class check")
+        def validate(name, label, deviation):
+            members = getattr(self, name)
+            if not len(members):
+                raise ValueError(f"no {label} probes")
+            stack = as_matrix_stack(members)
+            if max_entry(deviation(stack)) > 1e-9:
+                raise ValueError(f"{label} probe fails its class check")
+            object.__setattr__(self, name, frozen(stack))
+
+        validate("selfadjoint", "self-adjoint", lambda a: a - a.conj().swapaxes(1, 2))
+        validate("unitaries", "unitary",
+                 lambda u: u.conj().swapaxes(1, 2) @ u - np.eye(u.shape[-1]))
 
     @classmethod
     def build(cls, n: int, samples: int, seed: int = 0) -> "ProbeSet":
         """The structured probes and ``samples`` random ones of each class."""
         sa_rng = np.random.default_rng(np.random.SeedSequence((int(seed), 31)))
         u_rng = np.random.default_rng(np.random.SeedSequence((int(seed), 32)))
-        # one read-only stack per class; the members are views into it
-        sa = frozen(np.concatenate(
-            [_structured_selfadjoint(n), hermitian_from(sa_rng, n, k=samples)]
-        ))
-        us = frozen(np.concatenate(
-            [_structured_unitaries(n), unitary_from(u_rng, n, k=samples)]
-        ))
-        return cls(selfadjoint=tuple(sa), unitaries=tuple(us))
+        return cls(
+            selfadjoint=np.concatenate(
+                [_structured_selfadjoint(n), hermitian_from(sa_rng, n, k=samples)]),
+            unitaries=np.concatenate(
+                [_structured_unitaries(n), unitary_from(u_rng, n, k=samples)]),
+        )
 
 
 # ---------------------------------------------------------------------------
@@ -290,7 +293,7 @@ def check_condition(
         verdicts = _cone_verdicts(h, {condition_id: maps}, config)[condition_id]
         margins = np.array([v.margin for v in verdicts])[:, None]
     else:
-        pool = np.stack(probes.selfadjoint if kind == "selfadjoint" else probes.unitaries)
+        pool = probes.selfadjoint if kind == "selfadjoint" else probes.unitaries
         reps_t = np.stack([phi.rep for _, _, phi in maps]).swapaxes(1, 2)
         k = min(len(maps), -(-len(maps) * pool.size // _SCAN_ENTRIES))
         margins = np.concatenate([

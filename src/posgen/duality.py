@@ -90,16 +90,16 @@ def purity(rho) -> float:
     return float(np.trace(a @ a.conj().T).real)
 
 
-def _predual(h: SemigroupHandle, ts, a: np.ndarray) -> list:
-    """T_t^*(a) at every t of ``ts``; conj(rep) is the transposed rep of the predual."""
-    if a.shape[0] != h.n:
-        raise ValueError(f"state dimension {a.shape[0]} != generator dimension {h.n}")
-    return [apply_stack(s_t.rep.conj(), a) for s_t in family_maps(h, "semigroup", ts)]
+def _predual(h: SemigroupHandle, ts, a: np.ndarray):
+    """T_t^*(a) at every t of ``ts`` as one stack, t first; [] for no times.
 
-
-def predual_evolve(h: SemigroupHandle, t: float, rho) -> np.ndarray:
-    """Evolve a state under the handle: T_t^*(rho), the adjoint of the observable evolution."""
-    return _predual(h, (t,), as_matrix(rho))[0]
+    ``a`` is one matrix or an (m, n, n) stack.  conj(rep) is the transposed
+    rep of the predual.
+    """
+    if a.shape[-1] != h.n:
+        raise ValueError(f"state dimension {a.shape[-1]} != generator dimension {h.n}")
+    maps = family_maps(h, "semigroup", ts)
+    return apply_stack(np.stack([s_t.rep.conj() for s_t in maps]), a) if maps else []
 
 
 @dataclass(frozen=True)
@@ -152,11 +152,8 @@ def trace_preservation_check(
     probes = _validated_states(as_matrix_stack(states))
     traces_in = np.trace(probes, axis1=1, axis2=2)
 
-    # every probe at every t as one (t, probe) stack; conj(rep) is the
-    # transposed rep of the predual T_t^*
-    evolved = apply_stack(
-        np.stack([s_t.rep.conj() for s_t in family_maps(h, "semigroup", t_grid)]), probes
-    )
+    # every probe at every t as one (t, probe) stack
+    evolved = _predual(h, t_grid, probes)
     traces = np.einsum("tmii->tm", evolved)
     trace_margin = float(np.abs(traces - traces_in).max())
     state_min = float(psd_margins(evolved.reshape(-1, h.n, h.n)).min())

@@ -82,25 +82,6 @@ class Superoperator:
 # construction and algebra
 # ---------------------------------------------------------------------------
 
-def identity_superop(n: int) -> Superoperator:
-    return Superoperator(n, np.eye(n * n, dtype=complex))
-
-
-def sandwich(a, b) -> Superoperator:
-    """The map ``x -> a x b`` with rep ``b^T kron a``."""
-    a = as_matrix(a)
-    b = as_matrix(b)
-    if a.shape != b.shape:
-        raise DimensionMismatch("sandwich factors must act on the same algebra")
-    return Superoperator(a.shape[0], np.kron(b.T, a))
-
-
-def conjugation(u) -> Superoperator:
-    """Conjugation ``x -> u^* x u`` (observable picture)."""
-    u = as_matrix(u)
-    return sandwich(u.conj().T, u)
-
-
 def transpose_map(n: int) -> Superoperator:
     """The transpose ``x -> x^T``; a positive map that is not completely positive."""
     rep = np.zeros((n * n, n * n), dtype=complex)
@@ -138,11 +119,6 @@ def compose(s1: Superoperator, s2: Superoperator) -> Superoperator:
     if s1.n != s2.n:
         raise DimensionMismatch("cannot compose maps on different algebras")
     return Superoperator(s1.n, s1.rep @ s2.rep)
-
-
-def hs_adjoint(s: Superoperator) -> Superoperator:
-    """Adjoint for the Hilbert-Schmidt pairing ``<a, b> = tr(a^* b)``."""
-    return Superoperator(s.n, s.rep.conj().T)
 
 
 # ---------------------------------------------------------------------------

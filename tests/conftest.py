@@ -3,8 +3,10 @@ import math
 import numpy as np
 import pytest
 
-from posgen import criteria, superop
+from posgen import criteria, duality, superop
+from posgen.errors import DimensionMismatch
 from posgen.instances import flip_nonpositive, random_lindblad
+from posgen.matrixcore import as_matrix
 from posgen.semigroup import _POLE_GAP, GeneratorSpec, build_superoperator, lindblad_rep
 
 SX = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
@@ -20,6 +22,35 @@ def paulis():
 
 def rand_complex(rng, *shape):
     return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+
+def identity_superop(n):
+    return superop.Superoperator(n, np.eye(n * n, dtype=complex))
+
+
+def sandwich(a, b):
+    """The map ``x -> a x b`` with rep ``b^T kron a``."""
+    a = as_matrix(a)
+    b = as_matrix(b)
+    if a.shape != b.shape:
+        raise DimensionMismatch("sandwich factors must act on the same algebra")
+    return superop.Superoperator(a.shape[0], np.kron(b.T, a))
+
+
+def conjugation(u):
+    """Conjugation ``x -> u^* x u`` (observable picture)."""
+    u = as_matrix(u)
+    return sandwich(u.conj().T, u)
+
+
+def hs_adjoint(s):
+    """Adjoint for the Hilbert-Schmidt pairing ``<a, b> = tr(a^* b)``."""
+    return superop.Superoperator(s.n, s.rep.conj().T)
+
+
+def predual_evolve(h, t, rho):
+    """T_t^*(rho) through the library's one predual route."""
+    return duality._predual(h, (t,), rho)[0]
 
 
 def signed_rate_rep(seed):

@@ -457,6 +457,15 @@ class TestConfigResolution:
         payload = json.loads(capsys.readouterr().out)
         assert payload["seed"] == 9
 
+    def test_config_file_tolerances_merge_with_tol_flag(self, deph_file, tmp_path, capsys):
+        # the file names one tolerance; the flag's other tolerance survives it
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"tolerances": {"trace": 1e-5}}))
+        assert main(["report", deph_file, "--samples", "4", "--tol", "predicate=1e-8",
+                     "--config", str(cfg)]) == 0
+        tolerances = json.loads(capsys.readouterr().out)["sections"]["theorem1"]["tolerances"]
+        assert tolerances == {"consistency": 1e-4, "predicate": 1e-8, "trace": 1e-5}
+
     def test_samples_flag_equals_config_file(self, tmp_path, capsys):
         path = tmp_path / "g.json"
         assert main(["instance", "transpose_mixing", "-n", "3", "-o", str(path)]) == 0

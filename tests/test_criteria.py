@@ -236,7 +236,7 @@ class TestProbeSet:
         p = ProbeSet.build(n, count, seed)
         sa, us = looped_probe_set(n, count, count, seed)
         assert len(p.selfadjoint) == len(sa) and len(p.unitaries) == len(us)
-        for got, want in zip(p.selfadjoint + p.unitaries, sa + us):
+        for got, want in zip([*p.selfadjoint, *p.unitaries], sa + us):
             assert np.asarray(got).tobytes() == np.asarray(want, dtype=complex).tobytes()
 
     def test_counts_and_structure(self):
@@ -250,7 +250,7 @@ class TestProbeSet:
     def test_deterministic(self):
         a = ProbeSet.build(3, 5, seed=9)
         b = ProbeSet.build(3, 5, seed=9)
-        for x, y in zip(a.selfadjoint + a.unitaries, b.selfadjoint + b.unitaries):
+        for x, y in zip([*a.selfadjoint, *a.unitaries], [*b.selfadjoint, *b.unitaries]):
             assert x.tobytes() == y.tobytes()
         c = ProbeSet.build(3, 5, seed=10)
         assert not np.array_equal(a.selfadjoint[-1], c.selfadjoint[-1])
@@ -261,6 +261,27 @@ class TestProbeSet:
                 selfadjoint=(np.array([[0.0, 1.0], [0.0, 0.0]]),),
                 unitaries=(),
             )
+
+    def test_fields_are_read_only_stacks(self):
+        p = ProbeSet.build(3, 4, seed=2)
+        for stack in (p.selfadjoint, p.unitaries):
+            assert isinstance(stack, np.ndarray) and stack.shape[1:] == (3, 3)
+            assert not stack.flags.writeable
+            with pytest.raises(ValueError):
+                stack[0, 0, 0] = 0.0
+
+    def test_members_give_the_built_stacks(self):
+        p = ProbeSet.build(3, 4, seed=2)
+        q = ProbeSet(selfadjoint=list(p.selfadjoint), unitaries=list(p.unitaries))
+        assert q.selfadjoint.tobytes() == p.selfadjoint.tobytes()
+        assert q.unitaries.tobytes() == p.unitaries.tobytes()
+        assert not q.selfadjoint.flags.writeable and not q.unitaries.flags.writeable
+
+    @pytest.mark.parametrize("empty", ["selfadjoint", "unitaries"])
+    def test_empty_class_rejected_at_construction(self, empty):
+        members = {"selfadjoint": [np.eye(2)], "unitaries": [np.eye(2)], empty: []}
+        with pytest.raises(ValueError, match="no .* probes"):
+            ProbeSet(**members)
 
 
 class TestCheckCondition:

@@ -8,7 +8,6 @@ from posgen.duality import (
     DensityMatrix,
     TracePreservationReport,
     as_density,
-    predual_evolve,
     purity,
     trace_preservation_check,
     trajectory_records,
@@ -22,10 +21,9 @@ from posgen.superop import (
     Superoperator,
     apply,
     apply_stack,
-    hs_adjoint,
 )
 
-from conftest import SMINUS, SX, SZ, rand_complex
+from conftest import SMINUS, SX, SZ, hs_adjoint, predual_evolve, rand_complex
 
 
 def handle_of(rep):
@@ -217,6 +215,11 @@ class TestTracePreservation:
         # no evolved state means no least eigenvalue; inf is not JSON
         with pytest.raises(ValueError, match="at least one time"):
             trace_preservation_check(handle_of(np.zeros((4, 4))), [np.eye(2) / 2], t_grid=())
+
+    def test_wrong_dimension_state_rejected(self):
+        # a valid state of M(3) for a generator on M(2) is named before any evolution
+        with pytest.raises(ValueError, match=r"^state dimension 3 != generator dimension 2$"):
+            trace_preservation_check(handle_of(np.zeros((4, 4))), [np.eye(3) / 3])
 
     @pytest.mark.parametrize("which", ["lindblad", "flip", "dilation"])
     def test_stacked_grid_equals_a_loop_over_times(self, which):

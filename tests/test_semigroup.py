@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from posgen import semigroup
-from posgen.duality import predual_evolve, trajectory_records
+from posgen.duality import trajectory_records
 from posgen.errors import (
     PropagatorOverflow,
     ResolventPoleError,
@@ -39,7 +39,15 @@ from posgen.semigroup import (
 )
 from posgen.superop import Superoperator, apply, vec
 
-from conftest import SX, SZ, DecayFailureError, decay_horizon, laplace_resolvent, rand_complex
+from conftest import (
+    SX,
+    SZ,
+    DecayFailureError,
+    decay_horizon,
+    laplace_resolvent,
+    predual_evolve,
+    rand_complex,
+)
 
 
 def zero_gen(n=2):

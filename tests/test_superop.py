@@ -23,18 +23,14 @@ from posgen.superop import (
     apply_stack,
     choi_matrix,
     compose,
-    conjugation,
     contraction_check,
     contraction_checks,
     cp_check,
     devec,
-    hs_adjoint,
-    identity_superop,
     is_symmetric_map,
     is_unital,
     positivity_check,
     positivity_checks,
-    sandwich,
     transpose_map,
     vec,
 )
@@ -42,9 +38,13 @@ from posgen.superop import (
 from conftest import (
     SX,
     SZ,
+    conjugation,
     flip_plus_lindblad,
     full_contraction_search,
+    hs_adjoint,
+    identity_superop,
     rand_complex,
+    sandwich,
     signed_rate_rep,
 )
 

@@ -30,7 +30,7 @@ from .config import RunConfig, subseed
 from .errors import HypothesisViolation
 from .instances import hermitian_from, unitary_from
 from .matrixcore import as_matrix_stack, frozen, max_entry, psd_margins, spectral_norm
-from .semigroup import SemigroupHandle, family_maps, lambda_grid, mirror_maps
+from .semigroup import SemigroupHandle, family_maps, generator_certificate, lambda_grid
 from .superop import (
     CERTIFIED_POSITIVE,
     NO_VIOLATION_FOUND,
@@ -240,9 +240,9 @@ def _cone_verdicts(h, plans: dict, config: RunConfig) -> dict:
     memoized on the handle per grid, by family, grid points, seed and
     tolerance; the distinct points of the grids not yet searched go through
     one stacked search, each condition under its own seed, so its verdicts
-    are the ones a search of that condition alone finds.  The search reads
-    the mirror maps of the maps it cannot decide at their starters from the
-    handle's mirror, one ``mirror_maps`` call per family.
+    are the ones a search of that condition alone finds.  The search
+    certifies the maps it cannot decide at their starters by the handle's
+    ``generator_certificate``, which it asks for only then.
     """
     tol = config.tol("predicate")
     keys, missing = {}, {}
@@ -255,19 +255,10 @@ def _cone_verdicts(h, plans: dict, config: RunConfig) -> dict:
     if missing:
         stacked = [(key, point, phi) for key, distinct in missing.items()
                    for point, phi in distinct.items()]
-
-        def mirrors(indices):
-            # the mirror maps of the stacked maps at indices, one build per family
-            points = {}
-            for i in indices:
-                points.setdefault(stacked[i][0][0], []).append(stacked[i][1])
-            built = {family: dict(zip(ps, mirror_maps(h, tol, family, ps)))
-                     for family, ps in points.items()}
-            return [built[stacked[i][0][0]][stacked[i][1]] for i in indices]
-
         verdicts = positivity_checks([phi for _, _, phi in stacked],
                                      [key[2] for key, _, _ in stacked], tol,
-                                     [key for key, _, _ in stacked], mirrors)
+                                     [key for key, _, _ in stacked],
+                                     lambda: generator_certificate(h, tol).kind is not None)
         for (key, point, _), verdict in zip(stacked, verdicts):
             h._cone_verdicts.setdefault(key, {})[point] = verdict
     return {cid: [h._cone_verdicts[key][point] for point in key[1]]
@@ -425,8 +416,8 @@ def theorem2_check(h: SemigroupHandle, config: RunConfig = RunConfig()) -> Theor
     """The handle's generator-side margins versus semigroup-side positivity and unitality.
 
     The contraction search takes its positivity certificates from
-    ``semigroup_positive``'s cone verdicts, CP or decomposable, which a
-    report has already searched.
+    ``semigroup_positive``'s cone verdicts, a map's CP test or its
+    generator's certificate, which a report has already searched.
     """
     plan = _plan(h, "semigroup", config)[1]
     maps = [phi for _, _, phi in plan]

@@ -4,8 +4,8 @@ A generator is described either explicitly (by its superoperator matrix) or
 by Hamiltonian / Lindblad payloads, from which the superoperator is built and
 checked at construction time.  A :class:`SemigroupHandle` memoizes the maps
 built from its generator, so each T_t, R_lam and e^{s R_lam} is computed once,
-and the handle of its mirror generator (see :func:`mirror_split`), which the
-cone searches read decomposability certificates from.
+and the generator's certificate (see :func:`generator_certificate`): a split
+L = A + c tau, A CCP and c >= 0, that makes every one of those maps positive.
 """
 from __future__ import annotations
 
@@ -155,7 +155,7 @@ class SemigroupHandle:
     memoizes them by family and point, which is safe because a Superoperator
     is immutable.  Next to them the criteria module memoizes the cone-search
     verdicts of each condition grid, so every grid is searched once per
-    handle.  The mirror handle of :func:`mirror` is memoized per tolerance.
+    handle.  The :func:`generator_certificate` is memoized per tolerance.
     """
 
     def __init__(self, gen):
@@ -169,7 +169,7 @@ class SemigroupHandle:
         self.spectral_abscissa = float(np.linalg.eigvals(self.generator.rep).real.max())
         self._maps = {family: {} for family in _FAMILIES}
         self._cone_verdicts = {}
-        self._mirrors = {}
+        self._certificates = {}
 
     def evolve_rep(self, ts: np.ndarray) -> np.ndarray:
         """Stack of e^{t rep} for a 1-D array of finite t >= 0; non-finite where t rep is."""
@@ -299,8 +299,8 @@ def mirror_split(gen: Superoperator, tol: float) -> float | None:
 
     Returns 0 when f(0) >= -tol (L itself is CCP) or f falls from c = 0,
     and None once the upper bound drops below -tol: then no c gives a
-    split.  The c returned is only a guess; a certificate built from it
-    (see :func:`mirror`) checks itself.
+    split.  The c returned is only a guess; :func:`generator_certificate`
+    checks it.
     """
     n = gen.n
     if n == 1:
@@ -340,33 +340,48 @@ def mirror_split(gen: Superoperator, tol: float) -> float | None:
     return max(lo, hi, key=lambda cut: cut[1])[0] / unit
 
 
-def mirror(h: SemigroupHandle, tol: float) -> SemigroupHandle | None:
-    """The handle of the mirror L - 2c tau of h's generator; None when c is 0 or None.
+@dataclass(frozen=True)
+class GeneratorCertificate:
+    """Whether L = A + c tau with A CCP and c >= 0, so that every map built from L is positive.
 
-    c is :func:`mirror_split`'s.  With L = A + c tau, A CCP, every map built
-    from L is P + tau o Q, where P and Q are CP: the halved sum and
-    tau o the halved difference of it and the same map built from the
-    mirror A - c tau.  Memoized on h per tolerance.
+    ``kind`` is ``"ccp"`` (c = 0), ``"decomposable"`` (c > 0) or None (no
+    certificate).  ``margin`` is the least eigenvalue of the hermitian part
+    of Choi(L - c tau), L at unit scale, on the complement of Omega; it is
+    inf on M(1), where that complement is empty.
     """
-    if tol not in h._mirrors:
-        c = mirror_split(h.generator, tol)
-        h._mirrors[tol] = SemigroupHandle(
-            Superoperator(h.n, h.generator.rep - 2.0 * c * transpose_map(h.n).rep)
-        ) if c else None
-    return h._mirrors[tol]
+
+    kind: str | None
+    c: float
+    margin: float
 
 
-def mirror_maps(h: SemigroupHandle, tol: float, family: str, points) -> list:
-    """The maps of ``family`` at ``points`` built from h's mirror; None where there are none.
+def generator_certificate(h: SemigroupHandle, tol: float) -> GeneratorCertificate:
+    """The handle's generator certificate at ``tol``, memoized on h per tolerance.
 
-    Raises nothing: a point has no mirror map when h has no mirror or when
-    :func:`build_maps` builds none there.
+    c is :func:`mirror_split`'s (0 when it finds none).  The certificate
+    holds when, at the generator's unit scale, the Choi matrix of L - c tau
+    is hermitian to ``tol`` and its margin clears ``-tol``: then A = L - c
+    tau is CCP (Lindblad 1976; Evans 1977), each e^{tA} is CP and each T_t
+    a Trotter limit of products of e^{tA/k} and e^{c t tau/k}, which is
+    positive.  So every T_t, every R_lam past the spectral abscissa (the
+    Laplace transform of T_t) and every e^{s R_lam}, s >= 0, is positive.
+    The margin is computed here, not taken from the split, so a wrong c can
+    fail to certify L but never certifies it.
     """
-    m = mirror(h, tol)
-    if m is None:
-        return [None] * len(points)
-    build_maps(m, family, points)
-    return [m._maps[family][p] for p in points]
+    if tol not in h._certificates:
+        n = h.n
+        c = mirror_split(h.generator, tol) or 0.0
+        unit = float(_unit_scale(h.generator.rep))
+        choi = choi_matrix(Superoperator(n, unit * (h.generator.rep - c * transpose_map(n).rep)))
+        herm = (choi + choi.conj().T) / 2
+        margin = math.inf
+        if n > 1:
+            v = _complement_of_omega(n)
+            margin = float(np.linalg.eigvalsh(v.T @ herm @ v)[0])
+        holds = max_entry(choi - choi.conj().T) <= tol and margin >= -tol
+        h._certificates[tol] = GeneratorCertificate(
+            ("decomposable" if c else "ccp") if holds else None, c, margin)
+    return h._certificates[tol]
 
 
 def evolve(h: SemigroupHandle, t: float) -> Superoperator:

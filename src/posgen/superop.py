@@ -6,7 +6,8 @@ Conventions fixed project-wide:
 * ``vec(A X B) = (B^T kron A) vec(X)``.
 * A map is *symmetric* when it commutes with the adjoint, ``S(x^*) = S(x)^*``.
 * Positivity verdicts are three-valued and never bluff: ``certified_positive``
-  is backed by a complete-positivity or a decomposability certificate,
+  is backed by the map's complete positivity or by a certificate of the
+  generator it was built from,
   ``no_violation_found`` is an absence-of-counterexample claim, ``violated``
   carries a reproducible witness.
 """
@@ -181,40 +182,6 @@ def _cp_checks(reps: np.ndarray, n: int, tol: float):
     return (herm_dev <= tol) & (min_eig >= -tol), min_eig, herm_dev
 
 
-def _mirror_parts(reps: np.ndarray, mirror_reps: np.ndarray, n: int):
-    """P = (S + M) / 2 and Q = tau o (S - M) / 2 for stacks of maps S and mirrors M.
-
-    tau o X reorders the rows of X's rep, so ``P + tau o Q`` is S for any M.
-    """
-    q = ((reps - mirror_reps) / 2).reshape(-1, n, n, n * n).swapaxes(1, 2)
-    return (reps + mirror_reps) / 2, q.reshape(-1, n * n, n * n)
-
-
-# Matrix entries of P and Q per stacked Choi check of :func:`_decomposable`
-# (256 KiB of complex entries per temporary), so that the check adds little
-# to a report's peak memory.
-_PARTS_CHUNK = 1 << 14
-
-
-def _decomposable(reps: np.ndarray, mirror_maps, n: int, tol: np.ndarray) -> np.ndarray:
-    """Whether each map of a stack is P + tau o Q with P and Q CP at its ``tol``.
-
-    ``mirror_maps`` holds one map or None per map (see :func:`_mirror_parts`);
-    a map without one is not certified.  Since P + tau o Q is the map
-    whatever the mirror, a wrong mirror can fail to certify a map but never
-    certifies a map that is not positive.
-    """
-    out = np.zeros(len(reps), dtype=bool)
-    have = np.array([i for i, m in enumerate(mirror_maps) if m is not None], dtype=int)
-    step = max(1, _PARTS_CHUNK // (2 * n**4))
-    for start in range(0, len(have), step):
-        k = have[start:start + step]
-        p, q = _mirror_parts(reps[k], np.stack([mirror_maps[i].rep for i in k]), n)
-        cp = _cp_checks(np.concatenate([p, q]), n, np.tile(tol[k], 2))[0]
-        out[k] = cp[: len(k)] & cp[len(k):]
-    return out
-
-
 def cp_check(s: Superoperator, tol: float = DEFAULT_TOL) -> CPCheck:
     """Complete positivity via the Choi matrix.
 
@@ -365,7 +332,8 @@ def _bounded(groups, start, floor, slack, violated) -> np.ndarray:
     return violated & (group_top[code] < floor - slack)
 
 
-def positivity_checks(maps, seeds, tol: float = DEFAULT_TOL, groups=None, mirrors=None) -> list:
+def positivity_checks(maps, seeds, tol: float = DEFAULT_TOL, groups=None,
+                      generator_certified=None) -> list:
     """Search each map for a rank-one input whose image leaves the PSD cone.
 
     The maps must act on the same M(n); one ConeVerdict is returned per map.
@@ -385,13 +353,12 @@ def positivity_checks(maps, seeds, tol: float = DEFAULT_TOL, groups=None, mirror
     certificate already implies positivity, so only the cheap sampling pass
     runs to report an honest margin.
 
-    ``mirrors``, when given, is called at most once, with the indices of
-    the maps that are neither CP-certified nor violated at their starters,
-    and returns a mirror map or None for each (see ``semigroup.mirror``).
-    A map whose mirror gives a decomposability certificate, P + tau o Q
-    with P and Q CP at the map's unit-scale ``tol`` (see ``_decomposable``),
-    is certified and skips its descent as a CP-certified map does.  With no
-    such map left the callable is not called.
+    ``generator_certified``, when given, is a callable of no arguments,
+    called at most once and only when some map is neither CP-certified nor
+    violated at its starters.  It returns whether the generator all the
+    maps were built from holds a certificate that makes each of them
+    positive (see ``semigroup.generator_certificate``).  If it does, those
+    maps are certified and skip their descent as CP-certified maps do.
 
     ``groups`` holds one hashable label per map, by default a group of its
     own for each; a group is the maps whose least margin a caller reports.
@@ -432,13 +399,9 @@ def positivity_checks(maps, seeds, tol: float = DEFAULT_TOL, groups=None, mirror
     # power of two is exact
     unit_tol = tol / unit
     certified, min_eig, herm_dev = _cp_checks(reps, n, unit_tol)
-    if mirrors is not None:
-        undecided = np.flatnonzero(~certified & (best_val >= -unit_tol))
-        if len(undecided):
-            # build the mirror maps first, so that the copy of the reps below
-            # does not add to their builds' peak memory
-            offered = mirrors(undecided)
-            certified[undecided] = _decomposable(reps[undecided], offered, n, unit_tol[undecided])
+    undecided = ~certified & (best_val >= -unit_tol)
+    if generator_certified is not None and undecided.any() and generator_certified():
+        certified |= undecided
     # the slack also covers rounding, which on the unit-scale copy stays far
     # below n^4 2^-44, so that the bound holds at tol = 0 too
     slack = (tol + n**4 * 2.0**-44) / unit
@@ -492,9 +455,10 @@ class ContractionVerdict:
     """Sampled lower bound on the operator norm of a map (spectral-to-spectral).
 
     certified_contraction is only issued for symmetric unital maps with a
-    positivity certificate (CP or decomposable) -- whose norm is exactly one
-    by the Russo-Dye fact -- and even then the sampled bound must not exceed
-    1 + tol; the fact is verified, never assumed.
+    positivity certificate (the map's CP test, or its generator's certificate
+    passed by the caller) -- whose norm is exactly one by the Russo-Dye
+    fact -- and even then the sampled bound must not exceed 1 + tol; the
+    fact is verified, never assumed.
     A violated verdict carries the first bound that exceeds 1 + tol: the
     sampled one when sampling already proves the map is no contraction,
     otherwise the bound after the power ascent.
@@ -558,8 +522,8 @@ def contraction_checks(maps, seed: int = 0, tol: float = DEFAULT_TOL, positive=N
     A map has the Russo-Dye certificate when it is symmetric and unital at
     ``tol`` and certified positive: a positive unital map has norm
     ||S(1)|| = 1.  ``positive`` holds one bool per map, its positivity
-    certificate; a caller that already holds certificates, such as
-    decomposability, passes them.  By default the symmetric unital maps
+    certificate; a caller that already holds certificates, such as the
+    generator's, passes them.  By default the symmetric unital maps
     that survive sampling get the stacked CP test at ``tol`` (see
     ``_cp_checks``).  A certified map keeps its sampled bound, which is at
     most ``1 + tol``, and skips the ascent.

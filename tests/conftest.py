@@ -80,10 +80,10 @@ def cone_searches(monkeypatch):
     searched = []
     search = criteria.positivity_checks
 
-    def count(maps, seeds, tol, groups, mirrors):
+    def count(maps, seeds, tol, groups, generator_certified):
         maps = list(maps)
         searched.append(len(maps))
-        return search(maps, seeds, tol, groups, mirrors)
+        return search(maps, seeds, tol, groups, generator_certified)
 
     monkeypatch.setattr(criteria, "positivity_checks", count)
     return searched

@@ -392,7 +392,7 @@ class TestTheorem2:
         rep = theorem2_check(handle(spec), small_config())
         assert rep.unit_margin <= 1e-10
         assert rep.symmetry_margin <= 1e-10
-        # positive but not CP: the mirror split certifies it
+        # positive but not CP: the generator's certificate certifies it
         assert rep.positive.status == CERTIFIED_POSITIVE
         assert rep.positive.margin >= -1e-9
         assert rep.unital_margin <= 1e-10
@@ -401,7 +401,7 @@ class TestTheorem2:
     @pytest.mark.parametrize("seed", [3, 15])
     @pytest.mark.parametrize("n", [2, 3, 4])
     def test_transpose_mixing_certified_without_the_ascent(self, n, seed, monkeypatch):
-        # every T_t is positive (the mirror split certifies it) and unital, so
+        # every T_t is positive (the generator's certificate says so) and unital, so
         # by Russo-Dye its norm is 1 and the contraction search skips its ascent
         climbs = []
         ascend = superop._ascend
@@ -449,7 +449,7 @@ class TestTheorem2:
     def test_witness_tie_goes_to_first_violated_map(self, monkeypatch):
         # T_t = 1 passes the contraction hypothesis; the fake search violates
         # every T_t, and the last two tie for the least margin
-        def score(maps, seeds, tol, groups, mirrors):
+        def score(maps, seeds, tol, groups, generator_certified):
             return [ConeVerdict(VIOLATED, margin, 1, np.full(2, i, dtype=complex))
                     for i, margin in enumerate([-0.5, -1.0, -1.0][:len(maps)])]
 
@@ -510,9 +510,9 @@ class TestStackedConeSearches:
         config = small_config(seed=3)
         stacked = self.payloads(gen, config)
 
-        def per_map(maps, seeds, tol, groups, mirrors):
-            return [positivity_checks([m], [seed], tol, None, lambda _, i=i: mirrors([i]))[0]
-                    for i, (m, seed) in enumerate(zip(maps, seeds))]
+        def per_map(maps, seeds, tol, groups, generator_certified):
+            return [positivity_checks([m], [seed], tol, None, generator_certified)[0]
+                    for m, seed in zip(maps, seeds)]
 
         monkeypatch.setattr(criteria, "positivity_checks", per_map)
         assert self.payloads(gen, config) == stacked
@@ -557,8 +557,7 @@ class TestTheorem1StackedCones:
         flip_plus_lindblad(3, 6),
     ], ids=["transpose_mixing", "flip_plus_lindblad"])
     def test_each_condition_searches_under_its_own_seed(self, gen):
-        # reference: one search per condition, its maps and their mirror
-        # maps listed by hand
+        # reference: one search per condition, its maps listed by hand
         config = small_config(seed=3)
         h = handle(gen)
         lams = lambda_grid(h, config.lambda_multipliers)
@@ -574,14 +573,12 @@ class TestTheorem1StackedCones:
             }
 
         maps = family_lists(h)
-        mirror = semigroup.mirror(h, config.tol("predicate"))
-        mirrors = (family_lists(mirror) if mirror is not None
-                   else {cid: [(None, None)] * len(pairs) for cid, pairs in maps.items()})
+        certified = semigroup.generator_certificate(h, DEFAULT_TOL).kind is not None
         report = theorem1_report(handle(gen), config)
         for cid, pairs in maps.items():
             seed = subseed(config.seed, 17, CONDITION_IDS.index(cid))
-            verdicts = [positivity_checks([m], [seed], DEFAULT_TOL, None, lambda _, mm=mm: [mm])[0]
-                        for (_, m), (_, mm) in zip(pairs, mirrors[cid])]
+            verdicts = [positivity_checks([m], [seed], DEFAULT_TOL, None, lambda: certified)[0]
+                        for _, m in pairs]
             k = int(np.argmin([v.margin for v in verdicts]))
             got = report.by_id(cid)
             assert got.min_margin == verdicts[k].margin
@@ -670,17 +667,17 @@ class TestConeVerdictMemo:
         assert (rep.positive.status, rep.positive.margin) == (fresh.positive.status,
                                                               fresh.positive.margin)
 
-    # A cone check builds the mirror's maps after its own: those of T_10 and
-    # of two e^{s R_lam} are CP-certified, so no mirror map is built for them.
+    # A cone check certifies the maps it cannot decide by the generator's
+    # certificate, which builds no map.
     @pytest.mark.parametrize("check, exps, invs", [
         (lambda h: trace_preservation_check(h, density_from(np.random.default_rng(1), 3, k=2)),
          [(3, 9, 9)], []),
         (lambda h: check_condition(h, "resolvent_exp", ProbeSet.build(3, 1), small_config()),
-         [(9, 9, 9), (7, 9, 9)], [(3, 9, 9), (3, 9, 9)]),  # the (s, lam) pairs from the R_lam
+         [(9, 9, 9)], [(3, 9, 9)]),  # the (s, lam) pairs from the R_lam
         (lambda h: trajectory_records(h, np.eye(3) / 3, TRACE_T_GRID), [(3, 9, 9)], []),
         (lambda h: theorem1_report(h, small_config(seed=3)),
-         [(3, 9, 9), (9, 9, 9), (2, 9, 9), (7, 9, 9)], [(3, 9, 9), (3, 9, 9)]),
-        (lambda h: theorem2_check(h, small_config(seed=3)), [(3, 9, 9), (2, 9, 9)], []),
+         [(3, 9, 9), (9, 9, 9)], [(3, 9, 9)]),
+        (lambda h: theorem2_check(h, small_config(seed=3)), [(3, 9, 9)], []),
     ], ids=["trace_preservation", "resolvent_exp", "trajectory", "theorem1", "theorem2"])
     def test_each_family_is_built_in_one_stacked_call(self, check, exps, invs, monkeypatch):
         built = {"exp": [], "inv": []}
@@ -707,7 +704,7 @@ class TestConeVerdictMemo:
         # and (2, 1) build the same map.  Scored so that exactly those two tie
         # for the least margin, the s-major, lam-minor order reports lam = 0.5
         # and a lam-major order would report lam = 1.
-        def score(maps, seeds, tol, groups, mirrors):
+        def score(maps, seeds, tol, groups, generator_certified):
             return [ConeVerdict(NO_VIOLATION_FOUND,
                                 -float(np.isclose(m.rep[0, 0].real, np.exp(2.0))), 1)
                     for m in maps]
@@ -721,8 +718,8 @@ class TestConeVerdictMemo:
         assert got.worst_probe.grid_value == 0.5
 
 
-class TestMirrorCertificates:
-    """Cone maps that are positive but not CP are certified by the mirror split."""
+class TestGeneratorCertificates:
+    """Cone maps that are positive but not CP are certified by their generator's split."""
 
     def payloads(self, gen, config):
         h = handle(gen)
@@ -742,38 +739,35 @@ class TestMirrorCertificates:
         assert statuses == {CERTIFIED_POSITIVE}
         assert theorem2_check(h, RunConfig()).positive.status == CERTIFIED_POSITIVE
 
-    def test_unbuildable_mirror_maps_leave_the_search_verdicts(self, monkeypatch):
-        # c = 40 puts the mirror's spectral abscissa near 80: its R_1, R_10
-        # and their e^{s R} cannot be built and its T_10 overflows, and the
-        # maps it does build are no certificates.  Nothing raises, and the
-        # reports are those of the search without a mirror.
+    def test_wrong_split_leaves_the_search_verdicts(self, monkeypatch):
+        # at c = 40, L - c tau is far from CCP: the certificate fails, and the
+        # reports are those of the search without a split
         gen = transpose_mixing(random_lindblad(3, 1, 0))
         config = small_config(seed=3)
         monkeypatch.setattr(semigroup, "mirror_split", lambda g, tol: None)
         searched = self.payloads(gen, config)
+        assert json.loads(searched[1])["positive"]["status"] == NO_VIOLATION_FOUND
         monkeypatch.setattr(semigroup, "mirror_split", lambda g, tol: 40.0)
-        h = handle(gen)
+        assert semigroup.generator_certificate(handle(gen), config.tol("predicate")).kind is None
         assert self.payloads(gen, config) == searched
-        assert semigroup.mirror_maps(h, config.tol("predicate"), "resolvent",
-                                     lambda_grid(h, (1.0, 10.0))) == [None, None]
 
     @pytest.mark.parametrize("gen", [
         random_lindblad(3, 2, 7),
         flip_plus_lindblad(4, 6),
         flip_plus_lindblad(4, 9),
     ], ids=["cp_lindblad", "violated_flip", "violated_flip_9"])
-    def test_cp_and_violated_maps_never_reach_the_mirror(self, gen, monkeypatch):
+    def test_cp_and_violated_maps_never_ask_for_the_certificate(self, gen, monkeypatch):
         # every map is CP-certified or violated at its starters, so the
-        # search never calls the mirror: no split, no mirror handle and no
-        # eigh, eigvalsh, mat_exp or inv on its behalf
+        # search never asks for the generator's certificate: no split and no
+        # eigh or eigvalsh on its behalf
         config = small_config(seed=3)
         plain = self.payloads(gen, config)
 
         def unreachable(*args):
-            raise AssertionError("the mirror path was reached")
+            raise AssertionError("the generator certificate was asked for")
 
-        for module, name in ((criteria, "mirror_maps"), (semigroup, "mirror"),
-                             (semigroup, "mirror_split"), (superop, "_decomposable")):
+        for module, name in ((criteria, "generator_certificate"),
+                             (semigroup, "generator_certificate"), (semigroup, "mirror_split")):
             monkeypatch.setattr(module, name, unreachable)
         assert self.payloads(gen, config) == plain
 

@@ -28,10 +28,8 @@ from posgen.semigroup import (
     euler_product,
     evolve,
     family_maps,
-    lambda_grid,
+    generator_certificate,
     lindblad_rep,
-    mirror,
-    mirror_maps,
     mirror_split,
     resolvent,
     yosida_generator,
@@ -554,7 +552,7 @@ class TestYosida:
 
 
 class TestMirrorSplit:
-    """The generator split L = (L - c tau) + c tau and the mirror handle built from it."""
+    """The search for c in the generator split L = (L - c tau) + c tau."""
 
     @pytest.mark.parametrize("n, k, seed", [(3, 1, 0), (3, 2, 5), (4, 1, 1), (6, 2, 2), (8, 1, 3)])
     def test_finds_c_one_on_transpose_mixing(self, n, k, seed, monkeypatch):
@@ -587,32 +585,75 @@ class TestMirrorSplit:
         gen = Superoperator(2, 2.0 * semigroup.transpose_map(2).rep - np.kron(z, z))
         assert mirror_split(gen, 1e-9) is None
 
-    def test_mirror_is_memoized_per_tolerance(self):
-        h = SemigroupHandle(transpose_mixing(random_lindblad(3, 1, 0)))
-        m = mirror(h, 1e-9)
-        assert mirror(h, 1e-9) is m
-        assert mirror(h, 1e-6) is not m
-        tau = semigroup.transpose_map(3).rep
-        assert np.allclose(m.generator.rep, h.generator.rep - 2.0 * tau, atol=1e-12)
-        assert mirror(SemigroupHandle(flip_nonpositive(3)), 1e-9) is None
 
-    def test_unbuildable_mirror_maps_are_none(self, monkeypatch):
-        # c = 40 puts the mirror's spectral abscissa near 80: lam = 1 and 10
-        # do not clear it and T_10 overflows, while the rest are built
-        monkeypatch.setattr(semigroup, "mirror_split", lambda gen, tol: 40.0)
-        h = SemigroupHandle(transpose_mixing(random_lindblad(3, 1, 0)))
-        lams = lambda_grid(h, (1.0, 10.0, 100.0))
-        assert 10.0 < mirror(h, 1e-9).spectral_abscissa < 100.0
-        assert [m is None for m in mirror_maps(h, 1e-9, "semigroup", (0.1, 1.0, 10.0))] == [
-            False, False, True]
-        assert [m is None for m in mirror_maps(h, 1e-9, "resolvent", lams)] == [True, True, False]
-        pairs = [(s, lam) for s in (0.5, 2.0) for lam in lams]
-        assert [m is None for m in mirror_maps(h, 1e-9, "resolvent_exp", pairs)] == [
-            True, True, False] * 2
+class TestGeneratorCertificate:
+    """The split L = A + c tau, A CCP and c >= 0, checked once at the generator."""
 
-    def test_no_mirror_gives_no_maps(self):
-        h = SemigroupHandle(random_lindblad(3, 2, 4))
-        assert mirror_maps(h, 1e-9, "resolvent", (1.0, 2.0)) == [None, None]
+    def test_kinds_of_the_instance_families(self):
+        # n in {2, 3}, seeds 0 and 1, two dissipators: the transpose_mixing
+        # instances need c > 0, the flips have no split and the rest are CCP
+        kinds = {}
+        for family in FAMILIES:
+            for n in (2, 3):
+                for seed in (0, 1):
+                    h = SemigroupHandle(build(InstanceRecipe(family, n, seed, k=2)))
+                    kind = generator_certificate(h, 1e-9).kind
+                    kinds.setdefault(family, set()).add(kind)
+                    kinds[kind] = kinds.get(kind, 0) + 1
+        assert kinds == {
+            "lindblad": {"ccp"}, "hamiltonian": {"ccp"}, "dephasing": {"ccp"},
+            "transpose_conjugated": {"ccp"}, "transpose_mixing": {"decomposable"},
+            "flip_nonpositive": {None}, "ccp": 16, "decomposable": 4, None: 4,
+        }
+
+    def test_split_zero_on_a_ccp_generator_certifies_it(self):
+        cert = generator_certificate(SemigroupHandle(random_lindblad(3, 2, 4)), 1e-9)
+        assert (cert.kind, cert.c) == ("ccp", 0.0)
+        assert abs(cert.margin) <= 1e-12
+
+    def test_split_zero_on_a_flip_certifies_nothing(self):
+        # mirror_split gives 0 here too, but L is not CCP: f(0) is -4/3 at
+        # unit scale
+        cert = generator_certificate(SemigroupHandle(flip_nonpositive(3)), 1e-9)
+        assert (cert.kind, cert.c) == (None, 0.0)
+        assert cert.margin == pytest.approx(-4.0 / 3.0, rel=1e-12)
+
+    def test_no_split_certifies_nothing(self):
+        z = np.diag([1.0, -1.0]).astype(complex)
+        gen = Superoperator(2, 2.0 * semigroup.transpose_map(2).rep - np.kron(z, z))
+        assert generator_certificate(SemigroupHandle(gen), 1e-9).kind is None
+
+    def test_decomposable_margin_at_c(self):
+        h = SemigroupHandle(transpose_mixing(random_lindblad(3, 1, 0)))
+        cert = generator_certificate(h, 1e-9)
+        assert cert.kind == "decomposable"
+        assert abs(cert.c - 1.0) <= 1e-12
+        assert abs(cert.margin) <= 1e-12
+
+    @pytest.mark.parametrize("l, kind", [(-2.0, "ccp"), (0.0, "ccp"), (-2.0 + 1e-3j, None)])
+    def test_one_dimensional_generator_needs_only_hermiticity(self, l, kind):
+        # M(1) has no complement of Omega: L = l is certified iff l is real
+        cert = generator_certificate(SemigroupHandle(Superoperator(1, np.array([[l]]))), 1e-9)
+        assert (cert.kind, cert.c, cert.margin) == (kind, 0.0, np.inf)
+
+    def test_non_hermitian_choi_certifies_nothing(self):
+        # i times a CCP generator: its compressed Choi matrix has a zero
+        # hermitian part, but it does not preserve hermiticity
+        rep = 1j * build_superoperator(random_lindblad(2, 1, 0)).rep
+        cert = generator_certificate(SemigroupHandle(Superoperator(2, rep)), 1e-9)
+        assert cert.kind is None
+        assert cert.margin >= -1e-9
+
+    def test_memoized_per_tolerance(self, monkeypatch):
+        splits = []
+        split = semigroup.mirror_split
+        monkeypatch.setattr(semigroup, "mirror_split",
+                            lambda g, tol: splits.append(tol) or split(g, tol))
+        h = SemigroupHandle(transpose_mixing(random_lindblad(3, 1, 0)))
+        cert = generator_certificate(h, 1e-9)
+        assert generator_certificate(h, 1e-9) is cert
+        assert generator_certificate(h, 1e-6) is not cert
+        assert splits == [1e-9, 1e-6]
 
 
 class TestSpectralData:

@@ -11,12 +11,11 @@ from posgen.semigroup import (
     SemigroupHandle,
     evolve,
     family_maps,
+    generator_certificate,
     lambda_grid,
-    mirror,
-    mirror_maps,
     resolvent,
 )
-from posgen import superop
+from posgen import semigroup, superop
 from posgen.superop import (
     Superoperator,
     apply,
@@ -547,101 +546,75 @@ class TestGroupedPositivityChecks:
         assert np.all(f >= choi_floor(s) - 1e-12 * np.abs(s.rep).max())
 
 
-class TestMirrorCertificate:
-    """P + tau o Q certificates from a mirror map: sound whatever the mirror."""
+class TestGeneratorCertificate:
+    """Maps certified by their generator's split L = A + c tau: sound whatever c is."""
 
     TOL = DEFAULT_TOL
 
     def cone_maps(self, h):
-        """A report's T_t, R_lam and e^{s R_lam}, with their families and points."""
+        """A report's T_t, R_lam and e^{s R_lam}."""
         lams = lambda_grid(h, (1.0, 10.0, 100.0))
         points = {
             "semigroup": [0.1, 1.0, 10.0],
             "resolvent": list(lams),
             "resolvent_exp": [(s, lam) for s in (0.5, 1.0, 2.0) for lam in lams],
         }
-        return [(family, p, m) for family, ps in points.items()
-                for p, m in zip(ps, family_maps(h, family, ps))]
+        return [m for family, ps in points.items() for m in family_maps(h, family, ps)]
 
-    def mirror_of(self, h, family, point):
-        return mirror_maps(h, self.TOL, family, [point])[0]
-
-    @pytest.mark.parametrize("seed", [0, 1, 2])
-    def test_parts_reconstruct_the_map(self, seed):
-        rng = np.random.default_rng(seed)
-        n = 3
-        h = SemigroupHandle(transpose_mixing(random_lindblad(n, 1, seed)))
-        maps = [m.rep for _, _, m in self.cone_maps(h)]
-        mirrors = [self.mirror_of(h, f, p).rep for f, p, _ in self.cone_maps(h)]
-        # and arbitrary maps with arbitrary mirrors
-        maps += [rand_complex(rng, n * n, n * n) for _ in range(3)]
-        mirrors += [rand_complex(rng, n * n, n * n) for _ in range(3)]
-        p, q = superop._mirror_parts(np.stack(maps), np.stack(mirrors), n)
-        tau = transpose_map(n).rep
-        for phi, pk, qk in zip(maps, p, q):
-            assert np.abs(pk + tau @ qk - phi).max() <= 1e-14 * np.abs(phi).max()
+    def certified(self, h):
+        return lambda: generator_certificate(h, self.TOL).kind is not None
 
     @pytest.mark.parametrize("gen", [flip_nonpositive(3), flip_plus_lindblad(4, 6)],
                              ids=["flip_nonpositive", "violated_flip"])
-    @pytest.mark.parametrize("wrong", ["c=0.5", "c=-0.5", "zero"])
-    def test_wrong_mirror_never_certifies_a_non_positive_map(self, gen, wrong):
-        # the split finds no c on these generators; a mirror forced on them
-        # must not certify any of their maps
+    @pytest.mark.parametrize("c", [0.5, 1.0, 40.0])
+    def test_forced_split_never_certifies_a_non_positive_generator(self, gen, c,
+                                                                   monkeypatch):
+        # the split finds no c on these generators; a c forced on them must
+        # not certify them, and every map's search stays violated
+        assert generator_certificate(SemigroupHandle(gen), self.TOL).kind is None
+        monkeypatch.setattr(semigroup, "mirror_split", lambda g, tol: c)
         h = SemigroupHandle(gen)
-        assert mirror(h, self.TOL) is None
+        cert = generator_certificate(h, self.TOL)
+        assert (cert.kind, cert.c) == (None, c)
+        assert cert.margin < -self.TOL
         maps = self.cone_maps(h)
-        n = h.n
-        if wrong == "zero":
-            mirrors = [Superoperator(n, np.zeros((n * n, n * n)))] * len(maps)
-        else:
-            c = float(wrong[2:])
-            forced = SemigroupHandle(
-                Superoperator(n, h.generator.rep - 2.0 * c * transpose_map(n).rep))
-            h._mirrors[self.TOL] = forced
-            mirrors = [self.mirror_of(h, f, p) for f, p, _ in maps]
-            assert sum(m is not None for m in mirrors) >= 3
-        reps = np.stack([m.rep for _, _, m in maps])
-        unit_tol = self.TOL / superop._unit_scale(reps)
-        assert not superop._decomposable(reps, mirrors, n, unit_tol).any()
-        verdicts = positivity_checks([m for _, _, m in maps], [0] * len(maps), self.TOL,
-                                     None, lambda idx: [mirrors[i] for i in idx])
+        verdicts = positivity_checks(maps, [0] * len(maps), self.TOL, None, self.certified(h))
         assert all(v.status == "violated" for v in verdicts)
 
     @given(st.integers(0, 2**16), st.sampled_from([2, 3, 4]))
     @settings(max_examples=4, deadline=None)
     def test_certified_maps_are_positive_at_random_vectors(self, seed, n):
-        # every map is CP or certified by its mirror, and f >= -tol at 10^4
-        # unit vectors on each map the mirror certifies
+        # the generator is certified (at n = 2 some are CCP), so every map
+        # is, and f >= -tol at 10^4 unit vectors on each map
         h = SemigroupHandle(transpose_mixing(random_lindblad(n, 1, seed)))
+        assert generator_certificate(h, self.TOL).kind is not None
         maps = self.cone_maps(h)
-        mirrors = [self.mirror_of(h, f, p) for f, p, _ in maps]
-        reps = np.stack([m.rep for _, _, m in maps])
-        unit = superop._unit_scale(reps)
-        certified = superop._decomposable(reps, mirrors, n, self.TOL / unit)
-        assert (certified | superop._cp_checks(reps, n, self.TOL / unit)[0]).all()
+        verdicts = positivity_checks(maps, [seed] * len(maps), self.TOL, None, self.certified(h))
+        assert {v.status for v in verdicts} == {"certified_positive"}
+        reps = np.stack([m.rep for m in maps])
         rng = np.random.default_rng(seed)
         v = rand_complex(rng, 10_000, n)
         v /= np.linalg.norm(v, axis=1, keepdims=True)
-        for rep, u in zip(reps[certified], unit[certified]):
+        for rep, u in zip(reps, superop._unit_scale(reps)):
             assert superop._f_values(rep.T, v).min() >= -self.TOL / u
 
-    def test_undecided_maps_go_to_the_mirror_once(self):
-        # the transpose is 0 + tau o id: the mirror -tau certifies it
+    def test_undecided_maps_ask_once(self):
+        # the transpose and a T_t of transpose_mixing are neither CP nor
+        # violated at their starters; the identity is CP and -1 is violated
         n = 3
         h = SemigroupHandle(transpose_mixing(random_lindblad(n, 1, 0)))
         maps = [identity_superop(n), transpose_map(n), Superoperator(n, -np.eye(n * n)),
                 evolve(h, 1.0)]
-        mirrors = [None, Superoperator(n, -transpose_map(n).rep), None,
-                   self.mirror_of(h, "semigroup", 1.0)]
         calls = []
 
-        def mirror_call(idx):
-            calls.append(list(idx))
-            return [mirrors[i] for i in idx]
+        def certified():
+            calls.append(1)
+            return True
 
-        got = positivity_checks(maps, [4] * 4, self.TOL, None, mirror_call)
+        got = positivity_checks(maps, [4] * 4, self.TOL, None, certified)
         plain = positivity_checks(maps, [4] * 4, self.TOL)
-        assert calls == [[1, 3]]
+        declined = positivity_checks(maps, [4] * 4, self.TOL, None, lambda: False)
+        assert calls == [1]
         starters = n + 2 + superop._N_RANDOM
         assert [v.status for v in got] == ["certified_positive", "certified_positive",
                                            "violated", "certified_positive"]
@@ -652,10 +625,12 @@ class TestMirrorCertificate:
         assert got[0] == plain[0]
         assert got[2].margin == plain[2].margin
         assert got[2].witness.tobytes() == plain[2].witness.tobytes()
+        assert ([(v.status, v.margin, v.samples_used) for v in declined]
+                == [(v.status, v.margin, v.samples_used) for v in plain])
 
     def test_no_undecided_map_no_call(self):
-        def unreachable(idx):
-            raise AssertionError("mirrors called")
+        def unreachable():
+            raise AssertionError("generator certificate asked for")
 
         maps = [identity_superop(3), Superoperator(3, -np.eye(9))]
         assert [v.status for v in positivity_checks(maps, [0, 0], self.TOL, None, unreachable)] == [

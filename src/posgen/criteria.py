@@ -258,7 +258,7 @@ def _cone_verdicts(h, plans: dict, config: RunConfig) -> dict:
         verdicts = positivity_checks([phi for _, _, phi in stacked],
                                      [key[2] for key, _, _ in stacked], tol,
                                      [key for key, _, _ in stacked],
-                                     lambda: generator_certificate(h, tol).kind is not None)
+                                     lambda: generator_certificate(h).kind is not None)
         for (key, point, _), verdict in zip(stacked, verdicts):
             h._cone_verdicts.setdefault(key, {})[point] = verdict
     return {cid: [h._cone_verdicts[key][point] for point in key[1]]

@@ -155,7 +155,7 @@ class SemigroupHandle:
     memoizes them by family and point, which is safe because a Superoperator
     is immutable.  Next to them the criteria module memoizes the cone-search
     verdicts of each condition grid, so every grid is searched once per
-    handle.  The :func:`generator_certificate` is memoized per tolerance.
+    handle, and so is the :func:`generator_certificate`.
     """
 
     def __init__(self, gen):
@@ -169,7 +169,7 @@ class SemigroupHandle:
         self.spectral_abscissa = float(np.linalg.eigvals(self.generator.rep).real.max())
         self._maps = {family: {} for family in _FAMILIES}
         self._cone_verdicts = {}
-        self._certificates = {}
+        self._certificate = None
 
     def evolve_rep(self, ts: np.ndarray) -> np.ndarray:
         """Stack of e^{t rep} for a 1-D array of finite t >= 0; non-finite where t rep is."""
@@ -285,8 +285,18 @@ def _complement_of_omega(n: int) -> np.ndarray:
     return (np.eye(n * n) - (2.0 / (w @ w)) * np.outer(w, w))[:, 1:]
 
 
-def mirror_split(gen: Superoperator, tol: float) -> float | None:
-    """The c >= 0 that brings L - c tau, tau the transpose, closest to a CCP generator.
+def _split_slack(n: int) -> float:
+    """Rounding slack of the split's eigenvalues on M(n), at the generator's unit scale.
+
+    The compressed Choi matrices have norm below n^2 there, and c stays
+    below 3 n^2, so rounding stays far below n^4 2^-44 (as in the cone
+    search).
+    """
+    return n**4 * 2.0**-44
+
+
+def mirror_split(gen: Superoperator) -> tuple[float, float]:
+    """The c >= 0 that brings L - c tau, tau the transpose, closest to a CCP generator, and f(c).
 
     f(c) is the least eigenvalue of the hermitian part of Choi(L - c tau),
     L scaled to unit scale (see ``superop._unit_scale``), compressed to the
@@ -294,17 +304,19 @@ def mirror_split(gen: Superoperator, tol: float) -> float | None:
     L - c tau generates a CP semigroup where f(c) >= 0, and f is concave in
     c with supergradient ``-u* Choi(tau) u`` at its least eigenvector u.
     The search steps to the intersection of the tangent lines at the ends
-    of a bracket of the maximizer, each step one ``eigh``, and stops when
-    that upper bound on f lies within ``tol`` of the best f seen.
+    of a bracket of the maximizer, each step one ``eigh``; where they meet
+    bounds f above.  It stops when the best f seen clears -slack (see
+    :func:`_split_slack`), or when that bound drops below -slack (no c gives
+    a split) or lies within slack of the best f seen.
 
-    Returns 0 when f(0) >= -tol (L itself is CCP) or f falls from c = 0,
-    and None once the upper bound drops below -tol: then no c gives a
-    split.  The c returned is only a guess; :func:`generator_certificate`
-    checks it.
+    Returns (0, f(0)) when f(0) >= -slack (L itself is CCP) or f falls from
+    c = 0, and otherwise the best c seen and its f.  f is inf on M(1),
+    where the complement of Omega is empty.
     """
     n = gen.n
     if n == 1:
-        return 0.0
+        return 0.0, math.inf
+    slack = _split_slack(n)
     unit = float(_unit_scale(gen.rep))
     v = _complement_of_omega(n)
     choi = choi_matrix(Superoperator(n, unit * gen.rep))
@@ -317,27 +329,27 @@ def mirror_split(gen: Superoperator, tol: float) -> float | None:
         return c, float(w[0]), -float((u.conj() @ b @ u).real)
 
     lo = cut(0.0)
-    if lo[1] >= -tol or lo[2] <= 0:
-        return 0.0
+    if lo[1] >= -slack or lo[2] <= 0:
+        return 0.0, lo[1]
     # on the vectors Choi(tau) fixes f(c) <= |a| - c, so the maximizer lies
     # below |a| - f(0); past 2 |a| the least eigenvector is mostly such a
     # vector, so the supergradient there is negative
     hi = cut(2.0 * float(np.linalg.norm(a)) - lo[1])
     for _ in range(_SPLIT_STEPS):
         (c0, f0, g0), (c1, f1, g1) = lo, hi
+        best = max(f0, f1)
         # the tangents meet at x; rounding may put x outside the bracket
         x = min(max((f1 - f0 + g0 * c0 - g1 * c1) / (g0 - g1), c0), c1)
         bound = min(f0 + g0 * (x - c0), f1 + g1 * (x - c1))
-        if bound < -tol:
-            return None
-        if bound - max(f0, f1) <= tol:
+        if best >= -slack or bound < -slack or bound - best <= slack:
             break
         step = cut(x)
         if step[2] > 0:
             lo = step
         else:
             hi = step
-    return max(lo, hi, key=lambda cut: cut[1])[0] / unit
+    c, f, _ = max(lo, hi, key=lambda cut: cut[1])
+    return c / unit, f
 
 
 @dataclass(frozen=True)
@@ -345,9 +357,10 @@ class GeneratorCertificate:
     """Whether L = A + c tau with A CCP and c >= 0, so that every map built from L is positive.
 
     ``kind`` is ``"ccp"`` (c = 0), ``"decomposable"`` (c > 0) or None (no
-    certificate).  ``margin`` is the least eigenvalue of the hermitian part
-    of Choi(L - c tau), L at unit scale, on the complement of Omega; it is
-    inf on M(1), where that complement is empty.
+    certificate).  ``margin`` is :func:`mirror_split`'s f(c): the least
+    eigenvalue of the hermitian part of Choi(L - c tau), L at unit scale, on
+    the complement of Omega; it is inf on M(1), where that complement is
+    empty.
     """
 
     kind: str | None
@@ -355,33 +368,29 @@ class GeneratorCertificate:
     margin: float
 
 
-def generator_certificate(h: SemigroupHandle, tol: float) -> GeneratorCertificate:
-    """The handle's generator certificate at ``tol``, memoized on h per tolerance.
+def generator_certificate(h: SemigroupHandle) -> GeneratorCertificate:
+    """The handle's generator certificate, memoized on h.
 
-    c is :func:`mirror_split`'s (0 when it finds none).  The certificate
-    holds when, at the generator's unit scale, the Choi matrix of L - c tau
-    is hermitian to ``tol`` and its margin clears ``-tol``: then A = L - c
-    tau is CCP (Lindblad 1976; Evans 1977), each e^{tA} is CP and each T_t
-    a Trotter limit of products of e^{tA/k} and e^{c t tau/k}, which is
-    positive.  So every T_t, every R_lam past the spectral abscissa (the
-    Laplace transform of T_t) and every e^{s R_lam}, s >= 0, is positive.
-    The margin is computed here, not taken from the split, so a wrong c can
-    fail to certify L but never certifies it.
+    c and the margin are :func:`mirror_split`'s.  The certificate holds when
+    c >= 0 and, at the generator's unit scale, the Choi matrix of L is
+    hermitian and the margin is nonnegative, both up to rounding (see
+    :func:`_split_slack`): then A = L - c tau is CCP (Lindblad 1976; Evans
+    1977), each e^{tA} is CP and each T_t a Trotter limit of products of
+    e^{tA/k} and e^{c t tau/k}, which is positive.  So every T_t, every
+    R_lam past the spectral abscissa (the Laplace transform of T_t) and
+    every e^{s R_lam}, s >= 0, is positive.  No tolerance enters: a margin
+    of -tol at the generator bounds nothing at the maps, whose negative
+    part can grow with t and with the scale of L.
     """
-    if tol not in h._certificates:
+    if h._certificate is None:
         n = h.n
-        c = mirror_split(h.generator, tol) or 0.0
-        unit = float(_unit_scale(h.generator.rep))
-        choi = choi_matrix(Superoperator(n, unit * (h.generator.rep - c * transpose_map(n).rep)))
-        herm = (choi + choi.conj().T) / 2
-        margin = math.inf
-        if n > 1:
-            v = _complement_of_omega(n)
-            margin = float(np.linalg.eigvalsh(v.T @ herm @ v)[0])
-        holds = max_entry(choi - choi.conj().T) <= tol and margin >= -tol
-        h._certificates[tol] = GeneratorCertificate(
+        c, margin = mirror_split(h.generator)
+        choi = choi_matrix(Superoperator(n, _unit_scale(h.generator.rep) * h.generator.rep))
+        slack = _split_slack(n)
+        holds = c >= 0 and margin >= -slack and max_entry(choi - choi.conj().T) <= slack
+        h._certificate = GeneratorCertificate(
             ("decomposable" if c else "ccp") if holds else None, c, margin)
-    return h._certificates[tol]
+    return h._certificate
 
 
 def evolve(h: SemigroupHandle, t: float) -> Superoperator:

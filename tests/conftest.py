@@ -7,7 +7,13 @@ from posgen import criteria, duality, superop
 from posgen.errors import DimensionMismatch
 from posgen.instances import flip_nonpositive, random_lindblad
 from posgen.matrixcore import as_matrix
-from posgen.semigroup import _POLE_GAP, GeneratorSpec, build_superoperator, lindblad_rep
+from posgen.semigroup import (
+    _POLE_GAP,
+    GeneratorSpec,
+    _complement_of_omega,
+    build_superoperator,
+    lindblad_rep,
+)
 
 SX = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 SY = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
@@ -72,6 +78,22 @@ def flip_plus_lindblad(n, seed):
     rep = (build_superoperator(random_lindblad(n, 2, seed)).rep
            + build_superoperator(flip_nonpositive(n)).rep)
     return GeneratorSpec(kind="explicit", n=n, superop=superop.Superoperator(n, rep))
+
+
+def forced_split(c):
+    """A stand-in for ``semigroup.mirror_split`` that returns c on every generator.
+
+    Its margin is f(c) computed at c: the least eigenvalue of the hermitian
+    part of Choi(unit (L - c tau)) on the complement of Omega.
+    """
+    def split(gen):
+        n = gen.n
+        rep = superop._unit_scale(gen.rep) * (gen.rep - c * superop.transpose_map(n).rep)
+        choi = superop.choi_matrix(superop.Superoperator(n, rep))
+        v = _complement_of_omega(n)
+        return c, float(np.linalg.eigvalsh(v.T @ ((choi + choi.conj().T) / 2) @ v)[0])
+
+    return split
 
 
 @pytest.fixture

@@ -50,6 +50,7 @@ from posgen.superop import (
 
 from conftest import (
     flip_plus_lindblad,
+    forced_split,
     full_contraction_search,
     laplace_resolvent,
     rand_complex,
@@ -573,7 +574,7 @@ class TestTheorem1StackedCones:
             }
 
         maps = family_lists(h)
-        certified = semigroup.generator_certificate(h, DEFAULT_TOL).kind is not None
+        certified = semigroup.generator_certificate(h).kind is not None
         report = theorem1_report(handle(gen), config)
         for cid, pairs in maps.items():
             seed = subseed(config.seed, 17, CONDITION_IDS.index(cid))
@@ -740,15 +741,15 @@ class TestGeneratorCertificates:
         assert theorem2_check(h, RunConfig()).positive.status == CERTIFIED_POSITIVE
 
     def test_wrong_split_leaves_the_search_verdicts(self, monkeypatch):
-        # at c = 40, L - c tau is far from CCP: the certificate fails, and the
-        # reports are those of the search without a split
+        # at c = 0 and at c = 40, L - c tau is far from CCP: the certificate
+        # fails, and the reports are those of the search without a split
         gen = transpose_mixing(random_lindblad(3, 1, 0))
         config = small_config(seed=3)
-        monkeypatch.setattr(semigroup, "mirror_split", lambda g, tol: None)
+        monkeypatch.setattr(semigroup, "mirror_split", forced_split(0.0))
         searched = self.payloads(gen, config)
         assert json.loads(searched[1])["positive"]["status"] == NO_VIOLATION_FOUND
-        monkeypatch.setattr(semigroup, "mirror_split", lambda g, tol: 40.0)
-        assert semigroup.generator_certificate(handle(gen), config.tol("predicate")).kind is None
+        monkeypatch.setattr(semigroup, "mirror_split", forced_split(40.0))
+        assert semigroup.generator_certificate(handle(gen)).kind is None
         assert self.payloads(gen, config) == searched
 
     @pytest.mark.parametrize("gen", [

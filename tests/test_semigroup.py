@@ -35,7 +35,7 @@ from posgen.semigroup import (
     yosida_generator,
     yosida_semigroup,
 )
-from posgen.superop import Superoperator, apply, vec
+from posgen.superop import Superoperator, _unit_scale, apply, vec
 
 from conftest import (
     SX,
@@ -561,29 +561,50 @@ class TestMirrorSplit:
         calls = []
         eigh = np.linalg.eigh
         monkeypatch.setattr(np.linalg, "eigh", lambda *a, **kw: calls.append(1) or eigh(*a, **kw))
-        c = mirror_split(build_superoperator(transpose_mixing(random_lindblad(n, k, seed))), 1e-9)
+        c, f = mirror_split(build_superoperator(transpose_mixing(random_lindblad(n, k, seed))))
         assert abs(c - 1.0) <= 1e-12
+        assert abs(f) <= 1e-12
         assert len(calls) == 3
 
     @pytest.mark.parametrize("n", [2, 3, 4, 8])
     def test_one_eigh_on_flip(self, n, monkeypatch):
-        # f(0) < -tol and f falls from c = 0: no split, no second step
+        # f(0) < 0 and f falls from c = 0: no split, no second step
         calls = []
         eigh = np.linalg.eigh
         monkeypatch.setattr(np.linalg, "eigh", lambda *a, **kw: calls.append(1) or eigh(*a, **kw))
-        assert mirror_split(build_superoperator(flip_nonpositive(n)), 1e-9) == 0.0
+        c, f = mirror_split(build_superoperator(flip_nonpositive(n)))
+        assert c == 0.0 and f < -0.1
         assert len(calls) == 1
 
     def test_zero_on_a_ccp_generator(self):
-        assert mirror_split(build_superoperator(random_lindblad(3, 2, 4)), 1e-9) == 0.0
+        c, f = mirror_split(build_superoperator(random_lindblad(3, 2, 4)))
+        assert c == 0.0 and abs(f) <= 1e-12
 
-    def test_none_when_no_c_reaches_tol(self):
+    def test_searches_past_a_margin_within_tol_of_zero(self):
+        # f(0) = -tol/2: a split within tol of CCP is still searched, and the
+        # kink at c = delta is found to rounding
+        rep = build_superoperator(random_lindblad(3, 1, 0)).rep
+        delta = 0.5e-9 / float(_unit_scale(rep))
+        gen = Superoperator(3, rep + delta * semigroup.transpose_map(3).rep)
+        c, f = mirror_split(gen)
+        assert c == pytest.approx(delta, rel=1e-6)
+        assert abs(f) <= 1e-14
+
+    def test_converges_to_rounding_where_the_search_stopped_at_tol(self):
+        # f peaks at f(1) = 0 here; a search that stopped within 1e-9 of
+        # that peak would leave f = -2.9e-11, which the certificate rejects
+        c, f = mirror_split(build_superoperator(transpose_mixing(random_lindblad(2, 1, 0))))
+        assert abs(c - 1.0) <= 1e-12
+        assert f >= -semigroup._split_slack(2)
+
+    def test_no_c_reaches_zero(self):
         # L(x) = 2 x^T - Z x Z on M(2): on the complement of Omega, Choi(L -
         # c tau) is c - 2 on the antisymmetric vector and -c on vec(Z), so f
         # rises from c = 0 but peaks at f(1) = -1 (times the unit scale)
         z = np.diag([1.0, -1.0]).astype(complex)
         gen = Superoperator(2, 2.0 * semigroup.transpose_map(2).rep - np.kron(z, z))
-        assert mirror_split(gen, 1e-9) is None
+        _, f = mirror_split(gen)
+        assert f <= -0.5 * float(_unit_scale(gen.rep))
 
 
 class TestGeneratorCertificate:
@@ -597,7 +618,7 @@ class TestGeneratorCertificate:
             for n in (2, 3):
                 for seed in (0, 1):
                     h = SemigroupHandle(build(InstanceRecipe(family, n, seed, k=2)))
-                    kind = generator_certificate(h, 1e-9).kind
+                    kind = generator_certificate(h).kind
                     kinds.setdefault(family, set()).add(kind)
                     kinds[kind] = kinds.get(kind, 0) + 1
         assert kinds == {
@@ -607,25 +628,25 @@ class TestGeneratorCertificate:
         }
 
     def test_split_zero_on_a_ccp_generator_certifies_it(self):
-        cert = generator_certificate(SemigroupHandle(random_lindblad(3, 2, 4)), 1e-9)
+        cert = generator_certificate(SemigroupHandle(random_lindblad(3, 2, 4)))
         assert (cert.kind, cert.c) == ("ccp", 0.0)
         assert abs(cert.margin) <= 1e-12
 
     def test_split_zero_on_a_flip_certifies_nothing(self):
         # mirror_split gives 0 here too, but L is not CCP: f(0) is -4/3 at
         # unit scale
-        cert = generator_certificate(SemigroupHandle(flip_nonpositive(3)), 1e-9)
+        cert = generator_certificate(SemigroupHandle(flip_nonpositive(3)))
         assert (cert.kind, cert.c) == (None, 0.0)
         assert cert.margin == pytest.approx(-4.0 / 3.0, rel=1e-12)
 
     def test_no_split_certifies_nothing(self):
         z = np.diag([1.0, -1.0]).astype(complex)
         gen = Superoperator(2, 2.0 * semigroup.transpose_map(2).rep - np.kron(z, z))
-        assert generator_certificate(SemigroupHandle(gen), 1e-9).kind is None
+        assert generator_certificate(SemigroupHandle(gen)).kind is None
 
     def test_decomposable_margin_at_c(self):
         h = SemigroupHandle(transpose_mixing(random_lindblad(3, 1, 0)))
-        cert = generator_certificate(h, 1e-9)
+        cert = generator_certificate(h)
         assert cert.kind == "decomposable"
         assert abs(cert.c - 1.0) <= 1e-12
         assert abs(cert.margin) <= 1e-12
@@ -633,27 +654,28 @@ class TestGeneratorCertificate:
     @pytest.mark.parametrize("l, kind", [(-2.0, "ccp"), (0.0, "ccp"), (-2.0 + 1e-3j, None)])
     def test_one_dimensional_generator_needs_only_hermiticity(self, l, kind):
         # M(1) has no complement of Omega: L = l is certified iff l is real
-        cert = generator_certificate(SemigroupHandle(Superoperator(1, np.array([[l]]))), 1e-9)
+        cert = generator_certificate(SemigroupHandle(Superoperator(1, np.array([[l]]))))
         assert (cert.kind, cert.c, cert.margin) == (kind, 0.0, np.inf)
 
-    def test_non_hermitian_choi_certifies_nothing(self):
-        # i times a CCP generator: its compressed Choi matrix has a zero
-        # hermitian part, but it does not preserve hermiticity
-        rep = 1j * build_superoperator(random_lindblad(2, 1, 0)).rep
-        cert = generator_certificate(SemigroupHandle(Superoperator(2, rep)), 1e-9)
+    @pytest.mark.parametrize("scale", [1.0, 1e-9])
+    def test_non_hermitian_choi_certifies_nothing(self, scale):
+        # a CCP generator plus i times a CCP generator: the added part has a
+        # zero hermitian compressed Choi matrix, but breaks hermiticity, also
+        # when it is within tol of zero at unit scale
+        rep = build_superoperator(random_lindblad(2, 1, 0)).rep
+        rep = rep + 1j * scale * build_superoperator(random_lindblad(2, 1, 1)).rep
+        cert = generator_certificate(SemigroupHandle(Superoperator(2, rep)))
         assert cert.kind is None
-        assert cert.margin >= -1e-9
+        assert abs(cert.margin) <= 1e-12
 
-    def test_memoized_per_tolerance(self, monkeypatch):
+    def test_memoized(self, monkeypatch):
         splits = []
         split = semigroup.mirror_split
-        monkeypatch.setattr(semigroup, "mirror_split",
-                            lambda g, tol: splits.append(tol) or split(g, tol))
+        monkeypatch.setattr(semigroup, "mirror_split", lambda g: splits.append(g) or split(g))
         h = SemigroupHandle(transpose_mixing(random_lindblad(3, 1, 0)))
-        cert = generator_certificate(h, 1e-9)
-        assert generator_certificate(h, 1e-9) is cert
-        assert generator_certificate(h, 1e-6) is not cert
-        assert splits == [1e-9, 1e-6]
+        cert = generator_certificate(h)
+        assert generator_certificate(h) is cert
+        assert splits == [h.generator]
 
 
 class TestSpectralData:

@@ -9,10 +9,12 @@ from posgen.instances import flip_nonpositive, random_lindblad, transpose_mixing
 from posgen.matrixcore import DEFAULT_TOL
 from posgen.semigroup import (
     SemigroupHandle,
+    build_superoperator,
     evolve,
     family_maps,
     generator_certificate,
     lambda_grid,
+    lindblad_rep,
     resolvent,
 )
 from posgen import semigroup, superop
@@ -39,6 +41,7 @@ from conftest import (
     SZ,
     conjugation,
     flip_plus_lindblad,
+    forced_split,
     full_contraction_search,
     hs_adjoint,
     identity_superop,
@@ -562,24 +565,65 @@ class TestGeneratorCertificate:
         return [m for family, ps in points.items() for m in family_maps(h, family, ps)]
 
     def certified(self, h):
-        return lambda: generator_certificate(h, self.TOL).kind is not None
+        return lambda: generator_certificate(h).kind is not None
 
-    @pytest.mark.parametrize("gen", [flip_nonpositive(3), flip_plus_lindblad(4, 6)],
-                             ids=["flip_nonpositive", "violated_flip"])
-    @pytest.mark.parametrize("c", [0.5, 1.0, 40.0])
+    def searched(self, h, maps, seed=0):
+        """The cone verdicts of maps with h's certificate and without one, as tuples."""
+        seeds = [seed] * len(maps)
+        return [[(v.status, v.margin, v.samples_used) for v in verdicts] for verdicts in (
+            positivity_checks(maps, seeds, self.TOL, None, self.certified(h)),
+            positivity_checks(maps, seeds, self.TOL))]
+
+    @pytest.mark.parametrize("gen, c", [
+        (flip_nonpositive(3), 0.5), (flip_nonpositive(3), 1.0), (flip_nonpositive(3), 40.0),
+        (flip_plus_lindblad(4, 6), 0.5), (flip_plus_lindblad(4, 6), 1.0),
+        (flip_plus_lindblad(4, 6), 40.0),
+        # L - c tau = A at c = -1, which is CCP: only c >= 0 stops this one
+        (Superoperator(3, build_superoperator(random_lindblad(3, 1, 0)).rep
+                       - transpose_map(3).rep), -1.0),
+    ], ids=[f"flip_nonpositive-{c}" for c in (0.5, 1, 40)]
+        + [f"violated_flip-{c}" for c in (0.5, 1, 40)] + ["ccp_minus_transpose--1"])
     def test_forced_split_never_certifies_a_non_positive_generator(self, gen, c,
                                                                    monkeypatch):
-        # the split finds no c on these generators; a c forced on them must
-        # not certify them, and every map's search stays violated
-        assert generator_certificate(SemigroupHandle(gen), self.TOL).kind is None
-        monkeypatch.setattr(semigroup, "mirror_split", lambda g, tol: c)
+        # the split finds no c on these generators; a c forced on them, with
+        # its margin computed there, must not certify them, and every map's
+        # search stays violated
+        assert generator_certificate(SemigroupHandle(gen)).kind is None
+        monkeypatch.setattr(semigroup, "mirror_split", forced_split(c))
         h = SemigroupHandle(gen)
-        cert = generator_certificate(h, self.TOL)
+        cert = generator_certificate(h)
         assert (cert.kind, cert.c) == (None, c)
-        assert cert.margin < -self.TOL
-        maps = self.cone_maps(h)
-        verdicts = positivity_checks(maps, [0] * len(maps), self.TOL, None, self.certified(h))
-        assert all(v.status == "violated" for v in verdicts)
+        assert cert.margin < -self.TOL if c > 0 else abs(cert.margin) <= 1e-12
+        got, plain = self.searched(h, self.cone_maps(h))
+        assert got == plain
+        assert {status for status, _, _ in got} == {"violated"}
+
+    def test_margin_within_tol_of_zero_certifies_nothing(self):
+        # L = i[H, .] + D - eps (rho -> x* rho x) on M(3), H = diag(0, 0, 100),
+        # x = a b* with a, b orthonormal in span(e_0, e_1) and D a dissipator
+        # whose jumps span the traceless matrices orthogonal to x.  At unit
+        # scale the split margin is -tol/2, which bounds nothing at the maps'
+        # scale: they are violated, by more as t grows, while no starter and
+        # no CP certificate decides them
+        n = 3
+        a = np.array([np.cos(0.3), np.exp(0.7j) * np.sin(0.3), 0.0])
+        b = np.array([-np.exp(-0.7j) * np.sin(0.3), np.cos(0.3), 0.0])
+        x = np.outer(a, b.conj())
+        basis = np.column_stack([np.eye(n).reshape(-1), x.reshape(-1), np.eye(n * n)])
+        jumps = np.linalg.qr(basis)[0][:, 2:].T.reshape(-1, n, n)
+        h = np.diag([0.0, 0.0, 100.0]).astype(complex)
+        unit = float(superop._unit_scale(lindblad_rep(h, [])))
+        eps = self.TOL / 2 / unit
+        rep = lindblad_rep(h, np.sqrt(20 * eps) * jumps) - eps * np.kron(x.T, x.conj().T)
+        hd = SemigroupHandle(Superoperator(n, rep))
+        assert float(superop._unit_scale(rep)) == unit
+        cert = generator_certificate(hd)
+        assert (cert.kind, cert.c) == (None, 0.0)
+        assert cert.margin == pytest.approx(-self.TOL / 2, rel=1e-9)
+        maps = family_maps(hd, "semigroup", [0.1, 1.0, 10.0])
+        got, plain = self.searched(hd, maps)
+        assert got == plain
+        assert [status for status, _, _ in got] == ["violated"] * 3
 
     @given(st.integers(0, 2**16), st.sampled_from([2, 3, 4]))
     @settings(max_examples=4, deadline=None)
@@ -587,7 +631,7 @@ class TestGeneratorCertificate:
         # the generator is certified (at n = 2 some are CCP), so every map
         # is, and f >= -tol at 10^4 unit vectors on each map
         h = SemigroupHandle(transpose_mixing(random_lindblad(n, 1, seed)))
-        assert generator_certificate(h, self.TOL).kind is not None
+        assert generator_certificate(h).kind is not None
         maps = self.cone_maps(h)
         verdicts = positivity_checks(maps, [seed] * len(maps), self.TOL, None, self.certified(h))
         assert {v.status for v in verdicts} == {"certified_positive"}

@@ -27,7 +27,7 @@ from functools import lru_cache
 import numpy as np
 
 from .config import RunConfig, subseed
-from .errors import HypothesisViolation
+from .errors import DimensionMismatch, HypothesisViolation
 from .instances import hermitian_from, unitary_from
 from .matrixcore import as_matrix_stack, frozen, max_entry, psd_margins, spectral_norm
 from .semigroup import SemigroupHandle, family_maps, generator_certificate, lambda_grid
@@ -278,6 +278,9 @@ def check_condition(
     """
     if condition_id not in _CONDITIONS:
         raise ValueError(f"unknown condition id {condition_id!r}")
+    dims = {probes.selfadjoint.shape[-1], probes.unitaries.shape[-1]}
+    if dims != {h.n}:
+        raise DimensionMismatch(f"probe dimension {max(dims - {h.n})} != generator dimension {h.n}")
     family, kind = _CONDITIONS[condition_id]
     grid, maps = _plan(h, family, config)
     if kind == "cone":
@@ -424,22 +427,17 @@ def theorem2_check(h: SemigroupHandle, config: RunConfig = RunConfig()) -> Theor
     tol = config.tol("predicate")
     cone_verdicts = _cone_verdicts(h, {"semigroup_positive": plan}, config)["semigroup_positive"]
 
-    bound = 0.0
-    statuses = []
-    # the search stops at its first violated map, where this loop raises
     verdicts = contraction_checks(maps, subseed(config.seed, 23), tol,
                                   [v.status == CERTIFIED_POSITIVE for v in cone_verdicts])
+    # the search stops at its first violated map, where this loop raises
     for t, verdict in zip(config.t_grid, verdicts):
-        bound = max(bound, verdict.norm_lower_bound)
         if verdict.status == VIOLATED:
             raise HypothesisViolation(
                 f"semigroup is not contractive: sampled norm {verdict.norm_lower_bound:.6g} "
                 f"at t={t:g}"
             )
-        statuses.append(verdict.status)
-    contraction_status = (
-        statuses[0] if all(s == statuses[0] for s in statuses) else NO_VIOLATION_FOUND
-    )
+    statuses = {v.status for v in verdicts}
+    contraction_status = statuses.pop() if len(statuses) == 1 else NO_VIOLATION_FOUND
 
     unit_margin = float(spectral_norm(apply(h.generator, np.eye(h.n))))
     symmetry_margin = float(is_symmetric_map(h.generator).margin)
@@ -453,7 +451,7 @@ def theorem2_check(h: SemigroupHandle, config: RunConfig = RunConfig()) -> Theor
         unit_margin=unit_margin,
         symmetry_margin=symmetry_margin,
         contraction_status=contraction_status,
-        contraction_bound=float(bound),
+        contraction_bound=max(v.norm_lower_bound for v in verdicts),
         positive=cone,
         unital_margin=unital_margin,
         direction_consistency=left_holds == right_holds,

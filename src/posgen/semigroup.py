@@ -22,7 +22,8 @@ from .errors import (
     SchemaError,
 )
 from .matrixcore import CMatrix, as_matrix, frozen, json_dimension, json_object, mat_exp, max_entry
-from .superop import Superoperator, _unit_scale, choi_matrix, is_symmetric_map, transpose_map, vec
+from .superop import (Superoperator, _rounding_slack, _unit_scale, choi_matrix,
+                      is_symmetric_map, transpose_map, vec)
 
 GENERATOR_KINDS = ("explicit", "hamiltonian", "lindblad")
 
@@ -285,16 +286,6 @@ def _complement_of_omega(n: int) -> np.ndarray:
     return (np.eye(n * n) - (2.0 / (w @ w)) * np.outer(w, w))[:, 1:]
 
 
-def _split_slack(n: int) -> float:
-    """Rounding slack of the split's eigenvalues on M(n), at the generator's unit scale.
-
-    The compressed Choi matrices have norm below n^2 there, and c stays
-    below 3 n^2, so rounding stays far below n^4 2^-44 (as in the cone
-    search).
-    """
-    return n**4 * 2.0**-44
-
-
 def mirror_split(gen: Superoperator) -> tuple[float, float]:
     """The c >= 0 that brings L - c tau, tau the transpose, closest to a CCP generator, and f(c).
 
@@ -306,8 +297,8 @@ def mirror_split(gen: Superoperator) -> tuple[float, float]:
     The search steps to the intersection of the tangent lines at the ends
     of a bracket of the maximizer, each step one ``eigh``; where they meet
     bounds f above.  It stops when the best f seen clears -slack (see
-    :func:`_split_slack`), or when that bound drops below -slack (no c gives
-    a split) or lies within slack of the best f seen.
+    :func:`_rounding_slack`), or when that bound drops below -slack (no c
+    gives a split) or lies within slack of the best f seen.
 
     Returns (0, f(0)) when f(0) >= -slack (L itself is CCP) or f falls from
     c = 0, and otherwise the best c seen and its f.  f is inf on M(1),
@@ -316,7 +307,7 @@ def mirror_split(gen: Superoperator) -> tuple[float, float]:
     n = gen.n
     if n == 1:
         return 0.0, math.inf
-    slack = _split_slack(n)
+    slack = _rounding_slack(n)
     unit = float(_unit_scale(gen.rep))
     v = _complement_of_omega(n)
     choi = choi_matrix(Superoperator(n, unit * gen.rep))
@@ -374,7 +365,7 @@ def generator_certificate(h: SemigroupHandle) -> GeneratorCertificate:
     c and the margin are :func:`mirror_split`'s.  The certificate holds when
     c >= 0 and, at the generator's unit scale, the Choi matrix of L is
     hermitian and the margin is nonnegative, both up to rounding (see
-    :func:`_split_slack`): then A = L - c tau is CCP (Lindblad 1976; Evans
+    :func:`_rounding_slack`): then A = L - c tau is CCP (Lindblad 1976; Evans
     1977), each e^{tA} is CP and each T_t a Trotter limit of products of
     e^{tA/k} and e^{c t tau/k}, which is positive.  So every T_t, every
     R_lam past the spectral abscissa (the Laplace transform of T_t) and
@@ -386,7 +377,7 @@ def generator_certificate(h: SemigroupHandle) -> GeneratorCertificate:
         n = h.n
         c, margin = mirror_split(h.generator)
         choi = choi_matrix(Superoperator(n, _unit_scale(h.generator.rep) * h.generator.rep))
-        slack = _split_slack(n)
+        slack = _rounding_slack(n)
         holds = c >= 0 and margin >= -slack and max_entry(choi - choi.conj().T) <= slack
         h._certificate = GeneratorCertificate(
             ("decomposable" if c else "ccp") if holds else None, c, margin)

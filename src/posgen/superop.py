@@ -277,6 +277,16 @@ def _unit_scale(reps: np.ndarray) -> np.ndarray:
     return np.ldexp(1.0, np.minimum(-exponent, 1023))
 
 
+def _rounding_slack(n: int) -> float:
+    """Rounding slack of values computed from a unit-scale map on M(n).
+
+    The cone search's values and Choi floors and the generator split's
+    eigenvalues come from matrices of norm below n^2 there (the split's c
+    stays below 3 n^2), so their rounding stays far below n^4 2^-44.
+    """
+    return n**4 * 2.0**-44
+
+
 def _descend(reps, v, best_val, best_vec):
     """Seesaw over a (maps, b, n) stack of unit vectors v and their partners w.
 
@@ -402,9 +412,8 @@ def positivity_checks(maps, seeds, tol: float = DEFAULT_TOL, groups=None,
     undecided = ~certified & (best_val >= -unit_tol)
     if generator_certified is not None and undecided.any() and generator_certified():
         certified |= undecided
-    # the slack also covers rounding, which on the unit-scale copy stays far
-    # below n^4 2^-44, so that the bound holds at tol = 0 too
-    slack = (tol + n**4 * 2.0**-44) / unit
+    # the slack also covers rounding, so that the bound holds at tol = 0 too
+    slack = (tol + _rounding_slack(n)) / unit
     bounded = _bounded(groups, best_val, min_eig - n * n * herm_dev, slack, best_val < -unit_tol)
     # the maps that descend from their worst starters
     live = np.flatnonzero(~certified & ~bounded)
@@ -454,11 +463,10 @@ _ASCENT_ITERS = 30
 class ContractionVerdict:
     """Sampled lower bound on the operator norm of a map (spectral-to-spectral).
 
-    certified_contraction is only issued for symmetric unital maps with a
-    positivity certificate (the map's CP test, or its generator's certificate
-    passed by the caller) -- whose norm is exactly one by the Russo-Dye
-    fact -- and even then the sampled bound must not exceed 1 + tol; the
-    fact is verified, never assumed.
+    certified_contraction is only issued for symmetric unital maps with the
+    positivity certificate their caller passes -- whose norm is exactly one
+    by the Russo-Dye fact -- and even then the sampled bound must not
+    exceed 1 + tol; the fact is verified, never assumed.
     A violated verdict carries the first bound that exceeds 1 + tol: the
     sampled one when sampling already proves the map is no contraction,
     otherwise the bound after the power ascent.
@@ -503,30 +511,23 @@ def _ascend(reps: np.ndarray, v: np.ndarray, bounds: np.ndarray) -> np.ndarray:
     return bounds
 
 
-def contraction_checks(maps, seed: int = 0, tol: float = DEFAULT_TOL, positive=None) -> list:
+def contraction_checks(maps, seed: int, tol: float, positive) -> list:
     """Lower-bound ``sup ||S(x)|| / ||x||`` for each of a list of maps on one M(n).
 
     The effort per map is fixed: the unit, 64 Gaussian inputs drawn from
     ``seed`` (shared by all maps, so their norms are computed once) and
     inputs built from the map's top singular vectors are scored, then the
-    best four climb 30 steps of a power ascent.  The maps are sampled in
-    order, and the search stops at its first proof: when a sampled ratio
-    exceeds ``1 + tol`` that map is violated with its sampled bound, and no
-    later map is looked at.  The maps left with neither a sampled proof nor
-    the Russo-Dye certificate then climb as one stacked ascent (see
-    ``_ascend``); the ascent only raises a bound.  Returns one verdict per
-    map up to the first violated one and None after it, which is what
-    :func:`contraction_check` calls in order, stopped at the first
-    violation, give.
+    best four climb 30 steps of a power ascent.  One pass samples the maps
+    in order and decides each where it is sampled: a sampled ratio above
+    ``1 + tol`` makes the map violated with that bound and ends the pass; a
+    map with the Russo-Dye certificate is a certified contraction with its
+    sampled bound; every other map joins one stacked ascent (see
+    ``_ascend``), which only raises a bound.  Returns one verdict per map up
+    to the first violated one in order, and None after it.
 
-    A map has the Russo-Dye certificate when it is symmetric and unital at
-    ``tol`` and certified positive: a positive unital map has norm
-    ||S(1)|| = 1.  ``positive`` holds one bool per map, its positivity
-    certificate; a caller that already holds certificates, such as the
-    generator's, passes them.  By default the symmetric unital maps
-    that survive sampling get the stacked CP test at ``tol`` (see
-    ``_cp_checks``).  A certified map keeps its sampled bound, which is at
-    most ``1 + tol``, and skips the ascent.
+    ``positive`` holds one positivity certificate (a bool) per map.  A map
+    has the Russo-Dye certificate when it is certified positive, symmetric
+    and unital at ``tol``: a positive unital map has norm ||S(1)|| = 1.
     """
     maps = list(maps)
     if not maps:
@@ -534,7 +535,7 @@ def contraction_checks(maps, seed: int = 0, tol: float = DEFAULT_TOL, positive=N
     n = maps[0].n
     if any(s.n != n for s in maps):
         raise DimensionMismatch("contraction_checks needs maps on one algebra")
-    if positive is not None and len(positive) != len(maps):
+    if len(positive) != len(maps):
         raise ValueError(f"contraction_checks got {len(positive)} flags for {len(maps)} maps")
     rng = np.random.default_rng(np.random.SeedSequence((seed, 0xC0)))
     shape = (_CONTRACTION_SAMPLES, n, n)
@@ -542,8 +543,8 @@ def contraction_checks(maps, seed: int = 0, tol: float = DEFAULT_TOL, positive=N
     shared = np.concatenate([np.eye(n, dtype=complex)[None], gauss])
     shared_norms = _top_singular(shared)
 
-    inputs, sampled, proof = [], [], None
-    for s in maps:
+    verdicts, climb, starts, sampled = [], [], [], []
+    for s, certified in zip(maps, positive):
         # top right-singular vectors of the rep seed the search near the
         # maximizer of the Hilbert-Schmidt-induced norm, a guaranteed
         # lower-bound direction
@@ -556,42 +557,26 @@ def contraction_checks(maps, seed: int = 0, tol: float = DEFAULT_TOL, positive=N
         ratios = _ratios(sv[: len(xs)], np.concatenate([shared_norms, sv[len(xs):]]))
         bound = float(np.max(ratios))
         if bound > 1.0 + tol:
-            proof = ContractionVerdict(VIOLATED, bound)
+            verdicts.append(ContractionVerdict(VIOLATED, bound))
             break
-        inputs.append(xs)
-        sampled.append(ratios)
+        if certified and is_symmetric_map(s, tol).verdict and is_unital(s, tol).verdict:
+            verdicts.append(ContractionVerdict(CERTIFIED_CONTRACTION, bound))
+            continue
+        climb.append(len(verdicts))
+        verdicts.append(None)
+        starts.append(xs[np.argsort(ratios)[::-1][:4]])
+        sampled.append(bound)
 
-    # the maps before the first sampled proof: Russo-Dye certificates, then
-    # one stacked ascent for the rest
-    head = maps[: len(sampled)]
-    # a (0, n^2, n^2) stack when the first map was proved
-    reps = np.array([s.rep for s in head]).reshape(-1, n * n, n * n)
-    bounds = np.array([np.max(r) for r in sampled], dtype=float)
-    certified = np.array(
-        [is_symmetric_map(s, tol).verdict and is_unital(s, tol).verdict for s in head],
-        dtype=bool,
-    )
-    if positive is not None:
-        certified &= np.array(positive, dtype=bool)[: len(head)]
-    elif certified.any():
-        certified[certified] = _cp_checks(reps[certified], n, tol)[0]
-    climb = np.flatnonzero(~certified)
-    if len(climb):
-        v = np.stack([inputs[k][np.argsort(sampled[k])[::-1][:4]] for k in climb])
-        v /= np.linalg.norm(v, axis=(-2, -1), keepdims=True)
-        bounds[climb] = _ascend(reps[climb], v, bounds[climb])
-
-    verdicts = []
-    for cert, bound in zip(certified.tolist(), bounds.tolist()):
-        status = (CERTIFIED_CONTRACTION if cert
-                  else VIOLATED if bound > 1.0 + tol else NO_VIOLATION_FOUND)
-        verdicts.append(ContractionVerdict(status, bound))
-        if status == VIOLATED:
-            break
-    else:
-        if proof is not None:
-            verdicts.append(proof)
-    return verdicts + [None] * (len(maps) - len(verdicts))
+    if climb:
+        starts = np.stack(starts)
+        starts /= np.linalg.norm(starts, axis=(-2, -1), keepdims=True)
+        bounds = _ascend(np.stack([maps[k].rep for k in climb]), starts, np.array(sampled))
+        for k, bound in zip(climb, bounds.tolist()):
+            verdicts[k] = ContractionVerdict(
+                VIOLATED if bound > 1.0 + tol else NO_VIOLATION_FOUND, bound)
+    # the first violated map in order ends the list
+    stop = next((k + 1 for k, v in enumerate(verdicts) if v.status == VIOLATED), len(verdicts))
+    return verdicts[:stop] + [None] * (len(maps) - stop)
 
 
 def contraction_check(
@@ -599,8 +584,10 @@ def contraction_check(
 ) -> ContractionVerdict:
     """Lower-bound ``sup ||S(x)|| / ||x||`` by sampling plus local ascent.
 
-    The single-map case of :func:`contraction_checks`: when a sampled ratio
-    already exceeds ``1 + tol`` the map is returned as violated with that
-    sampled bound, and neither the certificate tests nor the ascent run.
+    The single-map case of :func:`contraction_checks`, with the map's own CP
+    test (:func:`cp_check` at ``tol``) as its positivity certificate.  The
+    CP test always runs; when a sampled ratio already exceeds ``1 + tol``
+    the map is returned as violated with that sampled bound and the ascent
+    does not run.
     """
-    return contraction_checks([s], seed, tol)[0]
+    return contraction_checks([s], seed, tol, [cp_check(s, tol).verdict])[0]

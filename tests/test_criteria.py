@@ -16,7 +16,7 @@ from posgen.criteria import (
     theorem2_check,
 )
 from posgen.duality import TRACE_T_GRID, trace_preservation_check, trajectory_records
-from posgen.errors import HypothesisViolation
+from posgen.errors import DimensionMismatch, HypothesisViolation
 from posgen.instances import (
     density_from,
     dephasing,
@@ -329,6 +329,15 @@ class TestCheckCondition:
         h = handle(dephasing(2))
         with pytest.raises(ValueError, match="condition"):
             check_condition(h, "bogus", ProbeSet.build(2, 1, 0), small_config())
+
+    @pytest.mark.parametrize("cid", ["semigroup_sa", "semigroup_positive"])
+    def test_probes_of_another_dimension_rejected(self, cid):
+        # a probe condition would fail inside numpy, a cone condition would
+        # ignore the probes
+        h = handle(random_lindblad(3, 2, seed=8))
+        with pytest.raises(DimensionMismatch,
+                           match=r"^probe dimension 2 != generator dimension 3$"):
+            check_condition(h, cid, ProbeSet.build(2, 5), small_config())
 
 
 class TestTheorem1Report:

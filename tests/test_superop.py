@@ -781,10 +781,12 @@ class TestStackedContractionChecks:
             calls.append(1)
             return svd(*args, **kwargs)
 
+        # the mask contraction_check passes: each map's own CP test
+        positive = [cp_check(m).verdict for m in maps]
         monkeypatch.setattr(np.linalg, "svd", counted)
-        stacked = contraction_checks(maps, seed)
+        stacked = contraction_checks(maps, seed, DEFAULT_TOL, positive)
         svd_calls = len(calls)
-        contraction_checks(maps[: len(looped)], seed)
+        contraction_checks(maps[: len(looped)], seed, DEFAULT_TOL, positive[: len(looped)])
         # the maps after the first violated one cost no SVD call
         assert len(calls) == 2 * svd_calls
         assert [v and v.status for v in stacked] == statuses
@@ -817,6 +819,16 @@ class TestStackedContractionChecks:
         out = contraction_checks([transpose_map(3)], 0, DEFAULT_TOL, [False])
         assert out == [contraction_check(transpose_map(3))]
 
+    def test_first_violated_map_in_order_ends_the_list(self, monkeypatch):
+        # the transpose survives sampling and is violated by its ascent; the
+        # doubling map after it is violated by sampling alone.  The first
+        # map in order is the one reported.
+        ascend = superop._ascend
+        monkeypatch.setattr(superop, "_ascend", lambda reps, v, bounds: ascend(reps, v, bounds) + 1)
+        maps = [transpose_map(3), Superoperator(3, 2.0 * np.eye(9)), identity_superop(3)]
+        out = contraction_checks(maps, 0, DEFAULT_TOL, [False] * 3)
+        assert out == [superop.ContractionVerdict("violated", 2.000000000000001), None, None]
+
     def test_sampled_proof_asks_for_no_certificate(self):
         # a map proved no contraction by sampling is violated under any mask
         out = contraction_checks(self.grid_maps("flip"), 0, DEFAULT_TOL, [True] * 3)
@@ -824,11 +836,11 @@ class TestStackedContractionChecks:
 
     def test_empty_list_rejected(self):
         with pytest.raises(ValueError):
-            contraction_checks([], 0)
+            contraction_checks([], 0, DEFAULT_TOL, [])
 
     def test_mixed_dimensions_rejected(self):
         with pytest.raises(DimensionMismatch):
-            contraction_checks([identity_superop(2), identity_superop(3)], 0)
+            contraction_checks([identity_superop(2), identity_superop(3)], 0, DEFAULT_TOL, [True] * 2)
 
     def test_one_flag_per_map(self):
         # a short mask must not broadcast its one certificate over every map

@@ -129,33 +129,22 @@ def _parse_file(path: str, parse):
 
 
 def _resolve_config(args) -> RunConfig:
-    """Defaults, overridden by flags, overridden by the config file."""
-    cfg = RunConfig()
-
-    updates = {}
-    if args.seed is not None:
-        updates["seed"] = args.seed
-    if args.samples is not None:
-        updates["samples"] = args.samples
+    """Defaults, updated by the payload of the flags set, then by the config file."""
+    payload = {"seed": args.seed, "samples": args.samples, "format": args.format,
+               "tolerances": {}}
     if args.t_grid is not None:
-        updates["t_grid"] = _parse_grid(args.t_grid, "--t-grid")
+        payload["t_grid"] = _parse_grid(args.t_grid, "--t-grid")
     if args.lambda_grid is not None:
-        updates["lambda_multipliers"] = _parse_grid(args.lambda_grid, "--lambda-grid")
-    if args.format is not None:
-        updates["format"] = args.format
-    overrides = {}
+        payload["lambda_multipliers"] = _parse_grid(args.lambda_grid, "--lambda-grid")
     for item in args.tol:
         name, sep, value = item.partition("=")
         if not sep or not name:
             raise _CliError(f"--tol expects NAME=VALUE, got {item!r}")
         try:
-            overrides[name] = float(value)
+            payload["tolerances"][name] = float(value)
         except ValueError:
             raise _CliError(f"--tol {name}: {value!r} is not a number")
-    if overrides:
-        updates["tolerances"] = {**cfg.tolerances, **overrides}
-    cfg = cfg.replace(**updates)
-
+    cfg = RunConfig().updated({k: v for k, v in payload.items() if v is not None})
     if args.config is not None:
         cfg = _parse_file(args.config, cfg.updated)
     return cfg

@@ -52,7 +52,13 @@ def as_matrix(x) -> np.ndarray:
 
 def as_matrix_stack(members) -> np.ndarray:
     """Stack matrices of one size into an ``(m, n, n)`` array, with ``as_matrix``'s checks."""
-    a = np.asarray(members, dtype=complex)
+    try:
+        a = np.asarray(members, dtype=complex)
+    except ValueError:
+        shapes = list(dict.fromkeys(np.shape(m) for m in members))
+        if len(shapes) < 2:
+            raise
+        raise DimensionMismatch(f"expected matrices of one size, got shapes {shapes}") from None
     if a.ndim != 3 or a.shape[1] != a.shape[2] or a.shape[1] < 1:
         raise DimensionMismatch(f"expected a stack of square matrices, got shape {a.shape}")
     if not np.isfinite(a).all():

@@ -363,8 +363,8 @@ def generator_certificate(h: SemigroupHandle) -> GeneratorCertificate:
     """The handle's generator certificate, memoized on h.
 
     c and the margin are :func:`mirror_split`'s.  The certificate holds when
-    c >= 0 and, at the generator's unit scale, the Choi matrix of L is
-    hermitian and the margin is nonnegative, both up to rounding (see
+    c >= 0 and, at the generator's unit scale, L is symmetric (its Choi
+    matrix hermitian) and the margin is nonnegative, both up to rounding (see
     :func:`_rounding_slack`): then A = L - c tau is CCP (Lindblad 1976; Evans
     1977), each e^{tA} is CP and each T_t a Trotter limit of products of
     e^{tA/k} and e^{c t tau/k}, which is positive.  So every T_t, every
@@ -374,11 +374,11 @@ def generator_certificate(h: SemigroupHandle) -> GeneratorCertificate:
     part can grow with t and with the scale of L.
     """
     if h._certificate is None:
-        n = h.n
         c, margin = mirror_split(h.generator)
-        choi = choi_matrix(Superoperator(n, _unit_scale(h.generator.rep) * h.generator.rep))
-        slack = _rounding_slack(n)
-        holds = c >= 0 and margin >= -slack and max_entry(choi - choi.conj().T) <= slack
+        slack = _rounding_slack(h.n)
+        # slack at unit scale is slack / unit on L, since scaling by a power of two is exact
+        unit = float(_unit_scale(h.generator.rep))
+        holds = c >= 0 and margin >= -slack and is_symmetric_map(h.generator, slack / unit).verdict
         h._certificate = GeneratorCertificate(
             ("decomposable" if c else "ccp") if holds else None, c, margin)
     return h._certificate

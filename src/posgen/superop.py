@@ -4,12 +4,13 @@ Conventions fixed project-wide:
 
 * ``vec`` stacks columns: entry (i, j) of a matrix lands at index ``i + n*j``.
 * ``vec(A X B) = (B^T kron A) vec(X)``.
-* A map is *symmetric* when it commutes with the adjoint, ``S(x^*) = S(x)^*``.
+* A map is *symmetric* when it commutes with the adjoint, ``S(x^*) = S(x)^*``,
+  iff its Choi matrix is hermitian (Choi 1975); that one reshuffle of the rep
+  serves the symmetry test, the CP test and the cone search's Choi floor.
 * Positivity verdicts are three-valued and never bluff: ``certified_positive``
   is backed by the map's complete positivity or by a certificate of the
-  generator it was built from,
-  ``no_violation_found`` is an absence-of-counterexample claim, ``violated``
-  carries a reproducible witness.
+  generator it was built from, ``no_violation_found`` is an
+  absence-of-counterexample claim, ``violated`` carries a reproducible witness.
 """
 from __future__ import annotations
 
@@ -132,18 +133,10 @@ class MapCheck:
     margin: float
 
 
-def _images_tensor(s: Superoperator) -> np.ndarray:
-    """T[i, j] = S(E_ij) as an (n, n, n, n) tensor, straight from rep columns."""
-    n = s.n
-    return s.rep.reshape(n, n, n, n).transpose(3, 2, 1, 0)
-
-
 def is_symmetric_map(s: Superoperator, tol: float = DEFAULT_TOL) -> MapCheck:
-    """Does ``S(x^*) = S(x)^*`` hold on all matrix units?"""
-    t = _images_tensor(s)
-    # S(E_ji) versus S(E_ij)^*
-    dev = t.transpose(1, 0, 2, 3) - t.conj().transpose(0, 1, 3, 2)
-    margin = float(np.abs(dev).max())
+    """Does ``S(x^*) = S(x)^*`` hold?  Iff its Choi matrix C is hermitian: margin max|C - C*|."""
+    c = choi_matrix(s)
+    margin = max_entry(c - c.conj().T)
     return MapCheck(verdict=margin <= tol, margin=margin)
 
 
@@ -231,7 +224,7 @@ def _structured_unit_vectors(n: int) -> np.ndarray:
 
 
 def _image_parts(rep_t: np.ndarray, v: np.ndarray):
-    """herm(S(vv*)) and max|skew(S(vv*))| for a stack of vectors.
+    """herm(S(vv*)) and max|S(vv*) - S(vv*)*|, twice the skew part's, for a stack of vectors.
 
     ``rep_t`` is the transposed rep of S, or a stack of them matching the
     leading axes of ``v``.
@@ -242,12 +235,12 @@ def _image_parts(rep_t: np.ndarray, v: np.ndarray):
 
 
 def _f_batch(rep_t: np.ndarray, v: np.ndarray):
-    """f(v) = min_eig(herm(S(vv*))) - max|skew(S(vv*))| for a stack of vectors.
+    """f(v) = min_eig(herm(S(vv*))) - max|S(vv*) - S(vv*)*| for a stack of vectors.
 
-    The skew penalty makes f faithful for maps that do not preserve
-    hermiticity: a PSD image requires both a nonnegative hermitian part and
-    a vanishing skew part.  Returns f and the least eigenvectors, one per
-    vector.
+    The penalty, twice the largest entry of the skew part, makes f faithful
+    for maps that do not preserve hermiticity: a PSD image requires both a
+    nonnegative hermitian part and a vanishing skew part.  Returns f and the
+    least eigenvectors, one per vector.
     """
     herm, skew = _image_parts(rep_t, v)
     w, u = np.linalg.eigh(herm)

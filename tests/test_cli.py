@@ -467,16 +467,28 @@ class TestConfigResolution:
         assert tolerances == {"consistency": 1e-4, "predicate": 1e-8, "trace": 1e-5}
 
     def test_samples_flag_equals_config_file(self, tmp_path, capsys):
+        # each setting given by flag and by config file gives the same report
         path = tmp_path / "g.json"
         assert main(["instance", "transpose_mixing", "-n", "3", "-o", str(path)]) == 0
-        cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({"samples": 7}))
-        assert main(["report", str(path), "--samples", "7"]) == 0
-        by_flag = capsys.readouterr()
-        assert main(["report", str(path), "--config", str(cfg)]) == 0
-        assert capsys.readouterr() == by_flag
         assert main(["report", str(path)]) == 0
-        assert capsys.readouterr() != by_flag
+        default = capsys.readouterr()
+        cases = [
+            (["--samples", "7"], {"samples": 7}),
+            (["--seed", "3"], {"seed": 3}),
+            (["--t-grid", "0.2,2"], {"t_grid": [0.2, 2]}),
+            (["--lambda-grid", "2,20"], {"lambda_multipliers": [2, 20]}),
+            (["--tol", "predicate=1e-8", "--tol", "trace=1e-5"],
+             {"tolerances": {"predicate": 1e-8, "trace": 1e-5}}),
+            (["--format", "text"], {"format": "text"}),
+        ]
+        cfg = tmp_path / "cfg.json"
+        for flags, payload in cases:
+            cfg.write_text(json.dumps(payload))
+            assert main(["report", str(path), *flags]) == 0, flags
+            by_flag = capsys.readouterr()
+            assert main(["report", str(path), "--config", str(cfg)]) == 0, flags
+            assert capsys.readouterr() == by_flag, flags
+            assert by_flag != default, flags
 
     def test_config_file_unknown_field(self, deph_file, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"

@@ -7,16 +7,19 @@ import scipy.linalg
 from hypothesis import given, settings, strategies as st
 
 from posgen.config import RunConfig
+from posgen.criteria import ProbeSet
+from posgen.duality import trace_preservation_check
 from posgen.errors import DimensionMismatch, SchemaError
-from posgen.instances import InstanceRecipe
+from posgen.instances import InstanceRecipe, dephasing
 from posgen.matrixcore import (
     CMatrix,
     as_matrix,
+    as_matrix_stack,
     json_object,
     mat_exp,
     spectral_norm,
 )
-from posgen.semigroup import GeneratorSpec
+from posgen.semigroup import GeneratorSpec, SemigroupHandle
 from posgen.superop import Superoperator
 
 from conftest import SZ, rand_complex
@@ -42,6 +45,20 @@ class TestAsMatrix:
     def test_non_finite_rejected(self):
         with pytest.raises(ValueError):
             as_matrix(np.array([[np.inf, 0.0], [0.0, 1.0]]))
+
+    def test_stack_of_different_sizes_names_the_shapes(self):
+        """A stack whose members differ in size is a DimensionMismatch naming
+        both shapes, from the stack helper and from the public calls that
+        take a list of matrices."""
+        calls = [
+            lambda: as_matrix_stack([np.eye(2), np.eye(3)]),
+            lambda: trace_preservation_check(SemigroupHandle(dephasing(2)),
+                                             [np.eye(2) / 2, np.eye(3) / 3]),
+            lambda: ProbeSet(selfadjoint=[np.eye(2), np.eye(3)], unitaries=[np.eye(2)]),
+        ]
+        for call in calls:
+            with pytest.raises(DimensionMismatch, match=re.escape("[(2, 2), (3, 3)]")):
+                call()
 
 
 class TestMatExp:

@@ -127,6 +127,19 @@ class TestPredicates:
         assert not chk.verdict
         assert chk.margin == pytest.approx(2.0, abs=1e-12)
 
+    @pytest.mark.parametrize("scale", [1.0, 2.0**600, 2.0**-600])
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_symmetry_margin_is_choi_hermiticity_deviation(self, n, scale):
+        # a map is symmetric iff its Choi matrix C is hermitian, and the margin
+        # is max|C - C*| bit for bit
+        rng = np.random.default_rng(n)
+        maps = [Superoperator(n, scale * rand_complex(rng, n * n, n * n)) for _ in range(6)]
+        h = SemigroupHandle(transpose_mixing(random_lindblad(n, 1, n)))
+        maps += [Superoperator(n, scale * evolve(h, t).rep) for t in (0.1, 1.0, 10.0)]
+        for s in maps:
+            herm_dev = superop._cp_checks(s.rep[None], n, DEFAULT_TOL)[2][0]
+            assert is_symmetric_map(s).margin == herm_dev
+
     def test_unital_examples(self):
         assert is_unital(identity_superop(3)).verdict
         trace_map = Superoperator(2, np.outer(vec(np.eye(2)), vec(np.eye(2))) / 2)

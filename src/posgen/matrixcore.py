@@ -55,7 +55,14 @@ def as_matrix_stack(members) -> np.ndarray:
     try:
         a = np.asarray(members, dtype=complex)
     except ValueError:
-        shapes = list(dict.fromkeys(np.shape(m) for m in members))
+        shapes = []
+        for i, m in enumerate(members):
+            try:
+                shapes.append(np.shape(m))
+            except ValueError:
+                raise DimensionMismatch(
+                    f"expected matrices of one size, member {i} is ragged") from None
+        shapes = list(dict.fromkeys(shapes))
         if len(shapes) < 2:
             raise
         raise DimensionMismatch(f"expected matrices of one size, got shapes {shapes}") from None
@@ -225,16 +232,98 @@ def mat_exp(m) -> np.ndarray:
     return r[0] if single else r
 
 
+def rounding_slack(n: int) -> float:
+    """Rounding slack, per unit of scale, of the spectral values computed on M(n).
+
+    posgen's eigenvalues come from matrices of size at most n^2: images and
+    probes are n x n, Choi matrices and unit-scale maps n^2 x n^2 with norm
+    below n^2 (the generator split's c stays below 3 n^2).  The backward
+    errors of LAPACK's hermitian eigensolvers and of a Cholesky
+    factorization (Higham 2002, Thm 10.3) stay far below n^4 2^-44 times
+    the scale of their input.
+    """
+    return n**4 * 2.0**-44
+
+
+def _cholesky_completes(a: np.ndarray, shift: np.ndarray) -> np.ndarray:
+    """Whether the Cholesky factorization of each ``A - shift I`` runs to completion.
+
+    ``a`` is an (n, n, ...) stack with the stack axes last, so that each
+    column step is one outer-product update of every trailing block, and
+    ``shift`` holds one real per matrix.  Overwrites ``a``.  A non-finite
+    entry reaches a pivot, which then fails; call it with floating-point
+    warnings off.
+    """
+    done = np.ones(a.shape[2:], dtype=bool)
+    k = np.arange(len(a))
+    a[k, k] -= shift
+    for k in range(len(a)):
+        pivot = a[k, k].real
+        done &= pivot > 0
+        col = a[k + 1:, k] / np.sqrt(pivot)
+        a[k + 1:, k + 1:] -= col[:, None] * col.conj()[None, :]
+    return done
+
+
+def screened_least_eigvals(herm: np.ndarray, penalty: np.ndarray) -> np.ndarray:
+    """``eigvalsh(herm)[..., 0] - penalty``, solved only where a value can hold its row's minimum.
+
+    ``herm`` is a (..., b, n, n) stack of hermitian matrices and ``penalty``
+    its (..., b) nonnegative penalties; a row is the b values along the last
+    batch axis.  Each entry is the exact value, bit for bit, or +inf where
+    the exact value lies above its row's minimum.  So each row's minimum
+    and first argmin, and every finite entry, are those of one full
+    ``eigvalsh`` call.
+
+    The screen: the least diagonal bound ``min_k H_kk - s`` of a row picks
+    one matrix, whose exact value mu bounds the row's minimum from above.
+    Every matrix H, penalty s, gets one stacked Cholesky pass on
+    ``H - (mu + s + delta) I``; delta = rounding_slack(n) (max|H| + |mu| + s)
+    covers the factorization's backward error (Higham 2002, Thm 10.3) and
+    ``eigvalsh``'s.  A factorization that completes proves the value above
+    mu, so the matrix neither holds nor ties the minimum and gets +inf.
+    Only the rest are eigensolved, and ``eigvalsh`` gives each matrix of a
+    stack the values it gives that matrix alone.  A non-finite matrix, and
+    every matrix of a row whose mu is not finite, is eigensolved.
+    """
+    *lead, b, n, _ = herm.shape
+    herm = herm.reshape(-1, b, n, n)
+    penalty = penalty.reshape(-1, b)
+    values = np.full(penalty.shape, np.inf)
+    if not b:
+        return values.reshape(*lead, b)
+    # with the stack axes last, each pass runs over whole slabs of the stack
+    a = np.moveaxis(herm, (-2, -1), (0, 1)).copy()
+    k = np.arange(n)
+    size = np.abs(a).max(axis=(0, 1))
+    finite = np.isfinite(size) & np.isfinite(penalty)
+    top = np.argmin(np.where(finite, a[k, k].real.min(axis=0) - penalty, np.inf), axis=-1)
+    rows = np.flatnonzero(finite[np.arange(len(top)), top])
+    top = top[rows]
+    mu = np.full((len(herm), 1), np.nan)
+    mu[rows, 0] = values[rows, top] = np.linalg.eigvalsh(herm[rows, top])[:, 0] - penalty[rows, top]
+    with np.errstate(all="ignore"):
+        shift = mu + penalty + rounding_slack(n) * (size + np.abs(mu) + penalty)
+        settled = finite & np.isfinite(mu) & _cholesky_completes(a, shift)
+    # the rest, less the matrices mu came from, are eigensolved
+    settled[rows, top] = True
+    values[~settled] = np.linalg.eigvalsh(herm[~settled])[:, 0] - penalty[~settled]
+    return values.reshape(*lead, b)
+
+
 def psd_margins(stack: np.ndarray) -> np.ndarray:
-    """Skew-penalized least eigenvalues of an ``(m, n, n)`` stack.
+    """Skew-penalized least eigenvalues of an ``(m, n, n)`` stack, screened as one row.
 
     Each entry is the least eigenvalue of a matrix's hermitian part, less the
     largest entry modulus of its skew part ``(a - a*) / 2``.  For a hermitian
-    matrix it is >= 0 exactly when the matrix is PSD.
+    matrix it is >= 0 exactly when the matrix is PSD.  The stack is one row
+    of :func:`screened_least_eigvals`: its minimum and first argmin, and
+    every finite entry, are exact, and an entry that lies above the minimum
+    may be +inf instead.
     """
     herm = (stack + stack.conj().swapaxes(1, 2)) / 2
     skew = np.abs(stack - stack.conj().swapaxes(1, 2)).max(axis=(1, 2)) / 2
-    return np.linalg.eigvalsh(herm)[:, 0] - skew
+    return screened_least_eigvals(herm, skew)
 
 
 def spectral_norm(m) -> float:

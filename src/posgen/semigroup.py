@@ -21,8 +21,9 @@ from .errors import (
     ResolventPoleError,
     SchemaError,
 )
-from .matrixcore import CMatrix, as_matrix, frozen, json_dimension, json_object, mat_exp, max_entry
-from .superop import (Superoperator, _rounding_slack, _unit_scale, choi_matrix,
+from .matrixcore import (CMatrix, as_matrix, frozen, json_dimension, json_object, mat_exp,
+                         max_entry, rounding_slack)
+from .superop import (Superoperator, _unit_scale, choi_matrix,
                       is_symmetric_map, transpose_map, vec)
 
 GENERATOR_KINDS = ("explicit", "hamiltonian", "lindblad")
@@ -297,8 +298,8 @@ def mirror_split(gen: Superoperator) -> tuple[float, float]:
     The search steps to the intersection of the tangent lines at the ends
     of a bracket of the maximizer, each step one ``eigh``; where they meet
     bounds f above.  It stops when the best f seen clears -slack (see
-    :func:`_rounding_slack`), or when that bound drops below -slack (no c
-    gives a split) or lies within slack of the best f seen.
+    :func:`matrixcore.rounding_slack`), or when that bound drops below
+    -slack (no c gives a split) or lies within slack of the best f seen.
 
     Returns (0, f(0)) when f(0) >= -slack (L itself is CCP) or f falls from
     c = 0, and otherwise the best c seen and its f.  f is inf on M(1),
@@ -307,7 +308,7 @@ def mirror_split(gen: Superoperator) -> tuple[float, float]:
     n = gen.n
     if n == 1:
         return 0.0, math.inf
-    slack = _rounding_slack(n)
+    slack = rounding_slack(n)
     unit = float(_unit_scale(gen.rep))
     v = _complement_of_omega(n)
     choi = choi_matrix(Superoperator(n, unit * gen.rep))
@@ -365,17 +366,17 @@ def generator_certificate(h: SemigroupHandle) -> GeneratorCertificate:
     c and the margin are :func:`mirror_split`'s.  The certificate holds when
     c >= 0 and, at the generator's unit scale, L is symmetric (its Choi
     matrix hermitian) and the margin is nonnegative, both up to rounding (see
-    :func:`_rounding_slack`): then A = L - c tau is CCP (Lindblad 1976; Evans
-    1977), each e^{tA} is CP and each T_t a Trotter limit of products of
-    e^{tA/k} and e^{c t tau/k}, which is positive.  So every T_t, every
-    R_lam past the spectral abscissa (the Laplace transform of T_t) and
-    every e^{s R_lam}, s >= 0, is positive.  No tolerance enters: a margin
+    :func:`matrixcore.rounding_slack`): then A = L - c tau is CCP (Lindblad
+    1976; Evans 1977), each e^{tA} is CP and each T_t a Trotter limit of
+    products of e^{tA/k} and e^{c t tau/k}, which is positive.  So every
+    T_t, every R_lam past the spectral abscissa (the Laplace transform of
+    T_t) and every e^{s R_lam}, s >= 0, is positive.  No tolerance enters: a margin
     of -tol at the generator bounds nothing at the maps, whose negative
     part can grow with t and with the scale of L.
     """
     if h._certificate is None:
         c, margin = mirror_split(h.generator)
-        slack = _rounding_slack(h.n)
+        slack = rounding_slack(h.n)
         # slack at unit scale is slack / unit on L, since scaling by a power of two is exact
         unit = float(_unit_scale(h.generator.rep))
         holds = c >= 0 and margin >= -slack and is_symmetric_map(h.generator, slack / unit).verdict

@@ -19,7 +19,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionMismatch, SchemaError
-from .matrixcore import DEFAULT_TOL, CMatrix, as_matrix, frozen, json_dimension, json_object, max_entry
+from .matrixcore import (DEFAULT_TOL, CMatrix, as_matrix, frozen, json_dimension, json_object,
+                         max_entry, rounding_slack, screened_least_eigvals)
 
 CERTIFIED_POSITIVE = "certified_positive"
 NO_VIOLATION_FOUND = "no_violation_found"
@@ -247,12 +248,6 @@ def _f_batch(rep_t: np.ndarray, v: np.ndarray):
     return w[..., 0] - skew, u[..., :, 0]
 
 
-def _f_values(rep_t: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """f of :func:`_f_batch` alone, from eigenvalues only."""
-    herm, skew = _image_parts(rep_t, v)
-    return np.linalg.eigvalsh(herm)[..., 0] - skew
-
-
 def _seeded_starters(n: int, seed: int) -> np.ndarray:
     """The standard basis, two structured vectors, then seeded random ones."""
     rng = np.random.default_rng(np.random.SeedSequence((seed, 0x705)))
@@ -268,16 +263,6 @@ def _unit_scale(reps: np.ndarray) -> np.ndarray:
     """
     _, exponent = np.frexp(np.abs(reps).max(axis=(-2, -1)))
     return np.ldexp(1.0, np.minimum(-exponent, 1023))
-
-
-def _rounding_slack(n: int) -> float:
-    """Rounding slack of values computed from a unit-scale map on M(n).
-
-    The cone search's values and Choi floors and the generator split's
-    eigenvalues come from matrices of norm below n^2 there (the split's c
-    stays below 3 n^2), so their rounding stays far below n^4 2^-44.
-    """
-    return n**4 * 2.0**-44
 
 
 def _descend(reps, v, best_val, best_vec):
@@ -343,18 +328,22 @@ def positivity_checks(maps, seeds, tol: float = DEFAULT_TOL, groups=None,
     ``seeds`` holds one int seed per map.  Seeded unit vectors (plus the
     standard basis and two structured vectors), drawn once per distinct
     seed, are scored by f for every map in one stacked call that computes
-    eigenvalues only (the seesaw and the final re-score take eigenvectors);
-    each map's worst starters seed at most 30 steps of a seesaw over the
-    trace pairing (see ``_descend``).  Each map is judged at unit scale,
-    scaled by the power of two that brings its largest entry into [1/2, 1):
-    the seesaw runs on that copy, and the CP certificate and the violation
-    threshold compare against ``tol`` divided by that power, which is
-    ``tol`` on the copy.  So no verdict depends on the map's scale; margins
-    are reported at the map's own scale.  The seesaws of all maps run as
-    one stacked descent.  A CP certificate (one stacked Choi
-    eigendecomposition for all maps) takes its map out of the stack: the
-    certificate already implies positivity, so only the cheap sampling pass
-    runs to report an honest margin.
+    eigenvalues only (the seesaw and the final re-score take eigenvectors).
+    That call is screened (see ``matrixcore.screened_least_eigvals``): it
+    eigensolves only the images that can hold their map's least starter
+    value, which is all a map that does not descend needs.  Each map that
+    descends has its whole row of starters eigensolved, from the same
+    hermitian parts, and its worst starters seed at most 30 steps of a
+    seesaw over the trace pairing (see ``_descend``).  Each map is judged
+    at unit scale, scaled by the power of two that brings its largest
+    entry into [1/2, 1): the seesaw runs on that copy, and the CP
+    certificate and the violation threshold compare against ``tol``
+    divided by that power, which is ``tol`` on the copy.  So no verdict
+    depends on the map's scale; margins are reported at the map's own
+    scale.  The seesaws of all maps run as one stacked descent.  A CP
+    certificate (one stacked Choi eigendecomposition for all maps) takes
+    its map out of the stack: the certificate already implies positivity,
+    so only the cheap sampling pass runs to report an honest margin.
 
     ``generator_certified``, when given, is a callable of no arguments,
     called at most once and only when some map is neither CP-certified nor
@@ -394,7 +383,8 @@ def positivity_checks(maps, seeds, tol: float = DEFAULT_TOL, groups=None,
     reps = np.stack([s.rep for s in maps])
     reps_t = reps.swapaxes(-1, -2)
     rows = np.arange(len(maps))
-    fvals = _f_values(reps_t, starters)
+    herm, skew = _image_parts(reps_t, starters)
+    fvals = screened_least_eigvals(herm, skew)
     k = np.argmin(fvals, axis=1)
     best_val, best_vec = fvals[rows, k], starters[rows, k]
     unit = _unit_scale(reps)
@@ -406,14 +396,17 @@ def positivity_checks(maps, seeds, tol: float = DEFAULT_TOL, groups=None,
     if generator_certified is not None and undecided.any() and generator_certified():
         certified |= undecided
     # the slack also covers rounding, so that the bound holds at tol = 0 too
-    slack = (tol + _rounding_slack(n)) / unit
+    slack = (tol + rounding_slack(n)) / unit
     bounded = _bounded(groups, best_val, min_eig - n * n * herm_dev, slack, best_val < -unit_tol)
     # the maps that descend from their worst starters
     live = np.flatnonzero(~certified & ~bounded)
 
     evals = np.full(len(maps), starters.shape[1])
     if len(live):
-        first = starters[live[:, None], np.argsort(fvals[live], axis=1)[:, :_N_DESCENT]]
+        # the screen left only each row's least values; a descent needs its
+        # map's whole row
+        full = np.linalg.eigvalsh(herm[live])[..., 0] - skew[live]
+        first = starters[live[:, None], np.argsort(full, axis=1)[:, :_N_DESCENT]]
         vals, best_vec[live] = _descend(
             reps[live] * unit[live, None, None], first, best_val[live] * unit[live], best_vec[live]
         )

@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from posgen import criteria, semigroup, superop
+from posgen import criteria, matrixcore, semigroup, superop
 from posgen.config import RunConfig, subseed
 from posgen.criteria import (
     CONDITION_IDS,
@@ -33,6 +33,8 @@ from posgen.semigroup import (
     SemigroupHandle,
     build_superoperator,
     evolve,
+    family_maps,
+    generator_certificate,
     lambda_grid,
     resolvent,
 )
@@ -542,6 +544,53 @@ class TestStackedConeSearches:
         theorem1_report(handle(flip_plus_lindblad(4, 6)), RunConfig())
         assert max(sizes) <= 3 * superop._N_DESCENT
         assert sum(sizes) <= 1500
+
+
+class TestScreenedScans:
+    """The eigenvalue screen changes no search: a screen that keeps every
+    matrix gives the same statuses, margins, witnesses and worst probes, bit
+    for bit."""
+
+    @staticmethod
+    def searches(spec):
+        n = spec.n
+        h = handle(spec)
+        config = small_config(seed=3)
+        probes = ProbeSet.build(n, config.samples, 5)
+        conditions = [check_condition(h, cid, probes, config) for cid in CONDITION_IDS]
+        # every map of the report searched alone and without the generator's
+        # certificate, so that certified maps descend too
+        maps = [m for family, points in (("semigroup", config.t_grid),
+                                         ("resolvent", lambda_grid(h, config.lambda_multipliers)))
+                for m in family_maps(h, family, points)]
+        alone = positivity_checks(maps, range(len(maps)), DEFAULT_TOL)
+        certified = positivity_checks(maps, [0] * len(maps), DEFAULT_TOL, [0] * len(maps),
+                                      lambda: generator_certificate(h).kind is not None)
+        trace = trace_preservation_check(h, density_from(np.random.default_rng(n), n, k=6))
+
+        def verdict(v):
+            witness = None if v.witness is None else v.witness.tobytes()
+            return v.status, v.margin.hex(), v.samples_used, witness
+
+        return (
+            [(c.verdict, c.min_margin.hex(), c.worst_probe) for c in conditions],
+            # the report's grouped cone searches, as the handle memoized them
+            {key: {p: verdict(v) for p, v in vs.items()} for key, vs in h._cone_verdicts.items()},
+            [verdict(v) for v in alone + certified],
+            (trace.state_min_eig.hex(), trace.state_status, trace.trace_margin.hex()),
+        )
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    @pytest.mark.parametrize("make", [
+        lambda n: random_lindblad(n, 2, n),
+        lambda n: transpose_mixing(random_lindblad(n, 1, n)),
+        lambda n: flip_nonpositive(n),
+    ], ids=["lindblad", "transpose_mixing", "flip_nonpositive"])
+    def test_searches_unchanged(self, make, n, monkeypatch):
+        screened = self.searches(make(n))
+        monkeypatch.setattr(matrixcore, "_cholesky_completes",
+                            lambda a, shift: np.zeros(a.shape[2:], dtype=bool))
+        assert self.searches(make(n)) == screened
 
 
 class TestTheorem1StackedCones:

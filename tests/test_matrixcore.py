@@ -17,6 +17,8 @@ from posgen.matrixcore import (
     as_matrix_stack,
     json_object,
     mat_exp,
+    psd_margins,
+    screened_least_eigvals,
     spectral_norm,
 )
 from posgen.semigroup import GeneratorSpec, SemigroupHandle
@@ -59,6 +61,14 @@ class TestAsMatrix:
         for call in calls:
             with pytest.raises(DimensionMismatch, match=re.escape("[(2, 2), (3, 3)]")):
                 call()
+
+    @pytest.mark.parametrize("members, index", [
+        ([[[1, 2], [3]]], 0),
+        ([np.eye(2), [[1, 2], [3]]], 1),
+    ])
+    def test_ragged_member_is_named(self, members, index):
+        with pytest.raises(DimensionMismatch, match=f"member {index} is ragged"):
+            as_matrix_stack(members)
 
 
 class TestMatExp:
@@ -167,6 +177,99 @@ class TestMatExpStacked:
             mat_exp(np.stack([np.eye(2), np.full((2, 2), np.nan)]))
         with pytest.raises(DimensionMismatch):
             mat_exp(np.zeros((2, 2, 3)))
+
+
+def bits(a):
+    return np.asarray(a, dtype=float).view(np.uint64)
+
+
+class TestScreenedLeastEigvals:
+    """Each row's minimum and first argmin, and every finite entry, are eigvalsh's."""
+
+    @staticmethod
+    def stack(n, seed, exponents, psd, penalized, bad):
+        """A (rows, b, n, n) hermitian stack drawn with repeats from a pool of 6.
+
+        Each pool member has a scale 2^e, e from ``exponents``; a PSD member
+        has zero rows and columns, so zero eigenvalues, the least value of
+        several members.  ``bad`` makes one matrix or one penalty non-finite.
+        """
+        rng = np.random.default_rng(seed)
+        g = rand_complex(rng, 6, n, n)
+        if psd:
+            g[:, rng.integers(0, n):, :] = 0.0
+            pool = g @ g.conj().swapaxes(1, 2)
+        else:
+            pool = g + g.conj().swapaxes(1, 2)
+        scale = 2.0 ** rng.choice(exponents, 6)
+        pool *= scale[:, None, None]
+        pool_penalty = np.abs(rng.standard_normal(6)) * scale * penalized
+        pick = rng.integers(0, 6, (rng.integers(1, 4), rng.integers(1, 50)))
+        herm, penalty = pool[pick], pool_penalty[pick]
+        at = tuple(rng.integers(0, k) for k in pick.shape)
+        if bad == "nan":
+            herm[at][0, 0] = np.nan
+        elif bad == "inf":
+            herm[at][0, -1] = herm[at][-1, 0] = np.inf
+        elif bad == "inf penalty":
+            penalty[at] = np.inf
+        return herm, penalty
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(1, 8), st.integers(0, 2**32 - 1),
+           st.sampled_from([(0,), (-600,), (600,), (-600, 0, 600)]),
+           st.booleans(), st.booleans(), st.sampled_from([None, "nan", "inf", "inf penalty"]))
+    def test_equals_eigvalsh(self, n, seed, exponents, psd, penalized, bad):
+        herm, penalty = self.stack(n, seed, exponents, psd, penalized, bad)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            try:
+                exact = np.linalg.eigvalsh(herm)[..., 0] - penalty
+            except np.linalg.LinAlgError:
+                with pytest.raises(np.linalg.LinAlgError):
+                    screened_least_eigvals(herm, penalty)
+                return
+            got = screened_least_eigvals(herm, penalty)
+        k = np.argmin(exact, axis=-1)
+        assert np.array_equal(np.argmin(got, axis=-1), k)
+        rows = np.arange(len(k))
+        assert np.array_equal(bits(got[rows, k]), bits(exact[rows, k]))
+        # an entry that is not exact is +inf, and its exact value lies above
+        # its row's minimum
+        pruned = bits(got) != bits(exact)
+        floor = np.broadcast_to(np.fmin.reduce(exact, axis=-1)[:, None], exact.shape)
+        assert np.all(got[pruned] == np.inf) and np.all(exact[pruned] > floor[pruned])
+
+    def test_screen_prunes_a_spread_row(self):
+        # eigensolving every matrix would pass the test above too
+        rng = np.random.default_rng(0)
+        g = rand_complex(rng, 200, 4, 4)
+        got = screened_least_eigvals(g + g.conj().swapaxes(1, 2), np.zeros(200))
+        assert np.isinf(got).sum() >= 150
+
+    def test_psd_margins_is_one_row(self):
+        rng = np.random.default_rng(1)
+        a = rand_complex(rng, 100, 3, 3)
+        got = psd_margins(a)
+        herm = (a + a.conj().swapaxes(1, 2)) / 2
+        skew = np.abs(a - a.conj().swapaxes(1, 2)).max(axis=(1, 2)) / 2
+        exact = np.linalg.eigvalsh(herm)[:, 0] - skew
+        assert np.argmin(got) == np.argmin(exact) and bits(got.min()) == bits(exact.min())
+        assert np.array_equal(bits(got[np.isfinite(got)]), bits(exact[np.isfinite(got)]))
+
+    @settings(max_examples=50, deadline=None)
+    @given(st.integers(1, 8), st.integers(0, 2**32 - 1))
+    def test_eigvalsh_of_a_subset_equals_its_rows(self, n, seed):
+        # the screen's bit-identity rests on this: LAPACK solves each matrix
+        # of a stack alone
+        rng = np.random.default_rng(seed)
+        g = rand_complex(rng, 3, 40, n, n) * 2.0 ** rng.integers(-600, 601)
+        herm = g + g.conj().swapaxes(-1, -2)
+        full = np.linalg.eigvalsh(herm)
+        mask = rng.random((3, 40)) < 0.3
+        assert np.array_equal(bits(np.linalg.eigvalsh(herm[mask])), bits(full[mask]))
+        index = rng.integers(0, 40, rng.integers(1, 60))
+        assert np.array_equal(bits(np.linalg.eigvalsh(herm[1, index])), bits(full[1, index]))
 
 
 class TestSpectralNorm:

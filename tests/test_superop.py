@@ -454,6 +454,12 @@ class TestStackedPositivityChecks:
             positivity_checks([identity_superop(2), identity_superop(3)], [0, 0])
 
 
+def f_values(rep, v):
+    """f(v) = min_eig(herm S(vv*)) - max|S(vv*) - S(vv*)*| at every vector, unscreened."""
+    herm, skew = superop._image_parts(rep.T, v)
+    return np.linalg.eigvalsh(herm)[..., 0] - skew
+
+
 def choi_floor(s):
     """min_eig(herm C) - n^2 max|C - C*| of the Choi matrix C, from choi_matrix."""
     c = choi_matrix(s)
@@ -556,7 +562,7 @@ class TestGroupedPositivityChecks:
         s = Superoperator(n, rand_complex(rng, n * n, n * n))
         v = rand_complex(rng, 200, n)
         v /= np.linalg.norm(v, axis=1, keepdims=True)
-        f = superop._f_values(s.rep.T, v)
+        f = f_values(s.rep, v)
         _, min_eig, herm_dev = superop._cp_checks(s.rep[None], n, DEFAULT_TOL)
         assert min_eig[0] - n * n * herm_dev[0] == pytest.approx(choi_floor(s), rel=1e-12)
         assert np.all(f >= choi_floor(s) - 1e-12 * np.abs(s.rep).max())
@@ -653,7 +659,7 @@ class TestGeneratorCertificate:
         v = rand_complex(rng, 10_000, n)
         v /= np.linalg.norm(v, axis=1, keepdims=True)
         for rep, u in zip(reps, superop._unit_scale(reps)):
-            assert superop._f_values(rep.T, v).min() >= -self.TOL / u
+            assert f_values(rep, v).min() >= -self.TOL / u
 
     def test_undecided_maps_ask_once(self):
         # the transpose and a T_t of transpose_mixing are neither CP nor

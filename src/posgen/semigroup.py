@@ -152,8 +152,9 @@ def build_superoperator(spec: GeneratorSpec) -> Superoperator:
 class SemigroupHandle:
     """A generator, its spectral abscissa, and memos of the maps built from it.
 
-    Each T_t, R_lam and e^{s R_lam} is built once per handle, T_t and e^{s R_lam}
-    by stacked :func:`mat_exp` calls of bounded size: :func:`build_maps`
+    Each T_t, R_lam and e^{s R_lam} is built once per handle, T_t and the
+    roots of e^{s R_lam} by stacked :func:`mat_exp` calls of bounded size
+    (see :func:`_resolvent_exp_reps`): :func:`build_maps`
     memoizes them by family and point, which is safe because a Superoperator
     is immutable.  Next to them the criteria module memoizes the cone-search
     verdicts of each condition grid, so every grid is searched once per
@@ -222,12 +223,36 @@ def _resolvent_reps(h: SemigroupHandle, lams) -> np.ndarray:
 
 
 def _resolvent_exp_reps(h: SemigroupHandle, points) -> np.ndarray:
-    """e^{s R_lam}, R_lam read through ``build_maps``; non-finite where R_lam is missing."""
+    """e^{s R_lam}, R_lam read through ``build_maps``; non-finite where R_lam is missing.
+
+    s = m 2^k with m in [1/2, 1) (for s < 1/2, m = s and k = 0): the root
+    e^{m R_lam} of each distinct (m, lam) is exponentiated once, and squared
+    k times, since e^{2sR} = (e^{sR})^2.  So a map's bits depend on (s, lam)
+    alone, not on the other points asked for, and e^{2sR} is e^{sR} squared
+    bit for bit.  A non-finite root or an overflowing square stays non-finite.
+    """
     build_maps(h, "resolvent", [lam for _, lam in points])
     rs = h._maps["resolvent"]
     missing = np.full((h.n**2, h.n**2), np.nan)
-    return _exp_finite(np.stack([s * (missing if rs[lam] is None else rs[lam].rep)
-                                 for s, lam in points]))
+    roots, index, powers = {}, [], []
+    for s, lam in points:
+        m, k = math.frexp(s) if s >= 0.5 else (s, 0)
+        index.append(roots.setdefault((m, lam), len(roots)))
+        powers.append(k)
+    exps = _exp_finite(np.stack([m * (missing if rs[lam] is None else rs[lam].rep)
+                                 for m, lam in roots]))
+    index, powers = np.array(index), np.array(powers)
+    # the squarings each root needs: the most of any of its points
+    top = np.zeros(len(roots), dtype=int)
+    np.maximum.at(top, index, powers)
+    out = np.empty((len(points), *exps.shape[1:]), dtype=complex)
+    for j in range(int(top.max()) + 1):
+        if j:
+            sq = top >= j
+            exps[sq] = exps[sq] @ exps[sq]
+        at = powers == j
+        out[at] = exps[index[at]]
+    return out
 
 
 # Theorem 1's families of maps: how one stacked call builds the maps at a list

@@ -6,7 +6,7 @@ import pytest
 from posgen import criteria, duality, superop
 from posgen.errors import DimensionMismatch
 from posgen.instances import flip_nonpositive, random_lindblad
-from posgen.matrixcore import as_matrix
+from posgen.matrixcore import as_matrix, mat_exp
 from posgen.semigroup import (
     _POLE_GAP,
     GeneratorSpec,
@@ -78,6 +78,16 @@ def flip_plus_lindblad(n, seed):
     rep = (build_superoperator(random_lindblad(n, 2, seed)).rep
            + build_superoperator(flip_nonpositive(n)).rep)
     return GeneratorSpec(kind="explicit", n=n, superop=superop.Superoperator(n, rep))
+
+
+def root_rule_exp(r, s):
+    """e^{s R} by hand as posgen builds it: s = m 2^k with m in [1/2, 1) (m = s,
+    k = 0 for s < 1/2), and mat_exp(m R) squared k times."""
+    m, k = math.frexp(s) if s >= 0.5 else (s, 0)
+    out = mat_exp(m * r)
+    for _ in range(k):
+        out = out @ out
+    return out
 
 
 def forced_split(c):

@@ -227,6 +227,23 @@ class TestReport:
         assert "e^(s R_lam) at s=0.5, lam=2.0001 overflows double precision" in captured.err
         assert "Traceback" not in captured.err
 
+    @pytest.mark.parametrize("grid, point", [
+        # R_lam's top eigenvalue is 1 / (lam - 8) = 1000: e^{R/2} fits, and its
+        # square overflows
+        ("0.889", "s=1, lam=8.001"),
+        ("0.8889,0.889", "s=0.5, lam=8.0001"),
+        ("0.5", None),
+    ])
+    def test_resolvent_exponential_near_the_abscissa(self, tmp_path, capsys, grid, point):
+        path = tmp_path / "flip3.json"
+        path.write_text(json.dumps(flip_nonpositive(3, scale=4.0).to_json()))  # abscissa 8
+        assert main(["report", str(path), "--samples", "6", "--lambda-grid", grid]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == ("posgen: error: resolvent point 4.5 does not clear the spectral "
+                                "abscissa 8\n" if point is None else
+                                f"posgen: error: e^(s R_lam) at {point} overflows double precision\n")
+
     @pytest.mark.parametrize("t", ["88.6", "88.75"])
     def test_semigroup_near_overflow_exits_1(self, tmp_path, capsys, t):
         # T_t of flip_nonpositive(3) at these t is finite, with entries within
@@ -384,7 +401,7 @@ class TestReportSearches:
     def test_every_T_t_from_one_exponential(self, monkeypatch):
         # T_t of t_grid and TRACE_T_GRID (0.1, 1, 10, 0.5, 2; 1 is shared)
         # are built by one stacked call, and each is mat_exp(t L) bit for bit;
-        # the 3 x 3 e^{s R_lam} are the second call
+        # the second call is the 3 x 3 e^{s R_lam}'s one root e^{R_lam / 2} per lam
         h = SemigroupHandle(random_lindblad(3, 2, seed=4))
         calls = []
 
@@ -395,7 +412,7 @@ class TestReportSearches:
         monkeypatch.setattr(semigroup, "mat_exp", counted)
         cfg = RunConfig(samples=4)
         cli._report_sections(h, cfg)
-        assert calls == [(5, 9, 9), (9, 9, 9)]
+        assert calls == [(5, 9, 9), (3, 9, 9)]
         assert sorted(h._maps["semigroup"]) == [0.1, 0.5, 1.0, 2.0, 10.0]
         for t, s in h._maps["semigroup"].items():
             assert np.array_equal(s.rep, mat_exp(t * h.generator.rep))

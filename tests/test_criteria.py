@@ -56,6 +56,7 @@ from conftest import (
     full_contraction_search,
     laplace_resolvent,
     rand_complex,
+    root_rule_exp,
     signed_rate_rep,
 )
 
@@ -580,16 +581,27 @@ class TestScreenedScans:
             (trace.state_min_eig.hex(), trace.state_status, trace.trace_margin.hex()),
         )
 
-    @pytest.mark.parametrize("n", [2, 3, 4])
-    @pytest.mark.parametrize("make", [
+    GENERATORS = pytest.mark.parametrize("make", [
         lambda n: random_lindblad(n, 2, n),
         lambda n: transpose_mixing(random_lindblad(n, 1, n)),
         lambda n: flip_nonpositive(n),
     ], ids=["lindblad", "transpose_mixing", "flip_nonpositive"])
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    @GENERATORS
     def test_searches_unchanged(self, make, n, monkeypatch):
         screened = self.searches(make(n))
         monkeypatch.setattr(matrixcore, "_cholesky_completes",
                             lambda a, shift: np.zeros(a.shape[2:], dtype=bool))
+        assert self.searches(make(n)) == screened
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    @GENERATORS
+    def test_searches_unchanged_when_the_choi_screen_settles_nothing(self, make, n, monkeypatch):
+        # every CP certificate then comes from the eigenvalues
+        screened = self.searches(make(n))
+        monkeypatch.setattr(superop, "_choi_screen",
+                            lambda herm, low, high: 2 * (np.zeros(len(herm), dtype=bool),))
         assert self.searches(make(n)) == screened
 
 
@@ -626,7 +638,7 @@ class TestTheorem1StackedCones:
                 "semigroup_positive": [(t, evolve(g, t)) for t in config.t_grid],
                 "resolvent_positive": [(l, resolvent(g, l)) for l in lams],
                 "resolvent_exp": [
-                    (l, Superoperator(3, mat_exp(s * resolvent(g, l).rep)))
+                    (l, Superoperator(3, root_rule_exp(resolvent(g, l).rep, s)))
                     for s in criteria.S_GRID for l in lams
                 ],
             }
@@ -732,10 +744,10 @@ class TestConeVerdictMemo:
         (lambda h: trace_preservation_check(h, density_from(np.random.default_rng(1), 3, k=2)),
          [(3, 9, 9)], []),
         (lambda h: check_condition(h, "resolvent_exp", ProbeSet.build(3, 1), small_config()),
-         [(9, 9, 9)], [(3, 9, 9)]),  # the (s, lam) pairs from the R_lam
+         [(3, 9, 9)], [(3, 9, 9)]),  # one root e^{R_lam / 2} per R_lam
         (lambda h: trajectory_records(h, np.eye(3) / 3, TRACE_T_GRID), [(3, 9, 9)], []),
         (lambda h: theorem1_report(h, small_config(seed=3)),
-         [(3, 9, 9), (9, 9, 9)], [(3, 9, 9)]),
+         [(3, 9, 9), (3, 9, 9)], [(3, 9, 9)]),
         (lambda h: theorem2_check(h, small_config(seed=3)), [(3, 9, 9)], []),
     ], ids=["trace_preservation", "resolvent_exp", "trajectory", "theorem1", "theorem2"])
     def test_each_family_is_built_in_one_stacked_call(self, check, exps, invs, monkeypatch):

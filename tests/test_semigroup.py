@@ -1,3 +1,4 @@
+import math
 import re
 
 import numpy as np
@@ -45,6 +46,7 @@ from conftest import (
     laplace_resolvent,
     predual_evolve,
     rand_complex,
+    root_rule_exp,
 )
 
 
@@ -297,7 +299,54 @@ class TestResolventExp:
                 family_maps(h, "resolvent_exp", request)
             assert str(exc.value) == "e^(s R_lam) at s=1000, lam=1 overflows double precision"
         assert family_maps(h, "resolvent_exp", points[:1])[0] is h._maps["resolvent_exp"][1.0, 1.0]
-        assert calls == [(2, 4, 4)]
+        assert calls == [(2, 4, 4)]  # the roots e^{R/2} and e^{(1000/1024) R}
+
+    # s = 0, s < 1/2, the S_GRID values and s = 3 = (3/4) 2^2
+    S = (0.0, 0.25, 0.5, 1.0, 2.0, 3.0, 1.5, 0.75)
+
+    def points(self, h):
+        lams = [h.spectral_abscissa + d for d in (0.5, 2.0, 8.0)]
+        return [(s, lam) for s in self.S for lam in lams]
+
+    @pytest.mark.parametrize("family", ["lindblad", "transpose_mixing", "flip_nonpositive"])
+    def test_each_map_is_its_root_squared(self, family, monkeypatch):
+        spec = build(InstanceRecipe(family=family, n=3, seed=4))
+        h = SemigroupHandle(spec)
+        roots = []
+
+        def counted(m):
+            roots.extend(np.array(m))  # m may be a view that the result overwrites
+            return mat_exp(m)
+
+        monkeypatch.setattr(semigroup, "mat_exp", counted)
+        points = self.points(h)
+        maps = dict(zip(points, family_maps(h, "resolvent_exp", points)))
+        # one root per distinct (m, lam): 0, 1/4, 1/2 and 3/4 at each lam
+        assert len(roots) == 4 * 3
+        for (s, lam), e in maps.items():
+            r = resolvent(h, lam).rep
+            assert np.array_equal(e.rep, root_rule_exp(r, s))
+            if s >= 1:
+                half = maps[s / 2, lam].rep
+                assert np.array_equal(e.rep, half @ half)
+        for s, lam in points:
+            m = math.frexp(s)[0] if s >= 0.5 else s
+            assert any(np.array_equal(m * resolvent(h, lam).rep, root) for root in roots)
+        for lam in {lam for _, lam in points}:
+            assert np.array_equal(maps[0.0, lam].rep, np.eye(9))
+
+    @pytest.mark.parametrize("family", ["lindblad", "flip_nonpositive"])
+    def test_bits_do_not_depend_on_the_other_points(self, family):
+        spec = build(InstanceRecipe(family=family, n=3, seed=4))
+        whole = SemigroupHandle(spec)
+        points = self.points(whole)
+        one_call = family_maps(whole, "resolvent_exp", points)
+        alone, reverse = SemigroupHandle(spec), SemigroupHandle(spec)
+        singles = [family_maps(alone, "resolvent_exp", [p])[0] for p in points]
+        reversed_ = family_maps(reverse, "resolvent_exp", points[::-1])[::-1]
+        for a, b, c in zip(one_call, singles, reversed_):
+            assert np.array_equal(a.rep, b.rep)
+            assert np.array_equal(a.rep, c.rep)
 
 
 class TestResolvent:
@@ -401,7 +450,7 @@ class TestOneBuildRule:
         monkeypatch.setattr(semigroup, "mat_exp", counted)
         monkeypatch.setattr(semigroup, "_EXP_CHUNK", 81)  # one 9 x 9 matrix
         chunked = family_maps(small_lindblad(seed=5), "resolvent_exp", points)
-        assert calls == [1] * len(points)
+        assert calls == [1] * 3  # one root e^{R_lam / 2} per lam
         for a, b in zip(one, chunked):
             assert np.array_equal(a.rep, b.rep)
 

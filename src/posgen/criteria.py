@@ -265,6 +265,38 @@ def _cone_verdicts(h, plans: dict, config: RunConfig) -> dict:
             for cid, key in keys.items()}
 
 
+def _probe_margins(h, plans: dict, probes: ProbeSet) -> dict:
+    """The (maps x probes) margins of probe conditions, by id.
+
+    ``plans`` gives each condition id its maps, as ``_plan`` lists them.
+    Margins are memoized on the handle by family, grid points and probe
+    class, each with the ProbeSet it was scanned over, and an entry serves
+    only that same object: a scan over another replaces it.  The conditions
+    not yet scanned go through one scan per probe class, their maps stacked
+    and cut into the kernel's ``_SCAN_ENTRIES`` chunks.  ``psd_margins``
+    screens the probes of each map as a row of their own, so each entry is
+    the one a scan of its condition alone finds.
+    """
+    keys, missing = {}, {}
+    for cid, maps in plans.items():
+        family, kind = _CONDITIONS[cid]
+        key = keys[cid] = (family, tuple(point for point, _, _ in maps), kind)
+        scanned = h._probe_margins.get(key)
+        if scanned is None or scanned[0] is not probes:
+            missing.setdefault(kind, {})[key] = [phi.rep for _, _, phi in maps]
+    for kind, reps in missing.items():
+        pool = probes.selfadjoint if kind == "selfadjoint" else probes.unitaries
+        reps_t = np.stack([rep for grid in reps.values() for rep in grid]).swapaxes(1, 2)
+        k = min(len(reps_t), -(-len(reps_t) * pool.size // _SCAN_ENTRIES))
+        margins = np.concatenate([psd_margins(dissipation_batch(c, pool))
+                                  for c in np.array_split(reps_t, k)])
+        margins.flags.writeable = False
+        ends = np.cumsum([len(grid) for grid in reps.values()])[:-1]
+        for key, grid_margins in zip(reps, np.split(margins, ends)):
+            h._probe_margins[key] = (probes, grid_margins)
+    return {cid: h._probe_margins[key][1] for cid, key in keys.items()}
+
+
 def check_condition(
     h: SemigroupHandle, condition_id: str, probes: ProbeSet, config: RunConfig
 ) -> ConditionResult:
@@ -273,7 +305,9 @@ def check_condition(
     A cone condition reads its maps' verdicts from the handle's memo, which
     ``_cone_verdicts`` fills by a search of the planned grid if it is not
     there yet.
-    A probe condition scans every probe of its class at every map.  The
+    A probe condition reads the margins of every probe of its class at every
+    map from the handle's memo, which ``_probe_margins`` fills by a scan of
+    the planned grid if it is not there yet for this ``probes`` object.  The
     first minimum in map-major order wins.
     """
     if condition_id not in _CONDITIONS:
@@ -287,13 +321,7 @@ def check_condition(
         verdicts = _cone_verdicts(h, {condition_id: maps}, config)[condition_id]
         margins = np.array([v.margin for v in verdicts])[:, None]
     else:
-        pool = probes.selfadjoint if kind == "selfadjoint" else probes.unitaries
-        reps_t = np.stack([phi.rep for _, _, phi in maps]).swapaxes(1, 2)
-        k = min(len(maps), -(-len(maps) * pool.size // _SCAN_ENTRIES))
-        margins = np.concatenate([
-            psd_margins(dissipation_batch(c, pool).reshape(-1, *pool.shape[1:]))
-            for c in np.array_split(reps_t, k)
-        ]).reshape(len(maps), -1)
+        margins = _probe_margins(h, {condition_id: maps}, probes)[condition_id]
     i, k = np.unravel_index(np.argmin(margins), margins.shape)
     margin = margins[i, k]
     evaluated = np.isfinite(margin)
@@ -347,10 +375,13 @@ def theorem1_report(h: SemigroupHandle, config: RunConfig = RunConfig()) -> Theo
                 f"semigroup is not symmetric at t={t:g}: deviation {sym.margin:.3e}"
             )
     probes = ProbeSet.build(h.n, config.samples, subseed(config.seed, 11))
-    # one stacked descent searches the maps of every cone condition; their
-    # checks below read its verdicts
-    _cone_verdicts(h, {cid: _plan(h, family, config)[1]
-                       for cid, (family, kind) in _CONDITIONS.items() if kind == "cone"}, config)
+    # one stacked descent searches the maps of every cone condition, and one
+    # scan per probe class those of the probe conditions; their checks below
+    # read the memos
+    plans = {cid: _plan(h, family, config)[1] for cid, (family, _) in _CONDITIONS.items()}
+    cone = {cid for cid, (_, kind) in _CONDITIONS.items() if kind == "cone"}
+    _cone_verdicts(h, {cid: plans[cid] for cid in cone}, config)
+    _probe_margins(h, {cid: maps for cid, maps in plans.items() if cid not in cone}, probes)
     conditions = tuple(check_condition(h, cid, probes, config) for cid in CONDITION_IDS)
     margins = [c.min_margin for c in conditions if np.isfinite(c.min_margin)]
     ctol = config.tol("consistency")

@@ -312,17 +312,18 @@ def screened_least_eigvals(herm: np.ndarray, penalty: np.ndarray) -> np.ndarray:
 
 
 def psd_margins(stack: np.ndarray) -> np.ndarray:
-    """Skew-penalized least eigenvalues of an ``(m, n, n)`` stack, screened as one row.
+    """Skew-penalized least eigenvalues of a ``(..., b, n, n)`` stack, screened row by row.
 
     Each entry is the least eigenvalue of a matrix's hermitian part, less the
     largest entry modulus of its skew part ``(a - a*) / 2``.  For a hermitian
-    matrix it is >= 0 exactly when the matrix is PSD.  The stack is one row
-    of :func:`screened_least_eigvals`: its minimum and first argmin, and
-    every finite entry, are exact, and an entry that lies above the minimum
-    may be +inf instead.
+    matrix it is >= 0 exactly when the matrix is PSD.  Each row of b
+    matrices along the last batch axis is screened on its own by
+    :func:`screened_least_eigvals`, and an ``(m, n, n)`` stack is one row:
+    each row's minimum and first argmin, and every finite entry, are exact,
+    and an entry that lies above its row's minimum may be +inf instead.
     """
-    herm = (stack + stack.conj().swapaxes(1, 2)) / 2
-    skew = np.abs(stack - stack.conj().swapaxes(1, 2)).max(axis=(1, 2)) / 2
+    herm = (stack + stack.conj().swapaxes(-1, -2)) / 2
+    skew = np.abs(stack - stack.conj().swapaxes(-1, -2)).max(axis=(-2, -1)) / 2
     return screened_least_eigvals(herm, skew)
 
 

@@ -158,7 +158,9 @@ class SemigroupHandle:
     memoizes them by family and point, which is safe because a Superoperator
     is immutable.  Next to them the criteria module memoizes the cone-search
     verdicts of each condition grid, so every grid is searched once per
-    handle, and so is the :func:`generator_certificate`.
+    handle, and so is the :func:`generator_certificate`; and the probe
+    margins of each condition grid with the ProbeSet they were scanned over,
+    so a grid is scanned once per probe set.
     """
 
     def __init__(self, gen):
@@ -172,6 +174,7 @@ class SemigroupHandle:
         self.spectral_abscissa = float(np.linalg.eigvals(self.generator.rep).real.max())
         self._maps = {family: {} for family in _FAMILIES}
         self._cone_verdicts = {}
+        self._probe_margins = {}
         self._certificate = None
 
     def evolve_rep(self, ts: np.ndarray) -> np.ndarray:

@@ -63,6 +63,9 @@ from conftest import (
 E00 = np.diag([1.0, 0.0]).astype(complex)
 
 
+PROBE_IDS = tuple(cid for cid in CONDITION_IDS if criteria._CONDITIONS[cid][1] != "cone")
+
+
 def handle(spec):
     return SemigroupHandle(build_superoperator(spec))
 
@@ -707,6 +710,57 @@ class TestConeVerdictMemo:
             check(h, cid, probes, config)
         assert cone_searches == [15]
 
+    def test_report_scans_each_probe_class_once(self, monkeypatch):
+        probe_scans = []
+        kernel = criteria.dissipation_batch
+        monkeypatch.setattr(criteria, "dissipation_batch",
+                            lambda reps_t, xs: probe_scans.append(len(reps_t))
+                            or kernel(reps_t, xs))
+        built = []
+        build = ProbeSet.build
+        monkeypatch.setattr(ProbeSet, "build",
+                            staticmethod(lambda *args: built.append(build(*args)) or built[-1]))
+        h = handle(transpose_mixing(random_lindblad(3, 2, 5)))
+        config = small_config(seed=3)
+        theorem1_report(h, config)
+        assert probe_scans == [7, 7]  # T_t, R_lam and L, once per probe class
+        theorem2_check(h, config)
+        (probes,) = built
+        for cid in PROBE_IDS:
+            check_condition(h, cid, probes, config)
+        assert probe_scans == [7, 7]
+        # an equal ProbeSet that is another object is scanned again, and
+        # takes the memo's entry from the first
+        other = build(3, config.samples, subseed(config.seed, 11))
+        check_condition(h, "semigroup_sa", other, config)
+        check_condition(h, "semigroup_sa", other, config)
+        assert probe_scans == [7, 7, 3]
+        check_condition(h, "semigroup_sa", probes, config)
+        assert probe_scans == [7, 7, 3, 3]
+
+    @pytest.mark.parametrize("scan_entries", ["default", 1])
+    @pytest.mark.parametrize("gen", [
+        flip_plus_lindblad(3, 6),
+        transpose_mixing(random_lindblad(3, 2, 5)),
+    ], ids=["flip_plus_lindblad", "transpose_mixing"])
+    def test_probe_check_alone_equals_report_entry(self, gen, scan_entries, monkeypatch):
+        # the report scans every probe condition at once; a check on a fresh
+        # handle scans its own grid alone.  Margin arrays, screened entries
+        # included, and results agree bit for bit
+        if scan_entries != "default":
+            monkeypatch.setattr(criteria, "_SCAN_ENTRIES", scan_entries)
+        config = small_config(seed=3, t_grid=(0.1, 1.0, 2.0, 1.0, 10.0))
+        h = handle(gen)
+        report = theorem1_report(h, config)
+        probes = ProbeSet.build(3, config.samples, subseed(config.seed, 11))
+        for cid in PROBE_IDS:
+            alone = handle(gen)
+            got, want = check_condition(alone, cid, probes, config), report.by_id(cid)
+            assert (got.to_json(), got.min_margin.hex()) == (want.to_json(),
+                                                             want.min_margin.hex()), cid
+            ((key, (_, margins)),) = alone._probe_margins.items()
+            assert margins.tobytes() == h._probe_margins[key][1].tobytes(), cid
+
     def test_theorem2_alone_searches_the_semigroup_maps(self, cone_searches):
         h = handle(transpose_mixing(random_lindblad(3, 2, 5)))
         config = small_config(seed=3)
@@ -904,13 +958,14 @@ class TestConditionTable:
 
     def test_probe_scan_one_map_per_call_equals_one_call(self, monkeypatch):
         # margins and worst probes bit for bit, whatever the scan's chunks
-        h = handle(flip_plus_lindblad(3, 6))
+        gen = flip_plus_lindblad(3, 6)
         config = small_config(seed=3, t_grid=(0.1, 0.5, 1.0, 2.0, 10.0))
         probes = ProbeSet.build(3, config.samples, subseed(config.seed, 11))
-        ids = [cid for cid in CONDITION_IDS if criteria._CONDITIONS[cid][1] != "cone"]
 
         def scan():
-            return [check_condition(h, cid, probes, config).to_json() for cid in ids]
+            # on a fresh handle, or the memo serves the second scan
+            h = handle(gen)
+            return [check_condition(h, cid, probes, config).to_json() for cid in PROBE_IDS]
 
         monkeypatch.setattr(criteria, "_SCAN_ENTRIES", 2**62)
         whole = scan()

@@ -257,6 +257,47 @@ class TestScreenedLeastEigvals:
         assert np.argmin(got) == np.argmin(exact) and bits(got.min()) == bits(exact.min())
         assert np.array_equal(bits(got[np.isfinite(got)]), bits(exact[np.isfinite(got)]))
 
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(1, 6), st.integers(0, 2**32 - 1),
+           st.sampled_from([(0,), (-600, 0, 600)]), st.booleans(),
+           st.sampled_from([None, "nan", "inf"]))
+    def test_psd_margins_screens_each_row_alone(self, n, seed, exponents, hermitian, bad):
+        # rows of b matrices drawn with repeats from a pool of 6; one row is
+        # all zero matrices, as the dissipation at the unit probe is, so its
+        # entries tie at exactly 0
+        rng = np.random.default_rng(seed)
+        pool = rand_complex(rng, 6, n, n) * 2.0 ** rng.choice(exponents, 6)[:, None, None]
+        if hermitian:
+            pool += pool.conj().swapaxes(1, 2)
+        stack = pool[rng.integers(0, 6, (rng.integers(2, 5), rng.integers(1, 40)))]
+        stack[rng.integers(0, len(stack))] = 0.0
+        at = tuple(rng.integers(0, k) for k in stack.shape[:2])
+        if bad == "nan":
+            stack[at][0, 0] = np.nan
+        elif bad == "inf":
+            stack[at][0, -1] = np.inf
+        # halving an infinite complex entry is an invalid operation
+        with np.errstate(invalid="ignore"):
+            herm = (stack + stack.conj().swapaxes(-1, -2)) / 2
+            skew = np.abs(stack - stack.conj().swapaxes(-1, -2)).max(axis=(-2, -1)) / 2
+            try:
+                exact = np.linalg.eigvalsh(herm)[..., 0] - skew
+            except np.linalg.LinAlgError:
+                with pytest.raises(np.linalg.LinAlgError):
+                    psd_margins(stack)
+                return
+            got = psd_margins(stack)
+            alone = [psd_margins(row) for row in stack]
+        assert np.array_equal(bits(got), bits(np.stack(alone)))
+        k = np.argmin(exact, axis=-1)
+        assert np.array_equal(np.argmin(got, axis=-1), k)
+        rows = np.arange(len(k))
+        assert np.array_equal(bits(got[rows, k]), bits(exact[rows, k]))
+        finite = np.isfinite(got)
+        assert np.array_equal(bits(got[finite]), bits(exact[finite]))
+        zero = np.flatnonzero(~stack.any(axis=(1, 2, 3)))
+        assert np.all(exact[zero] == 0.0) and np.all(k[zero] == 0)
+
     @settings(max_examples=50, deadline=None)
     @given(st.integers(1, 8), st.integers(0, 2**32 - 1))
     def test_eigvalsh_of_a_subset_equals_its_rows(self, n, seed):

@@ -182,12 +182,16 @@ class SemigroupHandle:
         ts = np.asarray(ts, dtype=float)
         if ts.ndim != 1:
             raise ValueError(f"semigroup times must be a 1-D array, got shape {ts.shape}")
-        bad = ts[~np.isfinite(ts)]
-        if bad.size:
-            raise ValueError(f"semigroup times must be finite, got t={bad[0]:g}")
+        _require_finite(ts)
         if np.any(ts < 0):
             raise ValueError("semigroup is defined for t >= 0 only")
         return _exp_finite(np.multiply.outer(ts, self.generator.rep))
+
+
+def _require_finite(ts) -> None:
+    bad = np.asarray(ts, dtype=float)[~np.isfinite(ts)]
+    if bad.size:
+        raise ValueError(f"semigroup times must be finite, got t={bad[0]:g}")
 
 
 def _exp_finite(out: np.ndarray) -> np.ndarray:
@@ -425,6 +429,7 @@ def resolvent(h: SemigroupHandle, lam: float) -> Superoperator:
 
 def euler_product(h: SemigroupHandle, t: float, m: int) -> Superoperator:
     """Backward-Euler approximation ((m/t)(m/t - L)^{-1})^m of the handle's e^{tL}."""
+    _require_finite(t)
     if t <= 0:
         raise ValueError("euler_product needs t > 0")
     if m < 1:
@@ -471,6 +476,7 @@ def yosida_semigroup(h: SemigroupHandle, lam: float, t: float) -> Superoperator:
     back together; the result is cross-checked against mat_exp of the Yosida
     generator.
     """
+    _require_finite(t)
     if t < 0:
         raise ValueError("semigroup times must be nonnegative")
     r = resolvent(h, lam).rep

@@ -163,79 +163,20 @@ class CPCheck:
     min_choi_eig: float
 
 
-def _choi_screen(herm: np.ndarray, low: np.ndarray, high: np.ndarray):
-    """Which matrices H of a hermitian stack factor as H + low I, and which fail as H + high I.
-
-    ``low`` and ``high`` hold one shift per matrix.  One stacked Cholesky
-    call tries every H + low I; when it fails, each matrix is tried alone,
-    first at ``high``, then at ``low``.  The shifts go onto the diagonal in
-    place, and the diagonal is restored before the return.
-    """
-    k = np.arange(herm.shape[-1])
-    diag = herm[:, k, k]
-
-    def factors(rows, shift):
-        herm[rows, k, k] = diag[rows] + shift[rows, None]
-        try:
-            np.linalg.cholesky(herm[rows])
-        except np.linalg.LinAlgError:
-            return False
-        return True
-
-    above = np.full(len(herm), factors(slice(None), low))
-    below = np.zeros(len(herm), dtype=bool)
-    if not above.all():
-        for i in range(len(herm)):
-            row = slice(i, i + 1)
-            below[i] = not factors(row, high)
-            above[i] = not below[i] and factors(row, low)
-    herm[:, k, k] = diag
-    return above, below
-
-
-def _cp_checks(reps: np.ndarray, n: int, tol, exact=None):
+def _cp_checks(reps: np.ndarray, n: int, tol):
     """CP verdicts, least Choi eigenvalues and Choi hermiticity deviations.
 
     ``reps`` is an (m, n^2, n^2) stack; ``tol`` is one tolerance, or one per
     map.  The deviation of a map is ``max|C - C*|`` of its Choi matrix C, and
     a map is CP-certified when it is at most ``tol`` and the least eigenvalue
     of herm(C) is at least ``-tol``.
-
-    ``exact`` marks the maps whose least eigenvalue is needed, by default
-    all; they are eigensolved.  The other maps whose deviation is within
-    ``tol`` are screened by Cholesky (see :func:`_choi_screen`).  The slack
-    delta = rounding_slack(n) (max|herm C| + tol + 2^-1022) covers the
-    backward errors of the factorization and of ``eigvalsh``, underflow
-    included: a map is certified when herm(C) + (tol - delta) I factors,
-    and not certified when herm(C) + (tol + delta) I does not.  Only the
-    maps in between are eigensolved.  So every verdict is the one
-    ``eigvalsh`` gives, and every least eigenvalue is ``eigvalsh``'s, or
-    NaN where none was computed.
     """
     c = _choi_stack(reps, n)
     ch = c.conj().swapaxes(-1, -2)
     herm_dev = np.abs(c - ch).max(axis=(-2, -1))
-    c = c + ch
-    c *= 0.5  # herm(C), bit for bit 0.5 * (c + ch)
-    del ch
-    tol = np.broadcast_to(tol, herm_dev.shape)
-    hermitian = herm_dev <= tol
-    solve = np.ones(len(c), dtype=bool) if exact is None else np.array(exact, dtype=bool)
-    certified = np.zeros(len(c), dtype=bool)
-    screen = np.flatnonzero(hermitian & ~solve)
-    if len(screen):
-        herm = c if len(screen) == len(c) else c[screen]
-        t = tol[screen]
-        # the smallest normal double keeps delta > 0 and covers underflow
-        delta = rounding_slack(n) * (np.abs(herm).max(axis=(-2, -1)) + t + np.finfo(float).tiny)
-        above, below = _choi_screen(herm, t - delta, t + delta)
-        certified[screen] = above
-        solve[screen] = ~above & ~below
-    min_eig = np.full(len(c), np.nan)
-    if solve.any():
-        min_eig[solve] = np.linalg.eigvalsh(c[solve])[:, 0]
-    certified |= hermitian & (min_eig >= -tol)
-    return certified, min_eig, herm_dev
+    # halves first, so that herm(C) of a map with entries near the largest double stays finite
+    min_eig = np.linalg.eigvalsh(c / 2 + ch / 2)[:, 0]
+    return (herm_dev <= tol) & (min_eig >= -tol), min_eig, herm_dev
 
 
 def cp_check(s: Superoperator, tol: float = DEFAULT_TOL) -> CPCheck:
@@ -402,26 +343,26 @@ def positivity_checks(maps, seeds, tol: float = DEFAULT_TOL, groups=None,
     certificate and the violation threshold compare against ``tol``
     divided by that power, which is ``tol`` on the copy.  So no verdict
     depends on the map's scale; margins are reported at the map's own
-    scale.  The seesaws of all maps run as one stacked descent.  A CP
+    scale.  The seesaws of all maps run as one stacked descent.  A
     certificate takes its map out of the stack: the certificate already
     implies positivity, so only the cheap sampling pass runs to report an
-    honest margin.  The certificates come from a Cholesky screen of the
-    Choi matrices, which eigensolves only the maps it cannot decide and
-    those violated at their starters (see ``_cp_checks``).
+    honest margin.
 
     ``generator_certified``, when given, is a callable of no arguments,
-    called at most once and only when some map is neither CP-certified nor
-    violated at its starters.  It returns whether the generator all the
-    maps were built from holds a certificate that makes each of them
-    positive (see ``semigroup.generator_certificate``).  If it does, those
-    maps are certified and skip their descent as CP-certified maps do.
+    called at most once and only when some map is not violated at its
+    starters.  It returns whether the generator all the maps were built
+    from holds a certificate that makes each of them positive (see
+    ``semigroup.generator_certificate``).  If it does, every map not
+    violated at its starters is certified.  The other maps, or all of them
+    when there is no such certificate, are CP-certified or not by the
+    eigenvalues of their Choi matrices (see ``_cp_checks``).
 
     ``groups`` holds one hashable label per map, by default a group of its
     own for each; a group is the maps whose least margin a caller reports.
     Choi's correspondence ``w* S(vv*) w = (conj(v) kron w)* C (conj(v) kron
     w)``, C the Choi matrix, bounds every f(v) below by the floor
-    ``min_eig(herm C) - n^2 max|C - C*|``, which the certificate's
-    eigensolve gives.  A map that is violated at its starters, and whose floor lies
+    ``min_eig(herm C) - n^2 max|C - C*|``, which the CP test's eigensolve
+    gives.  A map that is violated at its starters, and whose floor lies
     above another starter value of its group, skips its descent (see
     ``_bounded``): its margin is its best starter's, its samples_used counts
     only its starters, and its status is violated either way.  Each group's
@@ -456,12 +397,15 @@ def positivity_checks(maps, seeds, tol: float = DEFAULT_TOL, groups=None,
     # power of two is exact
     unit_tol = tol / unit
     violated_at_start = best_val < -unit_tol
+    certified = np.zeros(len(maps), dtype=bool)
+    if generator_certified is not None and not violated_at_start.all() and generator_certified():
+        certified = ~violated_at_start
     # the floors of the maps violated at their starters are the only least
     # Choi eigenvalues read
-    certified, min_eig, herm_dev = _cp_checks(reps, n, unit_tol, violated_at_start)
-    undecided = ~certified & (best_val >= -unit_tol)
-    if generator_certified is not None and undecided.any() and generator_certified():
-        certified |= undecided
+    min_eig, herm_dev = np.full((2, len(maps)), np.nan)
+    rest = np.flatnonzero(~certified)
+    if len(rest):
+        certified[rest], min_eig[rest], herm_dev[rest] = _cp_checks(reps[rest], n, unit_tol[rest])
     # the slack also covers rounding, so that the bound holds at tol = 0 too
     slack = (tol + rounding_slack(n)) / unit
     bounded = _bounded(groups, best_val, min_eig - n * n * herm_dev, slack,

@@ -598,15 +598,6 @@ class TestScreenedScans:
                             lambda a, shift: np.zeros(a.shape[2:], dtype=bool))
         assert self.searches(make(n)) == screened
 
-    @pytest.mark.parametrize("n", [2, 3, 4])
-    @GENERATORS
-    def test_searches_unchanged_when_the_choi_screen_settles_nothing(self, make, n, monkeypatch):
-        # every CP certificate then comes from the eigenvalues
-        screened = self.searches(make(n))
-        monkeypatch.setattr(superop, "_choi_screen",
-                            lambda herm, low, high: 2 * (np.zeros(len(herm), dtype=bool),))
-        assert self.searches(make(n)) == screened
-
 
 class TestTheorem1StackedCones:
     """One stacked descent for all cone conditions gives each condition's own result."""
@@ -877,14 +868,13 @@ class TestGeneratorCertificates:
         assert self.payloads(gen, config) == searched
 
     @pytest.mark.parametrize("gen", [
-        random_lindblad(3, 2, 7),
         flip_plus_lindblad(4, 6),
         flip_plus_lindblad(4, 9),
-    ], ids=["cp_lindblad", "violated_flip", "violated_flip_9"])
-    def test_cp_and_violated_maps_never_ask_for_the_certificate(self, gen, monkeypatch):
-        # every map is CP-certified or violated at its starters, so the
-        # search never asks for the generator's certificate: no split and no
-        # eigh or eigvalsh on its behalf
+    ], ids=["violated_flip", "violated_flip_9"])
+    def test_violated_maps_never_ask_for_the_certificate(self, gen, monkeypatch):
+        # every map is violated at its starters, so the search never asks
+        # for the generator's certificate: no split and no eigh or eigvalsh
+        # on its behalf
         config = small_config(seed=3)
         plain = self.payloads(gen, config)
 
@@ -895,6 +885,25 @@ class TestGeneratorCertificates:
                              (semigroup, "generator_certificate"), (semigroup, "mirror_split")):
             monkeypatch.setattr(module, name, unreachable)
         assert self.payloads(gen, config) == plain
+
+    def test_cp_maps_ask_for_the_certificate_once_per_handle(self, monkeypatch):
+        # no map of a CP Lindblad generator is violated at its starters, so
+        # its reports ask for the certificate, once per handle
+        gen = random_lindblad(3, 2, 7)
+        config = small_config(seed=3)
+        plain = self.payloads(gen, config)
+        calls = {"generator_certificate": 0, "mirror_split": 0}
+
+        def counted(name, fn):
+            def call(arg):
+                calls[name] += 1
+                return fn(arg)
+            return call
+
+        for module, name in ((criteria, "generator_certificate"), (semigroup, "mirror_split")):
+            monkeypatch.setattr(module, name, counted(name, getattr(module, name)))
+        assert self.payloads(gen, config) == plain
+        assert calls == {"generator_certificate": 1, "mirror_split": 1}
 
 
 class TestConditionTable:

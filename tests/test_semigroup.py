@@ -253,6 +253,15 @@ class TestEvolve:
         with pytest.raises(ValueError, match=f"must be finite, got t={t:g}"):
             small_lindblad().evolve_rep(np.array([0.5, t]))
 
+    @pytest.mark.parametrize("t", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("approximation", [
+        lambda h, t: euler_product(h, t, 3),
+        lambda h, t: yosida_semigroup(h, 10.0, t),
+    ], ids=["euler_product", "yosida_semigroup"])
+    def test_approximations_reject_nonfinite_times(self, approximation, t):
+        with pytest.raises(ValueError, match=f"^semigroup times must be finite, got t={t:g}$"):
+            approximation(small_lindblad(), t)
+
     def test_empty_times_give_an_empty_stack(self):
         assert small_lindblad().evolve_rep(np.array([])).shape == (0, 9, 9)
 

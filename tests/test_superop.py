@@ -187,111 +187,10 @@ class TestChoi:
         u, _ = np.linalg.qr(rand_complex(rng, 3, 3))
         assert cp_check(conjugation(u)).verdict
 
-
-class TestCholeskyScreen:
-    """``_cp_checks`` with ``exact`` decides the maps it need not eigensolve by a
-    Cholesky screen: every verdict, and every least eigenvalue it computes,
-    is the one of the call that eigensolves every map, bit for bit."""
-
-    KINDS = ("placed_below", "placed_above", "placed_at", "random", "skew", "nan", "inf")
-
-    @staticmethod
-    def choi(rng, n, kind, tol, scale):
-        """A Choi matrix of ``kind``: herm part with least eigenvalue placed at
-        -tol (1 +- 2^-40) or at -tol, the rest within a spread above it; a
-        random or slightly skew one; or one with a NaN or inf entry."""
-        size = n * n
-        if kind in ("random", "nan", "inf"):
-            c = scale * rand_complex(rng, size, size)
-            if kind != "random":
-                c[rng.integers(size), rng.integers(size)] = np.nan if kind == "nan" else np.inf
-            return c
-        q, _ = np.linalg.qr(rand_complex(rng, size, size))
-        least = -tol * {"placed_below": 1 + 2.0**-40, "placed_above": 1 - 2.0**-40,
-                        "placed_at": 1.0, "skew": rng.uniform(-2, 2)}[kind]
-        spread = rng.choice([2 * tol, 2.0**10 * tol, scale])
-        w = np.concatenate([[least], least + spread * rng.uniform(0, 1, size - 1)])
-        c = (q * w) @ q.conj().T
-        if kind == "skew":
-            # a skew part near tol: the deviation max|C - C*| lands on either side of it
-            c = c + tol * rng.uniform(0.2, 0.8) * rand_complex(rng, size, size)
-        return c
-
-    @staticmethod
-    def exact_checks(reps, n, tol):
-        """Each map through the call that eigensolves it; None where eigvalsh raises."""
-        out = []
-        for rep, t in zip(reps, tol):
-            try:
-                out.append([a[0] for a in superop._cp_checks(rep[None], n, t)])
-            except np.linalg.LinAlgError:
-                out.append(None)
-        return out
-
-    @given(st.integers(0, 2**32 - 1), st.integers(1, 4), st.integers(1, 6),
-           st.sampled_from([-600, -40, 0, 40, 600]), st.sampled_from([0.0, DEFAULT_TOL, 1e-3]))
-    @settings(max_examples=60, deadline=None)
-    def test_verdicts_and_eigenvalues_are_exact(self, seed, n, m, power, base):
-        rng = np.random.default_rng(seed)
-        scale = 2.0**power
-        tol = base * scale * rng.choice([1.0, 2.0**-20, 2.0**20], size=m)
-        kinds = rng.choice(self.KINDS, size=m)
-        # the Choi reshuffle is an involution, so this is the rep with that Choi matrix
-        reps = superop._choi_stack(
-            np.stack([self.choi(rng, n, k, t, scale) for k, t in zip(kinds, tol)]), n)
-        finite = np.isfinite(reps).all(axis=(1, 2))
-        exact = finite & (rng.uniform(size=m) < 0.3)
-        # an inf entry gives inf - inf, in both calls
-        with np.errstate(invalid="ignore"):
-            verdict, min_eig, herm_dev = superop._cp_checks(reps, n, tol, exact)
-            refs = self.exact_checks(reps, n, tol)
-        for k, ref in enumerate(refs):
-            if ref is None:
-                # a non-finite Choi matrix has a non-finite deviation: never
-                # certified, never screened
-                assert not verdict[k] and not np.isfinite(herm_dev[k]) and np.isnan(min_eig[k])
-                continue
-            assert verdict[k] == ref[0]
-            assert herm_dev[k] == ref[2] or np.isnan(herm_dev[k]) and np.isnan(ref[2])
-            if exact[k] or not np.isnan(min_eig[k]):
-                assert min_eig[k] == ref[1] or np.isnan(min_eig[k]) and np.isnan(ref[1])
-
-    @pytest.mark.parametrize("kind, certified", [("placed_below", False),
-                                                 ("placed_above", True)])
-    def test_screen_decides_a_placed_spectrum(self, kind, certified, monkeypatch):
-        # on M(1) the slack 2^-44 (|C| + tol) is below 2^-40 tol, so the screen
-        # decides a least eigenvalue at -tol (1 +- 2^-40) with no eigensolve
-        rng = np.random.default_rng(3)
-        reps = np.stack([self.choi(rng, 1, kind, DEFAULT_TOL, 1.0) for _ in range(4)])
-        monkeypatch.setattr(np.linalg, "eigvalsh", None)
-        verdict, min_eig, _ = superop._cp_checks(reps, 1, DEFAULT_TOL, np.zeros(4, dtype=bool))
-        assert verdict.tolist() == [certified] * 4
-        assert np.isnan(min_eig).all()
-
-    @pytest.mark.parametrize("make", [
-        lambda: random_lindblad(3, 2, 7),
-        lambda: transpose_mixing(random_lindblad(3, 2, 5)),
-    ], ids=["cp_lindblad", "transpose_mixing"])
-    def test_cone_search_eigensolves_no_choi_matrix(self, make, monkeypatch):
-        # every map is CP, or positive with a generator certificate and no
-        # violation at its starters: the screen decides each Choi certificate
-        h = SemigroupHandle(make())
-        lams = lambda_grid(h, (1.0, 10.0, 100.0))
-        maps = (family_maps(h, "semigroup", [0.1, 1.0, 10.0]) + family_maps(h, "resolvent", lams)
-                + family_maps(h, "resolvent_exp", [(s, lam) for s in (0.5, 1.0, 2.0)
-                                                   for lam in lams]))
-        sizes = []
-        eigvalsh = np.linalg.eigvalsh
-
-        def counted(a, *args, **kwargs):
-            sizes.append(np.shape(a)[-1])
-            return eigvalsh(a, *args, **kwargs)
-
-        monkeypatch.setattr(np.linalg, "eigvalsh", counted)
-        verdicts = positivity_checks(maps, [0] * len(maps), DEFAULT_TOL, None,
-                                     lambda: generator_certificate(h).kind is not None)
-        assert {v.status for v in verdicts} == {"certified_positive"}
-        assert sizes and 9 not in sizes
+    def test_cp_check_near_the_largest_double(self):
+        # herm(C) = C/2 + C*/2 stays finite where C + C* would overflow
+        chk = cp_check(Superoperator(2, 2.0**1023 * np.eye(4)))
+        assert chk.verdict and chk.min_choi_eig == 0.0
 
 
 class TestPositivityCheck:
@@ -798,12 +697,85 @@ class TestGeneratorCertificate:
                 == [(v.status, v.margin, v.samples_used) for v in plain])
 
     def test_no_undecided_map_no_call(self):
+        # every map is violated at its starters, so none is left to certify
         def unreachable():
             raise AssertionError("generator certificate asked for")
 
-        maps = [identity_superop(3), Superoperator(3, -np.eye(9))]
-        assert [v.status for v in positivity_checks(maps, [0, 0], self.TOL, None, unreachable)] == [
-            "certified_positive", "violated"]
+        h = SemigroupHandle(flip_nonpositive(3))
+        maps = [Superoperator(3, -np.eye(9)), evolve(h, 1.0), evolve(h, 10.0)]
+        assert [v.status for v in positivity_checks(maps, [0] * 3, self.TOL, None, unreachable)] == [
+            "violated"] * 3
+
+    @pytest.mark.parametrize("make", [
+        lambda: random_lindblad(3, 2, 7),
+        lambda: transpose_mixing(random_lindblad(3, 2, 5)),
+    ], ids=["cp_lindblad", "transpose_mixing"])
+    def test_cone_search_eigensolves_no_choi_matrix(self, make, monkeypatch):
+        # every map has the generator's certificate and no violation at its
+        # starters: no Choi matrix of a map is built, and none is eigensolved
+        h = SemigroupHandle(make())
+        maps = self.cone_maps(h)
+        assert generator_certificate(h).kind is not None  # memoized before counting
+        rows, sizes = [], []
+        choi_stack, eigvalsh = superop._choi_stack, np.linalg.eigvalsh
+
+        def counted_choi(reps, n):
+            rows.append(len(reps))
+            return choi_stack(reps, n)
+
+        def counted(a, *args, **kwargs):
+            sizes.append(np.shape(a)[-1])
+            return eigvalsh(a, *args, **kwargs)
+
+        monkeypatch.setattr(superop, "_choi_stack", counted_choi)
+        monkeypatch.setattr(np.linalg, "eigvalsh", counted)
+        verdicts = positivity_checks(maps, [0] * len(maps), self.TOL, None, self.certified(h))
+        assert {v.status for v in verdicts} == {"certified_positive"}
+        assert sum(rows) == 0
+        assert sizes and 9 not in sizes
+
+    @staticmethod
+    def mixed_maps():
+        """Maps violated at their starters, CP maps and positive maps that are not CP."""
+        n = 3
+        h = SemigroupHandle(transpose_mixing(random_lindblad(n, 1, 0)))
+        flip = SemigroupHandle(flip_nonpositive(n))
+        maps = [identity_superop(n), Superoperator(n, -np.eye(n * n)), transpose_map(n),
+                evolve(h, 1.0), evolve(flip, 1.0), resolvent(h, 2.0 * h.spectral_abscissa + 1.0),
+                evolve(flip, 10.0)]
+        return maps, [4] * len(maps), [0, 1, 0, 1, 0, 1, 0]
+
+    @pytest.mark.parametrize("answer", [True, False, None])
+    def test_choi_matrices_of_exactly_the_uncertified_maps(self, answer, monkeypatch):
+        # a certificate leaves the Choi test only the maps violated at their
+        # starters; without one, the Choi test sees every map
+        maps, seeds, groups = self.mixed_maps()
+        cp_checks, seen = superop._cp_checks, []
+
+        def recorded(reps, n, tol):
+            seen.extend(rep.tobytes() for rep in reps)
+            return cp_checks(reps, n, tol)
+
+        monkeypatch.setattr(superop, "_cp_checks", recorded)
+        got = positivity_checks(maps, seeds, self.TOL, groups,
+                                None if answer is None else lambda: answer)
+        violated = [v.status == "violated" for v in got]
+        assert violated == [False, True, False, False, True, False, True]
+        expected = [m for m, bad in zip(maps, violated) if bad or not answer]
+        assert seen == [m.rep.tobytes() for m in expected]
+
+    def test_violated_verdicts_do_not_depend_on_the_certificate(self):
+        maps, seeds, groups = self.mixed_maps()
+        got, declined = (positivity_checks(maps, seeds, self.TOL, groups, lambda: answer)
+                         for answer in (True, False))
+        assert [v.status for v in got] == ["certified_positive", "violated", "certified_positive",
+                                           "certified_positive", "violated",
+                                           "certified_positive", "violated"]
+        for a, b in zip(got, declined):
+            if b.status == "violated":
+                assert (a.status, a.margin.hex(), a.samples_used) == (
+                    b.status, b.margin.hex(), b.samples_used)
+                assert a.witness.tobytes() == b.witness.tobytes()
 
 
 class TestContractionCheck:

@@ -553,7 +553,8 @@ class TestStackedConeSearches:
 class TestScreenedScans:
     """The eigenvalue screen changes no search: a screen that keeps every
     matrix gives the same statuses, margins, witnesses and worst probes, bit
-    for bit."""
+    for bit.  The generator certificate only settles maps that the search
+    would find no violation in."""
 
     @staticmethod
     def searches(spec):
@@ -597,6 +598,49 @@ class TestScreenedScans:
         monkeypatch.setattr(matrixcore, "_cholesky_completes",
                             lambda a, shift: np.zeros(a.shape[2:], dtype=bool))
         assert self.searches(make(n)) == screened
+
+    @staticmethod
+    def withhold_certificate(monkeypatch):
+        # a negative c fails the certificate, so no generator holds one
+        monkeypatch.setattr(semigroup, "mirror_split", lambda gen: (-1.0, -math.inf))
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    @pytest.mark.parametrize("make, kind", [
+        (lambda n: random_lindblad(n, 2, n), "ccp"),
+        (lambda n: flip_nonpositive(n), None),
+    ], ids=["lindblad", "flip_nonpositive"])
+    def test_searches_unchanged_when_the_certificate_settles_nothing(self, make, kind, n,
+                                                                     monkeypatch):
+        # the Choi eigenvalues of a CP generator's maps certify each map its
+        # certificate does; a flip generator holds none to withhold
+        assert generator_certificate(handle(make(n))).kind == kind
+        certified = self.searches(make(n))
+        self.withhold_certificate(monkeypatch)
+        assert self.searches(make(n)) == certified
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    @pytest.mark.parametrize("make", [lambda n: transpose_mixing(random_lindblad(n, 1, n))],
+                             ids=["transpose_mixing"])
+    def test_a_withheld_certificate_only_uncertifies_maps(self, make, n, monkeypatch):
+        # transpose mixing is positive but not CP: without its decomposable
+        # certificate the maps whose Choi matrices do not certify them
+        # descend, find no violation, and report a margin no higher than
+        # their starters gave; every other verdict stays bit for bit
+        assert generator_certificate(handle(make(n))).kind == "decomposable"
+        certified = self.searches(make(n))
+        self.withhold_certificate(monkeypatch)
+        withheld = self.searches(make(n))
+        assert [c[0] for c in withheld[0]] == [c[0] for c in certified[0]]
+        assert withheld[3] == certified[3]
+        assert withheld[1].keys() == certified[1].keys()
+        pairs = [(a, b) for key in certified[1]
+                 for a, b in zip(certified[1][key].values(), withheld[1][key].values(), strict=True)]
+        pairs += list(zip(certified[2], withheld[2], strict=True))
+        changed = [(a, b) for a, b in pairs if a != b]
+        assert changed
+        for a, b in changed:
+            assert (a[0], b[0]) == (CERTIFIED_POSITIVE, NO_VIOLATION_FOUND)
+            assert -DEFAULT_TOL <= float.fromhex(b[1]) <= float.fromhex(a[1])
 
 
 class TestTheorem1StackedCones:

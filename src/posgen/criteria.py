@@ -265,36 +265,62 @@ def _cone_verdicts(h, plans: dict, config: RunConfig) -> dict:
             for cid, key in keys.items()}
 
 
-def _probe_margins(h, plans: dict, probes: ProbeSet) -> dict:
+def _probe_margins(plans: dict, probes: ProbeSet) -> dict:
     """The (maps x probes) margins of probe conditions, by id.
 
-    ``plans`` gives each condition id its maps, as ``_plan`` lists them.
-    Margins are memoized on the handle by family, grid points and probe
-    class, each with the ProbeSet it was scanned over, and an entry serves
-    only that same object: a scan over another replaces it.  The conditions
-    not yet scanned go through one scan per probe class, their maps stacked
-    and cut into the kernel's ``_SCAN_ENTRIES`` chunks.  ``psd_margins``
-    screens the probes of each map as a row of their own, so each entry is
-    the one a scan of its condition alone finds.
+    ``plans`` gives each condition id its maps, as ``_plan`` lists them.  One
+    scan per probe class evaluates them all, their maps stacked and cut into
+    the kernel's ``_SCAN_ENTRIES`` chunks.  ``psd_margins`` screens the probes
+    of each map as a row of their own, so each entry is the one a scan of its
+    condition alone finds.
     """
-    keys, missing = {}, {}
+    by_kind, out = {}, {}
     for cid, maps in plans.items():
-        family, kind = _CONDITIONS[cid]
-        key = keys[cid] = (family, tuple(point for point, _, _ in maps), kind)
-        scanned = h._probe_margins.get(key)
-        if scanned is None or scanned[0] is not probes:
-            missing.setdefault(kind, {})[key] = [phi.rep for _, _, phi in maps]
-    for kind, reps in missing.items():
+        by_kind.setdefault(_CONDITIONS[cid][1], {})[cid] = [phi.rep for _, _, phi in maps]
+    for kind, reps in by_kind.items():
         pool = probes.selfadjoint if kind == "selfadjoint" else probes.unitaries
         reps_t = np.stack([rep for grid in reps.values() for rep in grid]).swapaxes(1, 2)
         k = min(len(reps_t), -(-len(reps_t) * pool.size // _SCAN_ENTRIES))
         margins = np.concatenate([psd_margins(dissipation_batch(c, pool))
                                   for c in np.array_split(reps_t, k)])
-        margins.flags.writeable = False
         ends = np.cumsum([len(grid) for grid in reps.values()])[:-1]
-        for key, grid_margins in zip(reps, np.split(margins, ends)):
-            h._probe_margins[key] = (probes, grid_margins)
-    return {cid: h._probe_margins[key][1] for cid, key in keys.items()}
+        out.update(zip(reps, np.split(margins, ends)))
+    return out
+
+
+def _check_conditions(h: SemigroupHandle, ids, probes: ProbeSet,
+                      config: RunConfig) -> list:
+    """Evaluate the conditions ``ids`` on the handle, each over its grid, aggregating margins as minima.
+
+    Each condition is planned once.  The maps of the cone conditions go
+    through one stacked search (``_cone_verdicts``), those of the probe
+    conditions through one scan per probe class (``_probe_margins``).  A
+    condition's result takes the first minimum in map-major order.
+    """
+    plans = {cid: _plan(h, _CONDITIONS[cid][0], config) for cid in ids}
+    cone = {cid: maps for cid, (_, maps) in plans.items() if _CONDITIONS[cid][1] == "cone"}
+    margins = {cid: np.array([v.margin for v in verdicts])[:, None]
+               for cid, verdicts in _cone_verdicts(h, cone, config).items()}
+    margins.update(_probe_margins(
+        {cid: maps for cid, (_, maps) in plans.items() if cid not in cone}, probes))
+    tol = config.tol("predicate")
+    results = []
+    for cid in ids:
+        kind = _CONDITIONS[cid][1]
+        grid, maps = plans[cid]
+        i, k = np.unravel_index(np.argmin(margins[cid]), margins[cid].shape)
+        margin = margins[cid][i, k]
+        evaluated = np.isfinite(margin)
+        results.append(ConditionResult(
+            condition_id=cid,
+            grid=tuple(float(g) for g in grid),
+            min_margin=float(margin) if evaluated else float("nan"),
+            worst_probe=ProbeRef(*((None, None) if kind == "cone" else (kind, int(k))),
+                                 maps[i][1]),
+            verdict=(INCONCLUSIVE if not evaluated
+                     else SATISFIED if margin >= -tol else VIOLATED_VERDICT),
+        ))
+    return results
 
 
 def check_condition(
@@ -302,38 +328,17 @@ def check_condition(
 ) -> ConditionResult:
     """Evaluate one condition on the handle over its grid, aggregating margins as minima.
 
-    A cone condition reads its maps' verdicts from the handle's memo, which
-    ``_cone_verdicts`` fills by a search of the planned grid if it is not
-    there yet.
-    A probe condition reads the margins of every probe of its class at every
-    map from the handle's memo, which ``_probe_margins`` fills by a scan of
-    the planned grid if it is not there yet for this ``probes`` object.  The
-    first minimum in map-major order wins.
+    The single-condition case of ``_check_conditions``, which evaluates all
+    of a report's conditions with the same results.  A cone condition's
+    verdicts come from the handle's memo, which ``_cone_verdicts`` fills by
+    a search of the planned grid if it is not there yet.
     """
     if condition_id not in _CONDITIONS:
         raise ValueError(f"unknown condition id {condition_id!r}")
     dims = {probes.selfadjoint.shape[-1], probes.unitaries.shape[-1]}
     if dims != {h.n}:
         raise DimensionMismatch(f"probe dimension {max(dims - {h.n})} != generator dimension {h.n}")
-    family, kind = _CONDITIONS[condition_id]
-    grid, maps = _plan(h, family, config)
-    if kind == "cone":
-        verdicts = _cone_verdicts(h, {condition_id: maps}, config)[condition_id]
-        margins = np.array([v.margin for v in verdicts])[:, None]
-    else:
-        margins = _probe_margins(h, {condition_id: maps}, probes)[condition_id]
-    i, k = np.unravel_index(np.argmin(margins), margins.shape)
-    margin = margins[i, k]
-    evaluated = np.isfinite(margin)
-    tol = config.tol("predicate")
-    return ConditionResult(
-        condition_id=condition_id,
-        grid=tuple(float(g) for g in grid),
-        min_margin=float(margin) if evaluated else float("nan"),
-        worst_probe=ProbeRef(*((None, None) if kind == "cone" else (kind, int(k))), maps[i][1]),
-        verdict=(INCONCLUSIVE if not evaluated
-                 else SATISFIED if margin >= -tol else VIOLATED_VERDICT),
-    )
+    return _check_conditions(h, (condition_id,), probes, config)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -375,14 +380,7 @@ def theorem1_report(h: SemigroupHandle, config: RunConfig = RunConfig()) -> Theo
                 f"semigroup is not symmetric at t={t:g}: deviation {sym.margin:.3e}"
             )
     probes = ProbeSet.build(h.n, config.samples, subseed(config.seed, 11))
-    # one stacked descent searches the maps of every cone condition, and one
-    # scan per probe class those of the probe conditions; their checks below
-    # read the memos
-    plans = {cid: _plan(h, family, config)[1] for cid, (family, _) in _CONDITIONS.items()}
-    cone = {cid for cid, (_, kind) in _CONDITIONS.items() if kind == "cone"}
-    _cone_verdicts(h, {cid: plans[cid] for cid in cone}, config)
-    _probe_margins(h, {cid: maps for cid, maps in plans.items() if cid not in cone}, probes)
-    conditions = tuple(check_condition(h, cid, probes, config) for cid in CONDITION_IDS)
+    conditions = tuple(_check_conditions(h, CONDITION_IDS, probes, config))
     margins = [c.min_margin for c in conditions if np.isfinite(c.min_margin)]
     ctol = config.tol("consistency")
     consistency_flag = not (

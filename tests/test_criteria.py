@@ -726,23 +726,32 @@ class TestConeVerdictMemo:
 
     def test_report_searches_once_then_checks_every_condition(self, cone_searches,
                                                                monkeypatch):
-        checked = []
-        check = criteria.check_condition
+        evaluated, planned = [], []
+        evaluate, plan = criteria._check_conditions, criteria._plan
 
-        def record(h, cid, probes, config):
-            checked.append(cid)
-            return check(h, cid, probes, config)
+        def record(h, ids, probes, config):
+            evaluated.append(tuple(ids))
+            return evaluate(h, ids, probes, config)
 
-        monkeypatch.setattr(criteria, "check_condition", record)
+        monkeypatch.setattr(criteria, "_check_conditions", record)
+        monkeypatch.setattr(criteria, "_plan",
+                            lambda h, family, config: planned.append(family)
+                            or plan(h, family, config))
         h = handle(transpose_mixing(random_lindblad(3, 2, 5)))
         config = small_config(seed=3)
         theorem1_report(h, config)
+        # one evaluation of all nine conditions, each planned once, and one
+        # cone search of the 3 T_t, 3 R_lam and 9 e^{sR_lam}
         assert cone_searches == [15]
-        assert checked == list(CONDITION_IDS)
+        assert evaluated == [CONDITION_IDS]
+        assert len(planned) == 9
         theorem2_check(h, config)
+        assert len(planned) == 10
         probes = ProbeSet.build(3, config.samples, subseed(config.seed, 11))
-        for cid in ("semigroup_positive", "resolvent_positive", "resolvent_exp"):
-            check(h, cid, probes, config)
+        cone_ids = ("semigroup_positive", "resolvent_positive", "resolvent_exp")
+        for cid in cone_ids:
+            check_condition(h, cid, probes, config)
+        assert evaluated == [CONDITION_IDS, *((cid,) for cid in cone_ids)]
         assert cone_searches == [15]
 
     def test_report_scans_each_probe_class_once(self, monkeypatch):
@@ -751,27 +760,16 @@ class TestConeVerdictMemo:
         monkeypatch.setattr(criteria, "dissipation_batch",
                             lambda reps_t, xs: probe_scans.append(len(reps_t))
                             or kernel(reps_t, xs))
-        built = []
-        build = ProbeSet.build
-        monkeypatch.setattr(ProbeSet, "build",
-                            staticmethod(lambda *args: built.append(build(*args)) or built[-1]))
         h = handle(transpose_mixing(random_lindblad(3, 2, 5)))
         config = small_config(seed=3)
         theorem1_report(h, config)
         assert probe_scans == [7, 7]  # T_t, R_lam and L, once per probe class
         theorem2_check(h, config)
-        (probes,) = built
-        for cid in PROBE_IDS:
-            check_condition(h, cid, probes, config)
         assert probe_scans == [7, 7]
-        # an equal ProbeSet that is another object is scanned again, and
-        # takes the memo's entry from the first
-        other = build(3, config.samples, subseed(config.seed, 11))
-        check_condition(h, "semigroup_sa", other, config)
-        check_condition(h, "semigroup_sa", other, config)
-        assert probe_scans == [7, 7, 3]
+        # a check after the report scans its own grid, once
+        probes = ProbeSet.build(3, config.samples, subseed(config.seed, 11))
         check_condition(h, "semigroup_sa", probes, config)
-        assert probe_scans == [7, 7, 3, 3]
+        assert probe_scans == [7, 7, 3]
 
     @pytest.mark.parametrize("scan_entries", ["default", 1])
     @pytest.mark.parametrize("gen", [
@@ -788,13 +786,16 @@ class TestConeVerdictMemo:
         h = handle(gen)
         report = theorem1_report(h, config)
         probes = ProbeSet.build(3, config.samples, subseed(config.seed, 11))
+        plans = {cid: criteria._plan(h, criteria._CONDITIONS[cid][0], config)[1]
+                 for cid in PROBE_IDS}
+        together = criteria._probe_margins(plans, probes)
         for cid in PROBE_IDS:
-            alone = handle(gen)
-            got, want = check_condition(alone, cid, probes, config), report.by_id(cid)
+            got, want = check_condition(handle(gen), cid, probes, config), report.by_id(cid)
             assert (got.to_json(), got.min_margin.hex()) == (want.to_json(),
                                                              want.min_margin.hex()), cid
-            ((key, (_, margins)),) = alone._probe_margins.items()
-            assert margins.tobytes() == h._probe_margins[key][1].tobytes(), cid
+            alone = criteria._probe_margins({cid: plans[cid]}, probes)[cid]
+            assert alone.shape == together[cid].shape, cid
+            assert alone.tobytes() == together[cid].tobytes(), cid
 
     def test_theorem2_alone_searches_the_semigroup_maps(self, cone_searches):
         h = handle(transpose_mixing(random_lindblad(3, 2, 5)))

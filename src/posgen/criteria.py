@@ -37,6 +37,7 @@ from .superop import (
     VIOLATED,
     ConeVerdict,
     Superoperator,
+    _element,
     apply,
     apply_stack,
     contraction_checks,
@@ -166,7 +167,7 @@ def dissipation_batch(rep_t: np.ndarray, xs: np.ndarray) -> np.ndarray:
 
 def dissipation(phi: Superoperator, x) -> np.ndarray:
     """The dissipation operator Phi(x*x) + x* Phi(1) x - Phi(x*) x - x* Phi(x)."""
-    return frozen(dissipation_batch(phi.rep.T, np.asarray(x, dtype=complex)[None])[0])
+    return frozen(dissipation_batch(phi.rep.T, _element(phi, x)[None])[0])
 
 
 # ---------------------------------------------------------------------------

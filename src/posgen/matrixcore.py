@@ -220,7 +220,7 @@ def mat_exp(m) -> np.ndarray:
     s = np.maximum(exponent - (frac == 0.5), 0)  # ceil(log2(norm / theta_13))
     with np.errstate(over="ignore", invalid="ignore"):
         r = _pade13(a * np.ldexp(1.0, -s)[:, None, None])
-        for j in range(int(s.max()) + 1):
+        for j in range(int(s.max(initial=0)) + 1):
             if j:
                 sq = s >= j
                 r[sq] = r[sq] @ r[sq]

@@ -234,7 +234,11 @@ def _resolvent_exp_reps(h: SemigroupHandle, points) -> np.ndarray:
     k times, since e^{2sR} = (e^{sR})^2.  So a map's bits depend on (s, lam)
     alone, not on the other points asked for, and e^{2sR} is e^{sR} squared
     bit for bit.  A non-finite root or an overflowing square stays non-finite.
+    Raises ValueError at an s that is negative or not finite.
     """
+    for s, _ in points:
+        if not 0 <= s < math.inf:  # False for NaN too
+            raise ValueError(f"e^(s R_lam) is defined for finite s >= 0 only, got s={s:g}")
     build_maps(h, "resolvent", [lam for _, lam in points])
     rs = h._maps["resolvent"]
     missing = np.full((h.n**2, h.n**2), np.nan)
@@ -429,8 +433,8 @@ def euler_product(h: SemigroupHandle, t: float, m: int) -> Superoperator:
     _require_finite(t)
     if t <= 0:
         raise ValueError("euler_product needs t > 0")
-    if m < 1:
-        raise ValueError("euler_product needs m >= 1")
+    if not isinstance(m, (int, np.integer)) or m < 1:
+        raise ValueError(f"euler_product needs an integer m >= 1, got m={m!r}")
     lam = m / t
     r = resolvent(h, lam)
     return Superoperator(h.n, np.linalg.matrix_power(lam * r.rep, m))

@@ -94,13 +94,18 @@ def transpose_map(n: int) -> Superoperator:
     return Superoperator(n, rep)
 
 
-def apply(s: Superoperator, x) -> np.ndarray:
+def _element(s: Superoperator, x) -> np.ndarray:
+    """``x`` as a matrix of the algebra M(n) that ``s`` acts on; DimensionMismatch if it is not."""
     x = as_matrix(x)
     if x.shape[0] != s.n:
         raise DimensionMismatch(
             f"map acts on M({s.n}), element lives in M({x.shape[0]})"
         )
-    return devec(s.rep @ vec(x), s.n)
+    return x
+
+
+def apply(s: Superoperator, x) -> np.ndarray:
+    return devec(s.rep @ vec(_element(s, x)), s.n)
 
 
 def apply_stack(rep_t: np.ndarray, xs: np.ndarray) -> np.ndarray:
@@ -235,7 +240,7 @@ def _image_parts(rep_t: np.ndarray, v: np.ndarray):
     """
     m = apply_stack(rep_t, v[..., :, None] * v.conj()[..., None, :])
     mh = m.conj().swapaxes(-1, -2)
-    return (m + mh) / 2, np.abs(m - mh).max(axis=(-2, -1))
+    return m / 2 + mh / 2, np.abs(m - mh).max(axis=(-2, -1))
 
 
 def _f_batch(rep_t: np.ndarray, v: np.ndarray):

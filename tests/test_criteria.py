@@ -166,6 +166,11 @@ class TestDissipationKernels:
         assert np.abs(d - (ta - a) @ (ta - a)).max() <= 1e-12
         assert psd_margins(d[None])[0] >= -1e-12
 
+    @pytest.mark.parametrize("n", [1, 3])
+    def test_element_of_another_algebra(self, n):
+        with pytest.raises(DimensionMismatch, match=f"acts on M\\(2\\), element lives in M\\({n}\\)"):
+            dissipation(handle(flip_nonpositive(2)).generator, np.eye(n))
+
     def test_flip_generator_regression(self):
         d = dissipation(handle(flip_nonpositive(2)).generator, E00)
         assert np.abs(d - (-np.eye(2))).max() <= 1e-12

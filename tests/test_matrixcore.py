@@ -136,6 +136,11 @@ class TestMatExpStacked:
         ref = scipy.linalg.expm(a)
         assert np.abs(mat_exp(a) - ref).max() <= 1e-11 * max(1.0, np.abs(ref).max())
 
+    @pytest.mark.parametrize("n", [1, 3])
+    def test_empty_stack(self, n):
+        out = mat_exp(np.zeros((0, n, n)))
+        assert out.shape == (0, n, n) and out.dtype == complex
+
     @given(st.integers(0, 2**32 - 1), st.integers(1, 8), st.integers(1, 6))
     @settings(max_examples=40, deadline=None)
     def test_stack_equals_per_matrix_calls(self, seed, n, k):

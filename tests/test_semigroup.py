@@ -310,6 +310,15 @@ class TestResolventExp:
         assert family_maps(h, "resolvent_exp", points[:1])[0] is h._maps["resolvent_exp"][1.0, 1.0]
         assert calls == [(2, 4, 4)]  # the roots e^{R/2} and e^{(1000/1024) R}
 
+    @pytest.mark.parametrize("s", [-1.0, -1e-300, math.inf, -math.inf, math.nan])
+    def test_rejects_negative_or_nonfinite_s(self, s):
+        # the positivity of e^{sR_lam} that the generator certificate gives
+        # holds for s >= 0 only
+        h = zero_gen()
+        with pytest.raises(ValueError, match=f"finite s >= 0 only, got s={s:g}$"):
+            family_maps(h, "resolvent_exp", [(0.5, 1.0), (s, 1.0)])
+        assert not any(h._maps.values())  # nothing built
+
     # s = 0, s < 1/2, the S_GRID values and s = 3 = (3/4) 2^2
     S = (0.0, 0.25, 0.5, 1.0, 2.0, 3.0, 1.5, 0.75)
 
@@ -565,6 +574,15 @@ class TestEulerProduct:
             euler_product(zero_gen(), 0.0, 4)
         with pytest.raises(ValueError):
             euler_product(zero_gen(), 1.0, 0)
+
+    @pytest.mark.parametrize("m", [1.5, 2.0, np.float64(4.0)])
+    def test_rejects_a_non_integer_m(self, m):
+        with pytest.raises(ValueError, match="needs an integer m >= 1"):
+            euler_product(zero_gen(), 1.0, m)
+
+    def test_numpy_integer_m(self):
+        assert np.array_equal(euler_product(zero_gen(), 1.0, np.int64(3)).rep,
+                              euler_product(zero_gen(), 1.0, 3).rep)
 
 
 class TestYosida:

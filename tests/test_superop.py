@@ -211,6 +211,15 @@ class TestPositivityCheck:
         assert out.margin == pytest.approx(-1.0, abs=1e-10)
         assert out.witness is not None
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("sign, status", [(-1.0, "violated"), (1.0, "certified_positive")])
+    def test_near_the_largest_double(self, sign, status):
+        # herm(S(vv*)) = m/2 + m*/2 stays finite where m + m* would overflow
+        out = positivity_check(Superoperator(2, sign * 2.0**1023 * np.eye(4)))
+        assert out.status == status
+        assert out.margin == pytest.approx(min(sign, 0.0) * 2.0**1023, rel=1e-12,
+                                           abs=1e-12 * 2.0**1023)
+
     def test_skew_image_flagged(self):
         out = positivity_check(Superoperator(2, 1j * np.eye(4)))
         assert out.status == "violated"

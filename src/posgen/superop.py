@@ -240,6 +240,7 @@ def _image_parts(rep_t: np.ndarray, v: np.ndarray):
     """
     m = apply_stack(rep_t, v[..., :, None] * v.conj()[..., None, :])
     mh = m.conj().swapaxes(-1, -2)
+    # m/2 + m*/2 stays finite where m + m* would overflow
     return m / 2 + mh / 2, np.abs(m - mh).max(axis=(-2, -1))
 
 

@@ -48,7 +48,6 @@ from .instances import (
 )
 from .matrixcore import (
     CMatrix,
-    hermitian_part,
     mat_exp,
     spectral_norm,
 )

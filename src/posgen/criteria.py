@@ -29,7 +29,8 @@ import numpy as np
 from .config import RunConfig, subseed
 from .errors import DimensionMismatch, HypothesisViolation
 from .instances import hermitian_from, unitary_from
-from .matrixcore import as_matrix_stack, frozen, max_entry, psd_margins, spectral_norm
+from .matrixcore import (as_matrix_stack, frozen, hermitian_split, max_entry, psd_margins,
+                         spectral_norm)
 from .semigroup import SemigroupHandle, family_maps, generator_certificate, lambda_grid
 from .superop import (
     CERTIFIED_POSITIVE,
@@ -122,13 +123,13 @@ class ProbeSet:
             if not len(members):
                 raise ValueError(f"no {label} probes")
             stack = as_matrix_stack(members)
-            if max_entry(deviation(stack)) > 1e-9:
+            if deviation(stack) > 1e-9:
                 raise ValueError(f"{label} probe fails its class check")
             object.__setattr__(self, name, frozen(stack))
 
-        validate("selfadjoint", "self-adjoint", lambda a: a - a.conj().swapaxes(1, 2))
+        validate("selfadjoint", "self-adjoint", lambda a: 2 * hermitian_split(a)[1].max())
         validate("unitaries", "unitary",
-                 lambda u: u.conj().swapaxes(1, 2) @ u - np.eye(u.shape[-1]))
+                 lambda u: max_entry(u.conj().swapaxes(1, 2) @ u - np.eye(u.shape[-1])))
 
     @classmethod
     def build(cls, n: int, samples: int, seed: int = 0) -> "ProbeSet":

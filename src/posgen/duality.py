@@ -20,7 +20,7 @@ from .matrixcore import (
     as_matrix,
     as_matrix_stack,
     frozen,
-    hermitian_part,
+    hermitian_split,
     psd_margins,
     spectral_norm,
 )
@@ -41,9 +41,9 @@ def _validated_states(a: np.ndarray) -> np.ndarray:
     The first state that fails raises, naming its first failing check and
     that check's deviation.
     """
-    ah = a.conj().swapaxes(-1, -2)
-    herm_dev = np.abs(a - ah).max(axis=(-2, -1))
-    min_eig = np.linalg.eigvalsh(0.5 * (a + ah))[:, 0]
+    herm, skew = hermitian_split(a)
+    herm_dev = 2 * skew
+    min_eig = np.linalg.eigvalsh(herm)[:, 0]
     tr_dev = np.abs(np.trace(a, axis1=-2, axis2=-1) - 1.0)
     bad = (herm_dev > STATE_TOL) | (min_eig < -STATE_TOL) | (tr_dev > _TRACE_TOL)
     if bad.any():
@@ -182,7 +182,7 @@ def trajectory_records(h: SemigroupHandle, rho, ts) -> list[dict]:
                 "t": t,
                 "rho": CMatrix(out).to_json(),
                 "trace": float(np.trace(out).real),
-                "min_eig": float(np.linalg.eigvalsh(hermitian_part(out)).min()),
+                "min_eig": float(np.linalg.eigvalsh(hermitian_split(out)[0]).min()),
                 "purity": purity(out),
             }
         )

@@ -16,7 +16,7 @@ import numpy as np
 
 from .config import _is_finite, _is_real
 from .errors import SchemaError
-from .matrixcore import frozen, json_dimension, json_object, spectral_norm
+from .matrixcore import frozen, hermitian_split, json_dimension, json_object, spectral_norm
 from .semigroup import GeneratorSpec, build_superoperator
 from .superop import Superoperator, compose, transpose_map
 
@@ -124,7 +124,7 @@ def hermitian_from(
 ) -> np.ndarray:
     """A Gaussian Hermitian matrix, or a (k, n, n) stack of them."""
     g = _ginibre(rng, n, k)
-    return frozen(scale * (g + g.conj().swapaxes(-1, -2)) / 2)
+    return frozen(scale * hermitian_split(g)[0])
 
 
 def unitary_from(rng: np.random.Generator, n: int, k: int | None = None) -> np.ndarray:
@@ -160,7 +160,7 @@ def random_lindblad(n: int, k: int, seed: int, scale: float = 4.0) -> GeneratorS
         raise ValueError("need k >= 0 dissipators")
     rng = _rng(seed, _TAG_LINDBLAD)
     g = _ginibre(rng, n)
-    h = (g + g.conj().T) / 2
+    h = hermitian_split(g)[0]
     vs = [_ginibre(rng, n) / np.sqrt(n) for _ in range(k)]
     raw = build_superoperator(lindblad(h, vs))
     norm = spectral_norm(raw.rep)

@@ -78,8 +78,15 @@ def max_entry(a) -> float:
     return float(np.abs(a).max())
 
 
-def hermitian_part(a: np.ndarray) -> np.ndarray:
-    return 0.5 * (a + a.conj().T)
+def hermitian_split(a: np.ndarray):
+    """The hermitian part a/2 + (a/2)* of a matrix or of each of a (..., n, n) stack, and
+    max|a/2 - (a/2)*| per matrix, the largest entry modulus of its skew part.  Halving
+    first keeps both finite wherever |a| is; without subnormal entries they equal
+    (a + a*)/2 and max|a - a*|/2 bit for bit.  The one place posgen forms either.
+    """
+    h = a / 2
+    hh = h.conj().swapaxes(-1, -2)
+    return h + hh, np.abs(h - hh).max(axis=(-2, -1))
 
 
 def frozen(a: np.ndarray) -> np.ndarray:
@@ -322,9 +329,7 @@ def psd_margins(stack: np.ndarray) -> np.ndarray:
     each row's minimum and first argmin, and every finite entry, are exact,
     and an entry that lies above its row's minimum may be +inf instead.
     """
-    herm = (stack + stack.conj().swapaxes(-1, -2)) / 2
-    skew = np.abs(stack - stack.conj().swapaxes(-1, -2)).max(axis=(-2, -1)) / 2
-    return screened_least_eigvals(herm, skew)
+    return screened_least_eigvals(*hermitian_split(stack))
 
 
 def spectral_norm(m) -> float:

@@ -21,8 +21,8 @@ from .errors import (
     ResolventPoleError,
     SchemaError,
 )
-from .matrixcore import (CMatrix, as_matrix, frozen, json_dimension, json_object, mat_exp,
-                         max_entry, rounding_slack)
+from .matrixcore import (CMatrix, as_matrix, frozen, hermitian_split, json_dimension,
+                         json_object, mat_exp, max_entry, rounding_slack)
 from .superop import (Superoperator, _unit_scale, choi_matrix,
                       is_symmetric_map, transpose_map, vec)
 
@@ -51,7 +51,7 @@ def lindblad_rep(h, vs) -> np.ndarray:
     """Superoperator of ``L(x) = i[H,x] + sum_k (V_k* x V_k - {V_k* V_k, x}/2)``."""
     h = as_matrix(h)
     n = h.shape[0]
-    if max_entry(h - h.conj().T) > 1e-10:
+    if 2 * hermitian_split(h)[1] > 1e-10:
         raise ValueError("Hamiltonian payload must be hermitian")
     eye = np.eye(n)
     rep = 1j * (_kron(eye, h) - _kron(h.T, eye))
@@ -345,7 +345,7 @@ def mirror_split(gen: Superoperator) -> tuple[float, float]:
     unit = float(_unit_scale(gen.rep))
     v = _complement_of_omega(n)
     choi = choi_matrix(Superoperator(n, unit * gen.rep))
-    a = v.T @ ((choi + choi.conj().T) / 2) @ v
+    a = v.T @ hermitian_split(choi)[0] @ v
     b = v.T @ choi_matrix(transpose_map(n)).real @ v
 
     def cut(c):

@@ -19,8 +19,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionMismatch, SchemaError
-from .matrixcore import (DEFAULT_TOL, CMatrix, as_matrix, frozen, json_dimension, json_object,
-                         max_entry, rounding_slack, screened_least_eigvals)
+from .matrixcore import (DEFAULT_TOL, CMatrix, as_matrix, frozen, hermitian_split, json_dimension,
+                         json_object, max_entry, rounding_slack, screened_least_eigvals)
 
 CERTIFIED_POSITIVE = "certified_positive"
 NO_VIOLATION_FOUND = "no_violation_found"
@@ -141,8 +141,7 @@ class MapCheck:
 
 def is_symmetric_map(s: Superoperator, tol: float = DEFAULT_TOL) -> MapCheck:
     """Does ``S(x^*) = S(x)^*`` hold?  Iff its Choi matrix C is hermitian: margin max|C - C*|."""
-    c = choi_matrix(s)
-    margin = max_entry(c - c.conj().T)
+    margin = float(2 * hermitian_split(choi_matrix(s))[1])
     return MapCheck(verdict=margin <= tol, margin=margin)
 
 
@@ -176,12 +175,9 @@ def _cp_checks(reps: np.ndarray, n: int, tol):
     a map is CP-certified when it is at most ``tol`` and the least eigenvalue
     of herm(C) is at least ``-tol``.
     """
-    c = _choi_stack(reps, n)
-    ch = c.conj().swapaxes(-1, -2)
-    herm_dev = np.abs(c - ch).max(axis=(-2, -1))
-    # halves first, so that herm(C) of a map with entries near the largest double stays finite
-    min_eig = np.linalg.eigvalsh(c / 2 + ch / 2)[:, 0]
-    return (herm_dev <= tol) & (min_eig >= -tol), min_eig, herm_dev
+    herm, skew = hermitian_split(_choi_stack(reps, n))
+    min_eig = np.linalg.eigvalsh(herm)[:, 0]
+    return (2 * skew <= tol) & (min_eig >= -tol), min_eig, 2 * skew
 
 
 def cp_check(s: Superoperator, tol: float = DEFAULT_TOL) -> CPCheck:
@@ -238,10 +234,8 @@ def _image_parts(rep_t: np.ndarray, v: np.ndarray):
     ``rep_t`` is the transposed rep of S, or a stack of them matching the
     leading axes of ``v``.
     """
-    m = apply_stack(rep_t, v[..., :, None] * v.conj()[..., None, :])
-    mh = m.conj().swapaxes(-1, -2)
-    # m/2 + m*/2 stays finite where m + m* would overflow
-    return m / 2 + mh / 2, np.abs(m - mh).max(axis=(-2, -1))
+    herm, skew = hermitian_split(apply_stack(rep_t, v[..., :, None] * v.conj()[..., None, :]))
+    return herm, 2 * skew
 
 
 def _f_batch(rep_t: np.ndarray, v: np.ndarray):
@@ -305,7 +299,7 @@ def _descend(reps, v, best_val, best_vec):
         # rounds the same and needs no conjugated copy of the reps.
         ww_c = wmin.conj()[..., :, None] * wmin[..., None, :]
         gm = apply_stack(reps, ww_c).conj()
-        v = np.linalg.eigh((gm + gm.conj().swapaxes(-1, -2)) / 2)[1][..., :, 0]
+        v = np.linalg.eigh(hermitian_split(gm)[0])[1][..., :, 0]
     track(_f_batch(reps_t, v)[0])
     return best_val, best_vec
 
@@ -554,7 +548,7 @@ def contraction_checks(maps, seed: int, tol: float, positive) -> list:
         # lower-bound direction
         _, _, vh = np.linalg.svd(s.rep)
         tops = vh[: min(3, len(vh))].conj().reshape(-1, n, n).swapaxes(1, 2)
-        own = np.concatenate([tops, (tops + tops.conj().transpose(0, 2, 1)) / 2])
+        own = np.concatenate([tops, hermitian_split(tops)[0]])
         xs = np.concatenate([shared, own])
         # one call gives the norms of the images and of the map's own inputs
         sv = _top_singular(np.concatenate([apply_stack(s.rep.T, xs), own]))

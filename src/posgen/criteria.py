@@ -134,6 +134,10 @@ class ProbeSet:
     @classmethod
     def build(cls, n: int, samples: int, seed: int = 0) -> "ProbeSet":
         """The structured probes and ``samples`` random ones of each class."""
+        if n < 1:
+            raise ValueError(f"ProbeSet.build needs n >= 1, got {n}")
+        if samples < 0:
+            raise ValueError(f"ProbeSet.build needs samples >= 0, got {samples}")
         sa_rng = np.random.default_rng(np.random.SeedSequence((int(seed), 31)))
         u_rng = np.random.default_rng(np.random.SeedSequence((int(seed), 32)))
         return cls(

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import DEFAULT_TOLERANCES
-from .errors import SchemaError
+from .errors import DimensionMismatch, SchemaError
 from .matrixcore import (
     CMatrix,
     as_matrix,
@@ -97,7 +97,7 @@ def _predual(h: SemigroupHandle, ts, a: np.ndarray):
     rep of the predual.
     """
     if a.shape[-1] != h.n:
-        raise ValueError(f"state dimension {a.shape[-1]} != generator dimension {h.n}")
+        raise DimensionMismatch(f"state dimension {a.shape[-1]} != generator dimension {h.n}")
     maps = family_maps(h, "semigroup", ts)
     return apply_stack(np.stack([s_t.rep.conj() for s_t in maps]), a) if maps else []
 

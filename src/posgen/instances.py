@@ -158,6 +158,8 @@ def random_lindblad(n: int, k: int, seed: int, scale: float = 4.0) -> GeneratorS
     """
     if k < 0:
         raise ValueError("need k >= 0 dissipators")
+    if not (_is_real(scale) and scale > 0 and _is_finite(scale)):
+        raise ValueError(f"scale must be finite and > 0, got {scale!r}")
     rng = _rng(seed, _TAG_LINDBLAD)
     g = _ginibre(rng, n)
     h = hermitian_split(g)[0]

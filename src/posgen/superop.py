@@ -371,6 +371,8 @@ def positivity_checks(maps, seeds, tol: float = DEFAULT_TOL, groups=None,
     alone in its group is never bounded, so its verdict equals its separate
     search's.
     """
+    if not (np.isfinite(tol) and tol >= 0):
+        raise ValueError(f"positivity_checks needs a finite tol >= 0, got {tol!r}")
     maps = list(maps)
     if not maps:
         raise ValueError("positivity_checks needs at least one map")
@@ -527,6 +529,8 @@ def contraction_checks(maps, seed: int, tol: float, positive) -> list:
     has the Russo-Dye certificate when it is certified positive, symmetric
     and unital at ``tol``: a positive unital map has norm ||S(1)|| = 1.
     """
+    if not (np.isfinite(tol) and tol >= 0):
+        raise ValueError(f"contraction_checks needs a finite tol >= 0, got {tol!r}")
     maps = list(maps)
     if not maps:
         raise ValueError("contraction_checks needs at least one map")

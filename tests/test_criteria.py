@@ -289,6 +289,12 @@ class TestProbeSet:
         assert q.unitaries.tobytes() == p.unitaries.tobytes()
         assert not q.selfadjoint.flags.writeable and not q.unitaries.flags.writeable
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("n, samples, name", [(0, 3, "n"), (2, -1, "samples")])
+    def test_build_rejects_a_bad_size(self, n, samples, name):
+        with pytest.raises(ValueError, match=rf"^ProbeSet.build needs {name} >= "):
+            ProbeSet.build(n, samples)
+
     @pytest.mark.parametrize("empty", ["selfadjoint", "unitaries"])
     def test_empty_class_rejected_at_construction(self, empty):
         members = {"selfadjoint": [np.eye(2)], "unitaries": [np.eye(2)], empty: []}

@@ -208,6 +208,12 @@ class TestRandomConstructors:
         cone = positivity_check(evolve(h, 0.7))
         assert cone.status == CERTIFIED_POSITIVE
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("scale", [-1.0, 0.0, math.inf, math.nan])
+    def test_lindblad_rejects_a_scale_that_is_not_finite_and_positive(self, scale):
+        with pytest.raises(ValueError, match="scale must be finite and > 0"):
+            random_lindblad(2, 1, 0, scale=scale)
+
     def test_k_zero_allowed(self):
         spec = random_lindblad(2, 0, seed=1)
         assert spec.dissipators == ()

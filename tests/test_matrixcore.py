@@ -15,6 +15,7 @@ from posgen.matrixcore import (
     CMatrix,
     as_matrix,
     as_matrix_stack,
+    hermitian_split,
     json_object,
     mat_exp,
     psd_margins,
@@ -186,6 +187,30 @@ class TestMatExpStacked:
 
 def bits(a):
     return np.asarray(a, dtype=float).view(np.uint64)
+
+
+class TestHermitianSplit:
+    @pytest.mark.parametrize("shape", [(5, 5), (3, 4, 5, 5)])
+    @pytest.mark.parametrize("k", [-600, 0, 600])
+    def test_equals_the_unhalved_forms(self, shape, k):
+        a = 2.0**k * rand_complex(np.random.default_rng([abs(k), len(shape)]), *shape)
+        ah = a.conj().swapaxes(-1, -2)
+        herm, skew = hermitian_split(a)
+        assert herm.tobytes() == ((a + ah) / 2).tobytes()
+        assert bits(skew).tobytes() == bits(np.abs(a - ah).max(axis=(-2, -1)) / 2).tobytes()
+        assert skew.shape == shape[:-2]
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("a, margin", [
+        ([[0.0, 2.0**1023], [-(2.0**1023), 0.0]], -(2.0**1023)),
+        ([[2.0**1023, 2.0**1023], [2.0**1023, 2.0**1023]], 0.0),
+    ])
+    def test_psd_margins_near_the_largest_double(self, a, margin):
+        # a + a* or a - a* overflows here; a/2 + (a/2)* and a/2 - (a/2)* do not
+        a = np.array([a], dtype=complex)
+        herm, skew = hermitian_split(a)
+        assert np.isfinite(herm).all() and np.isfinite(skew).all()
+        assert psd_margins(a).tolist() == [margin]
 
 
 class TestScreenedLeastEigvals:

@@ -220,6 +220,14 @@ class TestPositivityCheck:
         assert out.margin == pytest.approx(min(sign, 0.0) * 2.0**1023, rel=1e-12,
                                            abs=1e-12 * 2.0**1023)
 
+    @pytest.mark.parametrize("tol", [float("nan"), float("inf"), -1e-9])
+    def test_rejects_a_tol_that_is_not_finite_and_nonnegative(self, tol):
+        # at a NaN tol no margin compared below -tol, so the flip read as
+        # no_violation_found
+        flip = build_superoperator(flip_nonpositive(2))
+        with pytest.raises(ValueError, match="finite tol >= 0"):
+            positivity_check(flip, 0, tol)
+
     def test_skew_image_flagged(self):
         out = positivity_check(Superoperator(2, 1j * np.eye(4)))
         assert out.status == "violated"
@@ -794,6 +802,14 @@ class TestContractionCheck:
         out = contraction_check(conjugation(u))
         assert out.status == "certified_contraction"
         assert out.norm_lower_bound == pytest.approx(1.0, abs=1e-9)
+
+    @pytest.mark.parametrize("tol", [float("nan"), float("inf"), -1e-9])
+    def test_rejects_a_tol_that_is_not_finite_and_nonnegative(self, tol):
+        # at a NaN tol no bound compared above 1 + tol, so the flip read as
+        # no_violation_found
+        flip = build_superoperator(flip_nonpositive(2))
+        with pytest.raises(ValueError, match="finite tol >= 0"):
+            contraction_check(flip, 0, tol)
 
     def test_doubling_violated(self):
         out = contraction_check(Superoperator(2, 2.0 * np.eye(4)))

@@ -176,6 +176,18 @@ class TestReport:
         assert list(t1) == ["hypothesis_violation"]
         assert "not symmetric" in t1["hypothesis_violation"]
 
+    @pytest.mark.parametrize("t", ["1e8", "1e9"])
+    def test_far_grid_point_keeps_the_symmetry_hypothesis(self, t, tmp_path, capsys):
+        # rounding in T_t at t = 1e8 broke the hermiticity of its Choi matrix
+        # by more than tol times its scale; the hypothesis is checked at L,
+        # which is symmetric
+        path = tmp_path / "g.json"
+        assert main(["instance", "lindblad", "-n", "3", "-o", str(path)]) == 0
+        capsys.readouterr()
+        main(["report", str(path), "--t-grid", t])
+        t1 = json.loads(capsys.readouterr().out)["sections"]["theorem1"]
+        assert [c["verdict"] for c in t1["conditions"]] == ["satisfied"] * 9
+
     def test_missing_file(self, capsys):
         assert main(["report", "/nonexistent/gen.json"]) == 1
         assert "cannot read" in capsys.readouterr().err

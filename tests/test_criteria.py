@@ -388,6 +388,23 @@ class TestTheorem1Report:
         with pytest.raises(HypothesisViolation, match="symmetric"):
             theorem1_report(SemigroupHandle(s), small_config())
 
+    def test_non_symmetric_rejected_where_the_grid_sees_no_asymmetry(self):
+        # T_0 = id is symmetric; L = i id, whose Choi matrix is i Omega Omega*,
+        # is not, and every T_t is symmetric iff L is
+        s = Superoperator(2, 1j * np.eye(4, dtype=complex))
+        with pytest.raises(HypothesisViolation,
+                           match=r"^generator is not symmetric: deviation 2\.000e\+00$"):
+            theorem1_report(SemigroupHandle(s), small_config(t_grid=(0.0,)))
+
+    def test_symmetry_is_checked_at_the_generator_alone(self, monkeypatch):
+        seen = []
+        check = criteria.is_symmetric_map
+        monkeypatch.setattr(criteria, "is_symmetric_map",
+                            lambda s, tol: seen.append(s) or check(s, tol))
+        h = handle(random_lindblad(2, 1, seed=12))
+        theorem1_report(h, small_config())
+        assert len(seen) == 1 and seen[0] is h.generator
+
     def test_report_deterministic(self):
         h1 = handle(random_lindblad(2, 1, seed=13))
         h2 = handle(random_lindblad(2, 1, seed=13))

@@ -617,14 +617,25 @@ class TestYosida:
         assert errs[0] > errs[1] > errs[2]
         assert errs[2] <= 1e-2
 
-    def test_factorization_survives_large_lambda(self):
-        # lam * t = 1000: the naive scalar prefactor would underflow to zero
+    @pytest.mark.parametrize("lam, t", [(1000.0, 1.0), (1e4, 1.0)])
+    def test_factorization_survives_large_lambda(self, lam, t):
+        # lam * t = 1000 and 10^4: the scalar e^{-lam t} of the product form
+        # e^{-lam t} e^{lam^2 t R_lam} underflows to zero, so the reference
+        # splits it into k factors with exponent at most 100 each
         h = small_lindblad(seed=10, n=2, k=1)
-        lam, t = 1000.0, 1.0
         u = yosida_semigroup(h, lam, t)
-        direct = mat_exp(t * yosida_generator(h, lam).rep)
-        assert np.abs(u.rep - direct).max() <= 1e-9
+        k = math.ceil(lam * t / 100.0)
+        factor = math.exp(-lam * t / k) * mat_exp(lam * lam * (t / k) * resolvent(h, lam).rep)
+        assert np.abs(u.rep - np.linalg.matrix_power(factor, k)).max() <= 1e-9
         assert np.isfinite(u.rep).all()
+
+    def test_semigroup_is_one_exponential(self, monkeypatch):
+        h = small_lindblad(seed=10, n=2, k=1)
+        calls = []
+        monkeypatch.setattr(semigroup, "mat_exp", lambda m: calls.append(1) or mat_exp(m))
+        u = yosida_semigroup(h, 10.0, 2.0)
+        assert len(calls) == 1
+        assert np.array_equal(u.rep, mat_exp(2.0 * yosida_generator(h, 10.0).rep))
 
 
 class TestMirrorSplit:

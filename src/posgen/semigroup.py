@@ -23,7 +23,7 @@ from .errors import (
 )
 from .matrixcore import (CMatrix, as_matrix, frozen, hermitian_split, json_dimension,
                          json_object, mat_exp, max_entry, rounding_slack)
-from .superop import (Superoperator, _unit_scale, choi_matrix,
+from .superop import (Superoperator, _scaled, _unit_exponent, choi_matrix,
                       is_symmetric_map, transpose_map, vec)
 
 GENERATOR_KINDS = ("explicit", "hamiltonian", "lindblad")
@@ -324,7 +324,7 @@ def mirror_split(gen: Superoperator) -> tuple[float, float]:
     """The c >= 0 that brings L - c tau, tau the transpose, closest to a CCP generator, and f(c).
 
     f(c) is the least eigenvalue of the hermitian part of Choi(L - c tau),
-    L scaled to unit scale (see ``superop._unit_scale``), compressed to the
+    L scaled to unit scale (see ``superop._unit_exponent``), compressed to the
     complement of Omega = sum_i e_i kron e_i.  A hermiticity-preserving
     L - c tau generates a CP semigroup where f(c) >= 0, and f is concave in
     c with supergradient ``-u* Choi(tau) u`` at its least eigenvector u.
@@ -342,9 +342,9 @@ def mirror_split(gen: Superoperator) -> tuple[float, float]:
     if n == 1:
         return 0.0, math.inf
     slack = rounding_slack(n)
-    unit = float(_unit_scale(gen.rep))
+    exp = int(_unit_exponent(gen.rep))
     v = _complement_of_omega(n)
-    choi = choi_matrix(Superoperator(n, unit * gen.rep))
+    choi = choi_matrix(Superoperator(n, _scaled(gen.rep, -exp)))
     a = v.T @ hermitian_split(choi)[0] @ v
     b = v.T @ choi_matrix(transpose_map(n)).real @ v
 
@@ -374,7 +374,7 @@ def mirror_split(gen: Superoperator) -> tuple[float, float]:
         else:
             hi = step
     c, f, _ = max(lo, hi, key=lambda cut: cut[1])
-    return c / unit, f
+    return float(np.ldexp(c, exp)), f
 
 
 @dataclass(frozen=True)
@@ -410,9 +410,10 @@ def generator_certificate(h: SemigroupHandle) -> GeneratorCertificate:
     if h._certificate is None:
         c, margin = mirror_split(h.generator)
         slack = rounding_slack(h.n)
-        # slack at unit scale is slack / unit on L, since scaling by a power of two is exact
-        unit = float(_unit_scale(h.generator.rep))
-        holds = c >= 0 and margin >= -slack and is_symmetric_map(h.generator, slack / unit).verdict
+        # slack at unit scale is slack * 2**exp on L, since scaling by a power of two is exact
+        exp = _unit_exponent(h.generator.rep)
+        holds = (c >= 0 and margin >= -slack
+                 and is_symmetric_map(h.generator, np.ldexp(slack, exp)).verdict)
         h._certificate = GeneratorCertificate(
             ("decomposable" if c else "ccp") if holds else None, c, margin)
     return h._certificate

@@ -141,13 +141,24 @@ class MapCheck:
 
 def is_symmetric_map(s: Superoperator, tol: float = DEFAULT_TOL) -> MapCheck:
     """Does ``S(x^*) = S(x)^*`` hold?  Iff its Choi matrix C is hermitian: margin max|C - C*|."""
-    margin = float(2 * hermitian_split(choi_matrix(s))[1])
+    margin = float(_split(choi_matrix(s))[1])
     return MapCheck(verdict=margin <= tol, margin=margin)
 
 
 def is_unital(s: Superoperator, tol: float = DEFAULT_TOL) -> MapCheck:
     margin = max_entry(apply(s, np.eye(s.n)) - np.eye(s.n))
     return MapCheck(verdict=margin <= tol, margin=margin)
+
+
+def _split(a: np.ndarray):
+    """herm(a) and max|a - a*|, twice the skew part's, per matrix of a stack.
+
+    The doubled deviation is inf, without a warning, where it exceeds the
+    largest double: a penalty or margin that large is not a double either.
+    """
+    herm, skew = hermitian_split(a)
+    with np.errstate(over="ignore"):
+        return herm, 2 * skew
 
 
 def choi_matrix(s: Superoperator) -> np.ndarray:
@@ -175,9 +186,9 @@ def _cp_checks(reps: np.ndarray, n: int, tol):
     a map is CP-certified when it is at most ``tol`` and the least eigenvalue
     of herm(C) is at least ``-tol``.
     """
-    herm, skew = hermitian_split(_choi_stack(reps, n))
+    herm, dev = _split(_choi_stack(reps, n))
     min_eig = np.linalg.eigvalsh(herm)[:, 0]
-    return (2 * skew <= tol) & (min_eig >= -tol), min_eig, 2 * skew
+    return (dev <= tol) & (min_eig >= -tol), min_eig, dev
 
 
 def cp_check(s: Superoperator, tol: float = DEFAULT_TOL) -> CPCheck:
@@ -234,8 +245,7 @@ def _image_parts(rep_t: np.ndarray, v: np.ndarray):
     ``rep_t`` is the transposed rep of S, or a stack of them matching the
     leading axes of ``v``.
     """
-    herm, skew = hermitian_split(apply_stack(rep_t, v[..., :, None] * v.conj()[..., None, :]))
-    return herm, 2 * skew
+    return _split(apply_stack(rep_t, v[..., :, None] * v.conj()[..., None, :]))
 
 
 def _f_batch(rep_t: np.ndarray, v: np.ndarray):
@@ -259,13 +269,20 @@ def _seeded_starters(n: int, seed: int) -> np.ndarray:
     return np.concatenate([_structured_unit_vectors(n), g])
 
 
-def _unit_scale(reps: np.ndarray) -> np.ndarray:
-    """Per-map power of two bringing the largest entry into [1/2, 1); exact.
+def _unit_exponent(reps: np.ndarray) -> np.ndarray:
+    """Per-map exponent e that puts the largest entry in [2**(e-1), 2**e); 0 for a zero map.
 
-    A largest entry below 2**-1024 gets the largest finite power, 2**1023.
+    ``_scaled(rep, -e)`` is the map at unit scale, its largest entry in
+    [1/2, 1), and a tolerance tol at unit scale is ``np.ldexp(tol, e)`` at
+    the map's.  Both are exact unless a result underflows, at any e: 2**-e
+    itself need not be a double.
     """
-    _, exponent = np.frexp(np.abs(reps).max(axis=(-2, -1)))
-    return np.ldexp(1.0, np.minimum(-exponent, 1023))
+    return np.frexp(np.abs(reps).max(axis=(-2, -1)))[1]
+
+
+def _scaled(a: np.ndarray, e) -> np.ndarray:
+    """The complex array ``a`` times 2**e, each entry rounded once; ``e`` broadcasts."""
+    return np.ldexp(np.ascontiguousarray(a).view(float), e).view(complex)
 
 
 def _descend(reps, v, best_val, best_vec):
@@ -339,9 +356,9 @@ def positivity_checks(maps, seeds, tol: float = DEFAULT_TOL, groups=None,
     hermitian parts, and its worst starters seed at most 30 steps of a
     seesaw over the trace pairing (see ``_descend``).  Each map is judged
     at unit scale, scaled by the power of two that brings its largest
-    entry into [1/2, 1): the seesaw runs on that copy, and the CP
-    certificate and the violation threshold compare against ``tol``
-    divided by that power, which is ``tol`` on the copy.  So no verdict
+    entry into [1/2, 1) (see ``_unit_exponent``): the seesaw runs on that
+    copy, and the CP certificate and the violation threshold compare
+    against ``tol`` divided by that power, which is ``tol`` on the copy.  So no verdict
     depends on the map's scale; margins are reported at the map's own
     scale.  The seesaws of all maps run as one stacked descent.  A
     certificate takes its map out of the stack: the certificate already
@@ -394,10 +411,10 @@ def positivity_checks(maps, seeds, tol: float = DEFAULT_TOL, groups=None,
     fvals = screened_least_eigvals(herm, skew)
     k = np.argmin(fvals, axis=1)
     best_val, best_vec = fvals[rows, k], starters[rows, k]
-    unit = _unit_scale(reps)
-    # tol on the unit-scale copy is tol / unit on the map, since scaling by a
-    # power of two is exact
-    unit_tol = tol / unit
+    exp = _unit_exponent(reps)
+    # tol on the unit-scale copy is tol * 2**exp on the map, since scaling by
+    # a power of two is exact
+    unit_tol = np.ldexp(tol, exp)
     violated_at_start = best_val < -unit_tol
     certified = np.zeros(len(maps), dtype=bool)
     if generator_certified is not None and not violated_at_start.all() and generator_certified():
@@ -409,7 +426,7 @@ def positivity_checks(maps, seeds, tol: float = DEFAULT_TOL, groups=None,
     if len(rest):
         certified[rest], min_eig[rest], herm_dev[rest] = _cp_checks(reps[rest], n, unit_tol[rest])
     # the slack also covers rounding, so that the bound holds at tol = 0 too
-    slack = (tol + rounding_slack(n)) / unit
+    slack = np.ldexp(tol + rounding_slack(n), exp)
     bounded = _bounded(groups, best_val, min_eig - n * n * herm_dev, slack,
                        violated_at_start)
     # the maps that descend from their worst starters
@@ -421,10 +438,9 @@ def positivity_checks(maps, seeds, tol: float = DEFAULT_TOL, groups=None,
         # map's whole row
         full = np.linalg.eigvalsh(herm[live])[..., 0] - skew[live]
         first = starters[live[:, None], np.argsort(full, axis=1)[:, :_N_DESCENT]]
-        vals, best_vec[live] = _descend(
-            reps[live] * unit[live, None, None], first, best_val[live] * unit[live], best_vec[live]
-        )
-        best_val[live] = vals / unit[live]
+        vals, best_vec[live] = _descend(_scaled(reps[live], -exp[live, None, None]), first,
+                                        np.ldexp(best_val[live], -exp[live]), best_vec[live])
+        best_val[live] = np.ldexp(vals, exp[live])
         evals[live] += (_DESCENT_ITERS + 1) * _N_DESCENT
 
     # each map's final vector re-scored as its own row, so that a witness

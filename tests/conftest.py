@@ -98,7 +98,8 @@ def forced_split(c):
     """
     def split(gen):
         n = gen.n
-        rep = superop._unit_scale(gen.rep) * (gen.rep - c * superop.transpose_map(n).rep)
+        rep = superop._scaled(gen.rep - c * superop.transpose_map(n).rep,
+                              -superop._unit_exponent(gen.rep))
         choi = superop.choi_matrix(superop.Superoperator(n, rep))
         v = _complement_of_omega(n)
         return c, float(np.linalg.eigvalsh(v.T @ ((choi + choi.conj().T) / 2) @ v)[0])

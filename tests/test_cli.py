@@ -178,8 +178,8 @@ class TestReport:
 
     @pytest.mark.parametrize("t", ["1e8", "1e9"])
     def test_far_grid_point_keeps_the_symmetry_hypothesis(self, t, tmp_path, capsys):
-        # rounding in T_t at t = 1e8 broke the hermiticity of its Choi matrix
-        # by more than tol times its scale; the hypothesis is checked at L,
+        # at t = 1e8 rounding leaves the Choi matrix of T_t non-hermitian by
+        # more than tol times its scale; the hypothesis is checked at L,
         # which is symmetric
         path = tmp_path / "g.json"
         assert main(["instance", "lindblad", "-n", "3", "-o", str(path)]) == 0

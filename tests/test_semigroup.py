@@ -36,7 +36,7 @@ from posgen.semigroup import (
     yosida_generator,
     yosida_semigroup,
 )
-from posgen.superop import Superoperator, _unit_scale, apply, vec
+from posgen.superop import Superoperator, _unit_exponent, apply, vec
 
 from conftest import (
     SX,
@@ -671,7 +671,7 @@ class TestMirrorSplit:
         # f(0) = -tol/2: a split within tol of CCP is still searched, and the
         # kink at c = delta is found to rounding
         rep = build_superoperator(random_lindblad(3, 1, 0)).rep
-        delta = 0.5e-9 / float(_unit_scale(rep))
+        delta = np.ldexp(0.5e-9, _unit_exponent(rep))
         gen = Superoperator(3, rep + delta * semigroup.transpose_map(3).rep)
         c, f = mirror_split(gen)
         assert c == pytest.approx(delta, rel=1e-6)
@@ -691,7 +691,7 @@ class TestMirrorSplit:
         z = np.diag([1.0, -1.0]).astype(complex)
         gen = Superoperator(2, 2.0 * semigroup.transpose_map(2).rep - np.kron(z, z))
         _, f = mirror_split(gen)
-        assert f <= -0.5 * float(_unit_scale(gen.rep))
+        assert f <= -np.ldexp(0.5, -_unit_exponent(gen.rep))
 
 
 class TestGeneratorCertificate:
@@ -754,6 +754,16 @@ class TestGeneratorCertificate:
         cert = generator_certificate(SemigroupHandle(Superoperator(2, rep)))
         assert cert.kind is None
         assert abs(cert.margin) <= 1e-12
+
+    @pytest.mark.parametrize("e", [-1000, -1060])
+    @pytest.mark.parametrize("n", [6, 8])
+    def test_tiny_flip_certifies_nothing(self, n, e):
+        # a unit scale capped at 2**1023 left the flip at 2**-1060 with
+        # entries near 2**-37, where its margin -n/2 * 2**-37 passed as
+        # rounding; at unit scale it is -n/2 at any e
+        cert = generator_certificate(SemigroupHandle(flip_nonpositive(n, 2.0**e)))
+        assert (cert.kind, cert.c) == (None, 0.0)
+        assert cert.margin == pytest.approx(-n / 2, rel=1e-12)
 
     def test_memoized(self, monkeypatch):
         splits = []

@@ -212,6 +212,13 @@ class TestPositivityCheck:
         assert out.witness is not None
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_penalty_past_the_largest_double_is_violated(self):
+        # the image of e_0 e_0* is i 2**1023 e_0 e_0*: its cone penalty, twice
+        # the skew part, is 2**1024, which is not a double
+        out = positivity_check(Superoperator(2, 1j * 2.0**1023 * np.eye(4)))
+        assert (out.status, out.margin) == ("violated", -np.inf)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     @pytest.mark.parametrize("sign, status", [(-1.0, "violated"), (1.0, "certified_positive")])
     def test_near_the_largest_double(self, sign, status):
         # herm(S(vv*)) = m/2 + m*/2 stays finite where m + m* would overflow
@@ -440,6 +447,15 @@ class TestStackedPositivityChecks:
             out = positivity_checks([tiny], [0], 0.0)[0]
         assert out.status == "violated"
 
+    @pytest.mark.parametrize("e", [-1000, -1060])
+    def test_tiny_negations_are_violated_at_the_default_tol(self, e):
+        # tol at unit scale is tol * 2**(e + 1) on -2**e id, which underflows
+        # to zero at e = -1060; a unit scale capped at 2**1023 judged that
+        # map against 1e-9 * 2**-1023 and certified it positive
+        out = positivity_check(Superoperator(2, -(2.0 ** e) * np.eye(4)))
+        assert out.status == "violated"
+        assert out.margin < 0
+
     @pytest.mark.parametrize("n", [2, 4])
     def test_per_map_budgets_equal_per_map_searches(self, n, monkeypatch):
         maps = self.mixed_stack(n)
@@ -653,11 +669,11 @@ class TestGeneratorCertificate:
         basis = np.column_stack([np.eye(n).reshape(-1), x.reshape(-1), np.eye(n * n)])
         jumps = np.linalg.qr(basis)[0][:, 2:].T.reshape(-1, n, n)
         h = np.diag([0.0, 0.0, 100.0]).astype(complex)
-        unit = float(superop._unit_scale(lindblad_rep(h, [])))
-        eps = self.TOL / 2 / unit
+        exp = superop._unit_exponent(lindblad_rep(h, []))
+        eps = np.ldexp(self.TOL / 2, exp)
         rep = lindblad_rep(h, np.sqrt(20 * eps) * jumps) - eps * np.kron(x.T, x.conj().T)
         hd = SemigroupHandle(Superoperator(n, rep))
-        assert float(superop._unit_scale(rep)) == unit
+        assert superop._unit_exponent(rep) == exp
         cert = generator_certificate(hd)
         assert (cert.kind, cert.c) == (None, 0.0)
         assert cert.margin == pytest.approx(-self.TOL / 2, rel=1e-9)
@@ -680,8 +696,8 @@ class TestGeneratorCertificate:
         rng = np.random.default_rng(seed)
         v = rand_complex(rng, 10_000, n)
         v /= np.linalg.norm(v, axis=1, keepdims=True)
-        for rep, u in zip(reps, superop._unit_scale(reps)):
-            assert f_values(rep, v).min() >= -self.TOL / u
+        for rep, e in zip(reps, superop._unit_exponent(reps)):
+            assert f_values(rep, v).min() >= -np.ldexp(self.TOL, e)
 
     def test_undecided_maps_ask_once(self):
         # the transpose and a T_t of transpose_mixing are neither CP nor

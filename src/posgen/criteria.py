@@ -118,16 +118,17 @@ class ProbeSet:
     unitaries: np.ndarray
 
     def __post_init__(self):
-        def validate(name, label, deviation):
+        def validate(name, label, deviation, tol=1e-9):
             members = getattr(self, name)
             if not len(members):
                 raise ValueError(f"no {label} probes")
             stack = as_matrix_stack(members)
-            if deviation(stack) > 1e-9:
+            if deviation(stack) > tol:
                 raise ValueError(f"{label} probe fails its class check")
             object.__setattr__(self, name, frozen(stack))
 
-        validate("selfadjoint", "self-adjoint", lambda a: 2 * hermitian_split(a)[1].max())
+        # max|a - a*| at 1e-9 is the skew, which cannot overflow, at half of it
+        validate("selfadjoint", "self-adjoint", lambda a: hermitian_split(a)[1].max(), 1e-9 / 2)
         validate("unitaries", "unitary",
                  lambda u: max_entry(u.conj().swapaxes(1, 2) @ u - np.eye(u.shape[-1])))
 
@@ -452,17 +453,19 @@ def _aggregate_cone(verdicts) -> ConeVerdict:
 def theorem2_check(h: SemigroupHandle, config: RunConfig = RunConfig()) -> Theorem2Report:
     """The handle's generator-side margins versus semigroup-side positivity and unitality.
 
-    The contraction search takes its positivity certificates from
-    ``semigroup_positive``'s cone verdicts, a map's CP test or its
-    generator's certificate, which a report has already searched.
+    The contraction hypothesis is checked by ``contraction_checks`` on the
+    ``T_t`` of the time grid, given ``semigroup_positive``'s cone verdicts,
+    which a report has already searched: a witness v of a violated ``T_t``
+    is scored as the unitary 1 - 2vv*, and a certified one (by its CP test
+    or its generator's certificate) may be a certified contraction.  The
+    first ``T_t`` whose bound exceeds 1 + tol raises HypothesisViolation.
     """
     plan = _plan(h, "semigroup", config)[1]
     maps = [phi for _, _, phi in plan]
     tol = config.tol("predicate")
     cone_verdicts = _cone_verdicts(h, {"semigroup_positive": plan}, config)["semigroup_positive"]
 
-    verdicts = contraction_checks(maps, subseed(config.seed, 23), tol,
-                                  [v.status == CERTIFIED_POSITIVE for v in cone_verdicts])
+    verdicts = contraction_checks(maps, subseed(config.seed, 23), tol, cone_verdicts)
     # the search stops at its first violated map, where this loop raises
     for t, verdict in zip(config.t_grid, verdicts):
         if verdict.status == VIOLATED:

@@ -25,7 +25,7 @@ from .matrixcore import (
     spectral_norm,
 )
 from .semigroup import SemigroupHandle, family_maps
-from .superop import NO_VIOLATION_FOUND, VIOLATED, apply, apply_stack
+from .superop import NO_VIOLATION_FOUND, VIOLATED, _split, apply, apply_stack
 
 STATE_TOL = 1e-9
 _TRACE_TOL = 1e-10
@@ -41,10 +41,10 @@ def _validated_states(a: np.ndarray) -> np.ndarray:
     The first state that fails raises, naming its first failing check and
     that check's deviation.
     """
-    herm, skew = hermitian_split(a)
-    herm_dev = 2 * skew
+    herm, herm_dev = _split(a)
     min_eig = np.linalg.eigvalsh(herm)[:, 0]
-    tr_dev = np.abs(np.trace(a, axis1=-2, axis2=-1) - 1.0)
+    with np.errstate(over="ignore"):  # a trace past the largest double deviates by inf
+        tr_dev = np.abs(np.trace(a, axis1=-2, axis2=-1) - 1.0)
     bad = (herm_dev > STATE_TOL) | (min_eig < -STATE_TOL) | (tr_dev > _TRACE_TOL)
     if bad.any():
         i = int(np.argmax(bad))

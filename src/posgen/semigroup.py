@@ -51,7 +51,8 @@ def lindblad_rep(h, vs) -> np.ndarray:
     """Superoperator of ``L(x) = i[H,x] + sum_k (V_k* x V_k - {V_k* V_k, x}/2)``."""
     h = as_matrix(h)
     n = h.shape[0]
-    if 2 * hermitian_split(h)[1] > 1e-10:
+    # max|h - h*| > 1e-10, read from the skew, which cannot overflow
+    if hermitian_split(h)[1] > 1e-10 / 2:
         raise ValueError("Hamiltonian payload must be hermitian")
     eye = np.eye(n)
     rep = 1j * (_kron(eye, h) - _kron(h.T, eye))

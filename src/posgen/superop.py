@@ -469,23 +469,21 @@ def positivity_check(s: Superoperator, seed: int = 0, tol: float = DEFAULT_TOL) 
 # contraction bounds
 # ---------------------------------------------------------------------------
 
-# The contraction search's fixed effort: seeded random inputs, then a power
-# ascent from the best four.
+# The contraction search's fixed effort: seeded random inputs shared by all maps.
 _CONTRACTION_SAMPLES = 64
-_ASCENT_ITERS = 30
 
 
 @dataclass(frozen=True)
 class ContractionVerdict:
-    """Sampled lower bound on the operator norm of a map (spectral-to-spectral).
+    """Lower bound on the operator norm of a map (spectral-to-spectral).
 
-    certified_contraction is only issued for symmetric unital maps with the
-    positivity certificate their caller passes -- whose norm is exactly one
-    by the Russo-Dye fact -- and even then the sampled bound must not
-    exceed 1 + tol; the fact is verified, never assumed.
-    A violated verdict carries the first bound that exceeds 1 + tol: the
-    sampled one when sampling already proves the map is no contraction,
-    otherwise the bound after the power ascent.
+    The bound is the largest ratio ``||S(x)|| / ||x||`` scored: the sampled
+    inputs', and the cone witness's unitary 1 - 2vv* when sampling does not
+    already prove the map violated.  certified_contraction is only issued
+    for symmetric unital maps whose cone verdict is certified_positive --
+    whose norm is exactly one by the Russo-Dye fact -- and even then the
+    bound must not exceed 1 + tol; the fact is verified, never assumed.
+    A violated verdict carries the first bound that exceeds 1 + tol.
     """
 
     status: str
@@ -507,43 +505,30 @@ def _ratios(s_out: np.ndarray, s_in: np.ndarray) -> np.ndarray:
     return np.where(ok, s_out / np.where(ok, s_in, 1.0), 0.0)
 
 
-def _ascend(reps: np.ndarray, v: np.ndarray, bounds: np.ndarray) -> np.ndarray:
-    """Power ascent of an (m, b, n, n) stack of unit inputs, one map each.
-
-    Each step takes two SVD calls: the full SVD of S(v) gives both the
-    ratio of v and the gradient u_1 w_1^*, and a values-only SVD gives the
-    norms of v.  Returns ``bounds`` raised to the best ratio of each map.
-    """
-    reps_t = reps.swapaxes(-1, -2)
-    reps_c = reps.conj()
-    for _ in range(_ASCENT_ITERS):
-        u, sv, wh = np.linalg.svd(apply_stack(reps_t, v))
-        bounds = np.fmax(bounds, _ratios(sv[..., 0], _top_singular(v)).max(axis=-1))
-        # the gradient goes back through the adjoint map
-        v = apply_stack(reps_c, u[..., :, :1] @ wh[..., :1, :])
-        norms = np.linalg.norm(v, axis=(-2, -1), keepdims=True)
-        norms[norms == 0] = 1.0
-        v /= norms
-    return bounds
-
-
-def contraction_checks(maps, seed: int, tol: float, positive) -> list:
+def contraction_checks(maps, seed: int, tol: float, cone) -> list:
     """Lower-bound ``sup ||S(x)|| / ||x||`` for each of a list of maps on one M(n).
+
+    ``cone`` holds one :class:`ConeVerdict` per map, its positivity search's.
+    For a unital map, being contractive and being positive are the same
+    property (Russo-Dye; Paulsen, Prop. 2.11), so the cone search has
+    already asked this question, and its verdicts are read twice:
+
+    * A witness v, with g = min_eig herm S(vv*) < 0, gives the unitary
+      x = 1 - 2vv*, and for a unital S, ``||S(x)|| >= 1 - 2g > 1``.  x is
+      scored through the same ratio as the samples, so the bound is a
+      computed one, never a copy of 1 - 2g.
+    * A map certified positive, symmetric and unital at ``tol`` has norm
+      ``||S(1)|| = 1``: it is a certified contraction at its bound.
 
     The effort per map is fixed: the unit, 64 Gaussian inputs drawn from
     ``seed`` (shared by all maps, so their norms are computed once) and
     inputs built from the map's top singular vectors are scored, then the
-    best four climb 30 steps of a power ascent.  One pass samples the maps
-    in order and decides each where it is sampled: a sampled ratio above
-    ``1 + tol`` makes the map violated with that bound and ends the pass; a
-    map with the Russo-Dye certificate is a certified contraction with its
-    sampled bound; every other map joins one stacked ascent (see
-    ``_ascend``), which only raises a bound.  Returns one verdict per map up
-    to the first violated one in order, and None after it.
-
-    ``positive`` holds one positivity certificate (a bool) per map.  A map
-    has the Russo-Dye certificate when it is certified positive, symmetric
-    and unital at ``tol``: a positive unital map has norm ||S(1)|| = 1.
+    witness's x when sampling leaves the bound at or below ``1 + tol``.
+    One pass decides each map in order: a bound above ``1 + tol`` makes
+    it violated and ends the pass; a map with the Russo-Dye certificate is
+    a certified contraction; any other is no_violation_found at its bound.
+    Returns one verdict per map up to the first violated one in order, and
+    None after it.
     """
     if not (np.isfinite(tol) and tol >= 0):
         raise ValueError(f"contraction_checks needs a finite tol >= 0, got {tol!r}")
@@ -553,16 +538,16 @@ def contraction_checks(maps, seed: int, tol: float, positive) -> list:
     n = maps[0].n
     if any(s.n != n for s in maps):
         raise DimensionMismatch("contraction_checks needs maps on one algebra")
-    if len(positive) != len(maps):
-        raise ValueError(f"contraction_checks got {len(positive)} flags for {len(maps)} maps")
+    if len(cone) != len(maps):
+        raise ValueError(f"contraction_checks got {len(cone)} cone verdicts for {len(maps)} maps")
     rng = np.random.default_rng(np.random.SeedSequence((seed, 0xC0)))
     shape = (_CONTRACTION_SAMPLES, n, n)
     gauss = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
     shared = np.concatenate([np.eye(n, dtype=complex)[None], gauss])
     shared_norms = _top_singular(shared)
 
-    verdicts, climb, starts, sampled = [], [], [], []
-    for s, certified in zip(maps, positive):
+    verdicts = []
+    for s, cone_verdict in zip(maps, cone):
         # top right-singular vectors of the rep seed the search near the
         # maximizer of the Hilbert-Schmidt-induced norm, a guaranteed
         # lower-bound direction
@@ -572,40 +557,31 @@ def contraction_checks(maps, seed: int, tol: float, positive) -> list:
         xs = np.concatenate([shared, own])
         # one call gives the norms of the images and of the map's own inputs
         sv = _top_singular(np.concatenate([apply_stack(s.rep.T, xs), own]))
-        ratios = _ratios(sv[: len(xs)], np.concatenate([shared_norms, sv[len(xs):]]))
-        bound = float(np.max(ratios))
+        bound = float(np.max(_ratios(sv[: len(xs)], np.concatenate([shared_norms, sv[len(xs):]]))))
+        if bound <= 1.0 + tol and cone_verdict.witness is not None:
+            v = cone_verdict.witness
+            x = np.eye(n) - 2 * np.outer(v, v.conj())
+            sv = _top_singular(np.stack([apply(s, x), x]))
+            bound = max(bound, float(_ratios(sv[:1], sv[1:])[0]))
         if bound > 1.0 + tol:
             verdicts.append(ContractionVerdict(VIOLATED, bound))
             break
-        if certified and is_symmetric_map(s, tol).verdict and is_unital(s, tol).verdict:
-            verdicts.append(ContractionVerdict(CERTIFIED_CONTRACTION, bound))
-            continue
-        climb.append(len(verdicts))
-        verdicts.append(None)
-        starts.append(xs[np.argsort(ratios)[::-1][:4]])
-        sampled.append(bound)
-
-    if climb:
-        starts = np.stack(starts)
-        starts /= np.linalg.norm(starts, axis=(-2, -1), keepdims=True)
-        bounds = _ascend(np.stack([maps[k].rep for k in climb]), starts, np.array(sampled))
-        for k, bound in zip(climb, bounds.tolist()):
-            verdicts[k] = ContractionVerdict(
-                VIOLATED if bound > 1.0 + tol else NO_VIOLATION_FOUND, bound)
-    # the first violated map in order ends the list
-    stop = next((k + 1 for k, v in enumerate(verdicts) if v.status == VIOLATED), len(verdicts))
-    return verdicts[:stop] + [None] * (len(maps) - stop)
+        certified = (cone_verdict.status == CERTIFIED_POSITIVE
+                     and is_symmetric_map(s, tol).verdict and is_unital(s, tol).verdict)
+        verdicts.append(ContractionVerdict(
+            CERTIFIED_CONTRACTION if certified else NO_VIOLATION_FOUND, bound))
+    return verdicts + [None] * (len(maps) - len(verdicts))
 
 
 def contraction_check(
     s: Superoperator, seed: int = 0, tol: float = DEFAULT_TOL
 ) -> ContractionVerdict:
-    """Lower-bound ``sup ||S(x)|| / ||x||`` by sampling plus local ascent.
+    """Lower-bound ``sup ||S(x)|| / ||x||`` by sampling and the cone witness.
 
-    The single-map case of :func:`contraction_checks`, with the map's own CP
-    test (:func:`cp_check` at ``tol``) as its positivity certificate.  The
-    CP test always runs; when a sampled ratio already exceeds ``1 + tol``
-    the map is returned as violated with that sampled bound and the ascent
-    does not run.
+    The single-map case of :func:`contraction_checks`, with the map's own
+    cone search (:func:`positivity_check` at ``seed`` and ``tol``) as its
+    verdict: its witness, when it has one, is scored, and its certificate
+    lets a symmetric unital map be a certified contraction.  The cone
+    search always runs.
     """
-    return contraction_checks([s], seed, tol, [cp_check(s, tol).verdict])[0]
+    return contraction_checks([s], seed, tol, [positivity_check(s, seed, tol)])[0]

@@ -59,17 +59,18 @@ def predual_evolve(h, t, rho):
     return duality._predual(h, (t,), rho)[0]
 
 
-def signed_rate_rep(seed):
-    """Generator ``seed`` of the signed-rate sweep on M(2): sum_k c_k D_{A_k}.
+def signed_rate_rep(seed, n=2):
+    """Generator ``seed`` of the signed-rate sweep on M(n): sum_k c_k D_{A_k}.
 
-    Three rates c_k, uniform on [-0.4, 1.0), are drawn before the jump
-    operators A_k, complex Gaussians divided by 2; D_A is the dissipator of A
-    with no Hamiltonian (scripts/signed_rate_sweep.py builds the same set).
+    n + 1 rates c_k, uniform on [-0.4, 1.0), are drawn before the jump
+    operators A_k, n x n complex Gaussians divided by 2; D_A is the
+    dissipator of A with no Hamiltonian (scripts/signed_rate_sweep.py builds
+    the same sets at n = 2 and 3).
     """
     rng = np.random.default_rng(seed)
-    rates = rng.uniform(-0.4, 1.0, 3)
-    jumps = [rand_complex(rng, 2, 2) / 2 for _ in rates]
-    return sum(c * lindblad_rep(np.zeros((2, 2)), [a]) for c, a in zip(rates, jumps))
+    rates = rng.uniform(-0.4, 1.0, n + 1)
+    jumps = [rand_complex(rng, n, n) / 2 for _ in rates]
+    return sum(c * lindblad_rep(np.zeros((n, n)), [a]) for c, a in zip(rates, jumps))
 
 
 def flip_plus_lindblad(n, seed):
@@ -128,16 +129,18 @@ def spectral_ratios(s_out, s_in):
     return np.where(ok, s_out / np.where(ok, s_in, 1.0), 0.0)
 
 
-def full_contraction_search(s, seed=0, tol=1e-9):
-    """Reference: the contraction search with no stop before its ascent.
+def full_contraction_search(s, seed=0, tol=1e-9, cone=None):
+    """Reference: the contraction search with no stop.
 
     Scores the unit, 64 seeded Gaussians and the rep's top singular
-    directions, tests the Russo-Dye certificate, then climbs 30 steps of a
-    power ascent from the best four whatever the sampled bound.  Each step
-    reads the ratio of its inputs from its own SVD of their images.  Returns
-    the largest sampled ratio and the verdict.
+    directions, then the cone witness's unitary 1 - 2vv* whatever the
+    sampled bound, and tests the Russo-Dye certificate.  ``cone`` is the
+    map's cone verdict, by default its own ``positivity_check(s, seed,
+    tol)``.  Returns the largest sampled ratio and the verdict, whose bound
+    is the largest ratio of all.
     """
     n = s.n
+    cone = superop.positivity_check(s, seed, tol) if cone is None else cone
     rng = np.random.default_rng(np.random.SeedSequence((seed, 0xC0)))
     gauss = rng.standard_normal((64, n, n)) + 1j * rng.standard_normal((64, n, n))
     _, _, vh = np.linalg.svd(s.rep)
@@ -149,26 +152,21 @@ def full_contraction_search(s, seed=0, tol=1e-9):
     def norms(x):
         return np.linalg.svd(x, compute_uv=False)[:, 0]
 
-    ratios = spectral_ratios(norms(superop.apply_stack(s.rep.T, xs)), norms(xs))
-    sampled = bound = float(np.max(ratios))
+    sampled = bound = float(np.max(spectral_ratios(norms(superop.apply_stack(s.rep.T, xs)),
+                                                   norms(xs))))
+    if cone.witness is not None:
+        x = np.eye(n) - 2 * np.outer(cone.witness, cone.witness.conj())
+        bound = max(bound, float(np.max(spectral_ratios(norms(superop.apply(s, x)[None]),
+                                                        norms(x[None])))))
+    if bound > 1.0 + tol:
+        return sampled, superop.ContractionVerdict("violated", bound)
     if (
-        superop.is_symmetric_map(s, tol).verdict
+        cone.status == "certified_positive"
+        and superop.is_symmetric_map(s, tol).verdict
         and superop.is_unital(s, tol).verdict
-        and superop.cp_check(s, tol).verdict
-        and bound <= 1.0 + tol
     ):
         return sampled, superop.ContractionVerdict("certified_contraction", bound)
-    v = xs[np.argsort(ratios)[::-1][:4]].copy()
-    v /= np.linalg.norm(v, axis=(1, 2), keepdims=True)
-    for _ in range(30):
-        u, sv, wh = np.linalg.svd(superop.apply_stack(s.rep.T, v))
-        bound = max(bound, float(np.max(spectral_ratios(sv[:, 0], norms(v)))))
-        v = superop.apply_stack(s.rep.conj(), u[:, :, :1] @ wh[:, :1, :])
-        v_norms = np.linalg.norm(v, axis=(1, 2), keepdims=True)
-        v_norms[v_norms == 0] = 1.0
-        v /= v_norms
-    status = "violated" if bound > 1.0 + tol else "no_violation_found"
-    return sampled, superop.ContractionVerdict(status, bound)
+    return sampled, superop.ContractionVerdict("no_violation_found", bound)
 
 
 # Reference: the resolvent as a Laplace transform, an independent route to

@@ -142,6 +142,16 @@ class TestReport:
         assert payload["sections"]["theorem2"]["direction_consistency"] is True
         assert payload["sections"]["trace_preservation"]["consistent"] is True
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_hamiltonian_with_an_overflowing_skew_exits_1(self, tmp_path, capsys):
+        # H = i 2^1023 id: max|H - H*| is past the largest double
+        spec = GeneratorSpec(kind="hamiltonian", n=2, hamiltonian=1j * 2.0**1023 * np.eye(2))
+        path = tmp_path / "h.json"
+        path.write_text(json.dumps(spec.to_json()))
+        assert main(["report", str(path)]) == 1
+        assert capsys.readouterr() == (
+            "", f"posgen: error: {path}: Hamiltonian payload must be hermitian\n")
+
     def test_flip_consistent_all_violated(self, flip_file, capsys):
         # everything fails together, so the equivalence itself holds
         assert main(["report", flip_file, "--samples", "6"]) == 0

@@ -289,6 +289,21 @@ class TestProbeSet:
         assert q.unitaries.tobytes() == p.unitaries.tobytes()
         assert not q.selfadjoint.flags.writeable and not q.unitaries.flags.writeable
 
+    @pytest.mark.parametrize("d, selfadjoint", [(1e-9, True), (np.nextafter(1e-9, 1.0), False)])
+    def test_selfadjoint_class_is_judged_at_a_deviation_of_1e_9(self, d, selfadjoint):
+        # max|a - a*| = d
+        members = {"selfadjoint": [np.array([[0.0, d], [0.0, 0.0]])], "unitaries": [np.eye(2)]}
+        if selfadjoint:
+            ProbeSet(**members)
+        else:
+            with pytest.raises(ValueError, match="^self-adjoint probe fails its class check$"):
+                ProbeSet(**members)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_skew_past_the_largest_double_rejected_without_a_warning(self):
+        with pytest.raises(ValueError, match="^self-adjoint probe fails its class check$"):
+            ProbeSet(selfadjoint=[1j * 2.0**1023 * np.eye(2)], unitaries=[np.eye(2)])
+
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     @pytest.mark.parametrize("n, samples, name", [(0, 3, "n"), (2, -1, "samples")])
     def test_build_rejects_a_bad_size(self, n, samples, name):
@@ -444,18 +459,14 @@ class TestTheorem2:
 
     @pytest.mark.parametrize("seed", [3, 15])
     @pytest.mark.parametrize("n", [2, 3, 4])
-    def test_transpose_mixing_certified_without_the_ascent(self, n, seed, monkeypatch):
+    def test_transpose_mixing_certified_contraction(self, n, seed):
         # every T_t is positive (the generator's certificate says so) and unital, so
-        # by Russo-Dye its norm is 1 and the contraction search skips its ascent
-        climbs = []
-        ascend = superop._ascend
-        monkeypatch.setattr(superop, "_ascend", lambda *args: climbs.append(1) or ascend(*args))
+        # by Russo-Dye its norm is 1: a certified contraction
         h = handle(transpose_mixing(random_lindblad(n, 1, seed)))
         config = small_config()
         rep = theorem2_check(h, config)
         assert rep.contraction_status == "certified_contraction"
-        assert climbs == []
-        # the search without a stop, ascent included, proves no T_t non-contractive
+        # the search without a stop proves no T_t non-contractive
         tol = config.tol("predicate")
         for s_t in semigroup.family_maps(h, "semigroup", config.t_grid):
             full = full_contraction_search(s_t, subseed(config.seed, 23), tol)[1]
@@ -482,13 +493,45 @@ class TestTheorem2:
         monkeypatch.setattr(
             criteria,
             "contraction_checks",
-            lambda maps, seed, tol, positive: [full_contraction_search(s, seed, tol)[1]
-                                               for s in maps],
+            lambda maps, seed, tol, cone: [full_contraction_search(s, seed, tol, c)[1]
+                                           for s, c in zip(maps, cone)],
         )
         with pytest.raises(HypothesisViolation) as full:
             theorem2_check(handle(flip_nonpositive(n)), config)
         assert str(early.value) == str(full.value)
         assert "at t=0.1" in str(early.value)
+
+    def test_cone_witness_proves_the_semigroup_non_contractive(self, monkeypatch):
+        # the n = 3 signed-rate generator of seed 4: unital and symmetric, and
+        # its T_0.1 is violated by the cone search, while sampling alone finds
+        # no norm above 1 + tol
+        h = SemigroupHandle(Superoperator(3, signed_rate_rep(4, 3)))
+        config = RunConfig()
+        calls = []
+        search = criteria.contraction_checks
+
+        def record(maps, seed, tol, cone):
+            calls.append((maps, cone, search(maps, seed, tol, cone)))
+            return calls[-1][2]
+
+        monkeypatch.setattr(criteria, "contraction_checks", record)
+        with pytest.raises(HypothesisViolation,
+                           match=r"^semigroup is not contractive: sampled norm .* at t=0\.1$") as exc:
+            theorem2_check(h, config)
+        [(maps, cone, verdicts)] = calls
+        assert [v and v.status for v in verdicts] == [VIOLATED, None, None]
+        bound = verdicts[0].norm_lower_bound
+        assert f"sampled norm {bound:.6g} at" in str(exc.value)
+        # ||T(1 - 2vv*)|| >= 1 - 2g, g = min_eig herm T(vv*) of the witness v
+        v = cone[0].witness
+        image = apply(maps[0], np.outer(v, v.conj()))
+        g = np.linalg.eigvalsh((image + image.conj().T) / 2)[0]
+        assert g < 0
+        assert bound >= 1.0 - 2.0 * g - 1e-12
+        # without the witnesses the same search proves nothing
+        bare = [ConeVerdict(c.status, c.margin, c.samples_used) for c in cone]
+        seed, tol = subseed(config.seed, 23), config.tol("predicate")
+        assert all(v.status != VIOLATED for v in search(maps, seed, tol, bare))
 
     def test_witness_tie_goes_to_first_violated_map(self, monkeypatch):
         # T_t = 1 passes the contraction hypothesis; the fake search violates

@@ -144,6 +144,12 @@ class TestDensityValidation:
         with pytest.raises(ValueError, match="hermitian"):
             as_density(np.array([[0.5, 1.0], [0.0, 0.5]]))
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_skew_past_the_largest_double_rejected_without_a_warning(self):
+        # max|rho - rho*| and the trace are past the largest double: both read inf
+        with pytest.raises(ValueError, match=r"^state is not hermitian \(deviation inf\)$"):
+            as_density(1j * 2.0**1023 * np.eye(2))
+
     def test_rejects_negative_eigenvalue(self):
         with pytest.raises(ValueError, match="positive"):
             as_density(np.diag([1.5, -0.5]))

@@ -125,6 +125,22 @@ class TestBuild:
         with pytest.raises(ValueError, match="hermitian"):
             lindblad_rep(np.array([[0.0, 1.0], [0.0, 0.0]]), [])
 
+    @pytest.mark.parametrize("d, hermitian", [(1e-10, True), (np.nextafter(1e-10, 1.0), False)])
+    def test_hermiticity_is_judged_at_a_deviation_of_1e_10(self, d, hermitian):
+        # max|H - H*| = d
+        h = np.array([[0.0, d], [0.0, 0.0]])
+        if hermitian:
+            lindblad_rep(h, [])
+        else:
+            with pytest.raises(ValueError, match="hermitian"):
+                lindblad_rep(h, [])
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_skew_past_the_largest_double_rejected_without_a_warning(self):
+        # max|H - H*| = 2^1024 is not a double, and its skew part 2^1023 is
+        with pytest.raises(ValueError, match="^Hamiltonian payload must be hermitian$"):
+            lindblad_rep(1j * 2.0**1023 * np.eye(2), [])
+
     def test_build_kills_unit(self):
         h = small_lindblad(seed=5, n=4, k=2)
         margin = np.abs(h.generator.rep @ vec(np.eye(4))).max()

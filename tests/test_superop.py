@@ -837,9 +837,10 @@ class TestContractionCheck:
         assert out.status == "no_violation_found"
         assert out.norm_lower_bound == pytest.approx(1.0, abs=1e-9)
 
-    def test_sampled_proof_skips_the_ascent(self, monkeypatch):
+    def test_sampled_proof_skips_the_witness(self, monkeypatch):
         t_01 = evolve(SemigroupHandle(flip_nonpositive(3)), 0.1)
         sampled, full = full_contraction_search(t_01)
+        assert positivity_check(t_01).witness is not None
         calls = []
         svd = np.linalg.svd
 
@@ -849,8 +850,8 @@ class TestContractionCheck:
 
         monkeypatch.setattr(np.linalg, "svd", counted)
         out = contraction_check(t_01)
-        # one SVD of the rep and two for the sampled ratios; the ascent would
-        # add three per step
+        # one SVD of the rep and two for the sampled ratios; the witness
+        # would add one more
         assert len(calls) == 3
         assert out.status == full.status == "violated"
         assert out.norm_lower_bound == sampled
@@ -875,7 +876,8 @@ class TestContractionCheck:
         sampled, full = full_contraction_search(s, seed)
         out = contraction_check(s, seed)
         assert out.status == full.status
-        if out.status == "violated":
+        if sampled > 1.0 + DEFAULT_TOL:
+            # a sampled proof skips the witness, whose ratio may be larger
             assert out.norm_lower_bound == sampled <= full.norm_lower_bound
         else:
             assert out.norm_lower_bound == full.norm_lower_bound
@@ -883,6 +885,9 @@ class TestContractionCheck:
 
 class TestStackedContractionChecks:
     """One search serves a whole t-grid, with the verdicts of single searches."""
+
+    # a cone verdict that certifies its map positive
+    CERTIFIED = superop.ConeVerdict("certified_positive", 0.0, 1)
 
     def grid_maps(self, which):
         if which == "mixed":
@@ -919,12 +924,12 @@ class TestStackedContractionChecks:
             calls.append(1)
             return svd(*args, **kwargs)
 
-        # the mask contraction_check passes: each map's own CP test
-        positive = [cp_check(m).verdict for m in maps]
+        # the cone verdicts contraction_check passes: each map's own search
+        cone = [positivity_check(m, seed) for m in maps]
         monkeypatch.setattr(np.linalg, "svd", counted)
-        stacked = contraction_checks(maps, seed, DEFAULT_TOL, positive)
+        stacked = contraction_checks(maps, seed, DEFAULT_TOL, cone)
         svd_calls = len(calls)
-        contraction_checks(maps[: len(looped)], seed, DEFAULT_TOL, positive[: len(looped)])
+        contraction_checks(maps[: len(looped)], seed, DEFAULT_TOL, cone[: len(looped)])
         # the maps after the first violated one cost no SVD call
         assert len(calls) == 2 * svd_calls
         assert [v and v.status for v in stacked] == statuses
@@ -933,11 +938,7 @@ class TestStackedContractionChecks:
             assert a.status == b.status
             assert a.norm_lower_bound == b.norm_lower_bound
 
-    def test_positivity_certificates_need_symmetric_unital_maps(self, monkeypatch):
-        climbs = []
-        ascend = superop._ascend
-        monkeypatch.setattr(superop, "_ascend",
-                            lambda reps, v, bounds: climbs.append(len(reps)) or ascend(reps, v, bounds))
+    def test_positivity_certificates_need_symmetric_unital_maps(self):
         tol = 1e-3
         # e^{-1} id: symmetric, not unital
         decay = evolve(SemigroupHandle(Superoperator(2, -np.eye(4, dtype=complex))), 1.0)
@@ -947,29 +948,49 @@ class TestStackedContractionChecks:
         skew[2, 2] += 3j * tol
         skew = Superoperator(2, skew)
         assert not is_symmetric_map(skew, tol).verdict and is_unital(skew, tol).verdict
-        out = contraction_checks([decay, identity_superop(2), skew], 0, tol, [True] * 3)
-        assert [v.status for v in out][:2] == ["no_violation_found", "certified_contraction"]
-        assert out[2].status != "certified_contraction"
-        # the decay and skew maps still climb
-        assert climbs == [2]
+        out = contraction_checks([decay, identity_superop(2), skew], 0, tol, [self.CERTIFIED] * 3)
+        assert [v.status for v in out] == ["no_violation_found", "certified_contraction",
+                                           "no_violation_found"]
 
-    def test_uncertified_maps_climb(self):
-        out = contraction_checks([transpose_map(3)], 0, DEFAULT_TOL, [False])
-        assert out == [contraction_check(transpose_map(3))]
+    @staticmethod
+    def witness_map():
+        """T_0.1 of the n = 3 signed-rate generator of seed 33: unital and violated."""
+        return evolve(SemigroupHandle(Superoperator(3, signed_rate_rep(33, 3))), 0.1)
 
-    def test_first_violated_map_in_order_ends_the_list(self, monkeypatch):
-        # the transpose survives sampling and is violated by its ascent; the
-        # doubling map after it is violated by sampling alone.  The first
-        # map in order is the one reported.
-        ascend = superop._ascend
-        monkeypatch.setattr(superop, "_ascend", lambda reps, v, bounds: ascend(reps, v, bounds) + 1)
-        maps = [transpose_map(3), Superoperator(3, 2.0 * np.eye(9)), identity_superop(3)]
-        out = contraction_checks(maps, 0, DEFAULT_TOL, [False] * 3)
-        assert out == [superop.ContractionVerdict("violated", 2.000000000000001), None, None]
+    def test_witness_alone_proves_a_unital_map_violated(self):
+        s = self.witness_map()
+        assert is_unital(s).verdict
+        cone = positivity_check(s)
+        assert cone.status == "violated"
+        # the same verdict without its witness: sampling leaves the bound at
+        # or below 1 + tol
+        bare = superop.ConeVerdict(cone.status, cone.margin, cone.samples_used)
+        sampled = contraction_checks([s], 0, DEFAULT_TOL, [bare])[0]
+        assert sampled.status == "no_violation_found"
+        assert sampled.norm_lower_bound <= 1.0 + DEFAULT_TOL
+        out = contraction_checks([s], 0, DEFAULT_TOL, [cone])[0]
+        assert out.status == "violated"
+        # ||S(1 - 2vv*)|| >= 1 - 2g for a unital S, g = min_eig herm S(vv*) < 0
+        image = apply(s, np.outer(cone.witness, cone.witness.conj()))
+        g = np.linalg.eigvalsh((image + image.conj().T) / 2)[0]
+        assert g < 0
+        assert out.norm_lower_bound >= 1.0 - 2.0 * g - 1e-12
+
+    def test_first_violated_map_in_order_ends_the_list(self):
+        # the first map survives sampling and is violated by its witness; the
+        # doubling map after it is violated by sampling alone, with a larger
+        # bound.  The first map in order is the one reported.
+        maps = [self.witness_map(), Superoperator(3, 2.0 * np.eye(9)), identity_superop(3)]
+        cone = [positivity_check(m) for m in maps]
+        out = contraction_checks(maps, 0, DEFAULT_TOL, cone)
+        assert [v and v.status for v in out] == ["violated", None, None]
+        assert out[0] == contraction_check(maps[0])
+        assert 1.0 + DEFAULT_TOL < out[0].norm_lower_bound < 2.0
 
     def test_sampled_proof_asks_for_no_certificate(self):
-        # a map proved no contraction by sampling is violated under any mask
-        out = contraction_checks(self.grid_maps("flip"), 0, DEFAULT_TOL, [True] * 3)
+        # a map proved no contraction by sampling is violated whatever its
+        # cone verdict says
+        out = contraction_checks(self.grid_maps("flip"), 0, DEFAULT_TOL, [self.CERTIFIED] * 3)
         assert [v and v.status for v in out] == ["violated", None, None]
 
     def test_empty_list_rejected(self):
@@ -978,12 +999,13 @@ class TestStackedContractionChecks:
 
     def test_mixed_dimensions_rejected(self):
         with pytest.raises(DimensionMismatch):
-            contraction_checks([identity_superop(2), identity_superop(3)], 0, DEFAULT_TOL, [True] * 2)
+            contraction_checks([identity_superop(2), identity_superop(3)], 0, DEFAULT_TOL,
+                               [self.CERTIFIED] * 2)
 
-    def test_one_flag_per_map(self):
-        # a short mask must not broadcast its one certificate over every map
-        with pytest.raises(ValueError, match="got 1 flags for 3 maps"):
-            contraction_checks([identity_superop(2)] * 3, 0, DEFAULT_TOL, [True])
+    def test_one_cone_verdict_per_map(self):
+        # a short list must not pair its one verdict with the first map alone
+        with pytest.raises(ValueError, match="got 1 cone verdicts for 3 maps"):
+            contraction_checks([identity_superop(2)] * 3, 0, DEFAULT_TOL, [self.CERTIFIED])
 
 
 class TestHsAdjoint:
